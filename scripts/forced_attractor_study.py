@@ -7,7 +7,7 @@ n* against the quadratic, linear, and log-form bounds evaluated at the same
 parameters.  Writes study.csv and study.json into --output-dir.
 
 Example:
-    python scripts/forced_attractor_study.py --calg 250 1000 4000 --grid-n 48
+    python scripts/forced_attractor_study.py --calg 250 1000 4000 --grid-n 48 --dt 0.005
 """
 
 import argparse
@@ -20,6 +20,7 @@ from nsvlab import bounds as B
 from nsvlab import dynamics as dyn
 from nsvlab import lyapunov as lyp
 from nsvlab import spectral as sp
+from nsvlab.errors import InvalidParameterError
 
 
 def two_mode_forcing(grid, g_norm_target):
@@ -29,20 +30,23 @@ def two_mode_forcing(grid, g_norm_target):
     return dyn.ForcingSpec.from_modes([(k, (a[0] * scale, a[1] * scale)) for k, a in raw])
 
 
-def run_case(cal_g, grid_n, dt, window, warmup, seed):
+def case_config(cal_g, grid_n, dt, seed):
+    """SimConfig at alpha = 0.99 alpha0 for one calG; raises
+    InvalidParameterError if dt is past RK4's stability bound there."""
     grid = sp.SpectralGrid(grid_n)
     g_norm = cal_g / (4 * math.pi**2)
-    forcing = two_mode_forcing(grid, g_norm)
-    alpha0 = 4.0 / cal_g
-    alpha = 0.99 * alpha0
-    inp = B.BoundsInput(d=2, nu=1.0, alpha=alpha, g_norm=g_norm)
-    cfg = dyn.SimConfig(nu=1.0, alpha=alpha, grid=grid, dt=dt, t_end=1.0,
-                        forcing=forcing,
-                        initial=dyn.InitialSpec.random(seed=seed, decay=3.0, amplitude=2.0))
+    return dyn.SimConfig(nu=1.0, alpha=0.99 * 4.0 / cal_g, grid=grid, dt=dt, t_end=1.0,
+                         forcing=two_mode_forcing(grid, g_norm),
+                         initial=dyn.InitialSpec.random(seed=seed, decay=3.0, amplitude=2.0))
+
+
+def run_case(cal_g, cfg, window, warmup, seed):
+    g_norm = cal_g / (4 * math.pi**2)
+    inp = B.BoundsInput(d=2, nu=1.0, alpha=cfg.alpha, g_norm=g_norm)
     scan = lyp.scan_n_star(cfg, t_end=window, warmup=warmup, burn_in=window / 4, seed=seed)
     return {
         "cal_g": cal_g,
-        "alpha": alpha,
+        "alpha": cfg.alpha,
         "n_star": scan.n_star,
         "q_hats": {str(k): v for k, v in sorted(scan.q_hats.items())},
         "bound_quadratic": B.bound_2d_quadratic(inp).value,
@@ -62,11 +66,15 @@ def main():
     ap.add_argument("--output-dir", default="nsvlab_runs/forced_study")
     args = ap.parse_args()
 
+    try:   # every case's dt is checked before the first one runs
+        cfgs = [case_config(cal_g, args.grid_n, args.dt, args.seed) for cal_g in args.calg]
+    except InvalidParameterError as err:
+        raise SystemExit(f"configuration error: {err}")
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for cal_g in args.calg:
-        row = run_case(cal_g, args.grid_n, args.dt, args.window, args.warmup, args.seed)
+    for cal_g, cfg in zip(args.calg, cfgs):
+        row = run_case(cal_g, cfg, args.window, args.warmup, args.seed)
         rows.append(row)
         print(f"calG={cal_g:8.1f}  n*={row['n_star']}  "
               f"log-bound={row['bound_log']:8.2f}  linear={row['bound_linear']:8.2f}  "

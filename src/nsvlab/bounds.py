@@ -390,20 +390,26 @@ class Thresholds:
         }
 
 
-def compute_thresholds(offset: float = 5.74) -> Thresholds:
+#: the printed decimals of DECIMAL_SUMMARIES by name; the thresholds use these
+_PRINTED = {name: printed for name, _, _, printed in DECIMAL_SUMMARIES}
+
+
+def compute_thresholds(offset: float = _PRINTED["log_offset"]) -> Thresholds:
     """Locate g0 (for the given offset; 5.74 default, 5.24 variant reported
-    alongside) and both min-branch crossovers by bisection."""
+    alongside) and both min-branch crossovers by bisection, on the printed
+    branch decimals."""
+    p = _PRINTED
+
+    def gap(linear, coeff, off):
+        # linear branch minus log branch: linear x - coeff x^(2/3) (ln x + off)^(1/3)
+        return lambda x: linear * x - coeff * x ** (2 / 3) * (math.log(x) + off) ** (1 / 3)
 
     def g0_fn(off):
-        return bisect_root(lambda x: x - 7.46 * x ** (2 / 3) * (math.log(x) + off) ** (1 / 3),
-                           1e2, 1e6)
+        return bisect_root(gap(1.0, p["log_coeff"], off), 1e2, 1e6)
 
-    cross_log = bisect_root(
-        lambda x: 0.039 * x - 7.46 * x ** (2 / 3) * (math.log(x) + 5.74) ** (1 / 3),
-        1e6, 1e12)
+    cross_log = bisect_root(gap(p["linear_torus"], p["log_coeff"], p["log_offset"]), 1e6, 1e12)
     cross_classical = bisect_root(
-        lambda x: 0.028 * x - 4.7 * x ** (2 / 3) * (math.log(x) + 5.56) ** (1 / 3),
-        1e6, 1e12)
+        gap(p["classical_torus"], p["log_coeff_classical"], p["log_offset_classical"]), 1e6, 1e12)
     return Thresholds(
         g0=g0_fn(offset),
         g0_variant_524=g0_fn(5.24),

@@ -28,7 +28,16 @@ from . import inequalities as ineq
 from . import lattice
 from . import lyapunov as lyp
 from . import spectral as sp
-from .errors import ConfigError, IntegrationDivergedError, InvalidParameterError
+from .errors import (
+    ConfigError,
+    DegenerateFrameError,
+    GridMismatchError,
+    IntegrationDivergedError,
+    InvalidParameterError,
+    RoleMismatchError,
+    StaleFrameError,
+    WrongRegimeError,
+)
 from .fieldio import RunManifest, save_field, write_json
 
 EXIT_OK = 0
@@ -501,33 +510,41 @@ RUNNERS = {
 }
 
 
+#: errors a runner can raise, by exit status: the configuration was refused
+#: (2), or the run failed numerically or on I/O (3)
+CONFIG_ERRORS = (InvalidParameterError, ConfigError, RoleMismatchError, GridMismatchError,
+                 WrongRegimeError)
+RUNTIME_ERRORS = (IntegrationDivergedError, DegenerateFrameError, StaleFrameError,
+                  ArithmeticError, np.linalg.LinAlgError, OSError)
+
+
 def run(subcommand: str, params: dict, seed: int, output_dir: Path) -> int:
-    """Dispatch a validated configuration and write the run manifest."""
+    """Dispatch a validated configuration and write the run manifest.
+
+    A failed run still writes manifest.json, with complete = false and the
+    error in its summary, and returns EXIT_CONFIG or EXIT_RUNTIME.
+    """
     output_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(config={"subcommand": subcommand, "params": params, "seed": seed})
     started = time.time()
     try:
         code, summary = RUNNERS[subcommand](params, output_dir, seed, manifest)
-    except IntegrationDivergedError as err:
-        manifest.summary = {"passed": False, "error": str(err), "diverged_step": err.step}
+    except CONFIG_ERRORS + RUNTIME_ERRORS as err:
+        code = EXIT_CONFIG if isinstance(err, CONFIG_ERRORS) else EXIT_RUNTIME
+        summary = {"passed": False, "error": str(err)}
+        if isinstance(err, IntegrationDivergedError):
+            summary["diverged_step"] = err.step
         manifest.complete = False
-        manifest.wall_clock_s = time.time() - started
-        manifest.write(output_dir / "manifest.json")
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (ArithmeticError, FloatingPointError, np.linalg.LinAlgError, OSError) as err:
-        manifest.summary = {"passed": False, "error": str(err)}
-        manifest.complete = False
-        manifest.wall_clock_s = time.time() - started
-        try:
-            manifest.write(output_dir / "manifest.json")
-        except OSError:
-            pass  # partial artifacts keep their .partial suffix
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
+        label = "configuration error" if code == EXIT_CONFIG else "error"
+        print(f"{label}: {err}", file=sys.stderr)
     manifest.summary = summary
     manifest.wall_clock_s = time.time() - started
-    manifest.write(output_dir / "manifest.json")
+    try:
+        manifest.write(output_dir / "manifest.json")
+    except OSError:
+        if manifest.complete:
+            raise
+        # the run already failed; partial artifacts keep their .partial suffix
     return code
 
 
@@ -540,20 +557,13 @@ def main(argv=None) -> int:
         if subcommand == "verify":
             overrides["target"] = args.target
         params = parse_config(subcommand, args.config, overrides)
-    except ConfigError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InvalidParameterError as err:
+    except (ConfigError, InvalidParameterError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
     outdir = Path(args.output_dir or os.environ.get("NSVLAB_OUTPUT_DIR")
                   or Path("nsvlab_runs") / subcommand)
-    try:
-        return run(subcommand, params, args.seed, outdir)
-    except InvalidParameterError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    return run(subcommand, params, args.seed, outdir)
 
 
 if __name__ == "__main__":

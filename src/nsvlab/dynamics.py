@@ -1,11 +1,12 @@
 """Time integration of the alpha-regularized momentum equation on the torus.
 
-Velocity form:   du/dt = -nu A (1+aA)^{-1} u - (1+aA)^{-1} B(u,u) + (1+aA)^{-1} g
-Vorticity form:  dw/dt = -(1-aD)^{-1} (u.grad w) + nu D (1-aD)^{-1} w + (1-aD)^{-1} rot g
+    du/dt = -nu A (1+aA)^{-1} u - (1+aA)^{-1} B(u,u) + (1+aA)^{-1} g
 
 For alpha > 0 all Fourier multipliers are bounded by nu/alpha, so classical
-RK4 at fixed dt is adequate; for alpha = 0 the stiff viscous multiplier is
-handled exactly with an integrating-factor RK4.
+RK4 at fixed dt is adequate, and SimConfig refuses a dt past RK4's stability
+bound; for alpha = 0 the stiff viscous multiplier is handled exactly with an
+integrating-factor RK4.  rk4_step is the one stepper, shared with the tangent
+frames of `lyapunov`.
 """
 
 from __future__ import annotations
@@ -19,13 +20,10 @@ import numpy as np
 
 from . import spectral as sp
 from .errors import IntegrationDivergedError, InvalidParameterError, RoleMismatchError
-from .spectral import (
-    VELOCITY,
-    VORTICITY,
-    AlphaMetric,
-    SpectralField,
-    SpectralGrid,
-)
+from .spectral import VELOCITY, AlphaMetric, SpectralField, SpectralGrid
+
+#: classical RK4 is stable for dt * lambda in [-2.785, 0] on the real axis
+RK4_REAL_BOUND = 2.785
 
 
 class CflWarning(UserWarning):
@@ -159,6 +157,13 @@ class SimConfig:
             problems.append(f"t_end must be >= 0, got {self.t_end}")
         if self.sample_every < 1:
             problems.append(f"sample_every must be >= 1, got {self.sample_every}")
+        if not problems and self.alpha > 0:
+            stiffness = self.dt * float(np.max(
+                self.nu * self.grid.k2 / (1.0 + self.alpha * self.grid.k2)))
+            if stiffness > RK4_REAL_BOUND:
+                problems.append(
+                    f"dt*max nu|k|^2/(1+alpha|k|^2) = {stiffness:.4g} exceeds RK4's "
+                    f"real-axis stability bound {RK4_REAL_BOUND}; reduce dt")
         if problems:
             raise InvalidParameterError("; ".join(problems))
 
@@ -170,31 +175,6 @@ class SimConfig:
     def gamma(self) -> float:
         """Dissipation rate nu lambda1/(alpha lambda1 + 1), lambda1 = 1."""
         return self.nu / (self.alpha + 1.0)
-
-
-# ----------------------------------------------------------------------------
-# right-hand sides
-
-def rhs_velocity(u: SpectralField, cfg: SimConfig, g: SpectralField | None = None) -> SpectralField:
-    """-nu A(1+aA)^{-1} u - (1+aA)^{-1} B(u,u) + (1+aA)^{-1} g."""
-    if g is None:
-        g = cfg.forcing.build(u.grid)
-    advection = sp.bilinear_b(u, u)
-    stokes_u = sp.stokes_apply(u, 2.0)
-    total = g - advection - cfg.nu * stokes_u
-    return sp.helmholtz_solve(total, cfg.metric)
-
-
-def rhs_vorticity(w: SpectralField, cfg: SimConfig, rot_g: SpectralField | None = None) -> SpectralField:
-    """-(1-aD)^{-1}(u.grad w) + nu D (1-aD)^{-1} w + (1-aD)^{-1} rot g."""
-    sp.require_role(w, VORTICITY, "rhs_vorticity")
-    if rot_g is None:
-        rot_g = sp.vorticity_of(cfg.forcing.build(w.grid))
-    u = sp.velocity_from_vorticity(w)
-    advection = sp.advect_scalar(u, w)
-    laplace_w = sp.stokes_apply(w, 2.0)  # multiplier |k|^2 = -Laplacian
-    total = rot_g - advection - cfg.nu * laplace_w
-    return sp.helmholtz_solve(total, cfg.metric)
 
 
 # ----------------------------------------------------------------------------
@@ -253,17 +233,77 @@ class SimResult:
 # ----------------------------------------------------------------------------
 # integrators
 
-def _rk4_step(f, c, dt):
-    k1 = f(c)
-    k2 = f(c + (0.5 * dt) * k1)
-    k3 = f(c + (0.5 * dt) * k2)
-    k4 = f(c + dt * k3)
-    return c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def rk4_step(rhs, c, dt, factors=None):
+    """One step of dc/dt = L c + rhs(c) with L diagonal; the one RK4 stepper.
+
+    factors = (exp(L dt/2), exp(L dt)) gives Lawson's integrating-factor RK4,
+    which treats L exactly; factors = None (L = 0) gives classical RK4.
+    Returns the new state and the four stage states (c first).
+    """
+    h = 0.5 * dt
+    k1 = rhs(c)
+    if factors is None:
+        s2 = c + h * k1
+        k2 = rhs(s2)
+        s3 = c + h * k2
+        k3 = rhs(s3)
+        s4 = c + dt * k3
+        k4 = rhs(s4)
+        new = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    else:
+        half, full = factors
+        s2 = half * (c + h * k1)
+        k2 = rhs(s2)
+        s3 = half * c + h * k2
+        k3 = rhs(s3)
+        s4 = full * c + dt * half * k3
+        k4 = rhs(s4)
+        new = full * c + (dt / 6.0) * (full * k1 + 2.0 * half * (k2 + k3) + k4)
+    return new, (c, s2, s3, s4)
+
+
+def velocity_scheme(cfg: SimConfig, g: np.ndarray, tangent=None):
+    """The velocity equation under cfg as (rhs, factors) for rk4_step.
+
+    At alpha > 0 every multiplier is bounded by nu/alpha: rhs is the whole
+    right-hand side (1+aA)^{-1}(g - B(u,u) - nu A u) and factors is None
+    (classical RK4).  At alpha = 0 the viscous multiplier is stiff: rhs
+    leaves it out and factors carries it exactly (integrating-factor RK4).
+
+    With tangent, the state is a stack [u, theta_1, ..., theta_m] and
+    tangent(u, thetas) gives the frame's advection terms B(theta,u) +
+    B(u,theta) on a nonzero base, so the frame takes the same stages and the
+    same linear treatment as the base flow.
+    """
+    grid = cfg.grid
+    if cfg.alpha == 0:
+        factors = (np.exp(-cfg.nu * grid.k2 * (cfg.dt / 2.0)), np.exp(-cfg.nu * grid.k2 * cfg.dt))
+    else:
+        factors = None
+        minus_damping = -(cfg.nu * grid.k2)
+        weights = cfg.metric.weights(grid)
+
+    def rhs(c):
+        out = minus_damping * c if factors is None else np.zeros_like(c)
+        u, out_u = (c, out) if tangent is None else (c[0], out[0])
+        if u.any():
+            out_u += g - sp.bilinear_coeffs(grid, u, u)
+            if tangent is not None:
+                out[1:] -= tangent(u, c[1:])
+        else:
+            out_u += g
+        if factors is None:
+            out /= weights
+        out[..., 0, 0] = 0.0
+        return out
+
+    return rhs, factors
 
 
 def integrate(cfg: SimConfig, *, snapshot_every: int = 0,
               track_energy_budget: bool = False) -> SimResult:
-    """Advance the velocity field to t_end with fixed-step RK4.
+    """Advance the velocity field to t_end with fixed-step RK4
+    (integrating-factor RK4 at alpha = 0; see velocity_scheme).
 
     Samples diagnostics every cfg.sample_every steps (t = 0 included).  With
     track_energy_budget the identity d/dt ||u||_a^2 + 2 nu ||grad u||^2
@@ -282,22 +322,7 @@ def integrate(cfg: SimConfig, *, snapshot_every: int = 0,
     weights = metric.weights(grid)
     g_norm = math.sqrt(sp.l2_norm_sq(g))
     k_max = grid.dealias_cutoff
-
-    if cfg.alpha == 0:
-        lin_full = np.exp(-cfg.nu * grid.k2 * cfg.dt)
-        lin_half = np.exp(-cfg.nu * grid.k2 * (cfg.dt / 2.0))
-
-        def nonlinear(c):
-            out = g.coeffs - sp.bilinear_coeffs(grid, c, c)
-            out[..., 0, 0] = 0.0
-            return out
-    else:
-        def rhs(c):
-            out = g.coeffs - sp.bilinear_coeffs(grid, c, c) if c.any() else g.coeffs.copy()
-            out -= cfg.nu * grid.k2 * c
-            out /= weights
-            out[..., 0, 0] = 0.0
-            return out
+    rhs, factors = velocity_scheme(cfg, g.coeffs)
 
     def budget_rate(c):
         # 2 nu ||grad u||^2 - 2 (g, u), the dissipation-minus-input rate
@@ -335,30 +360,10 @@ def integrate(cfg: SimConfig, *, snapshot_every: int = 0,
     sample(0, c)
 
     for step in range(1, nsteps + 1):
-        if cfg.alpha == 0:
-            n1 = nonlinear(c)
-            a = lin_half * (c + (0.5 * cfg.dt) * n1)
-            n2 = nonlinear(a)
-            b = lin_half * c + (0.5 * cfg.dt) * n2
-            n3 = nonlinear(b)
-            cc = lin_full * c + cfg.dt * lin_half * n3
-            n4 = nonlinear(cc)
-            if track_energy_budget:
-                budget += (cfg.dt / 6.0) * (budget_rate(c) + 2 * budget_rate(a)
-                                            + 2 * budget_rate(b) + budget_rate(cc))
-            c = lin_full * c + (cfg.dt / 6.0) * (lin_full * n1 + 2.0 * lin_half * (n2 + n3) + n4)
-        else:
-            k1 = rhs(c)
-            s2 = c + (0.5 * cfg.dt) * k1
-            k2 = rhs(s2)
-            s3 = c + (0.5 * cfg.dt) * k2
-            k3 = rhs(s3)
-            s4 = c + cfg.dt * k3
-            k4 = rhs(s4)
-            if track_energy_budget:
-                budget += (cfg.dt / 6.0) * (budget_rate(c) + 2 * budget_rate(s2)
-                                            + 2 * budget_rate(s3) + budget_rate(s4))
-            c = c + (cfg.dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        c, (s1, s2, s3, s4) = rk4_step(rhs, c, cfg.dt, factors)
+        if track_energy_budget:
+            budget += (cfg.dt / 6.0) * (budget_rate(s1) + 2 * budget_rate(s2)
+                                        + 2 * budget_rate(s3) + budget_rate(s4))
         if step % cfg.sample_every == 0 or step == nsteps:
             sample(step, c)
 
@@ -381,33 +386,6 @@ def integrate(cfg: SimConfig, *, snapshot_every: int = 0,
     return SimResult(cfg=cfg, final=SpectralField(grid, VELOCITY, c),
                      diagnostics=diag, snapshots=snapshots,
                      energy_residual=residual, steps=nsteps)
-
-
-def integrate_vorticity(cfg: SimConfig, w0: SpectralField, *, sample_cb=None) -> SpectralField:
-    """Advance a scalar vorticity field with the same RK4 scheme (alpha > 0
-    path); used for the velocity/vorticity equivalence checks."""
-    sp.require_role(w0, VORTICITY, "integrate_vorticity")
-    grid = cfg.grid
-    rot_g = sp.vorticity_of(cfg.forcing.build(grid))
-    weights = cfg.metric.weights(grid)
-    nsteps = int(round(cfg.t_end / cfg.dt))
-
-    def rhs(c):
-        uc = sp.velocity_from_vorticity_coeffs(grid, c)
-        out = rot_g.coeffs - sp.advect_scalar_coeffs(grid, uc, c)
-        out -= cfg.nu * grid.k2 * c
-        out /= weights
-        out[..., 0, 0] = 0.0
-        return out
-
-    c = w0.coeffs.copy()
-    for step in range(1, nsteps + 1):
-        c = _rk4_step(rhs, c, cfg.dt)
-        if step % cfg.sample_every == 0 and not np.all(np.isfinite(c)):
-            raise IntegrationDivergedError(step=step, t=step * cfg.dt)
-        if sample_cb is not None and step % cfg.sample_every == 0:
-            sample_cb(step * cfg.dt, c)
-    return SpectralField(grid, VORTICITY, c)
 
 
 # ----------------------------------------------------------------------------

@@ -21,22 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral as sp
-from .dynamics import InsufficientDurationWarning, SimConfig
+from .dynamics import InsufficientDurationWarning, SimConfig, rk4_step, velocity_scheme
 from .errors import (
     DegenerateFrameError,
     GridMismatchError,
     IntegrationDivergedError,
     InvalidParameterError,
+    RoleMismatchError,
     StaleFrameError,
 )
-from .spectral import (
-    TORUS_AREA,
-    VELOCITY,
-    VORTICITY,
-    AlphaMetric,
-    SpectralField,
-    SpectralGrid,
-)
+from .spectral import TORUS_AREA, VELOCITY, AlphaMetric, SpectralField, SpectralGrid
 
 
 @dataclass
@@ -119,88 +113,34 @@ def gram_deviation(frame: TangentFrame) -> float:
 
 
 # ----------------------------------------------------------------------------
-# linearized operators
+# linearized operator
 
-def linearized_apply_velocity(theta: SpectralField, u: SpectralField,
-                              cfg: SimConfig) -> SpectralField:
-    """L_u theta = -nu A(1+aA)^{-1} theta - (1+aA)^{-1}[B(theta,u) + B(u,theta)]."""
-    sp.require_role(theta, VELOCITY, "linearized_apply_velocity")
-    sp.require_role(u, VELOCITY, "linearized_apply_velocity")
-    if theta.grid != u.grid:
-        raise GridMismatchError("theta and u must share a grid")
-    total = (-cfg.nu) * sp.stokes_apply(theta, 2.0) \
-        - sp.bilinear_b(theta, u) - sp.bilinear_b(u, theta)
-    return sp.helmholtz_solve(total, cfg.metric)
-
-
-def linearized_apply_vorticity(phi: SpectralField, omega: SpectralField,
-                               cfg: SimConfig) -> SpectralField:
-    """L_w phi = -(1-aD)^{-1}[u.grad phi + v_phi.grad w - nu D phi] with
-    u, v_phi the divergence-free velocities of w and phi."""
-    sp.require_role(phi, VORTICITY, "linearized_apply_vorticity")
-    sp.require_role(omega, VORTICITY, "linearized_apply_vorticity")
-    if phi.grid != omega.grid:
-        raise GridMismatchError("phi and omega must share a grid")
-    u = sp.velocity_from_vorticity(omega)
-    v_phi = sp.velocity_from_vorticity(phi)
-    total = (-cfg.nu) * sp.stokes_apply(phi, 2.0) \
-        - sp.advect_scalar(u, phi) - sp.advect_scalar(v_phi, omega)
-    return sp.helmholtz_solve(total, cfg.metric)
+def _advection_batch(grid: SpectralGrid, thetas: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """B(theta_j, u) + B(u, theta_j) for a stacked velocity frame, dealiased."""
+    mask = grid.dealias_mask
+    uh = base * mask
+    th = thetas * mask
+    u_phys = sp.to_physical(uh)
+    dudx = sp.to_physical(1j * grid.kx * uh)
+    dudy = sp.to_physical(1j * grid.ky * uh)
+    t_phys = sp.to_physical(th)
+    dtdx = sp.to_physical(1j * grid.kx * th)
+    dtdy = sp.to_physical(1j * grid.ky * th)
+    adv = (u_phys[0] * dtdx + u_phys[1] * dtdy
+           + t_phys[:, :1] * dudx[None] + t_phys[:, 1:2] * dudy[None])
+    nl = sp.from_physical(adv) * mask
+    nl[..., 0, 0] = 0.0
+    return sp.leray_project_coeffs(grid, nl)
 
 
-def _linearized_batch(grid: SpectralGrid, role: str, thetas: np.ndarray,
-                      base: np.ndarray, nu: float, weights: np.ndarray) -> np.ndarray:
-    """Vectorized linearized right-hand side for a stacked frame."""
+def _linearized_batch(grid: SpectralGrid, thetas: np.ndarray, base: np.ndarray,
+                      nu: float, weights: np.ndarray) -> np.ndarray:
+    """L_u theta_j = -(1+aA)^{-1}[nu A theta_j + B(theta_j,u) + B(u,theta_j)]
+    for a stacked velocity frame."""
     out = -(nu * grid.k2) * thetas
     if base.any():
-        mask = grid.dealias_mask
-        if role == VELOCITY:
-            uh = base * mask
-            th = thetas * mask
-            u_phys = sp.to_physical(uh)
-            dudx = sp.to_physical(1j * grid.kx * uh)
-            dudy = sp.to_physical(1j * grid.ky * uh)
-            t_phys = sp.to_physical(th)
-            dtdx = sp.to_physical(1j * grid.kx * th)
-            dtdy = sp.to_physical(1j * grid.ky * th)
-            adv = (u_phys[0] * dtdx + u_phys[1] * dtdy
-                   + t_phys[:, :1] * dudx[None] + t_phys[:, 1:2] * dudy[None])
-            nl = sp.from_physical(adv) * mask
-            nl[..., 0, 0] = 0.0
-            nl = sp.leray_project_coeffs(grid, nl)
-        else:
-            wh = base * mask
-            ph = thetas * mask
-            uc = sp.velocity_from_vorticity_coeffs(grid, wh)
-            vc = sp.velocity_from_vorticity_coeffs(grid, ph)
-            u_phys = sp.to_physical(uc)
-            v_phys = sp.to_physical(vc)
-            dpdx = sp.to_physical(1j * grid.kx * ph)
-            dpdy = sp.to_physical(1j * grid.ky * ph)
-            dwdx = sp.to_physical(1j * grid.kx * wh)
-            dwdy = sp.to_physical(1j * grid.ky * wh)
-            adv = (u_phys[0] * dpdx + u_phys[1] * dpdy
-                   + v_phys[:, 0] * dwdx[None] + v_phys[:, 1] * dwdy[None])
-            nl = sp.from_physical(adv) * mask
-            nl[..., 0, 0] = 0.0
-        out -= nl
+        out -= _advection_batch(grid, thetas, base)
     out /= weights
-    return out
-
-
-def _base_rhs(grid: SpectralGrid, role: str, c: np.ndarray, g: np.ndarray,
-              nu: float, weights: np.ndarray) -> np.ndarray:
-    if role == VELOCITY:
-        out = g - sp.bilinear_coeffs(grid, c, c) if c.any() else g.copy()
-    else:
-        if c.any():
-            uc = sp.velocity_from_vorticity_coeffs(grid, c)
-            out = g - sp.advect_scalar_coeffs(grid, uc, c)
-        else:
-            out = g.copy()
-    out -= nu * grid.k2 * c
-    out /= weights
-    out[..., 0, 0] = 0.0
     return out
 
 
@@ -220,33 +160,12 @@ def trace_n(frame: TangentFrame, base: SpectralField, cfg: SimConfig,
                               "re-orthonormalize before taking traces")
     if frame.role != base.role:
         raise StaleFrameError(f"frame role {frame.role} does not match base {base.role}")
+    if frame.role != VELOCITY and base.coeffs.any():
+        raise RoleMismatchError("the linearized operator acts on velocity frames "
+                                "(a scalar frame is supported on the zero base only)")
     w = frame.metric.weights(frame.grid)
-    lv = _linearized_batch(frame.grid, frame.role, frame.vectors, base.coeffs, cfg.nu, w)
+    lv = _linearized_batch(frame.grid, frame.vectors, base.coeffs, cfg.nu, w)
     return float(sum(_weighted_inner(lv[j], frame.vectors[j], w) for j in range(frame.n)))
-
-
-def trace_velocity_reduced(frame: TangentFrame, u: SpectralField, cfg: SimConfig) -> float:
-    """The algebraically reduced velocity-form trace
-    -nu sum ||grad theta_j||^2 - sum ((theta_j.grad) u, theta_j);
-    the alpha weights cancel against (1+aA)^{-1} in the full trace."""
-    total = 0.0
-    for j in range(frame.n):
-        theta = frame.field(j)
-        total -= cfg.nu * sp.grad_norm_sq(theta)
-        total -= sp.l2_inner(sp.bilinear_b(theta, u), theta)
-    return total
-
-
-def trace_vorticity_reduced(frame: TangentFrame, omega: SpectralField, cfg: SimConfig) -> float:
-    """Scalar-form counterpart: -nu sum ||grad phi_j||^2 - sum (v_j.grad w, phi_j)
-    with v_j the stream-velocity of phi_j (the u.grad phi term is skew)."""
-    total = 0.0
-    for j in range(frame.n):
-        phi = frame.field(j)
-        v_j = sp.velocity_from_vorticity(phi)
-        total -= cfg.nu * sp.grad_norm_sq(phi)
-        total -= sp.l2_inner(sp.advect_scalar(v_j, omega), phi)
-    return total
 
 
 def advection_trace_terms(frame: TangentFrame, u: SpectralField) -> tuple[float, float]:
@@ -327,7 +246,6 @@ def evolve_tangent_frame(
     n: int,
     t_end: float,
     *,
-    role: str = VELOCITY,
     reorth_every: int = 10,
     burn_in: float | None = None,
     seed: int = 0,
@@ -336,11 +254,13 @@ def evolve_tangent_frame(
 ) -> TraceSeries:
     """Co-evolve base flow and an n-vector tangent frame, sampling traces.
 
-    The frame advances through the same RK4 stages as the base state; every
-    reorth_every steps it is re-orthonormalized (alpha Gram-Schmidt), the
-    log factors are accumulated, and the instantaneous trace is sampled.  If
-    orthonormalization fails right after a previous pass, the frame is
-    genuinely degenerate and the failure propagates with diagnostics.
+    Base and frame advance as one stacked state through dynamics.rk4_step, so
+    the frame takes the base flow's stages and scheme (integrating-factor RK4
+    at alpha = 0); every reorth_every steps it is re-orthonormalized (alpha
+    Gram-Schmidt), the log factors are accumulated, and the instantaneous
+    trace is sampled.  If orthonormalization fails right after a previous
+    pass, the frame is genuinely degenerate and the failure propagates with
+    diagnostics.
 
     warmup advances the base flow alone before the frame is attached (to
     start near the attractor).  Deterministic given (cfg, seed).
@@ -350,15 +270,8 @@ def evolve_tangent_frame(
         raise InvalidParameterError(f"frame size must be >= 1, got {n}")
     if t_end < cfg.dt:
         raise InvalidParameterError(f"t_end={t_end:g} is shorter than one step dt={cfg.dt:g}")
-    if role == VELOCITY:
-        base0 = cfg.initial.build(grid)
-        g = cfg.forcing.build(grid).coeffs
-    else:
-        base0 = sp.vorticity_of(cfg.initial.build(grid))
-        g = sp.vorticity_of(cfg.forcing.build(grid)).coeffs
-
+    g = cfg.forcing.build(grid).coeffs
     weights = cfg.metric.weights(grid)
-    nu = cfg.nu
     dt = cfg.dt
     gamma = cfg.gamma
     if burn_in is None:
@@ -368,57 +281,40 @@ def evolve_tangent_frame(
             f"trace window {t_end - burn_in:.3g} < 10/gamma = {10 / gamma:.3g}",
             InsufficientDurationWarning, stacklevel=2)
 
-    cb = base0.coeffs.copy()
+    cb = cfg.initial.build(grid).coeffs.copy()
     if warmup > 0:
+        base_rhs, factors = velocity_scheme(cfg, g)
         for _ in range(int(round(warmup / dt))):
-            k1 = _base_rhs(grid, role, cb, g, nu, weights)
-            k2 = _base_rhs(grid, role, cb + 0.5 * dt * k1, g, nu, weights)
-            k3 = _base_rhs(grid, role, cb + 0.5 * dt * k2, g, nu, weights)
-            k4 = _base_rhs(grid, role, cb + dt * k3, g, nu, weights)
-            cb = cb + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            cb, _ = rk4_step(base_rhs, cb, dt, factors)
         if not np.all(np.isfinite(cb)):
             raise IntegrationDivergedError(step=-1, t=warmup,
                                            message="base flow diverged during warmup")
 
-    frame = TangentFrame.random(grid, n, cfg.metric, seed=seed, role=role, decay=frame_decay)
-    th = frame.vectors
+    frame = TangentFrame.random(grid, n, cfg.metric, seed=seed, decay=frame_decay)
+    state = np.concatenate([cb[None], frame.vectors])   # [u, theta_1, ..., theta_n]
+    rhs, factors = velocity_scheme(cfg, g, tangent=lambda u, th: _advection_batch(grid, th, u))
 
     nsteps = int(round(t_end / dt))
     times, traces = [], []
     log_factors = []
     event_prev_t = []
 
-    def lin(base_c, thetas):
-        return _linearized_batch(grid, role, thetas, base_c, nu, weights)
-
     prev_event_t = 0.0
     for step in range(1, nsteps + 1):
-        k1b = _base_rhs(grid, role, cb, g, nu, weights)
-        k1t = lin(cb, th)
-        b2 = cb + 0.5 * dt * k1b
-        k2b = _base_rhs(grid, role, b2, g, nu, weights)
-        k2t = lin(b2, th + 0.5 * dt * k1t)
-        b3 = cb + 0.5 * dt * k2b
-        k3b = _base_rhs(grid, role, b3, g, nu, weights)
-        k3t = lin(b3, th + 0.5 * dt * k2t)
-        b4 = cb + dt * k3b
-        k4b = _base_rhs(grid, role, b4, g, nu, weights)
-        k4t = lin(b4, th + dt * k3t)
-        cb = cb + (dt / 6.0) * (k1b + 2 * k2b + 2 * k3b + k4b)
-        th = th + (dt / 6.0) * (k1t + 2 * k2t + 2 * k3t + k4t)
+        state, _ = rk4_step(rhs, state, dt, factors)
 
         if step % reorth_every == 0 or step == nsteps:
             t = step * dt
-            if not (np.all(np.isfinite(cb)) and np.all(np.isfinite(th))):
+            if not np.all(np.isfinite(state)):
                 raise IntegrationDivergedError(step=step, t=t)
-            frame = TangentFrame(grid, role, cfg.metric, th)
-            frame, factors = alpha_gram_schmidt(frame)
-            th = frame.vectors
-            lv = lin(cb, th)
-            tr = float(sum(_weighted_inner(lv[j], th[j], weights) for j in range(n)))
+            frame, norms = alpha_gram_schmidt(
+                TangentFrame(grid, VELOCITY, cfg.metric, state[1:]))
+            state[1:] = frame.vectors
+            lv = _linearized_batch(grid, state[1:], state[0], cfg.nu, weights)
+            tr = float(sum(_weighted_inner(lv[j], state[1 + j], weights) for j in range(n)))
             times.append(t)
             traces.append(tr)
-            log_factors.append(np.log(factors))
+            log_factors.append(np.log(norms))
             event_prev_t.append(prev_event_t)
             prev_event_t = t
 
@@ -448,7 +344,7 @@ def evolve_tangent_frame(
         duration = times[-1] - prev_ts[0]
         exponents = logs.sum(axis=0) / duration
 
-    base_final = SpectralField(grid, role, cb)
+    base_final = SpectralField(grid, VELOCITY, state[0].copy())
     return TraceSeries(n=n, times=times, trace_inst=traces, trace_avg=trace_avg,
                        exponents=exponents, q_hat=q_hat, burn_in=burn_in,
                        window=window, base_final=base_final)

@@ -253,32 +253,6 @@ def bilinear_coeffs(grid: SpectralGrid, uc: np.ndarray, vc: np.ndarray) -> np.nd
     return leray_project_coeffs(grid, out)
 
 
-def advect_scalar(u: SpectralField, s: SpectralField) -> SpectralField:
-    """Dealiased pseudo-spectral u.grad s for scalar s (same truncation rules)."""
-    require_role(u, VELOCITY, "advect_scalar")
-    require_role(s, VORTICITY, "advect_scalar")
-    if u.grid != s.grid:
-        raise GridMismatchError("advect_scalar requires both fields on the same grid")
-    grid = u.grid
-    if not u.coeffs.any() or not s.coeffs.any():
-        return SpectralField(grid, VORTICITY, np.zeros_like(s.coeffs))
-    out = advect_scalar_coeffs(grid, u.coeffs, s.coeffs)
-    return SpectralField(grid, VORTICITY, out)
-
-
-def advect_scalar_coeffs(grid: SpectralGrid, uc: np.ndarray, sc: np.ndarray) -> np.ndarray:
-    mask = grid.dealias_mask
-    uh = uc * mask
-    sh = sc * mask
-    u_phys = to_physical(uh)
-    dsdx = to_physical(1j * grid.kx * sh)
-    dsdy = to_physical(1j * grid.ky * sh)
-    adv = u_phys[..., 0, :, :] * dsdx + u_phys[..., 1, :, :] * dsdy
-    out = from_physical(adv) * mask
-    out[..., 0, 0] = 0.0
-    return out
-
-
 def velocity_from_vorticity(w: SpectralField) -> SpectralField:
     """Biot-Savart on the torus: the divergence-free u with rot u = w.
 

@@ -100,6 +100,27 @@ class TestExitCodes:
         payload = json.loads((tmp_path / "report_liyau.json").read_text())
         assert payload["pass"] is False
 
+    def test_degenerate_frame_is_3_with_manifest(self, tmp_path, capsys):
+        # an n = 8 grid holds 24 dealiased divergence-free real modes, so a
+        # 40-vector frame cannot be orthonormalized
+        code = cli.main(["lyapunov", "--n", "8", "--frame-n", "40", "--window", "1",
+                         "--output-dir", str(tmp_path)])
+        assert code == cli.EXIT_RUNTIME
+        assert "span of its predecessors" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["complete"] is False
+        assert "frame vector 24" in manifest["summary"]["error"]
+
+    def test_unstable_dt_is_2_with_manifest(self, tmp_path, capsys):
+        # the forced-study default at calG = 4000: dt * max nu|k|^2/(1+alpha|k|^2) = 5.38
+        code = cli.main(["simulate", "--n", "48", "--alpha", str(0.99 * 4 / 4000),
+                         "--dt", "0.01", "--t-end", "1", "--output-dir", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert "stability bound 2.785" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["complete"] is False
+        assert not (tmp_path / "diagnostics.csv").exists()
+
     def test_simulate_ok_is_0(self, tmp_path):
         code = cli.main(["simulate", "--n", "16", "--nu", "1", "--alpha", "1",
                          "--dt", "0.01", "--t-end", "0.1",

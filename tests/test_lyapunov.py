@@ -8,8 +8,10 @@ import pytest
 from nsvlab import dynamics as dyn
 from nsvlab import lyapunov as lyp
 from nsvlab import spectral as sp
-from nsvlab.errors import DegenerateFrameError, StaleFrameError
+from nsvlab.errors import DegenerateFrameError, RoleMismatchError, StaleFrameError
 from nsvlab.spectral import VELOCITY, VORTICITY, AlphaMetric, SpectralGrid
+
+import oracles
 
 GRID = SpectralGrid(32)
 
@@ -82,7 +84,7 @@ class TestLinearizedOperators:
         cfg = cfg_for(nu=1.3, alpha=0.6)
         theta = sp.field_from_modes(GRID, VELOCITY, {(1, 2): (0.4, -0.2 + 0.1j)})
         theta = sp.leray_project(theta)
-        out = lyp.linearized_apply_velocity(theta, sp.zero_field(GRID, VELOCITY), cfg)
+        out = oracles.linearized_apply_velocity(theta, sp.zero_field(GRID, VELOCITY), cfg)
         lam = 5.0
         np.testing.assert_allclose(out.coeffs, -(1.3 * lam / (1 + 0.6 * lam)) * theta.coeffs,
                                    rtol=1e-13, atol=1e-18)
@@ -92,9 +94,9 @@ class TestLinearizedOperators:
         u = sp.random_field(GRID, VELOCITY, seed=4, decay=2.0)
         t1 = sp.random_field(GRID, VELOCITY, seed=5, decay=2.0)
         t2 = sp.random_field(GRID, VELOCITY, seed=6, decay=2.0)
-        lhs = lyp.linearized_apply_velocity(2.0 * t1 + (-0.7) * t2, u, cfg)
-        rhs = 2.0 * lyp.linearized_apply_velocity(t1, u, cfg) \
-            + (-0.7) * lyp.linearized_apply_velocity(t2, u, cfg)
+        lhs = oracles.linearized_apply_velocity(2.0 * t1 + (-0.7) * t2, u, cfg)
+        rhs = 2.0 * oracles.linearized_apply_velocity(t1, u, cfg) \
+            + (-0.7) * oracles.linearized_apply_velocity(t2, u, cfg)
         scale = max(np.max(np.abs(lhs.coeffs)), 1e-300)
         assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) / scale < 1e-12
 
@@ -104,10 +106,11 @@ class TestLinearizedOperators:
         cfg = cfg_for(alpha=0.5)
         u = sp.random_field(GRID, VELOCITY, seed=7, decay=2.5)
         th = sp.random_field(GRID, VELOCITY, seed=8, decay=2.5)
-        lin = lyp.linearized_apply_velocity(th, u, cfg)
+        lin = oracles.linearized_apply_velocity(th, u, cfg)
         errs = []
         for eps in (1e-3, 1e-4, 1e-5, 1e-6):
-            fd = (dyn.rhs_velocity(u + eps * th, cfg) - dyn.rhs_velocity(u, cfg)) * (1 / eps)
+            fd = (oracles.rhs_velocity(u + eps * th, cfg)
+                  - oracles.rhs_velocity(u, cfg)) * (1 / eps)
             errs.append(np.max(np.abs(fd.coeffs - lin.coeffs)))
         for a, b in zip(errs, errs[1:]):
             assert b < 0.2 * a  # linear decrease in eps (factor 10 steps)
@@ -116,26 +119,28 @@ class TestLinearizedOperators:
         cfg = cfg_for(alpha=0.5)
         u = sp.random_field(GRID, VELOCITY, seed=7, decay=2.5)
         th = sp.random_field(GRID, VELOCITY, seed=8, decay=2.5)
-        lin = lyp.linearized_apply_velocity(th, u, cfg)
+        lin = oracles.linearized_apply_velocity(th, u, cfg)
         eps = 1e-4
-        fd = (dyn.rhs_velocity(u + eps * th, cfg) - dyn.rhs_velocity(u - eps * th, cfg)) * (1 / (2 * eps))
+        fd = (oracles.rhs_velocity(u + eps * th, cfg)
+              - oracles.rhs_velocity(u - eps * th, cfg)) * (1 / (2 * eps))
         assert np.max(np.abs(fd.coeffs - lin.coeffs)) < 1e-9
 
     def test_vorticity_form_fd_oracle(self):
         cfg = cfg_for(alpha=0.4, nu=0.8)
         w = sp.random_field(GRID, VORTICITY, seed=9, decay=2.5)
         phi = sp.random_field(GRID, VORTICITY, seed=10, decay=2.5)
-        lin = lyp.linearized_apply_vorticity(phi, w, cfg)
+        lin = oracles.linearized_apply_vorticity(phi, w, cfg)
         eps = 1e-4
-        fd = (dyn.rhs_vorticity(w + eps * phi, cfg) - dyn.rhs_vorticity(w + (-eps) * phi, cfg)) * (1 / (2 * eps))
+        fd = (oracles.rhs_vorticity(w + eps * phi, cfg)
+              - oracles.rhs_vorticity(w + (-eps) * phi, cfg)) * (1 / (2 * eps))
         assert np.max(np.abs(fd.coeffs - lin.coeffs)) < 1e-9
 
     def test_rot_intertwines_linearizations(self):
         cfg = cfg_for(alpha=0.5, nu=0.8)
         u = sp.random_field(GRID, VELOCITY, seed=7, decay=2.5)
         th = sp.random_field(GRID, VELOCITY, seed=8, decay=2.5)
-        lhs = sp.vorticity_of(lyp.linearized_apply_velocity(th, u, cfg))
-        rhs = lyp.linearized_apply_vorticity(sp.vorticity_of(th), sp.vorticity_of(u), cfg)
+        lhs = sp.vorticity_of(oracles.linearized_apply_velocity(th, u, cfg))
+        rhs = oracles.linearized_apply_vorticity(sp.vorticity_of(th), sp.vorticity_of(u), cfg)
         scale = max(np.max(np.abs(lhs.coeffs)), 1e-300)
         assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) / scale < 1e-8
 
@@ -169,15 +174,15 @@ class TestTraces:
         u = sp.random_field(GRID, VELOCITY, seed=12, decay=2.5)
         frame = lyp.TangentFrame.random(GRID, 5, AlphaMetric(0.5), seed=13)
         full = lyp.trace_n(frame, u, cfg)
-        reduced = lyp.trace_velocity_reduced(frame, u, cfg)
+        reduced = oracles.trace_velocity_reduced(frame, u, cfg)
         assert full == pytest.approx(reduced, rel=1e-10)
 
     def test_vorticity_reduced_form_identity(self):
         cfg = cfg_for(nu=0.8, alpha=0.5)
         w = sp.random_field(GRID, VORTICITY, seed=17, decay=2.5)
         frame = lyp.TangentFrame.random(GRID, 4, AlphaMetric(0.5), seed=18, role=VORTICITY)
-        full = lyp.trace_n(frame, w, cfg)
-        reduced = lyp.trace_vorticity_reduced(frame, w, cfg)
+        full = oracles.trace_vorticity(frame, w, cfg)
+        reduced = oracles.trace_vorticity_reduced(frame, w, cfg)
         assert full == pytest.approx(reduced, rel=1e-10)
 
     def test_gradient_sum_lower_bound(self):
@@ -213,6 +218,20 @@ class TestFrameEvolution:
         series = lyp.evolve_tangent_frame(cfg, 4, 60.0, burn_in=40.0, seed=3)
         np.testing.assert_allclose(np.sort(series.exponents)[::-1], [-0.5] * 4, atol=1e-4)
 
+    def test_alpha_zero_frame_takes_the_exact_viscous_factor(self):
+        # dt * nu |k|^2_max = 0.05 * 512 = 25.6, far past classical RK4's 2.785:
+        # only the integrating factor keeps the |k|^2 = 1 shell's rate -nu
+        cfg = cfg_for(nu=1.0, alpha=0.0, dt=0.05)
+        series = lyp.evolve_tangent_frame(cfg, 4, 40.0, burn_in=20.0, seed=3)
+        np.testing.assert_allclose(series.exponents, -1.0, atol=1e-6)
+        assert series.q_hat == pytest.approx(-4.0, abs=1e-6)
+
+    def test_scalar_frame_on_nonzero_base_refused(self):
+        w = sp.random_field(GRID, VORTICITY, seed=17, decay=2.5)
+        frame = lyp.TangentFrame.random(GRID, 2, AlphaMetric(0.5), seed=18, role=VORTICITY)
+        with pytest.raises(RoleMismatchError):
+            lyp.trace_n(frame, w, cfg_for(alpha=0.5))
+
     def test_trace_avg_is_cesaro_after_burn_in(self):
         cfg = cfg_for(nu=1.0, alpha=1.0, dt=0.01)
         series = lyp.evolve_tangent_frame(cfg, 2, 10.0, burn_in=4.0, seed=5)
@@ -240,24 +259,6 @@ class TestFrameEvolution:
         b = lyp.evolve_tangent_frame(cfg, 3, 5.0, seed=7)
         np.testing.assert_array_equal(a.trace_inst, b.trace_inst)
         np.testing.assert_array_equal(a.exponents, b.exponents)
-
-    def test_vorticity_form_zero_attractor(self):
-        # scalar-frame multipliers are the same -nu lam/(1+alpha lam) ladder
-        cfg = cfg_for(nu=1.0, alpha=1.0, dt=0.01)
-        series = lyp.evolve_tangent_frame(cfg, 4, 40.0, burn_in=25.0, seed=6,
-                                          role=VORTICITY)
-        assert series.q_hat == pytest.approx(-2.0, abs=1e-3)
-
-    def test_vorticity_form_forced_matches_velocity_form(self):
-        # same base flow, both linearization forms: traces agree through rot
-        cfg = dyn.SimConfig(nu=1.0, alpha=0.5, grid=GRID, dt=0.01, t_end=1.0,
-                            forcing=dyn.ForcingSpec.shear(0.5, 2),
-                            initial=dyn.InitialSpec.random(seed=21, decay=3.0))
-        vel = lyp.evolve_tangent_frame(cfg, 2, 8.0, burn_in=4.0, seed=1)
-        vor = lyp.evolve_tangent_frame(cfg, 2, 8.0, burn_in=4.0, seed=1, role=VORTICITY)
-        # not the same functional (different metrics on different fields), but
-        # both must see a contracting pair on this mildly forced flow
-        assert vel.q_hat < 0 and vor.q_hat < 0
 
 
 class TestNStarScan:

@@ -47,6 +47,15 @@ EXIT_RUNTIME = 3
 
 VERIFY_TARGETS = ("spectrum", "liyau", "lt", "rho-l2", "rho-linf")
 
+#: simulate and lyapunov flags --<block>-<key> that fold into the nested
+#: forcing / initial config blocks: block -> ((key, argparse keywords), ...)
+FLOW_FLAGS = {
+    "forcing": (("kind", {"choices": ("zero", "shear")}), ("amplitude", {"type": float}),
+                ("wavenumber", {"type": int})),
+    "initial": (("kind", {"choices": ("zero", "shear", "random", "file")}),
+                ("amplitude", {"type": float}), ("path", {})),
+}
+
 
 # ----------------------------------------------------------------------------
 # configuration
@@ -165,6 +174,12 @@ def parse_config(subcommand: str, file_path: str | None, overrides: dict) -> dic
     return params
 
 
+def _is_mode_row(row) -> bool:
+    """A forcing row [k1, k2, re0, im0, re1, im1]."""
+    return (isinstance(row, list) and len(row) == 6
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row))
+
+
 def _constraint_problems(subcommand: str, p: dict) -> list[str]:
     problems = []
 
@@ -198,6 +213,14 @@ def _constraint_problems(subcommand: str, p: dict) -> list[str]:
                        "initial": ("zero", "shear", "random", "file")}[spec_key]
             if kind not in allowed:
                 problems.append(f"{spec_key}.kind must be one of {allowed}, got {kind!r}")
+        rows = p["forcing"].get("modes")
+        if p["forcing"].get("kind") == "modes" and not (
+                isinstance(rows, list) and all(map(_is_mode_row, rows))):
+            problems.append("forcing.modes must be a list of 6-number rows "
+                            f"[k1, k2, re0, im0, re1, im1], got {rows!r}")
+        path = p["initial"].get("path")
+        if p["initial"].get("kind") == "file" and not isinstance(path, str):
+            problems.append(f"initial.path must be a string, got {path!r}")
         if subcommand == "simulate":
             nonneg("t_end")
             if p["sample_every"] < 1:
@@ -311,22 +334,17 @@ def _run_lyapunov(params: dict, outdir: Path, seed: int, manifest: RunManifest):
                   reorth_every=params["reorth_every"], seed=seed)
     if params["scan"]:
         scan = lyp.scan_n_star(cfg, t_end=params["window"], n_max=params["n_max"], **kwargs)
-        for n, series in scan.series.items():
-            csv_path = outdir / f"trace_n{n}.csv"
-            series.write_csv(csv_path)
-            manifest.add_artifact(csv_path)
-        summary_path = outdir / "summary.json"
-        write_json(summary_path, scan.summary())
-        manifest.add_artifact(summary_path)
-        return EXIT_OK, {"passed": True, **scan.summary()}
-    series = lyp.q_n_estimate(cfg, params["frame_n"], params["window"], **kwargs)
-    csv_path = outdir / f"trace_n{params['frame_n']}.csv"
+        series, summary = scan.series, scan.summary()
+    else:
+        series = lyp.evolve_tangent_frame(cfg, params["frame_n"], params["window"], **kwargs)
+        summary = series.summary()
+    csv_path = outdir / f"trace_n{series.n}.csv"
     series.write_csv(csv_path)
     manifest.add_artifact(csv_path)
     summary_path = outdir / "summary.json"
-    write_json(summary_path, series.summary())
+    write_json(summary_path, summary)
     manifest.add_artifact(summary_path)
-    return EXIT_OK, {"passed": True, **series.summary()}
+    return EXIT_OK, {"passed": True, **summary}
 
 
 def _run_verify(params: dict, outdir: Path, seed: int, manifest: RunManifest):
@@ -385,15 +403,16 @@ def _run_verify(params: dict, outdir: Path, seed: int, manifest: RunManifest):
         # from it reproduces the family exactly
         worst_seed = witness.worst_seed
         worst_report = max(witness.reports, key=lambda r: r.ratio)
+        # rho-l2 and rho-linf always draw alpha-orthonormal families, rho-l2
+        # at the alpha recorded on each report
         alpha = worst_report.extras.get("alpha", params["alpha"])
+        kind = params["kind"] if target == "lt" else ineq.ALPHA_ORTHONORMAL
         role = sp.VORTICITY if target == "rho-linf" else sp.VELOCITY
-        fam = ineq.sample_suborthonormal(
-            grid, params["family_n"], params.get("kind", ineq.ALPHA_ORTHONORMAL),
-            worst_seed, role, sp.AlphaMetric(alpha))
+        fam = ineq.sample_suborthonormal(grid, params["family_n"], kind, worst_seed, role,
+                                         sp.AlphaMetric(alpha))
         for j in range(fam.n):
             wpath = outdir / f"witness_seed{worst_seed}_vec{j}.field"
-            save_field(sp.SpectralField(grid, role, fam.vectors[j]), wpath,
-                       alpha=params["alpha"])
+            save_field(sp.SpectralField(grid, role, fam.vectors[j]), wpath, alpha=alpha)
             manifest.add_artifact(wpath)
         payload["witness_persisted"] = True
 
@@ -418,6 +437,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output-dir", help="artifact directory "
                        "(default $NSVLAB_OUTPUT_DIR or ./nsvlab_runs/<subcommand>)")
 
+    def add_flow(p):
+        for block, flags in FLOW_FLAGS.items():
+            for key, kwargs in flags:
+                p.add_argument(f"--{block}-{key}", dest=f"{block}_{key}", **kwargs)
+
     p = sub.add_parser("bounds", help="evaluate every dimension bound for given parameters")
     add_common(p)
     p.add_argument("--d", type=int)
@@ -434,13 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, typ in (("n", int), ("nu", float), ("alpha", float), ("dt", float),
                       ("t_end", float), ("sample_every", int), ("snapshot_every", int)):
         p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=typ)
-    p.add_argument("--forcing-kind", dest="forcing_kind", choices=("zero", "shear"))
-    p.add_argument("--forcing-amplitude", dest="forcing_amplitude", type=float)
-    p.add_argument("--forcing-wavenumber", dest="forcing_wavenumber", type=int)
-    p.add_argument("--initial-kind", dest="initial_kind",
-                   choices=("zero", "shear", "random", "file"))
-    p.add_argument("--initial-amplitude", dest="initial_amplitude", type=float)
-    p.add_argument("--initial-path", dest="initial_path")
+    add_flow(p)
 
     p = sub.add_parser("lyapunov", help="trace averages q_hat(n) and the n* scan")
     add_common(p)
@@ -449,13 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
                       ("burn_in", float), ("reorth_every", int), ("n_max", int)):
         p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=typ)
     p.add_argument("--scan", action="store_const", const=True, default=None)
-    p.add_argument("--forcing-kind", dest="forcing_kind", choices=("zero", "shear"))
-    p.add_argument("--forcing-amplitude", dest="forcing_amplitude", type=float)
-    p.add_argument("--forcing-wavenumber", dest="forcing_wavenumber", type=int)
-    p.add_argument("--initial-kind", dest="initial_kind",
-                   choices=("zero", "shear", "random", "file"))
-    p.add_argument("--initial-amplitude", dest="initial_amplitude", type=float)
-    p.add_argument("--initial-path", dest="initial_path")
+    add_flow(p)
 
     p = sub.add_parser("verify", help="brute-force verification targets")
     add_common(p)
@@ -471,34 +483,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _collect_overrides(args: argparse.Namespace, subcommand: str) -> dict:
     schema = SCHEMAS[subcommand]
-    overrides = {}
-    for key in schema:
-        if hasattr(args, key) and getattr(args, key) is not None:
-            overrides[key] = getattr(args, key)
+    overrides = {key: getattr(args, key) for key in schema
+                 if getattr(args, key, None) is not None}
     # flat forcing/initial flags fold into their nested dicts
-    if subcommand in ("simulate", "lyapunov"):
-        forcing = {}
-        if getattr(args, "forcing_kind", None):
-            forcing["kind"] = args.forcing_kind
-        if getattr(args, "forcing_amplitude", None) is not None:
-            forcing["amplitude"] = args.forcing_amplitude
-        if getattr(args, "forcing_wavenumber", None) is not None:
-            forcing["wavenumber"] = args.forcing_wavenumber
-        if forcing:
-            base = dict(SCHEMAS[subcommand]["forcing"][1])
-            base.update(forcing)
-            overrides["forcing"] = base
-        initial = {}
-        if getattr(args, "initial_kind", None):
-            initial["kind"] = args.initial_kind
-        if getattr(args, "initial_amplitude", None) is not None:
-            initial["amplitude"] = args.initial_amplitude
-        if getattr(args, "initial_path", None):
-            initial["path"] = args.initial_path
-        if initial:
-            base = dict(SCHEMAS[subcommand]["initial"][1])
-            base.update(initial)
-            overrides["initial"] = base
+    for block, flags in FLOW_FLAGS.items():
+        given = {key: getattr(args, f"{block}_{key}") for key, _ in flags
+                 if getattr(args, f"{block}_{key}", None) is not None}
+        if given:
+            overrides[block] = {**schema[block][1], **given}
     return overrides
 
 
@@ -518,6 +510,28 @@ RUNTIME_ERRORS = (IntegrationDivergedError, DegenerateFrameError, StaleFrameErro
                   ArithmeticError, np.linalg.LinAlgError, OSError)
 
 
+def _record_failure(manifest: RunManifest, err: Exception) -> int:
+    """Mark the manifest incomplete with the error; return the exit status."""
+    code = EXIT_CONFIG if isinstance(err, CONFIG_ERRORS) else EXIT_RUNTIME
+    manifest.summary = {"passed": False, "error": str(err)}
+    if isinstance(err, IntegrationDivergedError):
+        manifest.summary["diverged_step"] = err.step
+    manifest.complete = False
+    label = "configuration error" if code == EXIT_CONFIG else "error"
+    print(f"{label}: {err}", file=sys.stderr)
+    return code
+
+
+def _write_manifest(manifest: RunManifest, output_dir: Path):
+    try:
+        output_dir.mkdir(parents=True, exist_ok=True)
+        manifest.write(output_dir / "manifest.json")
+    except OSError:
+        if manifest.complete:
+            raise
+        # the run already failed; partial artifacts keep their .partial suffix
+
+
 def run(subcommand: str, params: dict, seed: int, output_dir: Path) -> int:
     """Dispatch a validated configuration and write the run manifest.
 
@@ -528,41 +542,33 @@ def run(subcommand: str, params: dict, seed: int, output_dir: Path) -> int:
     manifest = RunManifest(config={"subcommand": subcommand, "params": params, "seed": seed})
     started = time.time()
     try:
-        code, summary = RUNNERS[subcommand](params, output_dir, seed, manifest)
+        code, manifest.summary = RUNNERS[subcommand](params, output_dir, seed, manifest)
     except CONFIG_ERRORS + RUNTIME_ERRORS as err:
-        code = EXIT_CONFIG if isinstance(err, CONFIG_ERRORS) else EXIT_RUNTIME
-        summary = {"passed": False, "error": str(err)}
-        if isinstance(err, IntegrationDivergedError):
-            summary["diverged_step"] = err.step
-        manifest.complete = False
-        label = "configuration error" if code == EXIT_CONFIG else "error"
-        print(f"{label}: {err}", file=sys.stderr)
-    manifest.summary = summary
+        code = _record_failure(manifest, err)
     manifest.wall_clock_s = time.time() - started
-    try:
-        manifest.write(output_dir / "manifest.json")
-    except OSError:
-        if manifest.complete:
-            raise
-        # the run already failed; partial artifacts keep their .partial suffix
+    _write_manifest(manifest, output_dir)
     return code
 
 
 def main(argv=None) -> int:
+    """Parse flags and config, then run; a refused configuration still leaves
+    a manifest (complete = false) in the output directory and exits 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
     subcommand = args.subcommand
-    try:
-        overrides = _collect_overrides(args, subcommand)
-        if subcommand == "verify":
-            overrides["target"] = args.target
-        params = parse_config(subcommand, args.config, overrides)
-    except (ConfigError, InvalidParameterError) as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-
+    overrides = _collect_overrides(args, subcommand)
+    if subcommand == "verify":
+        overrides["target"] = args.target
     outdir = Path(args.output_dir or os.environ.get("NSVLAB_OUTPUT_DIR")
                   or Path("nsvlab_runs") / subcommand)
+    try:
+        params = parse_config(subcommand, args.config, overrides)
+    except (ConfigError, InvalidParameterError) as err:
+        manifest = RunManifest(config={"subcommand": subcommand, "config_file": args.config,
+                                       "overrides": overrides, "seed": args.seed})
+        code = _record_failure(manifest, err)
+        _write_manifest(manifest, outdir)
+        return code
     return run(subcommand, params, args.seed, outdir)
 
 

@@ -447,7 +447,7 @@ def check_time_averages(series: DiagnosticsSeries, cfg: SimConfig,
             InsufficientDurationWarning, stacklevel=2)
     keep = series.t >= burn
     if not np.any(keep):
-        keep = series.t >= series.t[-1]  # degenerate run: use the last sample
+        return []
     window = max(float(series.t[-1] - series.t[keep][0]), float(cfg.dt))
     mean_enstrophy = float(np.mean(series.enstrophy[keep]))
     mean_grad = float(np.mean(np.sqrt(series.enstrophy[keep])))

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError
-
-TORUS_AREA = 4.0 * math.pi**2
+from .spectral import TORUS_AREA
 
 
 def _enumerate_sq_norms(max_e: float) -> np.ndarray:

@@ -198,21 +198,29 @@ def advection_trace_terms(frame: TangentFrame, u: SpectralField) -> tuple[float,
 class TraceSeries:
     """Trace samples along one co-evolved run.
 
-    times are re-orthonormalization events; trace_avg is the Cesaro mean of
-    the instantaneous trace over events past the burn-in (NaN before).
-    exponents are per-vector Lyapunov estimates from the log normalization
-    factors over the same window.
+    times are re-orthonormalization events; diag[i, j] is (L theta_j,
+    theta_j)_alpha at event i, and trace_inst its row sum.  trace_avg is the
+    Cesaro mean of the instantaneous trace over events past the burn-in (NaN
+    before).  q_hats[m - 1] is the same mean over the first m vectors, which
+    evolve exactly as an m-frame does; q_hat is q_hat(n).  exponents are
+    per-vector Lyapunov estimates from the log normalization factors over the
+    same window.
     """
 
     n: int
     times: np.ndarray
+    diag: np.ndarray
     trace_inst: np.ndarray
     trace_avg: np.ndarray
     exponents: np.ndarray
-    q_hat: float
+    q_hats: np.ndarray
     burn_in: float
     window: tuple
     base_final: SpectralField
+
+    @property
+    def q_hat(self) -> float:
+        return float(self.q_hats[-1])
 
     def write_csv(self, path):
         from io import StringIO
@@ -227,18 +235,13 @@ class TraceSeries:
                              f"{self.trace_avg[i]:.12g}"])
         atomic_write_text(path, buf.getvalue())
 
-    def summary(self, n_star: int | None = None) -> dict:
+    def summary(self) -> dict:
         return {
             "n": self.n,
             "q_hat": self.q_hat,
-            "n_star": n_star,
+            "n_star": None,
             "window": [self.window[0], self.window[1]],
         }
-
-    def write_summary(self, path, n_star: int | None = None):
-        from .fieldio import write_json
-
-        write_json(path, self.summary(n_star))
 
 
 def evolve_tangent_frame(
@@ -295,7 +298,7 @@ def evolve_tangent_frame(
     rhs, factors = velocity_scheme(cfg, g, tangent=lambda u, th: _advection_batch(grid, th, u))
 
     nsteps = int(round(t_end / dt))
-    times, traces = [], []
+    times, diag = [], []
     log_factors = []
     event_prev_t = []
 
@@ -311,28 +314,30 @@ def evolve_tangent_frame(
                 TangentFrame(grid, VELOCITY, cfg.metric, state[1:]))
             state[1:] = frame.vectors
             lv = _linearized_batch(grid, state[1:], state[0], cfg.nu, weights)
-            tr = float(sum(_weighted_inner(lv[j], state[1 + j], weights) for j in range(n)))
             times.append(t)
-            traces.append(tr)
+            diag.append([_weighted_inner(lv[j], state[1 + j], weights) for j in range(n)])
             log_factors.append(np.log(norms))
             event_prev_t.append(prev_event_t)
             prev_event_t = t
 
     times = np.asarray(times)
-    traces = np.asarray(traces)
+    diag = np.asarray(diag)                  # (events, n)
     logs = np.asarray(log_factors)           # (events, n)
     prev_ts = np.asarray(event_prev_t)
 
-    # Cesaro mean of traces over events past burn-in
+    # prefix[:, m - 1] is the trace over the first m vectors, summed left to
+    # right; its Cesaro mean over events past burn-in is q_hat(m)
+    prefix = np.cumsum(diag, axis=1)
+    traces = prefix[:, -1].copy()
     trace_avg = np.full_like(traces, np.nan)
     sel = times >= burn_in
     if np.any(sel):
-        vals = traces[sel]
-        trace_avg[sel] = np.cumsum(vals) / np.arange(1, vals.size + 1)
-        q_hat = float(trace_avg[-1])
+        means = np.cumsum(prefix[sel], axis=0) / np.arange(1, np.count_nonzero(sel) + 1)[:, None]
+        trace_avg[sel] = means[:, -1]
+        q_hats = means[-1]
         window = (float(times[sel][0]), float(times[-1]))
     else:
-        q_hat = float(np.mean(traces))
+        q_hats = np.array([np.mean(prefix[:, m].copy()) for m in range(n)])
         window = (float(times[0]), float(times[-1]))
 
     # exponents: growth intervals fully inside the window
@@ -345,22 +350,17 @@ def evolve_tangent_frame(
         exponents = logs.sum(axis=0) / duration
 
     base_final = SpectralField(grid, VELOCITY, state[0].copy())
-    return TraceSeries(n=n, times=times, trace_inst=traces, trace_avg=trace_avg,
-                       exponents=exponents, q_hat=q_hat, burn_in=burn_in,
-                       window=window, base_final=base_final)
-
-
-def q_n_estimate(cfg: SimConfig, n: int, t_end: float, **kwargs) -> TraceSeries:
-    """Time-averaged trace estimate q_hat(n) along one co-evolved run."""
-    return evolve_tangent_frame(cfg, n, t_end, **kwargs)
+    return TraceSeries(n=n, times=times, diag=diag, trace_inst=traces, trace_avg=trace_avg,
+                       exponents=exponents, q_hats=q_hats, burn_in=burn_in, window=window,
+                       base_final=base_final)
 
 
 @dataclass
 class NStarScan:
-    q_hats: dict                 # n -> q_hat
+    q_hats: dict                 # m -> q_hat(m), every prefix of the final run
     n_star: int | None
     eventually_decreasing: bool
-    series: dict                 # n -> TraceSeries
+    series: TraceSeries          # the final run
 
     def summary(self) -> dict:
         return {
@@ -371,43 +371,23 @@ class NStarScan:
 
 
 def scan_n_star(cfg: SimConfig, t_end: float, n_max: int = 64, **kwargs) -> NStarScan:
-    """Find the smallest n with q_hat(n) < 0.
+    """Find the smallest m with q_hat(m) < 0.
 
-    q_hat is evaluated at n = 1, 2, 4, 8, ... until it turns negative (each
-    evaluation is a full co-evolution run, so the doubling keeps the count
-    low), then the first sign change is located by integer bisection.
+    One n-frame run gives every q_hat(m), m <= n, as a prefix (the QR method
+    of Benettin et al. 1980), so the scan runs n = 1, 2, 4, ... <= n_max and
+    stops at the first run with a negative prefix; n* is that prefix's m.
     """
-    q_hats: dict[int, float] = {}
-    series: dict[int, TraceSeries] = {}
-
-    def q(n):
-        if n not in q_hats:
-            ts = q_n_estimate(cfg, n, t_end, **kwargs)
-            q_hats[n] = ts.q_hat
-            series[n] = ts
-        return q_hats[n]
-
-    n_star = None
-    lo = None
+    if n_max < 1:
+        raise InvalidParameterError(f"n_max must be >= 1, got {n_max}")
     n = 1
-    while n <= n_max:
-        if q(n) < 0:
-            n_star = n
+    while True:
+        series = evolve_tangent_frame(cfg, n, t_end, **kwargs)
+        negative = np.flatnonzero(series.q_hats < 0)
+        if negative.size or 2 * n > n_max:
             break
-        lo = n
         n *= 2
-    if n_star is not None and lo is not None:
-        hi = n_star
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if q(mid) < 0:
-                hi = mid
-            else:
-                lo = mid
-        n_star = hi
-
-    ns = sorted(q_hats)
-    tail = [q_hats[m] for m in ns[max(0, len(ns) - 3):]]
-    decreasing = all(tail[i + 1] < tail[i] for i in range(len(tail) - 1)) if len(tail) > 1 else True
-    return NStarScan(q_hats=q_hats, n_star=n_star, eventually_decreasing=decreasing,
+    q_hats = {m: float(q) for m, q in enumerate(series.q_hats, start=1)}
+    return NStarScan(q_hats=q_hats,
+                     n_star=int(negative[0]) + 1 if negative.size else None,
+                     eventually_decreasing=bool(np.all(np.diff(series.q_hats[-3:]) < 0)),
                      series=series)

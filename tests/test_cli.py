@@ -3,6 +3,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from nsvlab import cli
@@ -58,9 +59,27 @@ class TestParseConfig:
 
 
 class TestExitCodes:
-    def test_config_error_is_2(self, capsys):
-        assert cli.main(["bounds", "--d", "7"]) == cli.EXIT_CONFIG
+    def test_config_error_is_2(self, tmp_path, capsys):
+        assert cli.main(["bounds", "--d", "7", "--output-dir", str(tmp_path)]) == cli.EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["complete"] is False
+        assert "d must be 2 or 3" in manifest["summary"]["error"]
+
+    @pytest.mark.parametrize("block, problem", [
+        ({"forcing": {"kind": "modes"}}, "forcing.modes must be a list of 6-number rows"),
+        ({"initial": {"kind": "file"}}, "initial.path must be a string"),
+    ], ids=["forcing-modes", "initial-path"])
+    def test_incomplete_nested_block_is_2(self, tmp_path, capsys, block, problem):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"n": 16, **block}))
+        out = tmp_path / "out"
+        code = cli.main(["simulate", "--config", str(config), "--output-dir", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert problem in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["complete"] is False
+        assert problem in manifest["summary"]["error"]
 
     def test_bounds_ok_is_0(self, tmp_path, capsys):
         code = cli.main(["bounds", "--d", "2", "--nu", "1", "--alpha", "0.5",
@@ -130,6 +149,9 @@ class TestExitCodes:
         assert code == cli.EXIT_OK
         assert (tmp_path / "diagnostics.csv").exists()
         assert (tmp_path / "final_state.field").exists()
+        # t_end = 0.1 holds no sample past the 5/gamma burn-in: no time-average verdict
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert [c["name"] for c in manifest["summary"]["checks"]] == ["dissipative-envelope"]
 
 
 class TestDeterminism:
@@ -217,6 +239,35 @@ class TestWitnessPersistence:
         listed = {a["path"] for a in manifest["artifacts"]}
         assert {w.name for w in witnesses} <= listed
 
+    def test_rho_l2_witness_keeps_the_sweep_alpha(self, tmp_path, monkeypatch):
+        # rho-l2 draws alpha-orthonormal families at each of --alphas whatever
+        # --kind says; the witness must be that family, at that alpha
+        from nsvlab import inequalities as ineq
+        from nsvlab import spectral as sp
+        from nsvlab.fieldio import load_snapshot
+
+        real_sweep = ineq.run_rho_l2_sweep
+        sweeps = []
+
+        def doctored(*args, **kwargs):
+            sweep = real_sweep(*args, **kwargs)
+            sweep.near_saturation = [sweep.worst_seed]
+            sweeps.append(sweep)
+            return sweep
+
+        monkeypatch.setattr(ineq, "run_rho_l2_sweep", doctored)
+        code = cli.main(["verify", "rho-l2", "--families", "2", "--family-n", "3",
+                         "--grid-n", "16", "--kind", "gram-scaled", "--alphas", "0.1", "1.0",
+                         "--output-dir", str(tmp_path)])
+        assert code == 0
+        worst_alpha = max(sweeps[0].reports, key=lambda r: r.ratio).extras["alpha"]
+        loaded = [load_snapshot(w) for w in sorted(tmp_path.glob("witness_seed*_vec*.field"))]
+        assert len(loaded) == 3
+        assert {meta["alpha"] for _, meta in loaded} == {worst_alpha}
+        metric = sp.AlphaMetric(worst_alpha)
+        gram = [[sp.alpha_inner(u, v, metric) for v, _ in loaded] for u, _ in loaded]
+        np.testing.assert_allclose(gram, np.eye(3), atol=1e-8)
+
 
 class TestLyapunovCommand:
     def test_scan_summary_written(self, tmp_path):
@@ -226,7 +277,8 @@ class TestLyapunovCommand:
         assert code == 0
         payload = json.loads((tmp_path / "summary.json").read_text())
         assert payload["n_star"] == 1  # unforced flow contracts everywhere
-        assert (tmp_path / "trace_n1.csv").exists()
+        assert list(payload["q_hats"]) == ["1"]
+        assert [p.name for p in tmp_path.glob("trace_n*.csv")] == ["trace_n1.csv"]
 
     def test_summary_written(self, tmp_path):
         code = cli.main(["lyapunov", "--n", "16", "--nu", "1", "--alpha", "1",

@@ -247,11 +247,8 @@ class TestFrameEvolution:
         series.write_csv(tmp_path / "trace.csv")
         header = (tmp_path / "trace.csv").read_text().splitlines()[0]
         assert header == "t,trace_inst,trace_avg"
-        series.write_summary(tmp_path / "summary.json", n_star=None)
-        import json
-
-        payload = json.loads((tmp_path / "summary.json").read_text())
-        assert set(payload) == {"n", "q_hat", "n_star", "window"}
+        assert set(series.summary()) == {"n", "q_hat", "n_star", "window"}
+        assert series.summary()["n_star"] is None
 
     def test_deterministic(self):
         cfg = cfg_for(dt=0.01)
@@ -279,39 +276,63 @@ class TestNStarScan:
         assert scan.n_star == 1
         assert scan.q_hats[1] < 0
 
-    def test_scan_uses_doubling_then_bisection(self):
-        # synthetic q_hat: negative from n = 6 upward; scan must locate 6
+    def test_scan_doubles_and_reads_the_first_negative_prefix(self, monkeypatch):
+        # synthetic prefixes: q_hat(m) negative from m = 6 upward; the scan
+        # runs n = 1, 2, 4, 8 only and reads n* = 6 off the 8-frame's prefixes
         calls = []
 
         class FakeSeries:
             def __init__(self, n):
-                self.q_hat = -1.0 if n >= 6 else 1.0
                 self.n = n
+                self.q_hats = np.array([-1.0 if m >= 6 else 1.0 for m in range(1, n + 1)])
 
-        import nsvlab.lyapunov as mod
-
-        original = mod.q_n_estimate
-        try:
-            mod.q_n_estimate = lambda cfg, n, t_end, **kw: calls.append(n) or FakeSeries(n)
-            scan = mod.scan_n_star(cfg_for(), t_end=1.0)
-        finally:
-            mod.q_n_estimate = original
+        monkeypatch.setattr(lyp, "evolve_tangent_frame",
+                            lambda cfg, n, t_end, **kw: calls.append(n) or FakeSeries(n))
+        scan = lyp.scan_n_star(cfg_for(), t_end=1.0)
+        assert calls == [1, 2, 4, 8]
         assert scan.n_star == 6
-        assert calls == sorted(set(calls), key=calls.index)  # no repeats
-        assert set(calls) <= {1, 2, 4, 8, 5, 6, 7, 3}
+        assert sorted(scan.q_hats) == list(range(1, 9))
+        assert scan.series.n == 8
+        assert not scan.eventually_decreasing   # the last three prefixes are all -1
 
-    def test_no_sign_change_returns_none(self):
+    def test_no_sign_change_returns_none(self, monkeypatch):
         class FakeSeries:
             def __init__(self, n):
-                self.q_hat = 1.0
                 self.n = n
+                self.q_hats = np.linspace(3.0, 2.0, n)
 
-        import nsvlab.lyapunov as mod
-
-        original = mod.q_n_estimate
-        try:
-            mod.q_n_estimate = lambda cfg, n, t_end, **kw: FakeSeries(n)
-            scan = mod.scan_n_star(cfg_for(), t_end=1.0, n_max=8)
-        finally:
-            mod.q_n_estimate = original
+        monkeypatch.setattr(lyp, "evolve_tangent_frame",
+                            lambda cfg, n, t_end, **kw: FakeSeries(n))
+        scan = lyp.scan_n_star(cfg_for(), t_end=1.0, n_max=8)
         assert scan.n_star is None
+        assert scan.series.n == 8 and scan.eventually_decreasing
+
+
+class TestNestedPrefixes:
+    """The first m vectors of an n-frame evolve exactly as an m-frame does, so
+    each prefix q_hat(m) of one 8-frame run equals an independent m-frame run."""
+
+    def assert_prefixes_match(self, cfg, **kw):
+        full = lyp.evolve_tangent_frame(cfg, 8, 1.0, burn_in=0.5, seed=4, **kw)
+        assert full.diag.shape == (full.times.size, 8)
+        np.testing.assert_array_equal(full.trace_inst, np.cumsum(full.diag, axis=1)[:, -1])
+        for m in range(1, 8):
+            part = lyp.evolve_tangent_frame(cfg, m, 1.0, burn_in=0.5, seed=4, **kw)
+            np.testing.assert_array_equal(full.q_hats[:m], part.q_hats)
+            np.testing.assert_allclose(full.exponents[:m], part.exponents, rtol=1e-15)
+
+    def test_forced_base(self):
+        raw = [((0, 2), (1.0 / 2j, 0.0)), ((1, 1), (0.1, -0.1))]
+        probe = dyn.ForcingSpec.from_modes(raw).build(GRID)
+        scale = 1000.0 / (4 * math.pi**2) / math.sqrt(sp.l2_norm_sq(probe))   # calG = 1000
+        forcing = dyn.ForcingSpec.from_modes([(k, (a[0] * scale, a[1] * scale)) for k, a in raw])
+        g_norm = math.sqrt(sp.l2_norm_sq(forcing.build(GRID)))
+        alpha = 0.99 * 4.0 / (g_norm * 4 * math.pi**2)
+        cfg = cfg_for(alpha=alpha, forcing=forcing,
+                      initial=dyn.InitialSpec.random(seed=42, decay=3.0, amplitude=2.0))
+        with pytest.warns(dyn.InsufficientDurationWarning):
+            self.assert_prefixes_match(cfg, warmup=0.5)
+
+    def test_zero_attractor(self):
+        with pytest.warns(dyn.InsufficientDurationWarning):
+            self.assert_prefixes_match(cfg_for(nu=1.0, alpha=1.0, dt=0.01))

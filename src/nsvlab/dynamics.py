@@ -25,6 +25,10 @@ from .spectral import VELOCITY, AlphaMetric, SpectralField, SpectralGrid
 #: classical RK4 is stable for dt * lambda in [-2.785, 0] on the real axis
 RK4_REAL_BOUND = 2.785
 
+#: largest |k.u_hat| and |u_hat(-k) - conj u_hat(k)| an initial snapshot may
+#: carry, relative to its largest |u_hat|
+SNAPSHOT_RTOL = 1e-12
+
 
 class CflWarning(UserWarning):
     """dt * max|u| * k_max exceeded 1; advection may be under-resolved."""
@@ -126,7 +130,16 @@ class InitialSpec:
                     f"snapshot resolution {f.grid.n} does not match grid {grid.n}")
             if f.role != VELOCITY:
                 raise RoleMismatchError("initial snapshot must hold a velocity field")
-            return SpectralField(grid, VELOCITY, f.coeffs)
+            # the advection kernel reads u as divergence-free and real (only its
+            # k2 >= 0 half): refuse a snapshot that is off either past round-off
+            c, neg = f.coeffs, (-np.arange(grid.n)) % grid.n
+            for what, defect in (("divergence-free", sp.grid_divergence(grid, c)),
+                                 ("a real field", c - np.conj(c[:, neg][:, :, neg]))):
+                size = float(np.max(np.abs(defect)))
+                if size > SNAPSHOT_RTOL * float(np.max(np.abs(c))):
+                    raise InvalidParameterError(
+                        f"{self.path}: snapshot is not {what} (defect {size:.3g})")
+            return SpectralField(grid, VELOCITY, c)
         if self.kind == "field":
             if self.fld.grid.n != grid.n:
                 raise InvalidParameterError("initial field is on a different grid")
@@ -262,7 +275,7 @@ def rk4_step(rhs, c, dt, factors=None):
     return new, (c, s2, s3, s4)
 
 
-def velocity_scheme(cfg: SimConfig, g: np.ndarray, tangent=None):
+def velocity_scheme(cfg: SimConfig, g: np.ndarray):
     """The velocity equation under cfg as (rhs, factors) for rk4_step.
 
     At alpha > 0 every multiplier is bounded by nu/alpha: rhs is the whole
@@ -270,10 +283,8 @@ def velocity_scheme(cfg: SimConfig, g: np.ndarray, tangent=None):
     (classical RK4).  At alpha = 0 the viscous multiplier is stiff: rhs
     leaves it out and factors carries it exactly (integrating-factor RK4).
 
-    With tangent, the state is a stack [u, theta_1, ..., theta_m] and
-    tangent(u, thetas) gives the frame's advection terms B(theta,u) +
-    B(u,theta) on a nonzero base, so the frame takes the same stages and the
-    same linear treatment as the base flow.
+    rhs also steps a stack [u, theta_1, ..., theta_m]: the one kernel call
+    per stage gives the frame's terms B(theta,u) + B(u,theta) as well.
     """
     grid = cfg.grid
     if cfg.alpha == 0:
@@ -285,13 +296,11 @@ def velocity_scheme(cfg: SimConfig, g: np.ndarray, tangent=None):
 
     def rhs(c):
         out = minus_damping * c if factors is None else np.zeros_like(c)
-        u, out_u = (c, out) if tangent is None else (c[0], out[0])
+        frame = c.ndim == 4
+        u, out_u = (c[0], out[0]) if frame else (c, out)
         if u.any():
-            out_u += g - sp.bilinear_coeffs(grid, u, u)
-            if tangent is not None:
-                out[1:] -= tangent(u, c[1:])
-        else:
-            out_u += g
+            out -= sp.bilinear_coeffs(grid, u, c[1:] if frame else None)
+        out_u += g
         if factors is None:
             out /= weights
         out[..., 0, 0] = 0.0
@@ -439,15 +448,17 @@ def check_time_averages(series: DiagnosticsSeries, cfg: SimConfig,
     """
     gamma = cfg.gamma
     burn = 5.0 / gamma
-    window = series.t[-1] - burn
-    if window < 10.0 / gamma:
-        warnings.warn(
-            f"averaging window {window:.3g} < 10/gamma = {10 / gamma:.3g}; "
-            "time-average checks may not be converged",
-            InsufficientDurationWarning, stacklevel=2)
     keep = series.t >= burn
     if not np.any(keep):
+        warnings.warn(
+            f"no sample at t >= 5/gamma = {burn:.3g} (run ends at t = {series.t[-1]:.3g}); "
+            "time averages not checked", InsufficientDurationWarning, stacklevel=2)
         return []
+    if series.t[-1] - burn < 10.0 / gamma:
+        warnings.warn(
+            f"averaging window {series.t[-1] - burn:.3g} < 10/gamma = {10 / gamma:.3g}; "
+            "time-average checks may not be converged",
+            InsufficientDurationWarning, stacklevel=2)
     window = max(float(series.t[-1] - series.t[keep][0]), float(cfg.dt))
     mean_enstrophy = float(np.mean(series.enstrophy[keep]))
     mean_grad = float(np.mean(np.sqrt(series.enstrophy[keep])))

@@ -43,22 +43,16 @@ def atomic_write_text(path, text: str):
 
 def save_field(f: SpectralField, path, alpha: float = 0.0):
     """Write a field snapshot; alpha records the metric of the producing run."""
-    lines = [
-        FIELD_MAGIC,
-        f"# resolution_n={f.grid.n} dealias_cutoff={f.grid.dealias_cutoff} "
-        f"role={f.role} alpha={alpha:.17g}",
-        "# columns: component k1 k2 re im",
-    ]
-    n = f.grid.n
+    header = (f"{FIELD_MAGIC}\n# resolution_n={f.grid.n} dealias_cutoff={f.grid.dealias_cutoff} "
+              f"role={f.role} alpha={alpha:.17g}\n# columns: component k1 k2 re im\n")
     coeffs = f.coeffs if f.role == VELOCITY else f.coeffs[None, ...]
-    half = n // 2
-    freq = [(i if i < n - half else i - n) for i in range(n)]
-    for comp in range(coeffs.shape[0]):
-        nonzero = np.argwhere(coeffs[comp] != 0)
-        for i, j in nonzero:
-            c = coeffs[comp, i, j]
-            lines.append(f"{comp} {freq[i]} {freq[j]} {c.real:.17g} {c.imag:.17g}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    comp, i, j = np.nonzero(coeffs)           # component-major, then row-major
+    freq = np.fft.fftfreq(f.grid.n, d=1.0 / f.grid.n).astype(int)
+    vals = coeffs[comp, i, j]
+    columns = (comp.tolist(), freq[i].tolist(), freq[j].tolist(),
+               vals.real.tolist(), vals.imag.tolist())
+    rows = ("%d %d %d %.17g %.17g\n" * comp.size) % tuple(x for row in zip(*columns) for x in row)
+    atomic_write_text(path, header + rows)
 
 
 def load_snapshot(path) -> tuple[SpectralField, dict]:

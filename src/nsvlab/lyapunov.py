@@ -16,12 +16,13 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import spectral as sp
-from .dynamics import InsufficientDurationWarning, SimConfig, rk4_step, velocity_scheme
+from .dynamics import (InitialSpec, InsufficientDurationWarning, SimConfig, rk4_step,
+                       velocity_scheme)
 from .errors import (
     DegenerateFrameError,
     GridMismatchError,
@@ -115,31 +116,13 @@ def gram_deviation(frame: TangentFrame) -> float:
 # ----------------------------------------------------------------------------
 # linearized operator
 
-def _advection_batch(grid: SpectralGrid, thetas: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """B(theta_j, u) + B(u, theta_j) for a stacked velocity frame, dealiased."""
-    mask = grid.dealias_mask
-    uh = base * mask
-    th = thetas * mask
-    u_phys = sp.to_physical(uh)
-    dudx = sp.to_physical(1j * grid.kx * uh)
-    dudy = sp.to_physical(1j * grid.ky * uh)
-    t_phys = sp.to_physical(th)
-    dtdx = sp.to_physical(1j * grid.kx * th)
-    dtdy = sp.to_physical(1j * grid.ky * th)
-    adv = (u_phys[0] * dtdx + u_phys[1] * dtdy
-           + t_phys[:, :1] * dudx[None] + t_phys[:, 1:2] * dudy[None])
-    nl = sp.from_physical(adv) * mask
-    nl[..., 0, 0] = 0.0
-    return sp.leray_project_coeffs(grid, nl)
-
-
 def _linearized_batch(grid: SpectralGrid, thetas: np.ndarray, base: np.ndarray,
                       nu: float, weights: np.ndarray) -> np.ndarray:
     """L_u theta_j = -(1+aA)^{-1}[nu A theta_j + B(theta_j,u) + B(u,theta_j)]
     for a stacked velocity frame."""
     out = -(nu * grid.k2) * thetas
     if base.any():
-        out -= _advection_batch(grid, thetas, base)
+        out -= sp.bilinear_coeffs(grid, base, thetas)[1:]
     out /= weights
     return out
 
@@ -168,31 +151,20 @@ def trace_n(frame: TangentFrame, base: SpectralField, cfg: SimConfig,
     return float(sum(_weighted_inner(lv[j], frame.vectors[j], w) for j in range(frame.n)))
 
 
-def advection_trace_terms(frame: TangentFrame, u: SpectralField) -> tuple[float, float]:
-    """(sum_j ((theta_j.grad) u, theta_j),  integral of rho |grad u|) with
-    rho = sum |theta_j|^2; both by collocation quadrature on a doubled grid.
-    The second times c_2 = sqrt(1/2) dominates the first for divergence-free u."""
-    from .inequalities import pad_coeffs  # local import; avoids a cycle
-
-    grid = frame.grid
-    nq = 2 * grid.n
-    th = sp.to_physical(pad_coeffs(frame.vectors, nq))
-    rho = np.sum(th**2, axis=(0, 1))
-    uq = pad_coeffs(u.coeffs, nq)
-    k1 = np.fft.fftfreq(nq, d=1.0 / nq)
-    kx, ky = np.meshgrid(k1, k1, indexing="ij")
-    dudx = sp.to_physical(1j * kx * uq)
-    dudy = sp.to_physical(1j * ky * uq)
-    grad_abs = np.sqrt(dudx[0] ** 2 + dudy[0] ** 2 + dudx[1] ** 2 + dudy[1] ** 2)
-    cell = (2 * math.pi / nq) ** 2
-    lhs = float(np.sum(th[:, 0] * (th[:, 0] * dudx[0] + th[:, 1] * dudy[0])
-                       + th[:, 1] * (th[:, 0] * dudx[1] + th[:, 1] * dudy[1]))) * cell
-    rhs = float(np.sum(rho * grad_abs)) * cell
-    return lhs, rhs
-
-
 # ----------------------------------------------------------------------------
 # frame evolution
+
+def spin_up(cfg: SimConfig, warmup: float) -> np.ndarray:
+    """cfg's initial velocity advanced warmup/dt steps alone (a copy at warmup 0)."""
+    c = cfg.initial.build(cfg.grid).coeffs.copy()
+    rhs, factors = velocity_scheme(cfg, cfg.forcing.build(cfg.grid).coeffs)
+    for _ in range(int(round(warmup / cfg.dt))):
+        c, _ = rk4_step(rhs, c, cfg.dt, factors)
+    if warmup > 0 and not np.all(np.isfinite(c)):
+        raise IntegrationDivergedError(step=-1, t=warmup,
+                                       message="base flow diverged during warmup")
+    return c
+
 
 @dataclass
 class TraceSeries:
@@ -284,18 +256,9 @@ def evolve_tangent_frame(
             f"trace window {t_end - burn_in:.3g} < 10/gamma = {10 / gamma:.3g}",
             InsufficientDurationWarning, stacklevel=2)
 
-    cb = cfg.initial.build(grid).coeffs.copy()
-    if warmup > 0:
-        base_rhs, factors = velocity_scheme(cfg, g)
-        for _ in range(int(round(warmup / dt))):
-            cb, _ = rk4_step(base_rhs, cb, dt, factors)
-        if not np.all(np.isfinite(cb)):
-            raise IntegrationDivergedError(step=-1, t=warmup,
-                                           message="base flow diverged during warmup")
-
     frame = TangentFrame.random(grid, n, cfg.metric, seed=seed, decay=frame_decay)
-    state = np.concatenate([cb[None], frame.vectors])   # [u, theta_1, ..., theta_n]
-    rhs, factors = velocity_scheme(cfg, g, tangent=lambda u, th: _advection_batch(grid, th, u))
+    state = np.concatenate([spin_up(cfg, warmup)[None], frame.vectors])   # [u, theta_1, ...]
+    rhs, factors = velocity_scheme(cfg, g)
 
     nsteps = int(round(t_end / dt))
     times, diag = [], []
@@ -379,6 +342,11 @@ def scan_n_star(cfg: SimConfig, t_end: float, n_max: int = 64, **kwargs) -> NSta
     """
     if n_max < 1:
         raise InvalidParameterError(f"n_max must be >= 1, got {n_max}")
+    warmup = kwargs.pop("warmup", 0.0)
+    if warmup > 0:
+        # every run starts from the same spun-up base: compute it once
+        base = SpectralField(cfg.grid, VELOCITY, spin_up(cfg, warmup))
+        cfg = replace(cfg, initial=InitialSpec.from_field(base))
     n = 1
     while True:
         series = evolve_tangent_frame(cfg, n, t_end, **kwargs)

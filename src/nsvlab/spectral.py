@@ -57,6 +57,12 @@ class SpectralGrid:
         object.__setattr__(self, "k2", k2)
         object.__setattr__(self, "k2_safe", k2_safe)
         object.__setattr__(self, "dealias_mask", mask)
+        # the advection kernel's multipliers on the band's k2 >= 0 columns: i k,
+        # and Biot-Savart i (k2, -k1)/|k|^2 back to velocity, zero off the band
+        ik = np.stack([1j * kx, 1j * ky])[..., : cutoff + 1]
+        object.__setattr__(self, "ik_band", ik)
+        bs = np.stack([ik[1], -ik[0]]) * (mask / k2_safe)[:, : cutoff + 1]
+        object.__setattr__(self, "biot_savart_band", bs)
 
     def coeff_shape(self, role: str) -> tuple:
         return (2, self.n, self.n) if role == VELOCITY else (self.n, self.n)
@@ -131,14 +137,28 @@ def require_role(f: SpectralField, role: str, op: str):
 # transforms (batched over leading axes)
 
 def to_physical(coeffs: np.ndarray) -> np.ndarray:
-    """u(x_j) = sum_k u_hat(k) e^{i k.x_j}; works on any (..., n, n) batch."""
-    n = coeffs.shape[-1]
-    return np.fft.ifft2(coeffs, axes=(-2, -1)).real * (n * n)
+    """u(x_j) = sum_k u_hat(k) e^{i k.x_j} for a real field's coefficients: the
+    full (..., n, n) layout, or its k2 >= 0 columns (those past the last given are zero)."""
+    n = coeffs.shape[-2]
+    return np.fft.irfft2(coeffs[..., : n // 2 + 1], s=(n, n), axes=(-2, -1)) * (n * n)
 
 
 def from_physical(values: np.ndarray) -> np.ndarray:
+    """Half spectrum (..., n, n//2+1) of a real (..., n, n) batch; see full_layout."""
     n = values.shape[-1]
-    return np.fft.fft2(values, axes=(-2, -1)) / (n * n)
+    return np.fft.rfft2(values, axes=(-2, -1)) / (n * n)
+
+
+def full_layout(half: np.ndarray) -> np.ndarray:
+    """Full (..., n, n) layout of a real field from its k2 >= 0 columns (those past
+    the last given are zero): column -k2 is the conjugate of k2 mirrored in k1."""
+    n, cols = half.shape[-2:]
+    width = min(cols - 1, n - n // 2 - 1)
+    full = np.zeros(half.shape[:-1] + (n,), dtype=complex)
+    full[..., :cols] = half
+    if width:
+        full[..., n - width:] = np.conj(half[..., (-np.arange(n)) % n, width:0:-1])
+    return full
 
 
 # ----------------------------------------------------------------------------
@@ -220,37 +240,31 @@ def helmholtz_solve(f: SpectralField, metric: AlphaMetric) -> SpectralField:
     return SpectralField(f.grid, f.role, out)
 
 
-def bilinear_b(u: SpectralField, v: SpectralField) -> SpectralField:
-    """Dealiased pseudo-spectral B(u, v) = P((u.grad) v), divergence-free output.
-
-    Inputs are truncated to the 2/3 band, products are formed in physical
-    space, and the result is truncated again, so the retained modes are
-    alias-free and (B(u,v), w) identities hold to round-off for band-limited
-    fields.
-    """
-    require_role(u, VELOCITY, "bilinear_b")
-    require_role(v, VELOCITY, "bilinear_b")
-    if u.grid != v.grid:
-        raise GridMismatchError("bilinear_b requires both fields on the same grid")
-    grid = u.grid
-    # All-zero operand short-circuit: (0.grad)v = (u.grad)0 = 0 exactly.
-    if not u.coeffs.any() or not v.coeffs.any():
-        return SpectralField(grid, VELOCITY, np.zeros_like(u.coeffs))
-    out = bilinear_coeffs(grid, u.coeffs, v.coeffs)
-    return SpectralField(grid, VELOCITY, out)
-
-
-def bilinear_coeffs(grid: SpectralGrid, uc: np.ndarray, vc: np.ndarray) -> np.ndarray:
-    mask = grid.dealias_mask
-    uh = uc * mask
-    vh = vc * mask
-    u_phys = to_physical(uh)
-    dvdx = to_physical(1j * grid.kx * vh)
-    dvdy = to_physical(1j * grid.ky * vh)
-    adv = u_phys[..., 0, :, :][..., None, :, :] * dvdx + u_phys[..., 1, :, :][..., None, :, :] * dvdy
-    out = from_physical(adv) * mask
-    out[..., 0, 0] = 0.0
-    return leray_project_coeffs(grid, out)
+def bilinear_coeffs(grid: SpectralGrid, u: np.ndarray,
+                    thetas: np.ndarray | None = None) -> np.ndarray:
+    """Dealiased B(u,u) = P((u.grad) u) of a divergence-free u, from the vorticity
+    form: curl B(u,u) = u.grad w (w = rot u) in 2D, cut to the 2/3 band and
+    mapped back by Biot-Savart.  The band is alias-free when 3 * cutoff < n; at
+    cutoff = n/3 its edge rows also take the aliases of the 2n/3 products, the
+    same ones the velocity form takes (to round-off).  With thetas (m, 2, n, n)
+    the result is the stack [B(u,u), B(theta_j,u) + B(u,theta_j)], the latter
+    from u.grad w_theta + theta.grad w_u.  One inverse real transform of
+    (u_x, u_y, d_x w, d_y w) per field, one forward of the products."""
+    cols = grid.dealias_cutoff + 1
+    band = grid.dealias_mask[:, :cols]
+    rows = 1 if thetas is None else 1 + len(thetas)
+    fields = np.empty((rows, 4) + band.shape, dtype=complex)
+    np.multiply(u[..., :cols], band, out=fields[0, :2])
+    if thetas is not None:
+        np.multiply(thetas[..., :cols], band, out=fields[1:, :2])
+    w = grid.ik_band[0] * fields[:, 1] - grid.ik_band[1] * fields[:, 0]
+    np.multiply(grid.ik_band, w[:, None], out=fields[:, 2:])
+    phys = to_physical(fields)
+    base = phys[0]
+    adv = base[0] * phys[:, 2] + base[1] * phys[:, 3]
+    adv[1:] += phys[1:, 0] * base[2] + phys[1:, 1] * base[3]
+    out = full_layout(grid.biot_savart_band * from_physical(adv)[:, None, :, :cols])
+    return out[0] if thetas is None else out
 
 
 def velocity_from_vorticity(w: SpectralField) -> SpectralField:
@@ -330,13 +344,14 @@ def random_field(
 ) -> SpectralField:
     """Gaussian random coefficients with |k|^{-decay} falloff, dealiased.
 
-    Built by filtering white physical-space noise, so conjugate symmetry is
-    exact.  Velocity output is Leray-projected.  Deterministic given seed.
+    Built by filtering white physical-space noise through the half spectrum,
+    so conjugate symmetry is exact.  Velocity output is Leray-projected.
+    Deterministic given seed.
     """
     if rng is None:
         rng = np.random.default_rng(seed)
     noise = rng.standard_normal(grid.coeff_shape(role))
-    c = from_physical(noise)
+    c = full_layout(from_physical(noise))
     c *= grid.k2_safe ** (-decay / 2.0)
     c *= grid.dealias_mask
     c[..., 0, 0] = 0.0

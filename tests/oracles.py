@@ -1,9 +1,11 @@
 """Reference implementations that exist only to cross-check nsvlab's kernels.
 
-Field-level right-hand sides and linearizations of the velocity and
-vorticity forms, written with the SpectralField operators, and plain
-steppers over them: classical RK4, Lawson integrating-factor RK4, and a
-per-vector product-system RK4 for tangent frames.  Nothing here is fast;
+The velocity-form advection term B(u,v) on full complex FFTs (np.fft
+directly, no nsvlab transform), field-level right-hand sides and
+linearizations of the velocity and vorticity forms, a quadrature of the two
+terms of the trace bound, plain steppers over them (classical RK4, Lawson
+integrating-factor RK4, and a per-vector product-system RK4 for tangent
+frames), and the per-coefficient snapshot writer.  Nothing here is fast;
 each function is a direct transcription of its equation.
 
 Velocity form:   du/dt = -nu A (1+aA)^{-1} u - (1+aA)^{-1} B(u,u) + (1+aA)^{-1} g
@@ -12,13 +14,45 @@ Vorticity form:  dw/dt = -(1-aD)^{-1} (u.grad w) + nu D (1-aD)^{-1} w + (1-aD)^{
 
 import numpy as np
 
+from nsvlab import fieldio
 from nsvlab import lyapunov as lyp
 from nsvlab import spectral as sp
 from nsvlab.errors import GridMismatchError
+from nsvlab.inequalities import pad_coeffs
 from nsvlab.spectral import VELOCITY, VORTICITY, SpectralField
 
 # ----------------------------------------------------------------------------
-# scalar advection and right-hand sides
+# full complex transforms and the velocity-form advection terms
+
+
+def to_physical(coeffs):
+    """Full-layout inverse transform; shares no code with nsvlab.spectral's pair."""
+    n = coeffs.shape[-1]
+    return np.fft.ifft2(coeffs, axes=(-2, -1)).real * (n * n)
+
+
+def from_physical(values):
+    n = values.shape[-1]
+    return np.fft.fft2(values, axes=(-2, -1)) / (n * n)
+
+
+def bilinear_b(u, v):
+    """Dealiased B(u, v) = P((u.grad) v) in the velocity form: both inputs
+    truncated to the 2/3 band, (u.grad) v formed in physical space, then
+    truncated and Leray-projected."""
+    sp.require_role(u, VELOCITY, "bilinear_b")
+    sp.require_role(v, VELOCITY, "bilinear_b")
+    if u.grid != v.grid:
+        raise GridMismatchError("bilinear_b requires both fields on the same grid")
+    grid = u.grid
+    mask = grid.dealias_mask
+    uh = u.coeffs * mask
+    vh = v.coeffs * mask
+    u_phys = to_physical(uh)
+    adv = u_phys[0] * to_physical(1j * grid.kx * vh) + u_phys[1] * to_physical(1j * grid.ky * vh)
+    out = from_physical(adv) * mask
+    out[..., 0, 0] = 0.0
+    return sp.leray_project(SpectralField(grid, VELOCITY, out))
 
 
 def advect_scalar_coeffs(grid, uc, sc):
@@ -26,11 +60,11 @@ def advect_scalar_coeffs(grid, uc, sc):
     mask = grid.dealias_mask
     uh = uc * mask
     sh = sc * mask
-    u_phys = sp.to_physical(uh)
-    dsdx = sp.to_physical(1j * grid.kx * sh)
-    dsdy = sp.to_physical(1j * grid.ky * sh)
+    u_phys = to_physical(uh)
+    dsdx = to_physical(1j * grid.kx * sh)
+    dsdy = to_physical(1j * grid.ky * sh)
     adv = u_phys[..., 0, :, :] * dsdx + u_phys[..., 1, :, :] * dsdy
-    out = sp.from_physical(adv) * mask
+    out = from_physical(adv) * mask
     out[..., 0, 0] = 0.0
     return out
 
@@ -49,7 +83,7 @@ def rhs_velocity(u, cfg, g=None):
     """-nu A(1+aA)^{-1} u - (1+aA)^{-1} B(u,u) + (1+aA)^{-1} g."""
     if g is None:
         g = cfg.forcing.build(u.grid)
-    total = g - sp.bilinear_b(u, u) - cfg.nu * sp.stokes_apply(u, 2.0)
+    total = g - bilinear_b(u, u) - cfg.nu * sp.stokes_apply(u, 2.0)
     return sp.helmholtz_solve(total, cfg.metric)
 
 
@@ -72,7 +106,7 @@ def linearized_apply_velocity(theta, u, cfg):
     sp.require_role(theta, VELOCITY, "linearized_apply_velocity")
     sp.require_role(u, VELOCITY, "linearized_apply_velocity")
     total = (-cfg.nu) * sp.stokes_apply(theta, 2.0) \
-        - sp.bilinear_b(theta, u) - sp.bilinear_b(u, theta)
+        - bilinear_b(theta, u) - bilinear_b(u, theta)
     return sp.helmholtz_solve(total, cfg.metric)
 
 
@@ -102,7 +136,7 @@ def trace_velocity_reduced(frame, u, cfg):
     for j in range(frame.n):
         theta = frame.field(j)
         total -= cfg.nu * sp.grad_norm_sq(theta)
-        total -= sp.l2_inner(sp.bilinear_b(theta, u), theta)
+        total -= sp.l2_inner(bilinear_b(theta, u), theta)
     return total
 
 
@@ -115,6 +149,26 @@ def trace_vorticity_reduced(frame, omega, cfg):
         total -= cfg.nu * sp.grad_norm_sq(phi)
         total -= sp.l2_inner(advect_scalar(sp.velocity_from_vorticity(phi), omega), phi)
     return total
+
+
+def advection_trace_terms(frame, u):
+    """(sum_j ((theta_j.grad) u, theta_j),  integral of rho |grad u|) with
+    rho = sum |theta_j|^2; both by collocation quadrature on a doubled grid.
+    The second times c_2 = sqrt(1/2) dominates the first for divergence-free u."""
+    nq = 2 * frame.grid.n
+    th = to_physical(pad_coeffs(frame.vectors, nq))
+    rho = np.sum(th**2, axis=(0, 1))
+    uq = pad_coeffs(u.coeffs, nq)
+    k1 = np.fft.fftfreq(nq, d=1.0 / nq)
+    kx, ky = np.meshgrid(k1, k1, indexing="ij")
+    dudx = to_physical(1j * kx * uq)
+    dudy = to_physical(1j * ky * uq)
+    grad_abs = np.sqrt(dudx[0] ** 2 + dudy[0] ** 2 + dudx[1] ** 2 + dudy[1] ** 2)
+    cell = (2 * np.pi / nq) ** 2
+    lhs = float(np.sum(th[:, 0] * (th[:, 0] * dudx[0] + th[:, 1] * dudy[0])
+                       + th[:, 1] * (th[:, 0] * dudx[1] + th[:, 1] * dudy[1]))) * cell
+    rhs = float(np.sum(rho * grad_abs)) * cell
+    return lhs, rhs
 
 
 # ----------------------------------------------------------------------------
@@ -152,7 +206,7 @@ def _velocity_step(cfg, g):
         return lambda c: rk4(f, c, cfg.dt)
 
     def nonlinear(c):
-        return (g - sp.bilinear_b(SpectralField(grid, VELOCITY, c),
+        return (g - bilinear_b(SpectralField(grid, VELOCITY, c),
                                   SpectralField(grid, VELOCITY, c))).coeffs
     return lambda c: if_rk4(nonlinear, c, cfg.dt, cfg.nu * grid.k2)
 
@@ -227,3 +281,27 @@ def evolve_frame(cfg, n, t_end, seed, reorth_every=10):
             traces.append(sum(sp.alpha_inner(linearized_apply_velocity(frame.field(j), u, cfg),
                                              frame.field(j), cfg.metric) for j in range(n)))
     return np.array(times), np.array(traces), logs / times[-1]
+
+
+# ----------------------------------------------------------------------------
+# snapshot writer
+
+
+def save_field_text(f, alpha=0.0):
+    """The text of a field snapshot, one Python-formatted row per coefficient."""
+    lines = [
+        fieldio.FIELD_MAGIC,
+        f"# resolution_n={f.grid.n} dealias_cutoff={f.grid.dealias_cutoff} "
+        f"role={f.role} alpha={alpha:.17g}",
+        "# columns: component k1 k2 re im",
+    ]
+    n = f.grid.n
+    coeffs = f.coeffs if f.role == VELOCITY else f.coeffs[None, ...]
+    half = n // 2
+    freq = [(i if i < n - half else i - n) for i in range(n)]
+    for comp in range(coeffs.shape[0]):
+        nonzero = np.argwhere(coeffs[comp] != 0)
+        for i, j in nonzero:
+            c = coeffs[comp, i, j]
+            lines.append(f"{comp} {freq[i]} {freq[j]} {c.real:.17g} {c.imag:.17g}")
+    return "\n".join(lines) + "\n"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nsvlab import cli
+from nsvlab import dynamics as dyn
 from nsvlab.errors import ConfigError
 
 
@@ -140,18 +141,39 @@ class TestExitCodes:
         assert manifest["complete"] is False
         assert not (tmp_path / "diagnostics.csv").exists()
 
+    def test_non_solenoidal_snapshot_is_2(self, tmp_path, capsys):
+        # u = (cos x1, 0) as a hand-written snapshot: div u = -sin x1
+        snap = tmp_path / "u.field"
+        snap.write_text("# nsvlab-field v1\n"
+                        "# resolution_n=16 dealias_cutoff=5 role=velocity alpha=0\n"
+                        "# columns: component k1 k2 re im\n0 1 0 0.5 0\n0 -1 0 0.5 0\n")
+        out = tmp_path / "out"
+        code = cli.main(["simulate", "--n", "16", "--dt", "0.01", "--t-end", "0.1",
+                         "--initial-kind", "file", "--initial-path", str(snap),
+                         "--output-dir", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert "not divergence-free" in capsys.readouterr().err
+        assert json.loads((out / "manifest.json").read_text())["complete"] is False
+
+    SHORT_SIMULATE = ["simulate", "--n", "16", "--nu", "1", "--alpha", "1",
+                      "--dt", "0.01", "--t-end", "0.1",
+                      "--forcing-kind", "shear", "--forcing-amplitude", "1.0",
+                      "--initial-kind", "shear", "--initial-amplitude", "1.0"]
+
     def test_simulate_ok_is_0(self, tmp_path):
-        code = cli.main(["simulate", "--n", "16", "--nu", "1", "--alpha", "1",
-                         "--dt", "0.01", "--t-end", "0.1",
-                         "--forcing-kind", "shear", "--forcing-amplitude", "1.0",
-                         "--initial-kind", "shear", "--initial-amplitude", "1.0",
-                         "--output-dir", str(tmp_path)])
+        code = cli.main(self.SHORT_SIMULATE + ["--output-dir", str(tmp_path)])
         assert code == cli.EXIT_OK
         assert (tmp_path / "diagnostics.csv").exists()
         assert (tmp_path / "final_state.field").exists()
         # t_end = 0.1 holds no sample past the 5/gamma burn-in: no time-average verdict
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert [c["name"] for c in manifest["summary"]["checks"]] == ["dissipative-envelope"]
+
+    def test_short_run_warning_names_the_burn_in(self, tmp_path):
+        # gamma = nu/(alpha+1) = 0.5: the burn-in ends at t = 10, the run at t = 0.1
+        with pytest.warns(dyn.InsufficientDurationWarning,
+                          match=re.escape("no sample at t >= 5/gamma = 10 (run ends at t = 0.1)")):
+            assert cli.main(self.SHORT_SIMULATE + ["--output-dir", str(tmp_path)]) == cli.EXIT_OK
 
 
 class TestDeterminism:

@@ -9,6 +9,7 @@ import pytest
 from nsvlab import dynamics as dyn
 from nsvlab import spectral as sp
 from nsvlab.errors import IntegrationDivergedError, InvalidParameterError
+from nsvlab.fieldio import save_field
 from nsvlab.spectral import VELOCITY, VORTICITY, AlphaMetric, SpectralGrid
 
 import oracles
@@ -59,6 +60,26 @@ class TestConfigs:
         with pytest.raises(InvalidParameterError):
             dyn.InitialSpec.from_field(other).build(GRID)
 
+    @pytest.mark.parametrize("rows, problem", [
+        # u = (cos x1, 0): real, but div u = -sin x1
+        ("0 1 0 0.5 0\n0 -1 0 0.5 0\n", "not divergence-free"),
+        # (e^{i x2}/2, 0) without its conjugate at k = (0, -1): divergence-free, not real
+        ("0 0 1 0.5 0\n", "not a real field"),
+    ], ids=["non-solenoidal", "one-sided"])
+    def test_initial_snapshot_must_be_real_and_solenoidal(self, tmp_path, rows, problem):
+        path = tmp_path / "u.field"
+        path.write_text("# nsvlab-field v1\n"
+                        "# resolution_n=32 dealias_cutoff=10 role=velocity alpha=0\n"
+                        "# columns: component k1 k2 re im\n" + rows)
+        with pytest.raises(InvalidParameterError, match=problem):
+            dyn.InitialSpec.from_file(path).build(GRID)
+
+    def test_initial_snapshot_round_trips(self, tmp_path):
+        u = sp.random_field(GRID, VELOCITY, seed=5)
+        save_field(u, tmp_path / "u.field")
+        built = dyn.InitialSpec.from_file(tmp_path / "u.field").build(GRID)
+        np.testing.assert_array_equal(built.coeffs, u.coeffs)
+
 
 class TestRhsVelocity:
     def test_single_mode_decay_rate(self):
@@ -80,7 +101,7 @@ class TestRhsVelocity:
                             forcing=dyn.ForcingSpec.shear(1.0))
         u = sp.random_field(GRID, VELOCITY, seed=1, decay=2.0)
         got = oracles.rhs_velocity(u, cfg)
-        expected = cfg.forcing.build(GRID) - sp.bilinear_b(u, u) - 0.3 * sp.stokes_apply(u, 2.0)
+        expected = cfg.forcing.build(GRID) - oracles.bilinear_b(u, u) - 0.3 * sp.stokes_apply(u, 2.0)
         np.testing.assert_allclose(got.coeffs, expected.coeffs, rtol=1e-13, atol=1e-18)
 
 

@@ -1,9 +1,12 @@
-"""The production stepper against the field-level oracles in tests/oracles.py.
+"""The production kernels against the oracles in tests/oracles.py.
 
-dynamics.integrate and lyapunov.evolve_tangent_frame step through one
-shared RK4 / integrating-factor RK4 function on coefficient arrays; the
-oracles step the SpectralField right-hand sides with plain RK4 loops.  The
-arithmetic order differs, so agreement is to round-off, not bitwise.
+The real-FFT transform pair and the vorticity-form advection kernel of
+nsvlab.spectral are checked against full complex np.fft transforms and the
+velocity-form B(u,v).  dynamics.integrate and lyapunov.evolve_tangent_frame
+step through one shared RK4 / integrating-factor RK4 function on
+coefficient arrays; the oracles step the SpectralField right-hand sides
+with plain RK4 loops on the velocity form.  The arithmetic differs, so
+agreement is to round-off, not bitwise.
 """
 
 import warnings
@@ -12,13 +15,16 @@ import numpy as np
 import pytest
 
 from nsvlab import dynamics as dyn
+from nsvlab import inequalities as ineq
 from nsvlab import lyapunov as lyp
-from nsvlab.spectral import SpectralGrid
+from nsvlab import spectral as sp
+from nsvlab.spectral import VELOCITY, SpectralGrid
 
 import oracles
 
 GRID = SpectralGrid(16)
 RTOL = 1e-12
+KERNEL_RTOL = 1e-13
 FORCING = dyn.ForcingSpec.from_modes([((0, 2), (-2.0j, 0.0)), ((1, 1), (0.4, -0.4))])
 
 
@@ -67,3 +73,61 @@ def test_tangent_frame_base_follows_integrate():
         series = lyp.evolve_tangent_frame(cfg, 2, 1.0, burn_in=0.0, seed=1)
         res = dyn.integrate(cfg)
     np.testing.assert_array_equal(series.base_final.coeffs, res.final.coeffs)
+
+
+@pytest.mark.parametrize("n,cutoff", [(8, 0), (16, 0), (24, 0), (32, 0), (48, 0), (64, 0),
+                                      (32, 7)])
+def test_kernel_matches_velocity_form_oracle(n, cutoff):
+    # at n = 24 and 48 the band edge |k_i| = n/3 also takes the aliases of the
+    # |k_i| = 2n/3 products; on a divergence-free u they agree in both forms
+    grid = SpectralGrid(n, cutoff)
+    u = sp.random_field(grid, VELOCITY, seed=n, decay=1.5)
+    thetas = [sp.random_field(grid, VELOCITY, seed=100 + j, decay=1.5) for j in range(3)]
+    ref = oracles.bilinear_b(u, u).coeffs
+    assert rel_err(sp.bilinear_coeffs(grid, u.coeffs), ref) <= KERNEL_RTOL
+    stack = sp.bilinear_coeffs(grid, u.coeffs, np.stack([th.coeffs for th in thetas]))
+    assert stack.shape == (4, 2, n, n)
+    assert rel_err(stack[0], ref) <= KERNEL_RTOL
+    for row, th in zip(stack[1:], thetas):
+        ref_th = (oracles.bilinear_b(th, u) + oracles.bilinear_b(u, th)).coeffs
+        assert rel_err(row, ref_th) <= KERNEL_RTOL
+
+
+@pytest.mark.parametrize("cutoff", [15, 16])
+def test_kernel_band_is_alias_free_when_3_cutoff_below_n(cutoff):
+    # against the exact product of the band, formed on a 96^2 grid where none
+    # of it aliases: at n = 48 a cutoff of 15 agrees over the whole band; the
+    # default n/3 = 16 differs on its edge rows |k_i| = 16 alone
+    n = 48
+    grid = SpectralGrid(n, cutoff)
+    u = sp.random_field(grid, VELOCITY, seed=3, decay=0.0)
+    fine = sp.SpectralField(SpectralGrid(2 * n, cutoff), VELOCITY, ineq.pad_coeffs(u.coeffs, 2 * n))
+    rows = np.fft.fftfreq(n, d=1.0 / n).astype(int) % (2 * n)
+    exact = oracles.bilinear_b(fine, fine).coeffs[:, rows][:, :, rows]
+    err = np.abs(sp.bilinear_coeffs(grid, u.coeffs) - exact) / np.max(np.abs(exact))
+    edge = (np.abs(grid.kx) == n // 3) | (np.abs(grid.ky) == n // 3)
+    assert np.max(err[:, ~edge]) <= KERNEL_RTOL
+    assert (np.max(err[:, edge]) > 1e-3) == (cutoff == n // 3)
+
+
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_transform_pair_matches_full_complex_ffts(n):
+    # white noise: undealiased, with content on the Nyquist row and column
+    values = np.random.default_rng(n).standard_normal((3, n, n))
+    full = oracles.from_physical(values)
+    assert np.max(np.abs(full[:, n // 2, :])) > 0 and np.max(np.abs(full[:, :, n // 2])) > 0
+    half = sp.from_physical(values)
+    assert half.shape == (3, n, n // 2 + 1)
+    assert rel_err(half, full[..., : n // 2 + 1]) <= KERNEL_RTOL
+    assert rel_err(sp.full_layout(half), full) <= KERNEL_RTOL
+    ref = oracles.to_physical(full)
+    assert rel_err(sp.to_physical(full), ref) <= KERNEL_RTOL      # full layout, sliced
+    assert rel_err(sp.to_physical(half), ref) <= KERNEL_RTOL
+    assert rel_err(ref, values) <= KERNEL_RTOL
+    # a dealiased field's columns past the band may be left out
+    grid = SpectralGrid(n)
+    cut = full * grid.dealias_mask
+    np.testing.assert_array_equal(sp.full_layout(cut[..., : grid.dealias_cutoff + 1]),
+                                  sp.full_layout(cut[..., : n // 2 + 1]))
+    assert rel_err(sp.to_physical(cut[..., : grid.dealias_cutoff + 1]), oracles.to_physical(cut)) \
+        <= KERNEL_RTOL

@@ -8,9 +8,22 @@ import pytest
 
 from nsvlab import fieldio, spectral as sp
 from nsvlab.errors import InvalidParameterError
-from nsvlab.spectral import VELOCITY, VORTICITY, SpectralGrid
+from nsvlab.spectral import VELOCITY, VORTICITY, SpectralField, SpectralGrid
+
+import oracles
 
 GRID = SpectralGrid(32)
+
+
+def holed_field():
+    # exact zeros inside the band, a lone imaginary-only and a real-only row
+    f = sp.random_field(GRID, VELOCITY, seed=2, decay=2.0)
+    c = f.coeffs.copy()
+    c[0, 1:4, 2] = 0.0
+    c[1, 5, :] = 0.0
+    c[0, 3, 3] = 1j * c[0, 3, 3].imag
+    c[1, 2, 7] = c[1, 2, 7].real
+    return SpectralField(GRID, VELOCITY, c)
 
 
 class TestSnapshots:
@@ -43,6 +56,17 @@ class TestSnapshots:
         # shear mode: exactly two stored coefficients, component 0
         assert len(lines) == 5
         assert all(row.split()[0] == "0" for row in lines[3:])
+
+    @pytest.mark.parametrize("make", [
+        lambda: sp.random_field(GRID, VELOCITY, seed=0, decay=2.0),
+        lambda: sp.random_field(GRID, VORTICITY, seed=1, decay=2.0),
+        holed_field,
+    ], ids=["velocity", "vorticity", "zeros-in-band"])
+    def test_writer_bytes_match_the_per_coefficient_writer(self, tmp_path, make):
+        f = make()
+        path = tmp_path / "f.field"
+        fieldio.save_field(f, path, alpha=0.3)
+        assert path.read_bytes() == oracles.save_field_text(f, alpha=0.3).encode()
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.field"

@@ -199,7 +199,7 @@ class TestTraces:
         for seed in range(5):
             u = sp.random_field(GRID, VELOCITY, seed=20 + seed, decay=2.0)
             frame = lyp.TangentFrame.random(GRID, 4, AlphaMetric(0.5), seed=30 + seed)
-            lhs, strain = lyp.advection_trace_terms(frame, u)
+            lhs, strain = oracles.advection_trace_terms(frame, u)
             assert abs(lhs) <= c2 * strain * (1 + 1e-9)
             # and the full trace obeys trace <= -nu sum ||grad theta||^2 + c2 * strain
             tr = lyp.trace_n(frame, u, cfg)
@@ -306,6 +306,39 @@ class TestNStarScan:
         scan = lyp.scan_n_star(cfg_for(), t_end=1.0, n_max=8)
         assert scan.n_star is None
         assert scan.series.n == 8 and scan.eventually_decreasing
+
+
+    def test_scan_spins_the_base_up_once(self, monkeypatch):
+        # the 1- and 2-frame runs report positive prefixes, so the scan doubles
+        # to n = 4; every run starts from one warmed-up base, bitwise the base
+        # a run with its own warmup reaches
+        cfg = cfg_for(forcing=dyn.ForcingSpec.shear(20.0),
+                      initial=dyn.InitialSpec.random(seed=5, amplitude=2.0))
+        kw = dict(warmup=0.2, burn_in=0.5, seed=3)
+        with pytest.warns(dyn.InsufficientDurationWarning):
+            expected = lyp.evolve_tangent_frame(cfg, 4, 1.0, **kw)
+        evolve, step = lyp.evolve_tangent_frame, lyp.rk4_step
+        runs, base_steps = [], []
+
+        def doubling(cfg, n, t_end, **kw):
+            series = evolve(cfg, n, t_end, **kw)
+            runs.append(n)
+            if n < 4:
+                series.q_hats = np.abs(series.q_hats)
+            return series
+
+        def counting(rhs, c, dt, factors=None):
+            base_steps.append(c.ndim == 3)
+            return step(rhs, c, dt, factors)
+
+        monkeypatch.setattr(lyp, "evolve_tangent_frame", doubling)
+        monkeypatch.setattr(lyp, "rk4_step", counting)
+        with pytest.warns(dyn.InsufficientDurationWarning):
+            scan = lyp.scan_n_star(cfg, t_end=1.0, n_max=4, **kw)
+        assert runs == [1, 2, 4]
+        assert sum(base_steps) == 20                      # warmup/dt, once
+        np.testing.assert_array_equal(scan.series.q_hats, expected.q_hats)
+        np.testing.assert_array_equal(scan.series.base_final.coeffs, expected.base_final.coeffs)
 
 
 class TestNestedPrefixes:

@@ -3,10 +3,12 @@
 
 Layers: the real-FFT transform pair (one velocity field at n = 64, and a
 16-vector family on the 128^2 quadrature grid that rho_profile uses), the
-dealiased nonlinear term B(u,u) at n = 64, one right-hand side and one RK4
-step at n = 64, and one tangent-frame step per vector at n = 32 with 8
-vectors.  The transform pair and B(u,u) are timed next to the full complex
-FFTs and the velocity-form B(u,v) of tests/oracles.py, which they replace.
+dealiased nonlinear term (the kernel's u.grad w on the band) at n = 64, one
+right-hand side and one RK4 step of the band streamfunction at n = 64, one
+tangent-frame step per vector at n = 32 with 8 vectors on the forced flow and
+with 4 vectors on the zero base, and alpha Gram-Schmidt of an 8-vector frame
+at n = 32.  The transform pair and the nonlinear term are timed next to the
+full complex FFTs and the velocity-form B(u,v) of tests/oracles.py.
 The machine, CPU count and numpy version are recorded with the timings.
 
 Example:
@@ -79,21 +81,32 @@ def layers():
     record("to_physical.family16.q128.complex_oracle",
            lambda: oracles.to_physical(family), inner=2)
 
-    record("bilinear.n64.vorticity_form", lambda: sp.bilinear_coeffs(grid, u.coeffs))
+    psi = sp.stream_of(grid, u.coeffs)
+    record("bilinear.n64.vorticity_form", lambda: sp.bilinear_coeffs(grid, psi))
     record("bilinear.n64.velocity_form_oracle", lambda: oracles.bilinear_b(u, u))
 
     cfg = forced_cfg(64)
-    rhs, factors = dyn.velocity_scheme(cfg, cfg.forcing.build(cfg.grid).coeffs)
-    c = cfg.initial.build(cfg.grid).coeffs
+    rhs, factors = dyn.stream_scheme(cfg, dyn.forcing_stream(cfg))
+    c = dyn.initial_state(cfg)[0]
     record("rhs.n64", lambda: rhs(c))
     record("rk4_step.n64", lambda: dyn.rk4_step(rhs, c, cfg.dt, factors), inner=3)
 
     cfg = forced_cfg(32)
-    rhs, factors = dyn.velocity_scheme(cfg, cfg.forcing.build(cfg.grid).coeffs)
+    rhs, factors = dyn.stream_scheme(cfg, dyn.forcing_stream(cfg))
     frame = lyp.TangentFrame.random(cfg.grid, 8, cfg.metric, seed=0)
-    state = np.concatenate([cfg.initial.build(cfg.grid).coeffs[None], frame.vectors])
+    state = np.concatenate([dyn.initial_state(cfg)[0][None], frame.vectors])
     record("tangent_step_per_vector.n32.m8",
            lambda: dyn.rk4_step(rhs, state, cfg.dt, factors), inner=3, per=8)
+    record("gram_schmidt.n32.m8",
+           lambda: lyp.alpha_gram_schmidt(frame.vectors, frame.weights), inner=3)
+
+    # the benchmark's zero-attractor frame: nu = alpha = 1, no forcing, dt = 0.1
+    cfg = dyn.SimConfig(nu=1.0, alpha=1.0, grid=cfg.grid, dt=0.1, t_end=0.0)
+    rhs, factors = dyn.stream_scheme(cfg, dyn.forcing_stream(cfg))
+    frame = lyp.TangentFrame.random(cfg.grid, 4, cfg.metric, seed=0)
+    state = np.concatenate([np.zeros((1,) + cfg.grid.band_shape, dtype=complex), frame.vectors])
+    record("tangent_step_per_vector.zero_base.n32.m4",
+           lambda: dyn.rk4_step(rhs, state, cfg.dt, factors), inner=100, per=4)
     return out
 
 

@@ -96,13 +96,6 @@ class ConstantsTable:
 CONSTANTS = ConstantsTable()
 
 
-def ceil_at(x: float, decimals: int) -> float:
-    """Round x upward at the given decimal place (summary convention for
-    upper-bound constants); tolerates float fuzz just below a grid point."""
-    f = 10.0**decimals
-    return math.ceil(x * f - 1e-9) / f
-
-
 #: (summary name, exact value, printed decimals) for the regression table.
 DECIMAL_SUMMARIES = (
     ("classical_calg", CONSTANTS.classical_calg_coeff, 3, 0.055),

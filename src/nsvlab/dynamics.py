@@ -2,11 +2,15 @@
 
     du/dt = -nu A (1+aA)^{-1} u - (1+aA)^{-1} B(u,u) + (1+aA)^{-1} g
 
-For alpha > 0 all Fourier multipliers are bounded by nu/alpha, so classical
-RK4 at fixed dt is adequate, and SimConfig refuses a dt past RK4's stability
-bound; for alpha = 0 the stiff viscous multiplier is handled exactly with an
-integrating-factor RK4.  rk4_step is the one stepper, shared with the tangent
-frames of `lyapunov`.
+stepped as its curl on the streamfunction psi_hat over the 2/3 band (see
+spectral): u = grad-perp psi stays solenoidal and band-limited by
+construction.  Initial data and forcing come in, and snapshots and the final
+state go out, as velocity fields; data with a coefficient off the band is
+refused.  For alpha > 0 all Fourier multipliers are bounded by nu/alpha, so
+classical RK4 at fixed dt is adequate, and SimConfig refuses a dt past RK4's
+stability bound; for alpha = 0 the stiff viscous multiplier is handled exactly
+with an integrating-factor RK4.  rk4_step is the one stepper, shared with the
+tangent frames of `lyapunov`.
 """
 
 from __future__ import annotations
@@ -83,7 +87,8 @@ class ForcingSpec:
 @dataclass(frozen=True)
 class InitialSpec:
     """Initial velocity: an analytic named case, a seeded random field, a
-    snapshot file, or an explicit field."""
+    snapshot file, or an explicit field; or psi_hat on the band handed on from
+    another run (kind "stream", read by initial_state alone)."""
 
     kind: str = "zero"
     amplitude: float = 0.0
@@ -92,6 +97,7 @@ class InitialSpec:
     decay: float = 3.0
     path: str = ""
     fld: SpectralField | None = None
+    psi: np.ndarray | None = None
 
     @classmethod
     def zero(cls) -> "InitialSpec":
@@ -112,6 +118,10 @@ class InitialSpec:
     @classmethod
     def from_field(cls, fld: SpectralField) -> "InitialSpec":
         return cls(kind="field", fld=fld)
+
+    @classmethod
+    def from_stream(cls, psi: np.ndarray) -> "InitialSpec":
+        return cls(kind="stream", psi=psi)
 
     def build(self, grid: SpectralGrid) -> SpectralField:
         if self.kind == "zero":
@@ -275,68 +285,99 @@ def rk4_step(rhs, c, dt, factors=None):
     return new, (c, s2, s3, s4)
 
 
-def velocity_scheme(cfg: SimConfig, g: np.ndarray):
-    """The velocity equation under cfg as (rhs, factors) for rk4_step.
+def stream_multipliers(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(L, 1/(|k|^2 (1+alpha|k|^2))) on the band: the linear multiplier
+    L = -nu|k|^2/(1+alpha|k|^2), and the factor that takes the curl terms
+    rot g - u.grad w to dpsi/dt (zero at k = 0)."""
+    k2 = cfg.grid.band_k2
+    smoothing = 1.0 + cfg.alpha * k2
+    inverse = np.divide(1.0, k2 * smoothing, out=np.zeros_like(k2), where=k2 > 0)
+    return -cfg.nu * k2 / smoothing, inverse
 
-    At alpha > 0 every multiplier is bounded by nu/alpha: rhs is the whole
-    right-hand side (1+aA)^{-1}(g - B(u,u) - nu A u) and factors is None
-    (classical RK4).  At alpha = 0 the viscous multiplier is stiff: rhs
-    leaves it out and factors carries it exactly (integrating-factor RK4).
 
-    rhs also steps a stack [u, theta_1, ..., theta_m]: the one kernel call
-    per stage gives the frame's terms B(theta,u) + B(u,theta) as well.
+def stream_scheme(cfg: SimConfig, psi_g: np.ndarray):
+    """The streamfunction equation under cfg as (rhs, factors) for rk4_step:
+
+        dpsi/dt = L psi + (rot g - u.grad w) / (|k|^2 (1+alpha|k|^2)),
+        L = -nu |k|^2/(1+alpha|k|^2),
+
+    the curl of the velocity equation, on the band.  psi_g is the forcing's
+    streamfunction, rot g / |k|^2.  At alpha > 0 every multiplier is bounded
+    by nu/alpha: rhs is the whole right-hand side and factors is None
+    (classical RK4).  At alpha = 0 the viscous multiplier is stiff: rhs leaves
+    it out and factors carries it exactly (integrating-factor RK4).
+
+    rhs also steps a stack [psi_u, psi_theta_1, ..., psi_theta_m]: the one
+    kernel call per stage gives the frame's linearized terms as well.
     """
     grid = cfg.grid
+    linear, inverse = stream_multipliers(cfg)
+    forcing = inverse * grid.band_k2 * psi_g
     if cfg.alpha == 0:
-        factors = (np.exp(-cfg.nu * grid.k2 * (cfg.dt / 2.0)), np.exp(-cfg.nu * grid.k2 * cfg.dt))
+        factors = (np.exp(-cfg.nu * grid.band_k2 * (cfg.dt / 2.0)),
+                   np.exp(-cfg.nu * grid.band_k2 * cfg.dt))
     else:
         factors = None
-        minus_damping = -(cfg.nu * grid.k2)
-        weights = cfg.metric.weights(grid)
 
     def rhs(c):
-        out = minus_damping * c if factors is None else np.zeros_like(c)
-        frame = c.ndim == 4
-        u, out_u = (c[0], out[0]) if frame else (c, out)
-        if u.any():
-            out -= sp.bilinear_coeffs(grid, u, c[1:] if frame else None)
-        out_u += g
-        if factors is None:
-            out /= weights
-        out[..., 0, 0] = 0.0
+        out = linear * c if factors is None else np.zeros_like(c)
+        frame = c.ndim == 3
+        base, out_base = (c[0], out[0]) if frame else (c, out)
+        if base.any():
+            out -= inverse * sp.bilinear_coeffs(grid, c)
+        out_base += forcing
         return out
 
     return rhs, factors
 
 
+def initial_state(cfg: SimConfig) -> tuple[np.ndarray, SpectralField | None]:
+    """cfg's initial data as psi_hat on the band, with the velocity it was built
+    from (None for a streamfunction handed on by from_stream)."""
+    if cfg.initial.kind == "stream":
+        return cfg.initial.psi.copy(), None
+    u0 = cfg.initial.build(cfg.grid)
+    return sp.stream_of(cfg.grid, u0.coeffs, "initial data"), u0
+
+
+def forcing_stream(cfg: SimConfig) -> np.ndarray:
+    """The forcing's streamfunction rot g / |k|^2 on the band."""
+    return sp.stream_of(cfg.grid, cfg.forcing.build(cfg.grid).coeffs, "forcing")
+
+
 def integrate(cfg: SimConfig, *, snapshot_every: int = 0,
               track_energy_budget: bool = False) -> SimResult:
-    """Advance the velocity field to t_end with fixed-step RK4
-    (integrating-factor RK4 at alpha = 0; see velocity_scheme).
+    """Advance the flow to t_end with fixed-step RK4 on its streamfunction
+    (integrating-factor RK4 at alpha = 0; see stream_scheme).
 
     Samples diagnostics every cfg.sample_every steps (t = 0 included).  With
     track_energy_budget the identity d/dt ||u||_a^2 + 2 nu ||grad u||^2
     - 2(g,u) = 0 is co-integrated with the same stage values and the final
-    defect is reported (a direct order check on the scheme).
+    defect is reported (a direct order check on the scheme).  Snapshots and
+    the final state are velocity fields; the t = 0 snapshot is the initial
+    velocity itself.
 
     Deterministic given cfg.  Raises IntegrationDivergedError on non-finite
     state, warns CflWarning when dt * max|u| * k_max > 1 at a sample point.
     """
     grid = cfg.grid
-    g = cfg.forcing.build(grid)
-    u0 = cfg.initial.build(grid)
-    metric = cfg.metric
+    psi_g = forcing_stream(cfg)
+    c, u0 = initial_state(cfg)
     nsteps = int(round(cfg.t_end / cfg.dt))
 
-    weights = metric.weights(grid)
-    g_norm = math.sqrt(sp.l2_norm_sq(g))
     k_max = grid.dealias_cutoff
-    rhs, factors = velocity_scheme(cfg, g.coeffs)
+    rhs, factors = stream_scheme(cfg, psi_g)
+    # Parseval on psi_hat: ||u||^2, ||grad u||^2 and ||u||_a^2 weigh |psi_hat|^2
+    # by |k|^2, |k|^4 and |k|^2 (1+alpha|k|^2) per mode
+    w_l2 = sp.TORUS_AREA * grid.band_count * grid.band_k2
+    w_ens = w_l2 * grid.band_k2
+    w_alpha = sp.TORUS_AREA * cfg.metric.band_weights(grid)
+    g_norm = math.sqrt(float(np.sum(w_l2 * np.abs(psi_g) ** 2)))
 
     def budget_rate(c):
         # 2 nu ||grad u||^2 - 2 (g, u), the dissipation-minus-input rate
-        ens = sp.TORUS_AREA * float(np.sum(grid.k2 * (c * np.conj(c)).real))
-        inp = sp.TORUS_AREA * float(np.sum((g.coeffs * np.conj(c)).real))
+        ens = float(np.sum(w_ens * (c * np.conj(c)).real))
+        inp = float(np.sum(w_l2 * (psi_g * np.conj(c)).real))
         return 2.0 * cfg.nu * ens - 2.0 * inp
 
     times, e_l2, ens, e_al, grad_l1 = [], [], [], [], []
@@ -349,23 +390,24 @@ def integrate(cfg: SimConfig, *, snapshot_every: int = 0,
         if not np.all(np.isfinite(c)):
             raise IntegrationDivergedError(step=step, t=t)
         times.append(t)
-        e_l2.append(sp.TORUS_AREA * float(np.sum(np.abs(c) ** 2)))
-        ens.append(sp.TORUS_AREA * float(np.sum(grid.k2 * np.abs(c) ** 2)))
-        e_al.append(sp.TORUS_AREA * float(np.sum(weights * np.abs(c) ** 2)))
+        sq = np.abs(c) ** 2
+        e_l2.append(float(np.sum(w_l2 * sq)))
+        ens.append(float(np.sum(w_ens * sq)))
+        e_al.append(float(np.sum(w_alpha * sq)))
         grad_l1.append(math.sqrt(ens[-1]))
         if not cfl_warned:
-            umax = float(np.max(np.abs(sp.to_physical(c))))
+            umax = float(np.max(np.abs(sp.to_physical(sp.half_of(grid, grid.band_uw[:2] * c)))))
             if cfg.dt * umax * k_max > 1.0:
                 warnings.warn(
                     f"dt*max|u|*k_max = {cfg.dt * umax * k_max:.3g} > 1 at t={t:.4g}",
                     CflWarning, stacklevel=2)
                 cfl_warned = True
         if snapshot_every and step % snapshot_every == 0:
-            snapshots.append((t, SpectralField(grid, VELOCITY, c.copy())))
+            u = u0.coeffs.copy() if step == 0 and u0 is not None else sp.velocity_of(grid, c)
+            snapshots.append((t, SpectralField(grid, VELOCITY, u)))
 
-    c = u0.coeffs.copy()
     budget = 0.0
-    e_alpha_start = sp.TORUS_AREA * float(np.sum(weights * np.abs(c) ** 2))
+    e_alpha_start = float(np.sum(w_alpha * np.abs(c) ** 2))
     sample(0, c)
 
     for step in range(1, nsteps + 1):
@@ -376,7 +418,7 @@ def integrate(cfg: SimConfig, *, snapshot_every: int = 0,
         if step % cfg.sample_every == 0 or step == nsteps:
             sample(step, c)
 
-    e_alpha_end = sp.TORUS_AREA * float(np.sum(weights * np.abs(c) ** 2))
+    e_alpha_end = float(np.sum(w_alpha * np.abs(c) ** 2))
     residual = (e_alpha_end - e_alpha_start + budget) if track_energy_budget else None
 
     ens_arr = np.asarray(ens)
@@ -392,7 +434,7 @@ def integrate(cfg: SimConfig, *, snapshot_every: int = 0,
         g_norm=g_norm,
         gamma=cfg.gamma,
     )
-    return SimResult(cfg=cfg, final=SpectralField(grid, VELOCITY, c),
+    return SimResult(cfg=cfg, final=SpectralField(grid, VELOCITY, sp.velocity_of(grid, c)),
                      diagnostics=diag, snapshots=snapshots,
                      energy_residual=residual, steps=nsteps)
 

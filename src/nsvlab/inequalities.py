@@ -20,7 +20,7 @@ from . import spectral as sp
 from .bounds import CONSTANTS
 from .errors import DegenerateFrameError, InvalidParameterError
 from .lattice import sum_inverse_below, sum_inverse_square_above, LatticeSpectrum
-from .lyapunov import TangentFrame, alpha_gram_schmidt, gram_deviation
+from .lyapunov import alpha_gram_schmidt, gram_deviation
 from .spectral import TORUS_AREA, VELOCITY, VORTICITY, AlphaMetric, SpectralField, SpectralGrid
 
 ALPHA_ORTHONORMAL = "alpha-orthonormal"
@@ -72,8 +72,9 @@ class SuborthonormalFamily:
     def grad_norm_sq_sum(self) -> float:
         return TORUS_AREA * float(np.sum(self.grid.k2 * np.abs(self.vectors) ** 2))
 
-    def frame(self) -> TangentFrame:
-        return TangentFrame(self.grid, self.role, self.metric, self.vectors)
+    def alpha_deviation(self) -> float:
+        """Largest deviation of the alpha Gram matrix from the identity."""
+        return gram_deviation(self.vectors, self.metric.weights(self.grid))
 
 
 def sample_suborthonormal(
@@ -105,11 +106,10 @@ def sample_suborthonormal(
         ])
         if kind == ALPHA_ORTHONORMAL:
             try:
-                frame, _ = alpha_gram_schmidt(TangentFrame(grid, role, metric, vecs))
+                vecs, _ = alpha_gram_schmidt(vecs, metric.weights(grid))
             except DegenerateFrameError as err:
                 last_error = err
                 continue
-            vecs = frame.vectors
         elif kind == GRAM_SCALED:
             v = vecs.reshape(n, -1)
             gram = TORUS_AREA * np.real(v @ np.conj(v).T)
@@ -229,7 +229,7 @@ def verify_rho_l2(fam: SuborthonormalFamily, near_saturation: float = 0.95) -> I
     and is checked here on the torus empirically."""
     if fam.metric.alpha <= 0:
         raise InvalidParameterError("the L2 density bound needs alpha > 0")
-    dev = gram_deviation(fam.frame())
+    dev = fam.alpha_deviation()
     if dev > 1e-8:
         raise InvalidParameterError(
             f"family is not alpha-orthonormal (Gram deviation {dev:.3g})")
@@ -249,7 +249,7 @@ def _linf_sides(fam: SuborthonormalFamily) -> tuple[float, float, list]:
     """(sup-norm lhs, gradient-sum, refinement warnings) for one family."""
     if fam.role != VORTICITY:
         raise InvalidParameterError("the sup-norm bound is checked on scalar families")
-    dev = gram_deviation(fam.frame())
+    dev = fam.alpha_deviation()
     if dev > 1e-8:
         raise InvalidParameterError(
             f"family is not alpha-orthonormal (Gram deviation {dev:.3g})")

@@ -64,28 +64,6 @@ class LatticeSpectrum:
         return np.searchsorted(self.eigenvalues, np.asarray(e), side="right")
 
 
-def lattice_count(e: float) -> int:
-    """Exact N(E) by direct enumeration of 0 < |k|^2 <= E."""
-    if e < 0:
-        raise InvalidParameterError(f"E must be >= 0, got {e}")
-    return int(_enumerate_sq_norms(e).size)
-
-
-def lattice_count_radial(e: float) -> int:
-    """Independent N(E): walk rings |k1| = r and count admissible k2 per ring."""
-    if e < 1:
-        return 0
-    total = 0
-    kmax = int(math.isqrt(int(e)))
-    for k1 in range(-kmax, kmax + 1):
-        budget = e - k1 * k1
-        if budget < 0:
-            continue
-        k2max = int(math.isqrt(int(budget)))
-        total += 2 * k2max + 1
-    return total - 1  # drop the origin
-
-
 # ----------------------------------------------------------------------------
 # verification reports
 

@@ -21,14 +21,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import spectral as sp
-from .dynamics import (InitialSpec, InsufficientDurationWarning, SimConfig, rk4_step,
-                       velocity_scheme)
+from .dynamics import (InitialSpec, InsufficientDurationWarning, SimConfig, forcing_stream,
+                       initial_state, rk4_step, stream_multipliers, stream_scheme)
 from .errors import (
     DegenerateFrameError,
     GridMismatchError,
     IntegrationDivergedError,
     InvalidParameterError,
-    RoleMismatchError,
     StaleFrameError,
 )
 from .spectral import TORUS_AREA, VELOCITY, AlphaMetric, SpectralField, SpectralGrid
@@ -36,94 +35,92 @@ from .spectral import TORUS_AREA, VELOCITY, AlphaMetric, SpectralField, Spectral
 
 @dataclass
 class TangentFrame:
-    """n spectral fields stacked along the leading axis, with their metric."""
+    """n solenoidal fields as streamfunctions on the band, stacked along the
+    leading axis, with their metric."""
 
     grid: SpectralGrid
-    role: str
     metric: AlphaMetric
-    vectors: np.ndarray  # (n, 2, N, N) velocity or (n, N, N) vorticity
+    vectors: np.ndarray  # (n, 2K+1, K+1) psi_hat
 
     @property
     def n(self) -> int:
         return self.vectors.shape[0]
 
+    @property
+    def weights(self) -> np.ndarray:
+        return self.metric.band_weights(self.grid)
+
     @classmethod
     def random(cls, grid: SpectralGrid, n: int, metric: AlphaMetric, seed: int,
-               role: str = VELOCITY, decay: float = 3.0) -> "TangentFrame":
+               decay: float = 3.0) -> "TangentFrame":
         rng = np.random.default_rng(seed)
         vecs = np.stack([
-            sp.random_field(grid, role, seed=0, decay=decay, rng=rng).coeffs
+            sp.stream_of(grid, sp.random_field(grid, VELOCITY, seed=0, decay=decay, rng=rng).coeffs)
             for _ in range(n)
         ])
-        frame = cls(grid=grid, role=role, metric=metric, vectors=vecs)
-        return alpha_gram_schmidt(frame)[0]
+        return cls(grid, metric, alpha_gram_schmidt(vecs, metric.band_weights(grid))[0])
 
     @classmethod
     def from_fields(cls, fields, metric: AlphaMetric) -> "TangentFrame":
-        first = fields[0]
-        for f in fields[1:]:
-            if f.grid != first.grid or f.role != first.role:
-                raise GridMismatchError("frame fields must share grid and role")
-        vecs = np.stack([f.coeffs for f in fields])
-        return cls(grid=first.grid, role=first.role, metric=metric, vectors=vecs)
+        """The frame of velocity fields on one grid (each within the band)."""
+        grid = fields[0].grid
+        if any(f.grid != grid or f.role != VELOCITY for f in fields):
+            raise GridMismatchError("frame fields must be velocity fields on one grid")
+        return cls(grid, metric, np.stack([sp.stream_of(grid, f.coeffs) for f in fields]))
 
     def field(self, j: int) -> SpectralField:
-        return SpectralField(self.grid, self.role, self.vectors[j].copy())
+        return SpectralField(self.grid, VELOCITY, sp.velocity_of(self.grid, self.vectors[j]))
 
 
 def _weighted_inner(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
     return TORUS_AREA * float(np.sum(w * (a * np.conj(b)).real))
 
 
-def frame_gram(frame: TangentFrame) -> np.ndarray:
-    """Gram matrix of the frame in the alpha inner product."""
-    w = frame.metric.weights(frame.grid)
-    v = frame.vectors.reshape(frame.n, -1)
-    wf = np.broadcast_to(w, frame.grid.coeff_shape(frame.role)).reshape(-1)
-    return TORUS_AREA * (v * wf) @ np.conj(v).T
+def gram_deviation(vectors: np.ndarray, weights: np.ndarray) -> float:
+    """Largest deviation from the identity of the Gram matrix of stacked vectors
+    in the inner product TORUS_AREA sum w a conj(b)."""
+    v = vectors.reshape(len(vectors), -1)
+    w = np.broadcast_to(weights, vectors.shape[1:]).reshape(-1)
+    gram = TORUS_AREA * (v * w) @ np.conj(v).T
+    return float(np.max(np.abs(np.real(gram) - np.eye(len(vectors)))))
 
 
-def alpha_gram_schmidt(frame: TangentFrame, tol: float = 1e-12):
-    """Modified Gram-Schmidt in the alpha inner product.
+def alpha_gram_schmidt(vectors: np.ndarray, weights: np.ndarray, tol: float = 1e-12):
+    """Modified Gram-Schmidt of stacked vectors in the inner product
+    TORUS_AREA sum w a conj(b): a TangentFrame's psi_hat with its band weights,
+    or a velocity or scalar family with the alpha weights 1 + alpha|k|^2.
 
-    Returns the orthonormalized frame and the diagonal normalization factors
-    (the per-vector alpha-norm of the residual, the log of which accumulates
+    Returns the orthonormalized vectors and the diagonal normalization factors
+    (the per-vector norm of the residual, the log of which accumulates
     Lyapunov exponents).  Raises DegenerateFrameError naming the first vector
     that falls into the span of its predecessors.
     """
-    w = frame.metric.weights(frame.grid)
-    v = frame.vectors.copy()
+    v = vectors.copy()
     n = v.shape[0]
     factors = np.empty(n)
     for j in range(n):
-        original = math.sqrt(max(_weighted_inner(v[j], v[j], w), 0.0))
+        original = math.sqrt(max(_weighted_inner(v[j], v[j], weights), 0.0))
         for i in range(j):
-            proj = _weighted_inner(v[j], v[i], w)
+            proj = _weighted_inner(v[j], v[i], weights)
             v[j] -= proj * v[i]
-        r = math.sqrt(max(_weighted_inner(v[j], v[j], w), 0.0))
+        r = math.sqrt(max(_weighted_inner(v[j], v[j], weights), 0.0))
         if r <= tol * max(original, tol):
             raise DegenerateFrameError(index=j)
         v[j] /= r
         factors[j] = r
-    return TangentFrame(frame.grid, frame.role, frame.metric, v), factors
-
-
-def gram_deviation(frame: TangentFrame) -> float:
-    g = frame_gram(frame)
-    return float(np.max(np.abs(np.real(g) - np.eye(frame.n))))
+    return v, factors
 
 
 # ----------------------------------------------------------------------------
 # linearized operator
 
-def _linearized_batch(grid: SpectralGrid, thetas: np.ndarray, base: np.ndarray,
-                      nu: float, weights: np.ndarray) -> np.ndarray:
-    """L_u theta_j = -(1+aA)^{-1}[nu A theta_j + B(theta_j,u) + B(u,theta_j)]
-    for a stacked velocity frame."""
-    out = -(nu * grid.k2) * thetas
-    if base.any():
-        out -= sp.bilinear_coeffs(grid, base, thetas)[1:]
-    out /= weights
+def _linearized_batch(cfg: SimConfig, state: np.ndarray) -> np.ndarray:
+    """L_u theta_j = -nu|k|^2/(1+a|k|^2) theta_j - (u.grad w_theta_j
+    + theta_j.grad w_u)/(|k|^2 (1+a|k|^2)) for a stack [psi_u, psi_theta_1, ...]."""
+    linear, inverse = stream_multipliers(cfg)
+    out = linear * state[1:]
+    if state[0].any():
+        out -= inverse * sp.bilinear_coeffs(cfg.grid, state)[1:]
     return out
 
 
@@ -132,22 +129,19 @@ def _linearized_batch(grid: SpectralGrid, thetas: np.ndarray, base: np.ndarray,
 
 def trace_n(frame: TangentFrame, base: SpectralField, cfg: SimConfig,
             gram_tol: float = 1e-6) -> float:
-    """Sum of (L theta_j, theta_j)_alpha over the frame.
+    """Sum of (L theta_j, theta_j)_alpha over the frame, linearized about the
+    velocity field base.
 
     The frame must be freshly orthonormalized; if its Gram matrix has drifted
     beyond gram_tol a StaleFrameError is raised.
     """
-    dev = gram_deviation(frame)
+    w = frame.weights
+    dev = gram_deviation(frame.vectors, w)
     if dev > gram_tol:
         raise StaleFrameError(f"frame Gram deviation {dev:.3g} exceeds {gram_tol:g}; "
                               "re-orthonormalize before taking traces")
-    if frame.role != base.role:
-        raise StaleFrameError(f"frame role {frame.role} does not match base {base.role}")
-    if frame.role != VELOCITY and base.coeffs.any():
-        raise RoleMismatchError("the linearized operator acts on velocity frames "
-                                "(a scalar frame is supported on the zero base only)")
-    w = frame.metric.weights(frame.grid)
-    lv = _linearized_batch(frame.grid, frame.vectors, base.coeffs, cfg.nu, w)
+    state = np.concatenate([sp.stream_of(frame.grid, base.coeffs, "base")[None], frame.vectors])
+    lv = _linearized_batch(cfg, state)
     return float(sum(_weighted_inner(lv[j], frame.vectors[j], w) for j in range(frame.n)))
 
 
@@ -155,14 +149,19 @@ def trace_n(frame: TangentFrame, base: SpectralField, cfg: SimConfig,
 # frame evolution
 
 def spin_up(cfg: SimConfig, warmup: float) -> np.ndarray:
-    """cfg's initial velocity advanced warmup/dt steps alone (a copy at warmup 0)."""
-    c = cfg.initial.build(cfg.grid).coeffs.copy()
-    rhs, factors = velocity_scheme(cfg, cfg.forcing.build(cfg.grid).coeffs)
-    for _ in range(int(round(warmup / cfg.dt))):
+    """cfg's initial psi_hat advanced warmup/dt steps alone (a copy at warmup 0).
+
+    The state is checked every cfg.sample_every steps and at the end; the
+    first non-finite check raises IntegrationDivergedError with its step."""
+    c = initial_state(cfg)[0]
+    rhs, factors = stream_scheme(cfg, forcing_stream(cfg))
+    nsteps = int(round(warmup / cfg.dt))
+    for step in range(1, nsteps + 1):
         c, _ = rk4_step(rhs, c, cfg.dt, factors)
-    if warmup > 0 and not np.all(np.isfinite(c)):
-        raise IntegrationDivergedError(step=-1, t=warmup,
-                                       message="base flow diverged during warmup")
+        if (step % cfg.sample_every == 0 or step == nsteps) and not np.all(np.isfinite(c)):
+            raise IntegrationDivergedError(
+                step=step, t=step * cfg.dt,
+                message=f"base flow diverged during warmup at step {step} (t={step * cfg.dt:.6g})")
     return c
 
 
@@ -176,7 +175,8 @@ class TraceSeries:
     before).  q_hats[m - 1] is the same mean over the first m vectors, which
     evolve exactly as an m-frame does; q_hat is q_hat(n).  exponents are
     per-vector Lyapunov estimates from the log normalization factors over the
-    same window.
+    same window.  With no event at t >= burn_in the verdict is withheld:
+    q_hats and exponents are NaN and window is None.
     """
 
     n: int
@@ -187,7 +187,7 @@ class TraceSeries:
     exponents: np.ndarray
     q_hats: np.ndarray
     burn_in: float
-    window: tuple
+    window: tuple | None
     base_final: SpectralField
 
     @property
@@ -210,9 +210,9 @@ class TraceSeries:
     def summary(self) -> dict:
         return {
             "n": self.n,
-            "q_hat": self.q_hat,
+            "q_hat": None if self.window is None else self.q_hat,
             "n_star": None,
-            "window": [self.window[0], self.window[1]],
+            "window": None if self.window is None else [self.window[0], self.window[1]],
         }
 
 
@@ -229,13 +229,13 @@ def evolve_tangent_frame(
 ) -> TraceSeries:
     """Co-evolve base flow and an n-vector tangent frame, sampling traces.
 
-    Base and frame advance as one stacked state through dynamics.rk4_step, so
-    the frame takes the base flow's stages and scheme (integrating-factor RK4
-    at alpha = 0); every reorth_every steps it is re-orthonormalized (alpha
-    Gram-Schmidt), the log factors are accumulated, and the instantaneous
-    trace is sampled.  If orthonormalization fails right after a previous
-    pass, the frame is genuinely degenerate and the failure propagates with
-    diagnostics.
+    Base and frame advance as one stacked state [psi_u, psi_theta_1, ...]
+    through dynamics.rk4_step, so the frame takes the base flow's stages and
+    scheme (integrating-factor RK4 at alpha = 0); every reorth_every steps it
+    is re-orthonormalized (alpha Gram-Schmidt), the log factors are
+    accumulated, and the instantaneous trace is sampled.  If
+    orthonormalization fails right after a previous pass, the frame is
+    genuinely degenerate and the failure propagates with diagnostics.
 
     warmup advances the base flow alone before the frame is attached (to
     start near the attractor).  Deterministic given (cfg, seed).
@@ -245,8 +245,6 @@ def evolve_tangent_frame(
         raise InvalidParameterError(f"frame size must be >= 1, got {n}")
     if t_end < cfg.dt:
         raise InvalidParameterError(f"t_end={t_end:g} is shorter than one step dt={cfg.dt:g}")
-    g = cfg.forcing.build(grid).coeffs
-    weights = cfg.metric.weights(grid)
     dt = cfg.dt
     gamma = cfg.gamma
     if burn_in is None:
@@ -257,8 +255,9 @@ def evolve_tangent_frame(
             InsufficientDurationWarning, stacklevel=2)
 
     frame = TangentFrame.random(grid, n, cfg.metric, seed=seed, decay=frame_decay)
-    state = np.concatenate([spin_up(cfg, warmup)[None], frame.vectors])   # [u, theta_1, ...]
-    rhs, factors = velocity_scheme(cfg, g)
+    weights = frame.weights
+    state = np.concatenate([spin_up(cfg, warmup)[None], frame.vectors])
+    rhs, factors = stream_scheme(cfg, forcing_stream(cfg))
 
     nsteps = int(round(t_end / dt))
     times, diag = [], []
@@ -273,10 +272,8 @@ def evolve_tangent_frame(
             t = step * dt
             if not np.all(np.isfinite(state)):
                 raise IntegrationDivergedError(step=step, t=t)
-            frame, norms = alpha_gram_schmidt(
-                TangentFrame(grid, VELOCITY, cfg.metric, state[1:]))
-            state[1:] = frame.vectors
-            lv = _linearized_batch(grid, state[1:], state[0], cfg.nu, weights)
+            state[1:], norms = alpha_gram_schmidt(state[1:], weights)
+            lv = _linearized_batch(cfg, state)
             times.append(t)
             diag.append([_weighted_inner(lv[j], state[1 + j], weights) for j in range(n)])
             log_factors.append(np.log(norms))
@@ -294,25 +291,25 @@ def evolve_tangent_frame(
     traces = prefix[:, -1].copy()
     trace_avg = np.full_like(traces, np.nan)
     sel = times >= burn_in
+    q_hats, exponents = np.full(n, np.nan), np.full(n, np.nan)
+    window = None
     if np.any(sel):
         means = np.cumsum(prefix[sel], axis=0) / np.arange(1, np.count_nonzero(sel) + 1)[:, None]
         trace_avg[sel] = means[:, -1]
         q_hats = means[-1]
         window = (float(times[sel][0]), float(times[-1]))
+        # exponents: growth intervals fully inside the window
+        exp_sel = prev_ts >= burn_in
+        if not np.any(exp_sel):
+            exp_sel = np.ones_like(sel)
+        exponents = logs[exp_sel].sum(axis=0) / (times[exp_sel][-1] - prev_ts[exp_sel][0])
     else:
-        q_hats = np.array([np.mean(prefix[:, m].copy()) for m in range(n)])
-        window = (float(times[0]), float(times[-1]))
+        warnings.warn(
+            f"no re-orthonormalization at t >= burn_in = {burn_in:.3g} (run ends at "
+            f"t = {times[-1]:.3g}); q_hat and exponents withheld",
+            InsufficientDurationWarning, stacklevel=2)
 
-    # exponents: growth intervals fully inside the window
-    exp_sel = prev_ts >= burn_in
-    if np.any(exp_sel):
-        duration = times[exp_sel][-1] - prev_ts[exp_sel][0]
-        exponents = logs[exp_sel].sum(axis=0) / duration
-    else:
-        duration = times[-1] - prev_ts[0]
-        exponents = logs.sum(axis=0) / duration
-
-    base_final = SpectralField(grid, VELOCITY, state[0].copy())
+    base_final = SpectralField(grid, VELOCITY, sp.velocity_of(grid, state[0]))
     return TraceSeries(n=n, times=times, diag=diag, trace_inst=traces, trace_avg=trace_avg,
                        exponents=exponents, q_hats=q_hats, burn_in=burn_in, window=window,
                        base_final=base_final)
@@ -320,7 +317,7 @@ def evolve_tangent_frame(
 
 @dataclass
 class NStarScan:
-    q_hats: dict                 # m -> q_hat(m), every prefix of the final run
+    q_hats: dict                 # m -> q_hat(m), every prefix of the final run (None if withheld)
     n_star: int | None
     eventually_decreasing: bool
     series: TraceSeries          # the final run
@@ -338,23 +335,24 @@ def scan_n_star(cfg: SimConfig, t_end: float, n_max: int = 64, **kwargs) -> NSta
 
     One n-frame run gives every q_hat(m), m <= n, as a prefix (the QR method
     of Benettin et al. 1980), so the scan runs n = 1, 2, 4, ... <= n_max and
-    stops at the first run with a negative prefix; n* is that prefix's m.
+    stops at the first run with a negative prefix; n* is that prefix's m.  A
+    run whose verdict is withheld (no event past its burn-in) ends the scan
+    with no n*.
     """
     if n_max < 1:
         raise InvalidParameterError(f"n_max must be >= 1, got {n_max}")
     warmup = kwargs.pop("warmup", 0.0)
     if warmup > 0:
         # every run starts from the same spun-up base: compute it once
-        base = SpectralField(cfg.grid, VELOCITY, spin_up(cfg, warmup))
-        cfg = replace(cfg, initial=InitialSpec.from_field(base))
+        cfg = replace(cfg, initial=InitialSpec.from_stream(spin_up(cfg, warmup)))
     n = 1
     while True:
         series = evolve_tangent_frame(cfg, n, t_end, **kwargs)
         negative = np.flatnonzero(series.q_hats < 0)
-        if negative.size or 2 * n > n_max:
+        if negative.size or 2 * n > n_max or np.isnan(series.q_hats).all():
             break
         n *= 2
-    q_hats = {m: float(q) for m, q in enumerate(series.q_hats, start=1)}
+    q_hats = {m: None if math.isnan(q) else float(q) for m, q in enumerate(series.q_hats, start=1)}
     return NStarScan(q_hats=q_hats,
                      n_star=int(negative[0]) + 1 if negative.size else None,
                      eventually_decreasing=bool(np.all(np.diff(series.q_hats[-3:]) < 0)),

@@ -6,7 +6,12 @@ eigenvalue is lambda_1 = 1 and all Laplacian eigenvalues are integers |k|^2.
 L2 norms carry the domain area |T^2| = 4 pi^2 (Parseval).
 
 Velocity fields are stored as (2, n, n) complex arrays, scalar vorticity as
-(n, n).  All operators are pure functions; nothing here holds mutable state.
+(n, n).  A time-stepped state is a solenoidal field held as its streamfunction
+psi_hat on the 2/3 band's half spectrum, an array (..., 2K+1, K+1) with
+K = dealias_cutoff (rows k1 = 0..K, -K..-1; columns k2 = 0..K): u = grad-perp
+psi = (d_y psi, -d_x psi) and w = rot u = -Lap psi.  stream_of and velocity_of
+map between the two.  All operators are pure functions; nothing here holds
+mutable state.
 """
 
 from __future__ import annotations
@@ -57,15 +62,23 @@ class SpectralGrid:
         object.__setattr__(self, "k2", k2)
         object.__setattr__(self, "k2_safe", k2_safe)
         object.__setattr__(self, "dealias_mask", mask)
-        # the advection kernel's multipliers on the band's k2 >= 0 columns: i k,
-        # and Biot-Savart i (k2, -k1)/|k|^2 back to velocity, zero off the band
-        ik = np.stack([1j * kx, 1j * ky])[..., : cutoff + 1]
-        object.__setattr__(self, "ik_band", ik)
-        bs = np.stack([ik[1], -ik[0]]) * (mask / k2_safe)[:, : cutoff + 1]
-        object.__setattr__(self, "biot_savart_band", bs)
+        # the band's half spectrum, rows k1 = 0..K, -K..-1 and columns k2 = 0..K:
+        # where a real solenoidal field keeps its streamfunction psi_hat
+        rows = np.r_[0:cutoff + 1, self.n - cutoff:self.n]
+        bkx, bky, bk2 = (a[rows, : cutoff + 1] for a in (kx, ky, k2))
+        object.__setattr__(self, "band_k2", bk2)
+        # a k2 > 0 column stands for itself and its conjugate at -k
+        object.__setattr__(self, "band_count", np.where(bky > 0, 2.0, 1.0))
+        # u = grad-perp psi = (d_y psi, -d_x psi) and grad w = grad(-Lap psi)
+        object.__setattr__(self, "band_uw", np.stack(
+            [1j * bky, -1j * bkx, 1j * bkx * bk2, 1j * bky * bk2]))
 
     def coeff_shape(self, role: str) -> tuple:
         return (2, self.n, self.n) if role == VELOCITY else (self.n, self.n)
+
+    @property
+    def band_shape(self) -> tuple:
+        return self.band_k2.shape
 
 
 @dataclass(frozen=True)
@@ -80,6 +93,10 @@ class AlphaMetric:
 
     def weights(self, grid: SpectralGrid) -> np.ndarray:
         return 1.0 + self.alpha * grid.k2
+
+    def band_weights(self, grid: SpectralGrid) -> np.ndarray:
+        """The weights on psi_hat over the band: |k|^2 (1 + alpha |k|^2) per mode."""
+        return grid.band_count * grid.band_k2 * (1.0 + self.alpha * grid.band_k2)
 
 
 @dataclass
@@ -143,10 +160,13 @@ def to_physical(coeffs: np.ndarray) -> np.ndarray:
     return np.fft.irfft2(coeffs[..., : n // 2 + 1], s=(n, n), axes=(-2, -1)) * (n * n)
 
 
-def from_physical(values: np.ndarray) -> np.ndarray:
-    """Half spectrum (..., n, n//2+1) of a real (..., n, n) batch; see full_layout."""
+def from_physical(values: np.ndarray, cols: int | None = None) -> np.ndarray:
+    """Half spectrum (..., n, n//2+1) of a real (..., n, n) batch, or its first
+    cols columns k2 = 0..cols-1 (the column transforms past them are skipped);
+    see full_layout."""
     n = values.shape[-1]
-    return np.fft.rfft2(values, axes=(-2, -1)) / (n * n)
+    half = np.fft.rfft(values, axis=-1)[..., :cols]
+    return np.fft.fft(half, axis=-2) / (n * n)
 
 
 def full_layout(half: np.ndarray) -> np.ndarray:
@@ -162,36 +182,10 @@ def full_layout(half: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
-# inner products and norms
-
-def l2_inner(u: SpectralField, v: SpectralField) -> float:
-    _check_compatible(u, v)
-    return TORUS_AREA * float(np.sum(u.coeffs * np.conj(v.coeffs)).real)
-
+# norms
 
 def l2_norm_sq(u: SpectralField) -> float:
     return TORUS_AREA * float(np.sum(np.abs(u.coeffs) ** 2))
-
-
-def l2_norm(u: SpectralField) -> float:
-    return np.sqrt(l2_norm_sq(u))
-
-
-def grad_norm_sq(u: SpectralField) -> float:
-    """||grad u||^2 = |T^2| sum_k |k|^2 |u_hat|^2 (enstrophy for velocity)."""
-    return TORUS_AREA * float(np.sum(u.grid.k2 * np.abs(u.coeffs) ** 2))
-
-
-def alpha_inner(u: SpectralField, v: SpectralField, metric: AlphaMetric) -> float:
-    """Parseval evaluation of (u,v) + alpha (grad u, grad v)."""
-    _check_compatible(u, v)
-    w = metric.weights(u.grid)
-    return TORUS_AREA * float(np.sum(w * (u.coeffs * np.conj(v.coeffs)).real))
-
-
-def alpha_norm_sq(u: SpectralField, metric: AlphaMetric) -> float:
-    w = metric.weights(u.grid)
-    return TORUS_AREA * float(np.sum(w * np.abs(u.coeffs) ** 2))
 
 
 # ----------------------------------------------------------------------------
@@ -223,48 +217,55 @@ def grid_divergence(grid: SpectralGrid, c: np.ndarray) -> np.ndarray:
     return 1j * (grid.kx * c[..., 0, :, :] + grid.ky * c[..., 1, :, :])
 
 
-def stokes_apply(u: SpectralField, s: float) -> SpectralField:
-    """Apply A^{s/2}, i.e. the Fourier multiplier |k|^s (zero mode stays zero)."""
-    grid = u.grid
-    if s == 0:
-        return u.copy()
-    mult = grid.k2_safe ** (s / 2.0)
-    out = u.coeffs * mult
-    out[..., 0, 0] = 0.0
-    return SpectralField(grid, u.role, out)
+def band_of(grid: SpectralGrid, half: np.ndarray) -> np.ndarray:
+    """The band (..., 2K+1, K+1) of a half spectrum or full layout (..., n, >= K+1)."""
+    k = grid.dealias_cutoff
+    return np.concatenate([half[..., : k + 1, : k + 1], half[..., grid.n - k:, : k + 1]], axis=-2)
 
 
-def helmholtz_solve(f: SpectralField, metric: AlphaMetric) -> SpectralField:
-    """Invert (1 + alpha A): per-mode division by (1 + alpha |k|^2)."""
-    out = f.coeffs / metric.weights(f.grid)
-    return SpectralField(f.grid, f.role, out)
+def half_of(grid: SpectralGrid, band: np.ndarray) -> np.ndarray:
+    """The band's k2 >= 0 columns (..., n, K+1), zero on the rows off the band."""
+    k = grid.dealias_cutoff
+    half = np.zeros(band.shape[:-2] + (grid.n, k + 1), dtype=complex)
+    half[..., : k + 1, :] = band[..., : k + 1, :]
+    half[..., grid.n - k:, :] = band[..., k + 1:, :]
+    return half
 
 
-def bilinear_coeffs(grid: SpectralGrid, u: np.ndarray,
-                    thetas: np.ndarray | None = None) -> np.ndarray:
-    """Dealiased B(u,u) = P((u.grad) u) of a divergence-free u, from the vorticity
-    form: curl B(u,u) = u.grad w (w = rot u) in 2D, cut to the 2/3 band and
-    mapped back by Biot-Savart.  The band is alias-free when 3 * cutoff < n; at
-    cutoff = n/3 its edge rows also take the aliases of the 2n/3 products, the
-    same ones the velocity form takes (to round-off).  With thetas (m, 2, n, n)
-    the result is the stack [B(u,u), B(theta_j,u) + B(u,theta_j)], the latter
-    from u.grad w_theta + theta.grad w_u.  One inverse real transform of
+def stream_of(grid: SpectralGrid, u: np.ndarray, what: str = "field") -> np.ndarray:
+    """psi_hat on the band of a velocity (..., 2, n, n): psi = rot u / |k|^2, which
+    drops any gradient part.  A u with a nonzero coefficient off the band is
+    refused, since the band is all a state holds."""
+    outside = float(np.max(np.abs(u[..., ~grid.dealias_mask]), initial=0.0))
+    if outside > 0:
+        raise InvalidParameterError(
+            f"{what} has coefficients outside the 2/3 band |k_i| <= {grid.dealias_cutoff} "
+            f"(largest {outside:.3g})")
+    b = band_of(grid, u)
+    rot = -(grid.band_uw[0] * b[..., 0, :, :] + grid.band_uw[1] * b[..., 1, :, :])
+    return np.divide(rot, grid.band_k2, out=np.zeros_like(rot), where=grid.band_k2 > 0)
+
+
+def velocity_of(grid: SpectralGrid, psi: np.ndarray) -> np.ndarray:
+    """The full-layout velocity (..., 2, n, n) of psi_hat on the band: u = grad-perp psi."""
+    return full_layout(half_of(grid, grid.band_uw[:2] * psi[..., None, :, :]))
+
+
+def bilinear_coeffs(grid: SpectralGrid, psi: np.ndarray) -> np.ndarray:
+    """u.grad w on the band for u = grad-perp psi and w = rot u = -Lap psi: the
+    curl of the dealiased B(u,u) = P((u.grad) u) in 2D.  The band is alias-free
+    when 3 * cutoff < n; at cutoff = n/3 its edge rows also take the aliases
+    of the 2n/3 products, the same ones the velocity form takes (to round-off).
+    A frame stack psi = [psi_u, psi_theta_1, ...] gives the rows [u.grad w_u,
+    u.grad w_theta_j + theta_j.grad w_u], the curls of B(u,u) and of
+    B(theta_j,u) + B(u,theta_j).  One inverse real transform of
     (u_x, u_y, d_x w, d_y w) per field, one forward of the products."""
-    cols = grid.dealias_cutoff + 1
-    band = grid.dealias_mask[:, :cols]
-    rows = 1 if thetas is None else 1 + len(thetas)
-    fields = np.empty((rows, 4) + band.shape, dtype=complex)
-    np.multiply(u[..., :cols], band, out=fields[0, :2])
-    if thetas is not None:
-        np.multiply(thetas[..., :cols], band, out=fields[1:, :2])
-    w = grid.ik_band[0] * fields[:, 1] - grid.ik_band[1] * fields[:, 0]
-    np.multiply(grid.ik_band, w[:, None], out=fields[:, 2:])
-    phys = to_physical(fields)
+    stack = psi.reshape((-1,) + grid.band_shape)
+    phys = to_physical(half_of(grid, grid.band_uw * stack[:, None]))
     base = phys[0]
     adv = base[0] * phys[:, 2] + base[1] * phys[:, 3]
     adv[1:] += phys[1:, 0] * base[2] + phys[1:, 1] * base[3]
-    out = full_layout(grid.biot_savart_band * from_physical(adv)[:, None, :, :cols])
-    return out[0] if thetas is None else out
+    return band_of(grid, from_physical(adv, grid.dealias_cutoff + 1)).reshape(psi.shape)
 
 
 def velocity_from_vorticity(w: SpectralField) -> SpectralField:

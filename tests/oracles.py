@@ -1,6 +1,9 @@
 """Reference implementations that exist only to cross-check nsvlab's kernels.
 
-The velocity-form advection term B(u,v) on full complex FFTs (np.fft
+Field-level Parseval inner products and norms and the Stokes and Helmholtz
+multipliers on the velocity layout, two direct lattice counts N(E), the
+upward decimal rounding of the printed constants, the velocity-form
+advection term B(u,v) on full complex FFTs (np.fft
 directly, no nsvlab transform), field-level right-hand sides and
 linearizations of the velocity and vorticity forms, a quadrature of the two
 terms of the trace bound, plain steppers over them (classical RK4, Lawson
@@ -12,14 +15,102 @@ Velocity form:   du/dt = -nu A (1+aA)^{-1} u - (1+aA)^{-1} B(u,u) + (1+aA)^{-1} 
 Vorticity form:  dw/dt = -(1-aD)^{-1} (u.grad w) + nu D (1-aD)^{-1} w + (1-aD)^{-1} rot g
 """
 
+import math
+
 import numpy as np
 
 from nsvlab import fieldio
 from nsvlab import lyapunov as lyp
 from nsvlab import spectral as sp
-from nsvlab.errors import GridMismatchError
+from nsvlab.errors import GridMismatchError, InvalidParameterError, RoleMismatchError
 from nsvlab.inequalities import pad_coeffs
-from nsvlab.spectral import VELOCITY, VORTICITY, SpectralField
+from nsvlab.spectral import TORUS_AREA, VELOCITY, VORTICITY, SpectralField
+
+# ----------------------------------------------------------------------------
+# inner products, norms and multipliers on SpectralFields
+
+
+def _check_compatible(u, v):
+    if u.grid != v.grid:
+        raise GridMismatchError(f"grids differ: n={u.grid.n} vs n={v.grid.n}")
+    if u.role != v.role:
+        raise RoleMismatchError(f"roles differ: {u.role} vs {v.role}")
+
+
+def l2_inner(u, v):
+    _check_compatible(u, v)
+    return TORUS_AREA * float(np.sum(u.coeffs * np.conj(v.coeffs)).real)
+
+
+def l2_norm(u):
+    return math.sqrt(sp.l2_norm_sq(u))
+
+
+def grad_norm_sq(u):
+    """||grad u||^2 = |T^2| sum_k |k|^2 |u_hat|^2 (enstrophy for velocity)."""
+    return TORUS_AREA * float(np.sum(u.grid.k2 * np.abs(u.coeffs) ** 2))
+
+
+def alpha_inner(u, v, metric):
+    """Parseval evaluation of (u,v) + alpha (grad u, grad v)."""
+    _check_compatible(u, v)
+    w = metric.weights(u.grid)
+    return TORUS_AREA * float(np.sum(w * (u.coeffs * np.conj(v.coeffs)).real))
+
+
+def alpha_norm_sq(u, metric):
+    w = metric.weights(u.grid)
+    return TORUS_AREA * float(np.sum(w * np.abs(u.coeffs) ** 2))
+
+
+def stokes_apply(u, s):
+    """Apply A^{s/2}, i.e. the Fourier multiplier |k|^s (zero mode stays zero)."""
+    grid = u.grid
+    if s == 0:
+        return u.copy()
+    out = u.coeffs * grid.k2_safe ** (s / 2.0)
+    out[..., 0, 0] = 0.0
+    return SpectralField(grid, u.role, out)
+
+
+def helmholtz_solve(f, metric):
+    """Invert (1 + alpha A): per-mode division by (1 + alpha |k|^2)."""
+    return SpectralField(f.grid, f.role, f.coeffs / metric.weights(f.grid))
+
+
+# ----------------------------------------------------------------------------
+# lattice counts and decimal rounding
+
+
+def lattice_count(e):
+    """Exact N(E) by direct enumeration of 0 < |k|^2 <= E."""
+    if e < 0:
+        raise InvalidParameterError(f"E must be >= 0, got {e}")
+    r = np.arange(-math.isqrt(int(e)), math.isqrt(int(e)) + 1)
+    s = r[:, None] ** 2 + r[None, :] ** 2
+    return int(np.count_nonzero((s > 0) & (s <= e)))
+
+
+def lattice_count_radial(e):
+    """Independent N(E): walk rings |k1| = r and count admissible k2 per ring."""
+    if e < 1:
+        return 0
+    total = 0
+    kmax = int(math.isqrt(int(e)))
+    for k1 in range(-kmax, kmax + 1):
+        budget = e - k1 * k1
+        if budget < 0:
+            continue
+        total += 2 * int(math.isqrt(int(budget))) + 1
+    return total - 1  # drop the origin
+
+
+def ceil_at(x, decimals):
+    """Round x upward at the given decimal place (summary convention for
+    upper-bound constants); tolerates float fuzz just below a grid point."""
+    f = 10.0**decimals
+    return math.ceil(x * f - 1e-9) / f
+
 
 # ----------------------------------------------------------------------------
 # full complex transforms and the velocity-form advection terms
@@ -83,8 +174,8 @@ def rhs_velocity(u, cfg, g=None):
     """-nu A(1+aA)^{-1} u - (1+aA)^{-1} B(u,u) + (1+aA)^{-1} g."""
     if g is None:
         g = cfg.forcing.build(u.grid)
-    total = g - bilinear_b(u, u) - cfg.nu * sp.stokes_apply(u, 2.0)
-    return sp.helmholtz_solve(total, cfg.metric)
+    total = g - bilinear_b(u, u) - cfg.nu * stokes_apply(u, 2.0)
+    return helmholtz_solve(total, cfg.metric)
 
 
 def rhs_vorticity(w, cfg, rot_g=None):
@@ -93,8 +184,8 @@ def rhs_vorticity(w, cfg, rot_g=None):
     if rot_g is None:
         rot_g = sp.vorticity_of(cfg.forcing.build(w.grid))
     u = sp.velocity_from_vorticity(w)
-    total = rot_g - advect_scalar(u, w) - cfg.nu * sp.stokes_apply(w, 2.0)
-    return sp.helmholtz_solve(total, cfg.metric)
+    total = rot_g - advect_scalar(u, w) - cfg.nu * stokes_apply(w, 2.0)
+    return helmholtz_solve(total, cfg.metric)
 
 
 # ----------------------------------------------------------------------------
@@ -105,9 +196,9 @@ def linearized_apply_velocity(theta, u, cfg):
     """L_u theta = -nu A(1+aA)^{-1} theta - (1+aA)^{-1}[B(theta,u) + B(u,theta)]."""
     sp.require_role(theta, VELOCITY, "linearized_apply_velocity")
     sp.require_role(u, VELOCITY, "linearized_apply_velocity")
-    total = (-cfg.nu) * sp.stokes_apply(theta, 2.0) \
+    total = (-cfg.nu) * stokes_apply(theta, 2.0) \
         - bilinear_b(theta, u) - bilinear_b(u, theta)
-    return sp.helmholtz_solve(total, cfg.metric)
+    return helmholtz_solve(total, cfg.metric)
 
 
 def linearized_apply_vorticity(phi, omega, cfg):
@@ -117,15 +208,15 @@ def linearized_apply_vorticity(phi, omega, cfg):
     sp.require_role(omega, VORTICITY, "linearized_apply_vorticity")
     u = sp.velocity_from_vorticity(omega)
     v_phi = sp.velocity_from_vorticity(phi)
-    total = (-cfg.nu) * sp.stokes_apply(phi, 2.0) \
+    total = (-cfg.nu) * stokes_apply(phi, 2.0) \
         - advect_scalar(u, phi) - advect_scalar(v_phi, omega)
-    return sp.helmholtz_solve(total, cfg.metric)
+    return helmholtz_solve(total, cfg.metric)
 
 
-def trace_vorticity(frame, omega, cfg):
-    """sum_j (L_w phi_j, phi_j)_alpha over a scalar frame."""
-    return sum(sp.alpha_inner(linearized_apply_vorticity(frame.field(j), omega, cfg),
-                              frame.field(j), frame.metric) for j in range(frame.n))
+def trace_vorticity(phis, omega, cfg):
+    """sum_j (L_w phi_j, phi_j)_alpha over scalar fields phi_j."""
+    return sum(alpha_inner(linearized_apply_vorticity(phi, omega, cfg), phi, cfg.metric)
+               for phi in phis)
 
 
 def trace_velocity_reduced(frame, u, cfg):
@@ -135,19 +226,18 @@ def trace_velocity_reduced(frame, u, cfg):
     total = 0.0
     for j in range(frame.n):
         theta = frame.field(j)
-        total -= cfg.nu * sp.grad_norm_sq(theta)
-        total -= sp.l2_inner(bilinear_b(theta, u), theta)
+        total -= cfg.nu * grad_norm_sq(theta)
+        total -= l2_inner(bilinear_b(theta, u), theta)
     return total
 
 
-def trace_vorticity_reduced(frame, omega, cfg):
+def trace_vorticity_reduced(phis, omega, cfg):
     """Scalar-form counterpart: -nu sum ||grad phi_j||^2 - sum (v_j.grad w, phi_j)
     with v_j the stream-velocity of phi_j (the u.grad phi term is skew)."""
     total = 0.0
-    for j in range(frame.n):
-        phi = frame.field(j)
-        total -= cfg.nu * sp.grad_norm_sq(phi)
-        total -= sp.l2_inner(advect_scalar(sp.velocity_from_vorticity(phi), omega), phi)
+    for phi in phis:
+        total -= cfg.nu * grad_norm_sq(phi)
+        total -= l2_inner(advect_scalar(sp.velocity_from_vorticity(phi), omega), phi)
     return total
 
 
@@ -156,7 +246,7 @@ def advection_trace_terms(frame, u):
     rho = sum |theta_j|^2; both by collocation quadrature on a doubled grid.
     The second times c_2 = sqrt(1/2) dominates the first for divergence-free u."""
     nq = 2 * frame.grid.n
-    th = to_physical(pad_coeffs(frame.vectors, nq))
+    th = to_physical(pad_coeffs(np.stack([frame.field(j).coeffs for j in range(frame.n)]), nq))
     rho = np.sum(th**2, axis=(0, 1))
     uq = pad_coeffs(u.coeffs, nq)
     k1 = np.fft.fftfreq(nq, d=1.0 / nq)
@@ -224,8 +314,8 @@ def integrate_velocity(cfg):
             c = step_fn(c)
         if step % cfg.sample_every == 0 or step == nsteps:
             u = SpectralField(grid, VELOCITY, c)
-            rows.append((step * cfg.dt, sp.l2_norm_sq(u), sp.grad_norm_sq(u),
-                         sp.alpha_norm_sq(u, cfg.metric)))
+            rows.append((step * cfg.dt, sp.l2_norm_sq(u), grad_norm_sq(u),
+                         alpha_norm_sq(u, cfg.metric)))
     t, e_l2, ens, e_al = (np.array(col) for col in zip(*rows))
     counts = np.arange(1, t.size + 1)
     columns = {"t": t, "energy_l2": e_l2, "enstrophy": ens, "energy_alpha": e_al,
@@ -266,20 +356,19 @@ def evolve_frame(cfg, n, t_end, seed, reorth_every=10):
         return np.stack(out)
 
     frame = lyp.TangentFrame.random(grid, n, cfg.metric, seed=seed)
-    y = np.concatenate([cfg.initial.build(grid).coeffs[None], frame.vectors])
+    y = np.stack([cfg.initial.build(grid).coeffs] + [frame.field(j).coeffs for j in range(n)])
+    weights = cfg.metric.weights(grid)
     times, traces, logs = [], [], np.zeros(n)
     nsteps = int(round(t_end / cfg.dt))
     for step in range(1, nsteps + 1):
         y = rk4(f, y, cfg.dt)
         if step % reorth_every == 0 or step == nsteps:
-            frame, norms = lyp.alpha_gram_schmidt(lyp.TangentFrame.from_fields(
-                [field(th) for th in y[1:]], cfg.metric))
-            y[1:] = frame.vectors
+            y[1:], norms = lyp.alpha_gram_schmidt(y[1:], weights)
             logs += np.log(norms)
             u = field(y[0])
             times.append(step * cfg.dt)
-            traces.append(sum(sp.alpha_inner(linearized_apply_velocity(frame.field(j), u, cfg),
-                                             frame.field(j), cfg.metric) for j in range(n)))
+            traces.append(sum(alpha_inner(linearized_apply_velocity(field(th), u, cfg),
+                                          field(th), cfg.metric) for th in y[1:]))
     return np.array(times), np.array(traces), logs / times[-1]
 
 

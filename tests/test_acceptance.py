@@ -20,6 +20,8 @@ from nsvlab import lyapunov as lyp
 from nsvlab import spectral as sp
 from nsvlab.spectral import VELOCITY, VORTICITY, AlphaMetric, SpectralGrid
 
+import oracles
+
 
 def report(criterion: str, passed: bool, detail: str = ""):
     tag = "PASS" if passed else "FAIL"
@@ -39,7 +41,7 @@ def test_c1_constants_regression():
     """
     failures = []
     for name, exact, decimals, printed in B.DECIMAL_SUMMARIES:
-        summary = B.ceil_at(exact, decimals)
+        summary = oracles.ceil_at(exact, decimals)
         if abs(summary - printed) > 0.005:
             failures.append(f"{name}: exact {exact:.6f} -> summary {summary} != {printed}")
     ok = report("criterion 1 (constants regression)", not failures,

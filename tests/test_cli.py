@@ -8,7 +8,11 @@ import pytest
 
 from nsvlab import cli
 from nsvlab import dynamics as dyn
+from nsvlab import spectral as sp
 from nsvlab.errors import ConfigError
+from nsvlab.fieldio import load_field
+
+import oracles
 
 
 class TestParseConfig:
@@ -155,6 +159,37 @@ class TestExitCodes:
         assert "not divergence-free" in capsys.readouterr().err
         assert json.loads((out / "manifest.json").read_text())["complete"] is False
 
+    @pytest.mark.parametrize("block", ["forcing", "initial"])
+    def test_off_band_data_is_2_with_manifest(self, tmp_path, capsys, block):
+        # n = 16 keeps |k_i| <= 5: a wavenumber-6 shear lies outside the band
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {block: {"kind": "shear", "amplitude": 1.0, "wavenumber": 6}}))
+        out = tmp_path / "out"
+        code = cli.main(["simulate", "--config", str(config), "--n", "16", "--dt", "0.01",
+                         "--t-end", "0.1", "--output-dir", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert "outside the 2/3 band |k_i| <= 5" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["complete"] is False
+        assert not (out / "diagnostics.csv").exists()
+
+    def test_file_started_run_writes_its_input_at_t0(self, tmp_path):
+        # a velocity -> psi -> velocity round trip is not bitwise, so the t = 0
+        # snapshot of a file-started run must be the field it read
+        common = ["simulate", "--n", "16", "--alpha", "0.5", "--dt", "0.01",
+                  "--forcing-kind", "shear", "--forcing-amplitude", "2.0"]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert cli.main(common + ["--t-end", "0.2", "--snapshot-every", "10",
+                                  "--initial-kind", "random", "--output-dir", str(first)]) == 0
+        start = first / "snapshot_t0.1.field"
+        assert cli.main(common + ["--t-end", "0.1", "--snapshot-every", "5", "--initial-kind",
+                                  "file", "--initial-path", str(start),
+                                  "--output-dir", str(second)]) == 0
+        assert (second / "snapshot_t0.field").read_bytes() == start.read_bytes()
+        u = load_field(start)
+        assert not np.array_equal(sp.velocity_of(u.grid, sp.stream_of(u.grid, u.coeffs)), u.coeffs)
+
     SHORT_SIMULATE = ["simulate", "--n", "16", "--nu", "1", "--alpha", "1",
                       "--dt", "0.01", "--t-end", "0.1",
                       "--forcing-kind", "shear", "--forcing-amplitude", "1.0",
@@ -287,7 +322,7 @@ class TestWitnessPersistence:
         assert len(loaded) == 3
         assert {meta["alpha"] for _, meta in loaded} == {worst_alpha}
         metric = sp.AlphaMetric(worst_alpha)
-        gram = [[sp.alpha_inner(u, v, metric) for v, _ in loaded] for u, _ in loaded]
+        gram = [[oracles.alpha_inner(u, v, metric) for v, _ in loaded] for u, _ in loaded]
         np.testing.assert_allclose(gram, np.eye(3), atol=1e-8)
 
 

@@ -1,11 +1,11 @@
 """The production kernels against the oracles in tests/oracles.py.
 
-The real-FFT transform pair and the vorticity-form advection kernel of
+The real-FFT transform pair and the streamfunction advection kernel of
 nsvlab.spectral are checked against full complex np.fft transforms and the
 velocity-form B(u,v).  dynamics.integrate and lyapunov.evolve_tangent_frame
-step through one shared RK4 / integrating-factor RK4 function on
-coefficient arrays; the oracles step the SpectralField right-hand sides
-with plain RK4 loops on the velocity form.  The arithmetic differs, so
+step the band streamfunction through one shared RK4 / integrating-factor
+RK4 function; the oracles step the SpectralField right-hand sides with
+plain RK4 loops on the velocity layout.  The arithmetic differs, so
 agreement is to round-off, not bitwise.
 """
 
@@ -30,6 +30,11 @@ FORCING = dyn.ForcingSpec.from_modes([((0, 2), (-2.0j, 0.0)), ((1, 1), (0.4, -0.
 
 def rel_err(got, ref):
     return float(np.max(np.abs(got - ref))) / float(np.max(np.abs(ref)))
+
+
+def biot_savart(grid, curl):
+    """The velocity with the given curl on the band: B from the kernel's u.grad w."""
+    return sp.velocity_of(grid, curl / np.where(grid.band_k2 > 0, grid.band_k2, 1.0))
 
 
 def forced_cfg(alpha, t_end, **kw):
@@ -83,14 +88,16 @@ def test_kernel_matches_velocity_form_oracle(n, cutoff):
     grid = SpectralGrid(n, cutoff)
     u = sp.random_field(grid, VELOCITY, seed=n, decay=1.5)
     thetas = [sp.random_field(grid, VELOCITY, seed=100 + j, decay=1.5) for j in range(3)]
+    psi = sp.stream_of(grid, u.coeffs)
     ref = oracles.bilinear_b(u, u).coeffs
-    assert rel_err(sp.bilinear_coeffs(grid, u.coeffs), ref) <= KERNEL_RTOL
-    stack = sp.bilinear_coeffs(grid, u.coeffs, np.stack([th.coeffs for th in thetas]))
-    assert stack.shape == (4, 2, n, n)
-    assert rel_err(stack[0], ref) <= KERNEL_RTOL
+    assert rel_err(biot_savart(grid, sp.bilinear_coeffs(grid, psi)), ref) <= KERNEL_RTOL
+    stack = sp.bilinear_coeffs(grid, np.stack([psi] + [sp.stream_of(grid, th.coeffs)
+                                                       for th in thetas]))
+    assert stack.shape == (4,) + grid.band_shape
+    assert rel_err(biot_savart(grid, stack[0]), ref) <= KERNEL_RTOL
     for row, th in zip(stack[1:], thetas):
         ref_th = (oracles.bilinear_b(th, u) + oracles.bilinear_b(u, th)).coeffs
-        assert rel_err(row, ref_th) <= KERNEL_RTOL
+        assert rel_err(biot_savart(grid, row), ref_th) <= KERNEL_RTOL
 
 
 @pytest.mark.parametrize("cutoff", [15, 16])
@@ -104,7 +111,8 @@ def test_kernel_band_is_alias_free_when_3_cutoff_below_n(cutoff):
     fine = sp.SpectralField(SpectralGrid(2 * n, cutoff), VELOCITY, ineq.pad_coeffs(u.coeffs, 2 * n))
     rows = np.fft.fftfreq(n, d=1.0 / n).astype(int) % (2 * n)
     exact = oracles.bilinear_b(fine, fine).coeffs[:, rows][:, :, rows]
-    err = np.abs(sp.bilinear_coeffs(grid, u.coeffs) - exact) / np.max(np.abs(exact))
+    got = biot_savart(grid, sp.bilinear_coeffs(grid, sp.stream_of(grid, u.coeffs)))
+    err = np.abs(got - exact) / np.max(np.abs(exact))
     edge = (np.abs(grid.kx) == n // 3) | (np.abs(grid.ky) == n // 3)
     assert np.max(err[:, ~edge]) <= KERNEL_RTOL
     assert (np.max(err[:, edge]) > 1e-3) == (cutoff == n // 3)

@@ -8,7 +8,7 @@ import pytest
 from nsvlab import dynamics as dyn
 from nsvlab import lyapunov as lyp
 from nsvlab import spectral as sp
-from nsvlab.errors import DegenerateFrameError, RoleMismatchError, StaleFrameError
+from nsvlab.errors import DegenerateFrameError, IntegrationDivergedError, StaleFrameError
 from nsvlab.spectral import VELOCITY, VORTICITY, AlphaMetric, SpectralGrid
 
 import oracles
@@ -36,26 +36,26 @@ def ground_modes(grid, metric):
 class TestGramSchmidt:
     def test_orthonormal_frame_unchanged(self):
         frame = lyp.TangentFrame.random(GRID, 4, AlphaMetric(0.5), seed=0)
-        again, factors = lyp.alpha_gram_schmidt(frame)
-        np.testing.assert_allclose(again.vectors, frame.vectors, atol=1e-12)
+        again, factors = lyp.alpha_gram_schmidt(frame.vectors, frame.weights)
+        np.testing.assert_allclose(again, frame.vectors, atol=1e-12)
         np.testing.assert_allclose(factors, 1.0, atol=1e-12)
 
     def test_gram_identity_after_orthonormalization(self):
         frame = lyp.TangentFrame.random(GRID, 6, AlphaMetric(1.0), seed=1)
-        assert lyp.gram_deviation(frame) < 1e-10
+        assert lyp.gram_deviation(frame.vectors, frame.weights) < 1e-10
 
     def test_parallel_vectors_rejected(self):
         u = sp.random_field(GRID, VELOCITY, seed=2)
         frame = lyp.TangentFrame.from_fields([u, 2.0 * u], AlphaMetric(1.0))
         with pytest.raises(DegenerateFrameError) as exc:
-            lyp.alpha_gram_schmidt(frame)
+            lyp.alpha_gram_schmidt(frame.vectors, frame.weights)
         assert exc.value.index == 1
 
     def test_eigenmode_normalization_factor(self):
         # alpha-norm of amplitude-1 single mode: sqrt((1+alpha |k|^2) ||e||^2)
         alpha = 0.7
         frame = ground_modes(GRID, AlphaMetric(alpha))
-        _, factors = lyp.alpha_gram_schmidt(frame)
+        _, factors = lyp.alpha_gram_schmidt(frame.vectors, frame.weights)
         expected = math.sqrt((1 + alpha) * 2 * math.pi**2)  # ||sin x2||^2 = 2 pi^2
         np.testing.assert_allclose(factors, expected, rtol=1e-12)
 
@@ -67,14 +67,14 @@ class TestGramSchmidt:
         mixed = [fields[0], fields[0] + 0.1 * fields[1],
                  fields[2] + fields[1], fields[3] + 0.5 * fields[0]]
         frame = lyp.TangentFrame.from_fields(mixed, metric)
-        ortho, _ = lyp.alpha_gram_schmidt(frame)
-        w = metric.weights(GRID)
-        for old in mixed:
-            residual = old.coeffs.copy()
-            for i in range(ortho.n):
-                proj = sp.TORUS_AREA * np.sum(w * (residual * np.conj(ortho.vectors[i])).real)
-                residual -= proj * ortho.vectors[i]
-            norm_old = math.sqrt(sp.TORUS_AREA * np.sum(w * np.abs(old.coeffs) ** 2))
+        ortho, _ = lyp.alpha_gram_schmidt(frame.vectors, frame.weights)
+        w = frame.weights
+        for old in frame.vectors:
+            residual = old.copy()
+            for v in ortho:
+                proj = sp.TORUS_AREA * np.sum(w * (residual * np.conj(v)).real)
+                residual -= proj * v
+            norm_old = math.sqrt(sp.TORUS_AREA * np.sum(w * np.abs(old) ** 2))
             norm_res = math.sqrt(sp.TORUS_AREA * np.sum(w * np.abs(residual) ** 2))
             assert norm_res <= 1e-8 * norm_old
 
@@ -148,8 +148,9 @@ class TestLinearizedOperators:
 class TestTraces:
     def test_eigenmode_frame_trace(self):
         # n=4 ground modes, nu=1, alpha=1: -sum nu lam/(1+alpha lam) = -2
-        metric = AlphaMetric(1.0)
-        frame, _ = lyp.alpha_gram_schmidt(ground_modes(GRID, metric))
+        modes = ground_modes(GRID, AlphaMetric(1.0))
+        frame = lyp.TangentFrame(GRID, modes.metric,
+                                 lyp.alpha_gram_schmidt(modes.vectors, modes.weights)[0])
         tr = lyp.trace_n(frame, sp.zero_field(GRID, VELOCITY), cfg_for())
         assert tr == pytest.approx(-2.0, abs=1e-12)
 
@@ -158,15 +159,6 @@ class TestTraces:
         frame.vectors[0] *= 1.5  # break normalization
         with pytest.raises(StaleFrameError):
             lyp.trace_n(frame, sp.zero_field(GRID, VELOCITY), cfg_for())
-
-    def test_vorticity_frame_trace_zero_base(self):
-        # scalar ground-mode pair at alpha=1, nu=1: trace = -2 * 1/2 = -1
-        metric = AlphaMetric(1.0)
-        fields = [sp.field_from_modes(GRID, VORTICITY, {(0, 1): 1 / (2j)}),
-                  sp.field_from_modes(GRID, VORTICITY, {(0, 1): 0.5})]
-        frame, _ = lyp.alpha_gram_schmidt(lyp.TangentFrame.from_fields(fields, metric))
-        tr = lyp.trace_n(frame, sp.zero_field(GRID, VORTICITY), cfg_for())
-        assert tr == pytest.approx(-1.0, abs=1e-12)
 
     def test_reduced_form_identity(self):
         # full alpha trace equals -nu sum ||grad theta||^2 - sum ((theta.grad)u, theta)
@@ -180,16 +172,19 @@ class TestTraces:
     def test_vorticity_reduced_form_identity(self):
         cfg = cfg_for(nu=0.8, alpha=0.5)
         w = sp.random_field(GRID, VORTICITY, seed=17, decay=2.5)
-        frame = lyp.TangentFrame.random(GRID, 4, AlphaMetric(0.5), seed=18, role=VORTICITY)
-        full = oracles.trace_vorticity(frame, w, cfg)
-        reduced = oracles.trace_vorticity_reduced(frame, w, cfg)
+        rng = np.random.default_rng(18)
+        raw = np.stack([sp.random_field(GRID, VORTICITY, seed=0, rng=rng).coeffs for _ in range(4)])
+        ortho, _ = lyp.alpha_gram_schmidt(raw, cfg.metric.weights(GRID))
+        phis = [sp.SpectralField(GRID, VORTICITY, phi) for phi in ortho]
+        full = oracles.trace_vorticity(phis, w, cfg)
+        reduced = oracles.trace_vorticity_reduced(phis, w, cfg)
         assert full == pytest.approx(reduced, rel=1e-10)
 
     def test_gradient_sum_lower_bound(self):
         # sum ||grad theta_j||^2 >= n/(alpha + 1) on alpha-orthonormal frames
         for alpha in (0.2, 1.0, 3.0):
             frame = lyp.TangentFrame.random(GRID, 6, AlphaMetric(alpha), seed=14)
-            total = sum(sp.grad_norm_sq(frame.field(j)) for j in range(frame.n))
+            total = sum(oracles.grad_norm_sq(frame.field(j)) for j in range(frame.n))
             assert total >= 6.0 / (alpha + 1.0) * (1 - 1e-12)
 
     def test_advection_term_dominated_by_strain_integral(self):
@@ -203,7 +198,7 @@ class TestTraces:
             assert abs(lhs) <= c2 * strain * (1 + 1e-9)
             # and the full trace obeys trace <= -nu sum ||grad theta||^2 + c2 * strain
             tr = lyp.trace_n(frame, u, cfg)
-            grad_sum = sum(sp.grad_norm_sq(frame.field(j)) for j in range(frame.n))
+            grad_sum = sum(oracles.grad_norm_sq(frame.field(j)) for j in range(frame.n))
             assert tr <= -cfg.nu * grad_sum + c2 * strain + 1e-9
 
 
@@ -226,12 +221,6 @@ class TestFrameEvolution:
         np.testing.assert_allclose(series.exponents, -1.0, atol=1e-6)
         assert series.q_hat == pytest.approx(-4.0, abs=1e-6)
 
-    def test_scalar_frame_on_nonzero_base_refused(self):
-        w = sp.random_field(GRID, VORTICITY, seed=17, decay=2.5)
-        frame = lyp.TangentFrame.random(GRID, 2, AlphaMetric(0.5), seed=18, role=VORTICITY)
-        with pytest.raises(RoleMismatchError):
-            lyp.trace_n(frame, w, cfg_for(alpha=0.5))
-
     def test_trace_avg_is_cesaro_after_burn_in(self):
         cfg = cfg_for(nu=1.0, alpha=1.0, dt=0.01)
         series = lyp.evolve_tangent_frame(cfg, 2, 10.0, burn_in=4.0, seed=5)
@@ -249,6 +238,20 @@ class TestFrameEvolution:
         assert header == "t,trace_inst,trace_avg"
         assert set(series.summary()) == {"n", "q_hat", "n_star", "window"}
         assert series.summary()["n_star"] is None
+
+    def test_burn_in_past_the_end_withholds_the_verdict(self):
+        # no re-orthonormalization lies at t >= 5: nothing is averaged, so no q_hat
+        cfg = dyn.SimConfig(nu=1.0, alpha=1.0, grid=SpectralGrid(16), dt=0.1, t_end=1.0)
+        with pytest.warns(dyn.InsufficientDurationWarning,
+                          match=r"no re-orthonormalization at t >= burn_in = 5 \(run ends at t = 1\)"):
+            series = lyp.evolve_tangent_frame(cfg, 2, 1.0, burn_in=5.0)
+        assert np.all(np.isnan(series.q_hats)) and np.all(np.isnan(series.exponents))
+        assert series.summary()["q_hat"] is None and series.summary()["window"] is None
+        assert np.all(np.isnan(series.trace_avg)) and series.trace_inst.size == 1
+        with pytest.warns(dyn.InsufficientDurationWarning):
+            scan = lyp.scan_n_star(cfg, t_end=1.0, burn_in=5.0)
+        assert scan.n_star is None and scan.series.n == 1
+        assert scan.summary()["q_hats"] == {"1": None}
 
     def test_deterministic(self):
         cfg = cfg_for(dt=0.01)
@@ -328,7 +331,7 @@ class TestNStarScan:
             return series
 
         def counting(rhs, c, dt, factors=None):
-            base_steps.append(c.ndim == 3)
+            base_steps.append(c.ndim == 2)
             return step(rhs, c, dt, factors)
 
         monkeypatch.setattr(lyp, "evolve_tangent_frame", doubling)
@@ -339,6 +342,20 @@ class TestNStarScan:
         assert sum(base_steps) == 20                      # warmup/dt, once
         np.testing.assert_array_equal(scan.series.q_hats, expected.q_hats)
         np.testing.assert_array_equal(scan.series.base_final.coeffs, expected.base_final.coeffs)
+
+
+class TestSpinUp:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow precedes detection
+    def test_divergence_found_at_its_step(self):
+        # test_dynamics' divergence case as a warmup: found where it happens,
+        # not after the whole warmup
+        cfg = dyn.SimConfig(nu=1e-8, alpha=0.0, grid=GRID, dt=10.0, t_end=200.0,
+                            forcing=dyn.ForcingSpec.shear(1e8, 2),
+                            initial=dyn.InitialSpec.random(seed=1), sample_every=1)
+        with pytest.raises(IntegrationDivergedError, match="during warmup at step") as exc:
+            lyp.spin_up(cfg, 200.0)
+        assert exc.value.step > 0 and exc.value.t <= 200.0
+        assert exc.value.t == exc.value.step * cfg.dt
 
 
 class TestNestedPrefixes:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -48,12 +49,10 @@ EXIT_RUNTIME = 3
 VERIFY_TARGETS = ("spectrum", "liyau", "lt", "rho-l2", "rho-linf")
 
 #: simulate and lyapunov flags --<block>-<key> that fold into the nested
-#: forcing / initial config blocks: block -> ((key, argparse keywords), ...)
+#: forcing / initial config blocks: block -> {key: type}
 FLOW_FLAGS = {
-    "forcing": (("kind", {"choices": ("zero", "shear")}), ("amplitude", {"type": float}),
-                ("wavenumber", {"type": int})),
-    "initial": (("kind", {"choices": ("zero", "shear", "random", "file")}),
-                ("amplitude", {"type": float}), ("path", {})),
+    "forcing": {"kind": str, "amplitude": float, "wavenumber": int},
+    "initial": {"kind": str, "amplitude": float, "path": str},
 }
 
 
@@ -119,8 +118,8 @@ def _coerce(name, value, typ, problems):
     if typ is bool and isinstance(value, bool):
         return value
     if typ in (int, float) and isinstance(value, (int, float)) and not isinstance(value, bool):
-        if typ is int and int(value) != value:
-            problems.append(f"{name}: expected integer, got {value!r}")
+        if not -math.inf < value < math.inf or (typ is int and int(value) != value):
+            problems.append(f"{name}: expected a finite {typ.__name__}, got {value!r}")
             return None
         return typ(value)
     if typ is str and isinstance(value, str):
@@ -221,6 +220,9 @@ def _constraint_problems(subcommand: str, p: dict) -> list[str]:
         path = p["initial"].get("path")
         if p["initial"].get("kind") == "file" and not isinstance(path, str):
             problems.append(f"initial.path must be a string, got {path!r}")
+        for block, keys in FLOW_FLAGS.items():       # kind and path are checked above
+            for key in sorted(keys.keys() & p[block].keys() - {"kind", "path"}):
+                _coerce(f"{block}.{key}", p[block][key], keys[key], problems)
         if subcommand == "simulate":
             nonneg("t_end")
             if p["sample_every"] < 1:
@@ -241,6 +243,14 @@ def _constraint_problems(subcommand: str, p: dict) -> list[str]:
         nonneg("alpha")
         if p["grid_n"] < 8 or p["grid_n"] % 2:
             problems.append(f"grid_n must be even and >= 8, got {p['grid_n']}")
+        kinds = (ineq.ALPHA_ORTHONORMAL, ineq.GRAM_SCALED)
+        if p["kind"] not in kinds:
+            problems.append(f"kind must be one of {kinds}, got {p['kind']!r}")
+        if p["lam_min"] > p["lam_max"]:
+            problems.append(f"lam_min must be <= lam_max, got {p['lam_min']} > {p['lam_max']}")
+        if not p["alphas"] or not all(isinstance(a, (int, float)) and not isinstance(a, bool)
+                                      and 0 < a < math.inf for a in p["alphas"]):
+            problems.append(f"alphas must be non-empty, each finite and > 0, got {p['alphas']!r}")
     return problems
 
 
@@ -426,71 +436,61 @@ def _run_verify(params: dict, outdir: Path, seed: int, manifest: RunManifest):
 # ----------------------------------------------------------------------------
 # entry point
 
+SUBCOMMAND_HELP = {"bounds": "evaluate every dimension bound for given parameters",
+                   "simulate": "integrate the regularized flow, write diagnostics",
+                   "lyapunov": "trace averages q_hat(n) and the n* scan",
+                   "verify": "brute-force verification targets"}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One flag per SCHEMAS key (the verify target is positional) and per
+    FLOW_FLAGS key, each read as a string: parse_config refuses bad values."""
     parser = argparse.ArgumentParser(prog="nsvlab", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p):
+    for subcommand, schema in SCHEMAS.items():
+        p = sub.add_parser(subcommand, help=SUBCOMMAND_HELP[subcommand])
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--seed", type=int, default=0, help="base random seed")
+        p.add_argument("--seed", default="0", help="base random seed")
         p.add_argument("--output-dir", help="artifact directory "
                        "(default $NSVLAB_OUTPUT_DIR or ./nsvlab_runs/<subcommand>)")
-
-    def add_flow(p):
-        for block, flags in FLOW_FLAGS.items():
-            for key, kwargs in flags:
-                p.add_argument(f"--{block}-{key}", dest=f"{block}_{key}", **kwargs)
-
-    p = sub.add_parser("bounds", help="evaluate every dimension bound for given parameters")
-    add_common(p)
-    p.add_argument("--d", type=int)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--gnorm", type=float)
-    p.add_argument("--lambda1", type=float)
-    p.add_argument("--measure", type=float)
-    p.add_argument("--geometry", choices=("torus", "domain"))
-    p.add_argument("--g0-offset", dest="g0_offset", type=float)
-
-    p = sub.add_parser("simulate", help="integrate the regularized flow, write diagnostics")
-    add_common(p)
-    for name, typ in (("n", int), ("nu", float), ("alpha", float), ("dt", float),
-                      ("t_end", float), ("sample_every", int), ("snapshot_every", int)):
-        p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=typ)
-    add_flow(p)
-
-    p = sub.add_parser("lyapunov", help="trace averages q_hat(n) and the n* scan")
-    add_common(p)
-    for name, typ in (("n", int), ("nu", float), ("alpha", float), ("dt", float),
-                      ("frame_n", int), ("window", float), ("warmup", float),
-                      ("burn_in", float), ("reorth_every", int), ("n_max", int)):
-        p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=typ)
-    p.add_argument("--scan", action="store_const", const=True, default=None)
-    add_flow(p)
-
-    p = sub.add_parser("verify", help="brute-force verification targets")
-    add_common(p)
-    p.add_argument("target", choices=VERIFY_TARGETS)
-    for name, typ in (("jmax", int), ("mmax", int), ("families", int), ("family_n", int),
-                      ("grid_n", int), ("alpha", float), ("lam_min", int),
-                      ("lam_max", int), ("sums_lam_max", int)):
-        p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=typ)
-    p.add_argument("--kind", choices=(ineq.ALPHA_ORTHONORMAL, ineq.GRAM_SCALED))
-    p.add_argument("--alphas", type=float, nargs="+")
+        for key, (typ, _) in schema.items():
+            flag = f"--{key.replace('_', '-')}"
+            if key == "target":
+                p.add_argument(key, nargs="?", help=f"one of {', '.join(VERIFY_TARGETS)}")
+            elif typ is dict:
+                for sub_key in FLOW_FLAGS[key]:
+                    p.add_argument(f"{flag}-{sub_key}", dest=f"{key}_{sub_key}")
+            elif typ is bool:
+                p.add_argument(flag, dest=key, action="store_const", const=True)
+            else:
+                p.add_argument(flag, dest=key, nargs="*" if typ is list else None)
     return parser
 
 
+def _from_flag(text, typ):
+    """A flag's string as typ where it parses; otherwise the string itself,
+    which parse_config refuses by name."""
+    try:
+        return typ(text)
+    except ValueError:
+        return text
+
+
 def _collect_overrides(args: argparse.Namespace, subcommand: str) -> dict:
-    schema = SCHEMAS[subcommand]
-    overrides = {key: getattr(args, key) for key in schema
-                 if getattr(args, key, None) is not None}
-    # flat forcing/initial flags fold into their nested dicts
-    for block, flags in FLOW_FLAGS.items():
-        given = {key: getattr(args, f"{block}_{key}") for key, _ in flags
-                 if getattr(args, f"{block}_{key}", None) is not None}
-        if given:
-            overrides[block] = {**schema[block][1], **given}
+    overrides = {}
+    for key, (typ, default) in SCHEMAS[subcommand].items():
+        if typ is dict:
+            # flat forcing/initial flags fold into their nested dicts
+            given = {sub_key: _from_flag(getattr(args, f"{key}_{sub_key}"), sub_typ)
+                     for sub_key, sub_typ in FLOW_FLAGS[key].items()
+                     if getattr(args, f"{key}_{sub_key}") is not None}
+            if given:
+                overrides[key] = {**default, **given}
+        elif getattr(args, key) is not None:
+            value = getattr(args, key)
+            overrides[key] = [_from_flag(v, float) for v in value] if typ is list \
+                else _from_flag(value, typ)
     return overrides
 
 
@@ -553,23 +553,23 @@ def run(subcommand: str, params: dict, seed: int, output_dir: Path) -> int:
 def main(argv=None) -> int:
     """Parse flags and config, then run; a refused configuration still leaves
     a manifest (complete = false) in the output directory and exits 2."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     subcommand = args.subcommand
     overrides = _collect_overrides(args, subcommand)
-    if subcommand == "verify":
-        overrides["target"] = args.target
+    seed = _from_flag(args.seed, int)
     outdir = Path(args.output_dir or os.environ.get("NSVLAB_OUTPUT_DIR")
                   or Path("nsvlab_runs") / subcommand)
     try:
+        if not isinstance(seed, int):
+            raise ConfigError([f"seed: expected int, got {seed!r}"])
         params = parse_config(subcommand, args.config, overrides)
     except (ConfigError, InvalidParameterError) as err:
         manifest = RunManifest(config={"subcommand": subcommand, "config_file": args.config,
-                                       "overrides": overrides, "seed": args.seed})
+                                       "overrides": overrides, "seed": seed})
         code = _record_failure(manifest, err)
         _write_manifest(manifest, outdir)
         return code
-    return run(subcommand, params, args.seed, outdir)
+    return run(subcommand, params, seed, outdir)
 
 
 if __name__ == "__main__":

@@ -8,9 +8,10 @@ construction.  Initial data and forcing come in, and snapshots and the final
 state go out, as velocity fields; data with a coefficient off the band is
 refused.  For alpha > 0 all Fourier multipliers are bounded by nu/alpha, so
 classical RK4 at fixed dt is adequate, and SimConfig refuses a dt past RK4's
-stability bound; for alpha = 0 the stiff viscous multiplier is handled exactly
-with an integrating-factor RK4.  rk4_step is the one stepper, shared with the
-tangent frames of `lyapunov`.
+stability bound on the band; for alpha = 0 the stiff viscous multiplier is
+handled exactly with an integrating-factor RK4.  rk4_step is the one stepper
+and advance the one time loop, shared with the warmup and tangent frames of
+`lyapunov`.
 """
 
 from __future__ import annotations
@@ -143,6 +144,8 @@ class InitialSpec:
             # the advection kernel reads u as divergence-free and real (only its
             # k2 >= 0 half): refuse a snapshot that is off either past round-off
             c, neg = f.coeffs, (-np.arange(grid.n)) % grid.n
+            if not np.all(np.isfinite(c)):
+                raise InvalidParameterError(f"{self.path}: snapshot has non-finite coefficients")
             for what, defect in (("divergence-free", sp.grid_divergence(grid, c)),
                                  ("a real field", c - np.conj(c[:, neg][:, :, neg]))):
                 size = float(np.max(np.abs(defect)))
@@ -181,8 +184,8 @@ class SimConfig:
         if self.sample_every < 1:
             problems.append(f"sample_every must be >= 1, got {self.sample_every}")
         if not problems and self.alpha > 0:
-            stiffness = self.dt * float(np.max(
-                self.nu * self.grid.k2 / (1.0 + self.alpha * self.grid.k2)))
+            k2 = self.grid.band_k2
+            stiffness = self.dt * float(np.max(self.nu * k2 / (1.0 + self.alpha * k2)))
             if stiffness > RK4_REAL_BOUND:
                 problems.append(
                     f"dt*max nu|k|^2/(1+alpha|k|^2) = {stiffness:.4g} exceeds RK4's "
@@ -345,6 +348,28 @@ def forcing_stream(cfg: SimConfig) -> np.ndarray:
     return sp.stream_of(cfg.grid, cfg.forcing.build(cfg.grid).coeffs, "forcing")
 
 
+def advance(cfg: SimConfig, c: np.ndarray, nsteps: int, every: int, visit, stages=None):
+    """Take nsteps steps of cfg's scheme (stream_scheme) from psi_hat c, or a
+    stack [psi_u, psi_theta_1, ...]; the one time loop.
+
+    Every `every` steps and at the last step the state is tested: a
+    non-finite state raises IntegrationDivergedError with its step and time,
+    a finite one goes to visit(step, c), which may update c in place.
+    stages, if given, sees each step's four stage states.  Returns the final
+    state (c itself when nsteps is 0).
+    """
+    rhs, factors = stream_scheme(cfg, forcing_stream(cfg))
+    for step in range(1, nsteps + 1):
+        c, stage_states = rk4_step(rhs, c, cfg.dt, factors)
+        if stages is not None:
+            stages(stage_states)
+        if step % every == 0 or step == nsteps:
+            if not np.all(np.isfinite(c)):
+                raise IntegrationDivergedError(step=step, t=step * cfg.dt)
+            visit(step, c)
+    return c
+
+
 def integrate(cfg: SimConfig, *, snapshot_every: int = 0,
               track_energy_budget: bool = False) -> SimResult:
     """Advance the flow to t_end with fixed-step RK4 on its streamfunction
@@ -366,7 +391,6 @@ def integrate(cfg: SimConfig, *, snapshot_every: int = 0,
     nsteps = int(round(cfg.t_end / cfg.dt))
 
     k_max = grid.dealias_cutoff
-    rhs, factors = stream_scheme(cfg, psi_g)
     # Parseval on psi_hat: ||u||^2, ||grad u||^2 and ||u||_a^2 weigh |psi_hat|^2
     # by |k|^2, |k|^4 and |k|^2 (1+alpha|k|^2) per mode
     w_l2 = sp.TORUS_AREA * grid.band_count * grid.band_k2
@@ -380,21 +404,16 @@ def integrate(cfg: SimConfig, *, snapshot_every: int = 0,
         inp = float(np.sum(w_l2 * (psi_g * np.conj(c)).real))
         return 2.0 * cfg.nu * ens - 2.0 * inp
 
-    times, e_l2, ens, e_al, grad_l1 = [], [], [], [], []
-    snapshots = []
+    rows, snapshots = [], []          # rows: (t, ||u||^2, ||grad u||^2, ||u||_a^2)
     cfl_warned = False
+    budget = 0.0
 
     def sample(step, c):
         nonlocal cfl_warned
         t = step * cfg.dt
-        if not np.all(np.isfinite(c)):
-            raise IntegrationDivergedError(step=step, t=t)
-        times.append(t)
         sq = np.abs(c) ** 2
-        e_l2.append(float(np.sum(w_l2 * sq)))
-        ens.append(float(np.sum(w_ens * sq)))
-        e_al.append(float(np.sum(w_alpha * sq)))
-        grad_l1.append(math.sqrt(ens[-1]))
+        rows.append((t, float(np.sum(w_l2 * sq)), float(np.sum(w_ens * sq)),
+                     float(np.sum(w_alpha * sq))))
         if not cfl_warned:
             umax = float(np.max(np.abs(sp.to_physical(sp.half_of(grid, grid.band_uw[:2] * c)))))
             if cfg.dt * umax * k_max > 1.0:
@@ -406,29 +425,25 @@ def integrate(cfg: SimConfig, *, snapshot_every: int = 0,
             u = u0.coeffs.copy() if step == 0 and u0 is not None else sp.velocity_of(grid, c)
             snapshots.append((t, SpectralField(grid, VELOCITY, u)))
 
-    budget = 0.0
-    e_alpha_start = float(np.sum(w_alpha * np.abs(c) ** 2))
+    def accumulate_budget(s):
+        nonlocal budget
+        budget += (cfg.dt / 6.0) * (budget_rate(s[0]) + 2 * budget_rate(s[1])
+                                    + 2 * budget_rate(s[2]) + budget_rate(s[3]))
+
     sample(0, c)
+    c = advance(cfg, c, nsteps, cfg.sample_every, sample,
+                accumulate_budget if track_energy_budget else None)
 
-    for step in range(1, nsteps + 1):
-        c, (s1, s2, s3, s4) = rk4_step(rhs, c, cfg.dt, factors)
-        if track_energy_budget:
-            budget += (cfg.dt / 6.0) * (budget_rate(s1) + 2 * budget_rate(s2)
-                                        + 2 * budget_rate(s3) + budget_rate(s4))
-        if step % cfg.sample_every == 0 or step == nsteps:
-            sample(step, c)
-
-    e_alpha_end = float(np.sum(w_alpha * np.abs(c) ** 2))
-    residual = (e_alpha_end - e_alpha_start + budget) if track_energy_budget else None
-
-    ens_arr = np.asarray(ens)
+    # the first and last samples are the initial and final states
+    t, e_l2, ens, e_al = (np.asarray(col) for col in zip(*rows))
+    residual = float(e_al[-1] - e_al[0] + budget) if track_energy_budget else None
     diag = DiagnosticsSeries(
-        t=np.asarray(times),
-        energy_l2=np.asarray(e_l2),
-        enstrophy=ens_arr,
-        energy_alpha=np.asarray(e_al),
-        avg_enstrophy=_cesaro(ens_arr),
-        avg_grad_l1=_cesaro(np.asarray(grad_l1)),
+        t=t,
+        energy_l2=e_l2,
+        enstrophy=ens,
+        energy_alpha=e_al,
+        avg_enstrophy=_cesaro(ens),
+        avg_grad_l1=_cesaro(np.sqrt(ens)),
         grashof_g=g_norm / cfg.nu**2,
         grashof_cal_g=g_norm * sp.TORUS_AREA / cfg.nu**2,
         g_norm=g_norm,

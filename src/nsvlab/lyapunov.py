@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import spectral as sp
-from .dynamics import (InitialSpec, InsufficientDurationWarning, SimConfig, forcing_stream,
-                       initial_state, rk4_step, stream_multipliers, stream_scheme)
+from .dynamics import (InitialSpec, InsufficientDurationWarning, SimConfig, advance,
+                       initial_state, stream_multipliers)
 from .errors import (
     DegenerateFrameError,
     GridMismatchError,
@@ -31,6 +31,9 @@ from .errors import (
     StaleFrameError,
 )
 from .spectral import TORUS_AREA, VELOCITY, AlphaMetric, SpectralField, SpectralGrid
+
+#: largest Gram deviation from the identity trace_n accepts in a frame
+GRAM_TOL = 1e-6
 
 
 @dataclass
@@ -51,11 +54,10 @@ class TangentFrame:
         return self.metric.band_weights(self.grid)
 
     @classmethod
-    def random(cls, grid: SpectralGrid, n: int, metric: AlphaMetric, seed: int,
-               decay: float = 3.0) -> "TangentFrame":
+    def random(cls, grid: SpectralGrid, n: int, metric: AlphaMetric, seed: int) -> "TangentFrame":
         rng = np.random.default_rng(seed)
         vecs = np.stack([
-            sp.stream_of(grid, sp.random_field(grid, VELOCITY, seed=0, decay=decay, rng=rng).coeffs)
+            sp.stream_of(grid, sp.random_field(grid, VELOCITY, seed=0, decay=3.0, rng=rng).coeffs)
             for _ in range(n)
         ])
         return cls(grid, metric, alpha_gram_schmidt(vecs, metric.band_weights(grid))[0])
@@ -112,37 +114,36 @@ def alpha_gram_schmidt(vectors: np.ndarray, weights: np.ndarray, tol: float = 1e
 
 
 # ----------------------------------------------------------------------------
-# linearized operator
-
-def _linearized_batch(cfg: SimConfig, state: np.ndarray) -> np.ndarray:
-    """L_u theta_j = -nu|k|^2/(1+a|k|^2) theta_j - (u.grad w_theta_j
-    + theta_j.grad w_u)/(|k|^2 (1+a|k|^2)) for a stack [psi_u, psi_theta_1, ...]."""
-    linear, inverse = stream_multipliers(cfg)
-    out = linear * state[1:]
-    if state[0].any():
-        out -= inverse * sp.bilinear_coeffs(cfg.grid, state)[1:]
-    return out
-
-
-# ----------------------------------------------------------------------------
 # traces
 
-def trace_n(frame: TangentFrame, base: SpectralField, cfg: SimConfig,
-            gram_tol: float = 1e-6) -> float:
+def trace_diagonal(cfg: SimConfig, state: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(L_u theta_j, theta_j)_alpha for each theta_j of a stack [psi_u,
+    psi_theta_1, ...], with the linearization about u
+
+        L_u theta = -nu|k|^2/(1+a|k|^2) theta
+                    - (u.grad w_theta + theta.grad w_u)/(|k|^2 (1+a|k|^2)).
+    """
+    linear, inverse = stream_multipliers(cfg)
+    lv = linear * state[1:]
+    if state[0].any():
+        lv -= inverse * sp.bilinear_coeffs(cfg.grid, state)[1:]
+    return np.array([_weighted_inner(lv[j], state[1 + j], weights) for j in range(len(lv))])
+
+
+def trace_n(frame: TangentFrame, base: SpectralField, cfg: SimConfig) -> float:
     """Sum of (L theta_j, theta_j)_alpha over the frame, linearized about the
     velocity field base.
 
     The frame must be freshly orthonormalized; if its Gram matrix has drifted
-    beyond gram_tol a StaleFrameError is raised.
+    beyond GRAM_TOL a StaleFrameError is raised.
     """
     w = frame.weights
     dev = gram_deviation(frame.vectors, w)
-    if dev > gram_tol:
-        raise StaleFrameError(f"frame Gram deviation {dev:.3g} exceeds {gram_tol:g}; "
+    if dev > GRAM_TOL:
+        raise StaleFrameError(f"frame Gram deviation {dev:.3g} exceeds {GRAM_TOL:g}; "
                               "re-orthonormalize before taking traces")
     state = np.concatenate([sp.stream_of(frame.grid, base.coeffs, "base")[None], frame.vectors])
-    lv = _linearized_batch(cfg, state)
-    return float(sum(_weighted_inner(lv[j], frame.vectors[j], w) for j in range(frame.n)))
+    return float(sum(trace_diagonal(cfg, state, w)))
 
 
 # ----------------------------------------------------------------------------
@@ -153,16 +154,12 @@ def spin_up(cfg: SimConfig, warmup: float) -> np.ndarray:
 
     The state is checked every cfg.sample_every steps and at the end; the
     first non-finite check raises IntegrationDivergedError with its step."""
-    c = initial_state(cfg)[0]
-    rhs, factors = stream_scheme(cfg, forcing_stream(cfg))
-    nsteps = int(round(warmup / cfg.dt))
-    for step in range(1, nsteps + 1):
-        c, _ = rk4_step(rhs, c, cfg.dt, factors)
-        if (step % cfg.sample_every == 0 or step == nsteps) and not np.all(np.isfinite(c)):
-            raise IntegrationDivergedError(
-                step=step, t=step * cfg.dt,
-                message=f"base flow diverged during warmup at step {step} (t={step * cfg.dt:.6g})")
-    return c
+    try:
+        return advance(cfg, initial_state(cfg)[0], int(round(warmup / cfg.dt)),
+                       cfg.sample_every, lambda step, c: None)
+    except IntegrationDivergedError as err:
+        message = f"base flow diverged during warmup at step {err.step} (t={err.t:.6g})"
+        raise IntegrationDivergedError(step=err.step, t=err.t, message=message) from None
 
 
 @dataclass
@@ -225,12 +222,11 @@ def evolve_tangent_frame(
     burn_in: float | None = None,
     seed: int = 0,
     warmup: float = 0.0,
-    frame_decay: float = 3.0,
 ) -> TraceSeries:
     """Co-evolve base flow and an n-vector tangent frame, sampling traces.
 
     Base and frame advance as one stacked state [psi_u, psi_theta_1, ...]
-    through dynamics.rk4_step, so the frame takes the base flow's stages and
+    through dynamics.advance, so the frame takes the base flow's stages and
     scheme (integrating-factor RK4 at alpha = 0); every reorth_every steps it
     is re-orthonormalized (alpha Gram-Schmidt), the log factors are
     accumulated, and the instantaneous trace is sampled.  If
@@ -254,36 +250,23 @@ def evolve_tangent_frame(
             f"trace window {t_end - burn_in:.3g} < 10/gamma = {10 / gamma:.3g}",
             InsufficientDurationWarning, stacklevel=2)
 
-    frame = TangentFrame.random(grid, n, cfg.metric, seed=seed, decay=frame_decay)
+    frame = TangentFrame.random(grid, n, cfg.metric, seed=seed)
     weights = frame.weights
     state = np.concatenate([spin_up(cfg, warmup)[None], frame.vectors])
-    rhs, factors = stream_scheme(cfg, forcing_stream(cfg))
+    times, diag, log_factors = [], [], []
 
-    nsteps = int(round(t_end / dt))
-    times, diag = [], []
-    log_factors = []
-    event_prev_t = []
+    def reorthonormalize(step, state):
+        state[1:], norms = alpha_gram_schmidt(state[1:], weights)
+        times.append(step * dt)
+        diag.append(trace_diagonal(cfg, state, weights))
+        log_factors.append(np.log(norms))
 
-    prev_event_t = 0.0
-    for step in range(1, nsteps + 1):
-        state, _ = rk4_step(rhs, state, dt, factors)
-
-        if step % reorth_every == 0 or step == nsteps:
-            t = step * dt
-            if not np.all(np.isfinite(state)):
-                raise IntegrationDivergedError(step=step, t=t)
-            state[1:], norms = alpha_gram_schmidt(state[1:], weights)
-            lv = _linearized_batch(cfg, state)
-            times.append(t)
-            diag.append([_weighted_inner(lv[j], state[1 + j], weights) for j in range(n)])
-            log_factors.append(np.log(norms))
-            event_prev_t.append(prev_event_t)
-            prev_event_t = t
+    state = advance(cfg, state, int(round(t_end / dt)), reorth_every, reorthonormalize)
 
     times = np.asarray(times)
     diag = np.asarray(diag)                  # (events, n)
     logs = np.asarray(log_factors)           # (events, n)
-    prev_ts = np.asarray(event_prev_t)
+    prev_ts = np.concatenate([[0.0], times[:-1]])   # where each growth interval starts
 
     # prefix[:, m - 1] is the trace over the first m vectors, summed left to
     # right; its Cesaro mean over events past burn-in is q_hat(m)

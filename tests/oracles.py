@@ -8,8 +8,9 @@ directly, no nsvlab transform), field-level right-hand sides and
 linearizations of the velocity and vorticity forms, a quadrature of the two
 terms of the trace bound, plain steppers over them (classical RK4, Lawson
 integrating-factor RK4, and a per-vector product-system RK4 for tangent
-frames), and the per-coefficient snapshot writer.  Nothing here is fast;
-each function is a direct transcription of its equation.
+frames), explicit rk4_step loops for `integrate` and `evolve_tangent_frame`
+on the band layout, and the per-coefficient snapshot writer.  Nothing here
+is fast; each function is a direct transcription of its equation.
 
 Velocity form:   du/dt = -nu A (1+aA)^{-1} u - (1+aA)^{-1} B(u,u) + (1+aA)^{-1} g
 Vorticity form:  dw/dt = -(1-aD)^{-1} (u.grad w) + nu D (1-aD)^{-1} w + (1-aD)^{-1} rot g
@@ -19,6 +20,7 @@ import math
 
 import numpy as np
 
+from nsvlab import dynamics as dyn
 from nsvlab import fieldio
 from nsvlab import lyapunov as lyp
 from nsvlab import spectral as sp
@@ -370,6 +372,93 @@ def evolve_frame(cfg, n, t_end, seed, reorth_every=10):
             traces.append(sum(alpha_inner(linearized_apply_velocity(field(th), u, cfg),
                                           field(th), cfg.metric) for th in y[1:]))
     return np.array(times), np.array(traces), logs / times[-1]
+
+
+def integrate_band(cfg, snapshot_every=0, track_energy_budget=False):
+    """dynamics.integrate as an explicit rk4_step loop on the band
+    streamfunction, in integrate's arithmetic order.  Returns (final velocity
+    coeffs, {diagnostics column: array}, [(t, snapshot velocity coeffs)],
+    energy residual or None)."""
+    grid = cfg.grid
+    psi_g = dyn.forcing_stream(cfg)
+    c, u0 = dyn.initial_state(cfg)
+    rhs, factors = dyn.stream_scheme(cfg, psi_g)
+    nsteps = int(round(cfg.t_end / cfg.dt))
+    w_l2 = TORUS_AREA * grid.band_count * grid.band_k2
+    w_ens = w_l2 * grid.band_k2
+    w_alpha = TORUS_AREA * cfg.metric.band_weights(grid)
+
+    def budget_rate(c):
+        ens = float(np.sum(w_ens * (c * np.conj(c)).real))
+        inp = float(np.sum(w_l2 * (psi_g * np.conj(c)).real))
+        return 2.0 * cfg.nu * ens - 2.0 * inp
+
+    rows, snapshots = [], []
+
+    def sample(step, c):
+        sq = np.abs(c) ** 2
+        rows.append((step * cfg.dt, float(np.sum(w_l2 * sq)), float(np.sum(w_ens * sq)),
+                     float(np.sum(w_alpha * sq))))
+        if snapshot_every and step % snapshot_every == 0:
+            u = u0.coeffs.copy() if step == 0 else sp.velocity_of(grid, c)
+            snapshots.append((step * cfg.dt, u))
+
+    budget = 0.0
+    e_alpha_start = float(np.sum(w_alpha * np.abs(c) ** 2))
+    sample(0, c)
+    for step in range(1, nsteps + 1):
+        c, (s1, s2, s3, s4) = dyn.rk4_step(rhs, c, cfg.dt, factors)
+        if track_energy_budget:
+            budget += (cfg.dt / 6.0) * (budget_rate(s1) + 2 * budget_rate(s2)
+                                        + 2 * budget_rate(s3) + budget_rate(s4))
+        if step % cfg.sample_every == 0 or step == nsteps:
+            sample(step, c)
+    e_alpha_end = float(np.sum(w_alpha * np.abs(c) ** 2))
+    residual = (e_alpha_end - e_alpha_start + budget) if track_energy_budget else None
+
+    t, e_l2, ens, e_al = (np.asarray(col) for col in zip(*rows))
+    counts = np.arange(1, t.size + 1)
+    columns = {"t": t, "energy_l2": e_l2, "enstrophy": ens, "energy_alpha": e_al,
+               "avg_enstrophy": np.cumsum(ens) / counts,
+               "avg_grad_l1": np.cumsum(np.asarray([math.sqrt(e) for e in ens])) / counts}
+    return sp.velocity_of(grid, c), columns, snapshots, residual
+
+
+def evolve_frame_band(cfg, n, t_end, burn_in, seed, warmup, reorth_every=10):
+    """lyapunov.evolve_tangent_frame with its warmup as explicit rk4_step
+    loops on the band streamfunction, in its arithmetic order: the diagonal
+    (L theta_j, theta_j)_alpha from the linearized stack directly.  Returns
+    (event times, diagonal, exponents, final base velocity coeffs)."""
+    grid = cfg.grid
+    rhs, factors = dyn.stream_scheme(cfg, dyn.forcing_stream(cfg))
+    linear, inverse = dyn.stream_multipliers(cfg)
+    base = dyn.initial_state(cfg)[0]
+    for _ in range(int(round(warmup / cfg.dt))):
+        base, _ = dyn.rk4_step(rhs, base, cfg.dt, factors)
+    frame = lyp.TangentFrame.random(grid, n, cfg.metric, seed=seed)
+    weights = frame.weights
+    state = np.concatenate([base[None], frame.vectors])
+
+    def inner(a, b):
+        return TORUS_AREA * float(np.sum(weights * (a * np.conj(b)).real))
+
+    nsteps = int(round(t_end / cfg.dt))
+    times, diag, logs, prev_ts = [], [], [], []
+    for step in range(1, nsteps + 1):
+        state, _ = dyn.rk4_step(rhs, state, cfg.dt, factors)
+        if step % reorth_every == 0 or step == nsteps:
+            state[1:], norms = lyp.alpha_gram_schmidt(state[1:], weights)
+            lv = linear * state[1:]
+            if state[0].any():
+                lv -= inverse * sp.bilinear_coeffs(grid, state)[1:]
+            prev_ts.append(times[-1] if times else 0.0)
+            times.append(step * cfg.dt)
+            diag.append([inner(lv[j], state[1 + j]) for j in range(n)])
+            logs.append(np.log(norms))
+    times, prev_ts, logs = np.asarray(times), np.asarray(prev_ts), np.asarray(logs)
+    inside = prev_ts >= burn_in
+    exponents = logs[inside].sum(axis=0) / (times[inside][-1] - prev_ts[inside][0])
+    return times, np.asarray(diag), exponents, sp.velocity_of(grid, state[0])
 
 
 # ----------------------------------------------------------------------------

@@ -2,9 +2,13 @@
 
 import json
 import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nsvlab import cli
 from nsvlab import dynamics as dyn
@@ -86,6 +90,28 @@ class TestExitCodes:
         assert manifest["complete"] is False
         assert problem in manifest["summary"]["error"]
 
+    @pytest.mark.parametrize("argv, config, problem", [
+        (["verify", "rho-linf", "--lam-min", "5", "--lam-max", "3"], None,
+         "lam_min must be <= lam_max, got 5 > 3"),
+        (["verify", "rho-l2"], {"alphas": []}, "alphas must be non-empty, each finite and > 0"),
+        (["verify", "rho-l2"], {"alphas": ["x"]}, "alphas must be non-empty, each finite and > 0"),
+        (["bounds", "--geometry", "foo"], None, "geometry must be torus|domain, got 'foo'"),
+        (["simulate", "--n", "abc"], None, "n: expected int, got str 'abc'"),
+        (["verify", "lt", "--kind", "nope"], None, "kind must be one of"),
+        (["simulate", "--dt", "nan"], None, "dt: expected a finite float, got nan"),
+    ], ids=["empty-lam-range", "no-alphas", "ill-typed-alphas", "geometry", "n", "kind",
+            "nan"])
+    def test_bad_value_is_2_with_manifest(self, tmp_path, capsys, argv, config, problem):
+        if config is not None:
+            (tmp_path / "c.json").write_text(json.dumps(config))
+            argv = argv + ["--config", str(tmp_path / "c.json")]
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--output-dir", str(out)]) == cli.EXIT_CONFIG
+        assert problem in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["complete"] is False
+        assert problem in manifest["summary"]["error"]
+
     def test_bounds_ok_is_0(self, tmp_path, capsys):
         code = cli.main(["bounds", "--d", "2", "--nu", "1", "--alpha", "0.5",
                          "--gnorm", "2.0", "--output-dir", str(tmp_path)])
@@ -136,7 +162,7 @@ class TestExitCodes:
         assert "frame vector 24" in manifest["summary"]["error"]
 
     def test_unstable_dt_is_2_with_manifest(self, tmp_path, capsys):
-        # the forced-study default at calG = 4000: dt * max nu|k|^2/(1+alpha|k|^2) = 5.38
+        # the forced-study default at calG = 4000: dt * band max nu|k|^2/(1+alpha|k|^2) = 3.398
         code = cli.main(["simulate", "--n", "48", "--alpha", str(0.99 * 4 / 4000),
                          "--dt", "0.01", "--t-end", "1", "--output-dir", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
@@ -209,6 +235,89 @@ class TestExitCodes:
         with pytest.warns(dyn.InsufficientDurationWarning,
                           match=re.escape("no sample at t >= 5/gamma = 10 (run ends at t = 0.1)")):
             assert cli.main(self.SHORT_SIMULATE + ["--output-dir", str(tmp_path)]) == cli.EXIT_OK
+
+
+#: valid values of every flag at small sizes: n and grid_n <= 16, dt >= 0.01,
+#: t_end and window <= 0.2, jmax and mmax <= 200, families <= 2
+VALID = {
+    "bounds": {"d": ("2", "3"), "nu": ("0.5", "1"), "alpha": ("0", "0.01", "1"),
+               "gnorm": ("1", "25"), "lambda1": ("1",), "measure": (repr(4 * np.pi**2), "2"),
+               "geometry": ("torus", "domain"), "g0_offset": ("5.74", "0")},
+    "simulate": {"n": ("8", "12", "16"), "nu": ("0.5", "1"), "alpha": ("0", "0.1", "1"),
+                 "dt": ("0.01", "0.05"), "t_end": ("0", "0.1", "0.2"),
+                 "sample_every": ("1", "5"), "snapshot_every": ("0", "3")},
+    "lyapunov": {"n": ("8", "16"), "nu": ("0.5", "1"), "alpha": ("0", "1"),
+                 "dt": ("0.01", "0.05"), "frame_n": ("1", "3", "30"), "window": ("0.1", "0.2"),
+                 "warmup": ("0", "0.1"), "burn_in": ("-1", "0", "0.1"),
+                 "reorth_every": ("1", "5"), "n_max": ("1", "4")},
+    "verify": {"target": cli.VERIFY_TARGETS, "jmax": ("2", "200"), "mmax": ("1", "200"),
+               "families": ("1", "2"), "family_n": ("1", "3"), "grid_n": ("8", "16"),
+               "alpha": ("0", "0.5"), "kind": ("alpha-orthonormal", "gram-scaled"),
+               "lam_min": ("1", "2"), "lam_max": ("2", "8"), "sums_lam_max": ("10", "200")},
+}
+FLOW_VALID = {"forcing": {"kind": ("zero", "shear"), "amplitude": ("0.5", "2"),
+                          "wavenumber": ("1", "2", "9")},
+              "initial": {"kind": ("zero", "shear", "random", "file"), "amplitude": ("0.5", "2"),
+                          "path": ("missing.field", "garbage.field")}}
+OUT_OF_RANGE = ("-1", "0", "-0.5", "nope")
+ILL_TYPED = ("abc", "", "1e", "0x10", "nan", "inf")
+
+
+@st.composite
+def argument_vectors(draw):
+    """A subcommand and a value for each of its flags: valid, out of range or
+    ill-typed (in half the vectors, valid only); the nested-block flags and
+    --seed only sometimes."""
+    subcommand = draw(st.sampled_from(sorted(cli.SCHEMAS)))
+    mixed = draw(st.booleans())
+
+    def flag_value(valid):
+        if not mixed:
+            return st.sampled_from(valid)
+        return st.one_of(st.sampled_from(valid), st.sampled_from(OUT_OF_RANGE),
+                         st.sampled_from(ILL_TYPED))
+
+    argv = [subcommand]
+    for key, (typ, _) in cli.SCHEMAS[subcommand].items():
+        flag = "--" + key.replace("_", "-")
+        if key == "target":
+            argv.insert(1, draw(st.sampled_from(VALID["verify"]["target"] + ("nope",))))
+        elif typ is bool:
+            argv += [flag] if draw(st.booleans()) else []
+        elif typ is list:
+            argv += [flag] + draw(st.lists(flag_value(("0.1", "1")), min_size=1 - mixed,
+                                           max_size=3))
+        elif typ is dict:
+            for sub_key in cli.FLOW_FLAGS[key]:
+                if draw(st.booleans()):
+                    argv.append(f"{flag}-{sub_key}={draw(flag_value(FLOW_VALID[key][sub_key]))}")
+        else:
+            argv.append(f"{flag}={draw(flag_value(VALID[subcommand][key]))}")
+    if draw(st.booleans()):
+        argv.append(f"--seed={draw(flag_value(('0', '3')))}")
+    return argv
+
+
+class TestExitContract:
+    def test_every_flag_has_small_values(self):
+        for subcommand, schema in cli.SCHEMAS.items():
+            scalars = {k for k, (typ, _) in schema.items() if typ not in (bool, list, dict)}
+            assert scalars == set(VALID[subcommand]), subcommand
+        for block, keys in cli.FLOW_FLAGS.items():
+            assert set(keys) == set(FLOW_VALID[block]), block
+
+    @settings(max_examples=100, deadline=None)
+    @given(argv=argument_vectors())
+    def test_every_run_exits_in_contract_with_a_manifest(self, argv):
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            (Path(tmp) / "garbage.field").write_text("not a field\n")
+            out = Path(tmp) / "out"
+            argv = [a.replace("garbage.field", str(Path(tmp) / "garbage.field")) for a in argv]
+            code = cli.main(argv + ["--output-dir", str(out)])
+            assert code in (0, 1, 2, 3)
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["complete"] is (code in (0, 1))
 
 
 class TestDeterminism:

@@ -35,16 +35,24 @@ class TestConfigs:
         with pytest.raises(InvalidParameterError) as exc:
             dyn.SimConfig(nu=1.0, alpha=0.99 * 4 / 4000, grid=SpectralGrid(48), dt=0.01,
                           t_end=1.0)
-        assert "= 5.38" in str(exc.value) and "2.785" in str(exc.value)
+        assert "= 3.398" in str(exc.value) and "2.785" in str(exc.value)
 
     def test_dt_bound_edges(self):
         # dt * max = 2.78 passes; alpha = 0 is exempt (the viscous factor is exact)
-        lam = 24**2 + 24**2
+        lam = 16**2 + 16**2
         dt = 2.78 / (lam / (1 + 0.01 * lam))
         dyn.SimConfig(nu=1.0, alpha=0.01, grid=SpectralGrid(48), dt=dt, t_end=1.0)
         with pytest.raises(InvalidParameterError):
             dyn.SimConfig(nu=1.0, alpha=0.01, grid=SpectralGrid(48), dt=dt * 1.002, t_end=1.0)
         dyn.SimConfig(nu=1.0, alpha=0.0, grid=SpectralGrid(48), dt=1.0, t_end=1.0)
+
+    def test_dt_bound_is_taken_over_the_band(self):
+        # 2.677 on the band |k_i| <= 16; the whole 48^2 grid would give 2.944
+        cfg = dyn.SimConfig(nu=1.0, alpha=0.01, grid=SpectralGrid(48), dt=0.032, t_end=0.64,
+                            initial=dyn.InitialSpec.random(seed=3))
+        res = dyn.integrate(cfg)
+        assert res.steps == 20 and np.all(np.isfinite(res.final.coeffs))
+        assert np.max(np.abs(res.final.coeffs)) > 0
 
     def test_gamma(self):
         cfg = dyn.SimConfig(nu=2.0, alpha=3.0, grid=GRID, dt=1e-3, t_end=1.0)
@@ -72,6 +80,14 @@ class TestConfigs:
                         "# resolution_n=32 dealias_cutoff=10 role=velocity alpha=0\n"
                         "# columns: component k1 k2 re im\n" + rows)
         with pytest.raises(InvalidParameterError, match=problem):
+            dyn.InitialSpec.from_file(path).build(GRID)
+
+    def test_non_finite_snapshot_refused(self, tmp_path):
+        path = tmp_path / "u.field"
+        path.write_text("# nsvlab-field v1\n"
+                        "# resolution_n=32 dealias_cutoff=10 role=velocity alpha=0\n"
+                        "# columns: component k1 k2 re im\n0 0 1 nan 0\n0 0 -1 nan 0\n")
+        with pytest.raises(InvalidParameterError, match="non-finite coefficients"):
             dyn.InitialSpec.from_file(path).build(GRID)
 
     def test_initial_snapshot_round_trips(self, tmp_path):

@@ -6,7 +6,9 @@ velocity-form B(u,v).  dynamics.integrate and lyapunov.evolve_tangent_frame
 step the band streamfunction through one shared RK4 / integrating-factor
 RK4 function; the oracles step the SpectralField right-hand sides with
 plain RK4 loops on the velocity layout.  The arithmetic differs, so
-agreement is to round-off, not bitwise.
+agreement is to round-off, not bitwise.  Against explicit rk4_step loops on
+the band layout, in the arithmetic order of dynamics.advance's callers, the
+agreement is bitwise.
 """
 
 import warnings
@@ -67,6 +69,38 @@ def test_tangent_frame_matches_product_system_oracle():
     np.testing.assert_array_equal(series.times, times)
     assert rel_err(series.trace_inst, traces) <= RTOL
     assert rel_err(series.exponents, exponents) <= RTOL
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.0])
+def test_integrate_is_bitwise_its_explicit_loop(alpha):
+    cfg = forced_cfg(alpha, 1.0, sample_every=7)         # 100 steps: neither cadence divides
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", dyn.CflWarning)
+        res = dyn.integrate(cfg, snapshot_every=14, track_energy_budget=True)
+    final, columns, snapshots, residual = oracles.integrate_band(cfg, 14, True)
+    np.testing.assert_array_equal(res.final.coeffs, final)
+    for name, ref in columns.items():
+        np.testing.assert_array_equal(getattr(res.diagnostics, name), ref, err_msg=name)
+    assert [t for t, _ in res.snapshots] == [t for t, _ in snapshots] and len(snapshots) == 8
+    for (_, got), (_, ref) in zip(res.snapshots, snapshots):
+        np.testing.assert_array_equal(got.coeffs, ref)
+    assert res.energy_residual == residual
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.0])
+def test_tangent_frame_is_bitwise_its_explicit_loop(alpha):
+    cfg = forced_cfg(alpha, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", dyn.InsufficientDurationWarning)
+        series = lyp.evolve_tangent_frame(cfg, 3, 1.05, burn_in=0.5, seed=2, warmup=0.3,
+                                          reorth_every=10)
+    times, diag, exponents, base_final = oracles.evolve_frame_band(
+        cfg, 3, 1.05, burn_in=0.5, seed=2, warmup=0.3, reorth_every=10)
+    assert times.size == 11                              # the last event is off the cadence
+    np.testing.assert_array_equal(series.times, times)
+    np.testing.assert_array_equal(series.diag, diag)
+    np.testing.assert_array_equal(series.exponents, exponents)
+    np.testing.assert_array_equal(series.base_final.coeffs, base_final)
 
 
 def test_tangent_frame_base_follows_integrate():

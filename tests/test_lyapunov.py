@@ -320,7 +320,7 @@ class TestNStarScan:
         kw = dict(warmup=0.2, burn_in=0.5, seed=3)
         with pytest.warns(dyn.InsufficientDurationWarning):
             expected = lyp.evolve_tangent_frame(cfg, 4, 1.0, **kw)
-        evolve, step = lyp.evolve_tangent_frame, lyp.rk4_step
+        evolve, step = lyp.evolve_tangent_frame, dyn.rk4_step
         runs, base_steps = [], []
 
         def doubling(cfg, n, t_end, **kw):
@@ -335,7 +335,7 @@ class TestNStarScan:
             return step(rhs, c, dt, factors)
 
         monkeypatch.setattr(lyp, "evolve_tangent_frame", doubling)
-        monkeypatch.setattr(lyp, "rk4_step", counting)
+        monkeypatch.setattr(dyn, "rk4_step", counting)
         with pytest.warns(dyn.InsufficientDurationWarning):
             scan = lyp.scan_n_star(cfg, t_end=1.0, n_max=4, **kw)
         assert runs == [1, 2, 4]

@@ -3,6 +3,8 @@
 
 Layers: the real-FFT transform pair (one velocity field at n = 64, and a
 16-vector family on the 128^2 quadrature grid that rho_profile uses), the
+family density rho_profile of a 16-vector velocity family at n = 64 on the
+x2 and x4 quadrature grids, lattice enumeration up to |k|^2 = 1024, the
 dealiased nonlinear term (the kernel's u.grad w on the band) at n = 64, one
 right-hand side and one RK4 step of the band streamfunction at n = 64, one
 tangent-frame step per vector at n = 32 with 8 vectors on the forced flow and
@@ -28,6 +30,7 @@ import numpy as np
 
 from nsvlab import dynamics as dyn
 from nsvlab import inequalities as ineq
+from nsvlab import lattice
 from nsvlab import lyapunov as lyp
 from nsvlab import spectral as sp
 from nsvlab.spectral import VELOCITY
@@ -75,11 +78,15 @@ def layers():
     record("fft_pair.n64.real", lambda: sp.from_physical(sp.to_physical(u.coeffs)))
     record("fft_pair.n64.complex_oracle",
            lambda: oracles.from_physical(oracles.to_physical(u.coeffs)))
-    family = ineq.pad_coeffs(np.stack([sp.random_field(grid, VELOCITY, seed=s).coeffs
-                                       for s in range(16)]), 128)
+    vectors = np.stack([sp.random_field(grid, VELOCITY, seed=s).coeffs for s in range(16)])
+    family = oracles.pad_coeffs(vectors, 128)
     record("to_physical.family16.q128.real", lambda: sp.to_physical(family), inner=2)
     record("to_physical.family16.q128.complex_oracle",
            lambda: oracles.to_physical(family), inner=2)
+    record("rho_profile.family16.n64.q2", lambda: ineq.rho_profile(vectors, grid), inner=2)
+    record("rho_profile.family16.n64.q4",
+           lambda: ineq.rho_profile(vectors, grid, quad_factor=4), inner=2)
+    record("lattice.enumerate", lambda: lattice.LatticeSpectrum(max_e=1024), inner=10)
 
     psi = sp.stream_of(grid, u.coeffs)
     record("bilinear.n64.vorticity_form", lambda: sp.bilinear_coeffs(grid, psi))

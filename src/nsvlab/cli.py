@@ -55,6 +55,9 @@ FLOW_FLAGS = {
     "initial": {"kind": str, "amplitude": float, "path": str},
 }
 
+#: keys of the nested blocks that only a config file sets: block -> {key: type}
+FLOW_CONFIG_KEYS = {"initial": {"seed": int, "decay": float, "wavenumber": int}}
+
 
 # ----------------------------------------------------------------------------
 # configuration
@@ -220,9 +223,13 @@ def _constraint_problems(subcommand: str, p: dict) -> list[str]:
         path = p["initial"].get("path")
         if p["initial"].get("kind") == "file" and not isinstance(path, str):
             problems.append(f"initial.path must be a string, got {path!r}")
-        for block, keys in FLOW_FLAGS.items():       # kind and path are checked above
+        for block, flag_keys in FLOW_FLAGS.items():  # kind and path are checked above
+            keys = {**flag_keys, **FLOW_CONFIG_KEYS.get(block, {})}
             for key in sorted(keys.keys() & p[block].keys() - {"kind", "path"}):
                 _coerce(f"{block}.{key}", p[block][key], keys[key], problems)
+        ic_seed = p["initial"].get("seed")
+        if isinstance(ic_seed, (int, float)) and ic_seed < 0:
+            problems.append(f"initial.seed must be >= 0, got {ic_seed}")
         if subcommand == "simulate":
             nonneg("t_end")
             if p["sample_every"] < 1:
@@ -560,8 +567,8 @@ def main(argv=None) -> int:
     outdir = Path(args.output_dir or os.environ.get("NSVLAB_OUTPUT_DIR")
                   or Path("nsvlab_runs") / subcommand)
     try:
-        if not isinstance(seed, int):
-            raise ConfigError([f"seed: expected int, got {seed!r}"])
+        if not isinstance(seed, int) or seed < 0:
+            raise ConfigError([f"seed: expected an int >= 0, got {seed!r}"])
         params = parse_config(subcommand, args.config, overrides)
     except (ConfigError, InvalidParameterError) as err:
         manifest = RunManifest(config={"subcommand": subcommand, "config_file": args.config,

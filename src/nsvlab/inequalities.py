@@ -5,8 +5,9 @@ the identity) feed three checks: the Lieb-Thirring bound on the quadratic
 density integral, the L2 bound on the density of alpha-orthonormal families,
 and the sup-norm bound on the density built from stream-velocities of a
 scalar family.  Densities are evaluated on a collocation grid at twice the
-field resolution, which integrates |u_j|^2 powers exactly for band-limited
-fields; every integral is re-checked on a refined grid before a verdict.
+field resolution, which integrates rho and rho^2 exactly for families on the
+2/3 band (off-band ones are refused); only the sup norm is re-checked on a
+grid twice as fine.
 """
 
 from __future__ import annotations
@@ -26,19 +27,8 @@ from .spectral import TORUS_AREA, VELOCITY, VORTICITY, AlphaMetric, SpectralFiel
 ALPHA_ORTHONORMAL = "alpha-orthonormal"
 GRAM_SCALED = "gram-scaled"
 
-
-def pad_coeffs(c: np.ndarray, n_out: int) -> np.ndarray:
-    """Embed (..., n, n) Fourier coefficients into a larger n_out grid."""
-    n = c.shape[-1]
-    if n_out == n:
-        return c.copy()
-    if n_out < n:
-        raise InvalidParameterError(f"cannot pad {n} modes into {n_out}")
-    shifted = np.fft.fftshift(c, axes=(-2, -1))
-    out = np.zeros(c.shape[:-2] + (n_out, n_out), dtype=complex)
-    lo = n_out // 2 - n // 2
-    out[..., lo:lo + n, lo:lo + n] = shifted
-    return np.fft.ifftshift(out, axes=(-2, -1))
+#: the caps a sup-norm report scans for the one minimizing its right-hand side
+SCAN_CAPS = range(1, 65)
 
 
 # ----------------------------------------------------------------------------
@@ -154,14 +144,16 @@ class RhoProfile:
 
 
 def rho_profile(vectors: np.ndarray, grid: SpectralGrid, quad_factor: int = 2) -> RhoProfile:
-    """Evaluate the family density on a grid quad_factor times finer."""
-    nq = quad_factor * grid.n
-    phys = sp.to_physical(pad_coeffs(vectors, nq))
-    if phys.ndim == 4:          # (n, 2, nq, nq) velocity family
-        rho = np.sum(phys**2, axis=(0, 1))
-    else:                       # (n, nq, nq) scalar family
-        rho = np.sum(phys**2, axis=0)
-    return RhoProfile(values=rho, quad_n=nq)
+    """Evaluate the family density on a grid quad_factor times finer.  The family
+    must lie on the 2/3 band |k_i| <= K, where it is the fine grid's half spectrum
+    (..., nq, K+1) on the band's rows, and rho^2 has degree 4K < 2n."""
+    sp.require_band(grid, vectors, "family")
+    k, nq = grid.dealias_cutoff, quad_factor * grid.n
+    half = np.zeros(vectors.shape[:-2] + (nq, k + 1), dtype=complex)
+    half[..., : k + 1, :] = vectors[..., : k + 1, : k + 1]
+    half[..., nq - k:, :] = vectors[..., grid.n - k:, : k + 1]
+    phys = sp.to_physical(half)  # (n, 2, nq, nq) velocity or (n, nq, nq) scalar family
+    return RhoProfile(values=np.sum(phys**2, axis=tuple(range(phys.ndim - 2))), quad_n=nq)
 
 
 # ----------------------------------------------------------------------------
@@ -193,14 +185,14 @@ def _ratio(lhs: float, rhs: float) -> float:
     return lhs / rhs
 
 
-def _refinement_warning(fam_vectors, grid, value_fn, warnings_list, label, tol):
-    coarse = value_fn(rho_profile(fam_vectors, grid, quad_factor=2))
-    fine = value_fn(rho_profile(fam_vectors, grid, quad_factor=4))
-    scale = max(abs(fine), 1e-300)
-    if abs(fine - coarse) / scale > tol:
-        warnings_list.append(
-            f"{label} moved by {abs(fine - coarse) / scale:.2e} under grid refinement")
-    return fine
+def _report(target: str, fam: SuborthonormalFamily, lhs: float, rhs: float,
+            near_saturation: float, warnings=(), **extras) -> InequalityReport:
+    ratio = _ratio(lhs, rhs)
+    rep = InequalityReport(target=target, n=fam.n, seed=fam.seed, lhs=lhs, rhs=rhs, ratio=ratio,
+                           passed=ratio <= 1.0, warnings=list(warnings), extras=extras)
+    if near_saturation < ratio <= 1.0:
+        rep.extras["near_saturation"] = True
+    return rep
 
 
 def verify_lieb_thirring(fam: SuborthonormalFamily, near_saturation: float = 0.95) -> InequalityReport:
@@ -212,15 +204,9 @@ def verify_lieb_thirring(fam: SuborthonormalFamily, near_saturation: float = 0.9
     certificate = float(np.linalg.eigvalsh(fam.l2_gram())[-1])  # stored one may be stale
     if certificate > 1.0 + 1e-9:
         warns.append(f"suborthonormality certificate {certificate:.6f} > 1")
-    lhs = _refinement_warning(fam.vectors, fam.grid, lambda r: r.integral(2.0),
-                              warns, "integral rho^2", 1e-6)
+    lhs = rho_profile(fam.vectors, fam.grid).integral(2.0)
     rhs = CONSTANTS.c_lt_torus2d * fam.grad_norm_sq_sum()
-    ratio = _ratio(lhs, rhs)
-    rep = InequalityReport(target="lt", n=fam.n, seed=fam.seed, lhs=lhs, rhs=rhs,
-                           ratio=ratio, passed=ratio <= 1.0, warnings=warns)
-    if near_saturation < ratio <= 1.0:
-        rep.extras["near_saturation"] = True
-    return rep
+    return _report("lt", fam, lhs, rhs, near_saturation, warns)
 
 
 def verify_rho_l2(fam: SuborthonormalFamily, near_saturation: float = 0.95) -> InequalityReport:
@@ -233,31 +219,9 @@ def verify_rho_l2(fam: SuborthonormalFamily, near_saturation: float = 0.95) -> I
     if dev > 1e-8:
         raise InvalidParameterError(
             f"family is not alpha-orthonormal (Gram deviation {dev:.3g})")
-    warns = []
-    lhs = math.sqrt(_refinement_warning(fam.vectors, fam.grid, lambda r: r.integral(2.0),
-                                        warns, "integral rho^2", 1e-6))
+    lhs = rho_profile(fam.vectors, fam.grid).l2_norm()
     rhs = math.sqrt(fam.n) / (2.0 * math.sqrt(math.pi) * math.sqrt(fam.metric.alpha))
-    ratio = _ratio(lhs, rhs)
-    rep = InequalityReport(target="rho-l2", n=fam.n, seed=fam.seed, lhs=lhs, rhs=rhs,
-                           ratio=ratio, passed=ratio <= 1.0, warnings=warns)
-    if near_saturation < ratio <= 1.0:
-        rep.extras["near_saturation"] = True
-    return rep
-
-
-def _linf_sides(fam: SuborthonormalFamily) -> tuple[float, float, list]:
-    """(sup-norm lhs, gradient-sum, refinement warnings) for one family."""
-    if fam.role != VORTICITY:
-        raise InvalidParameterError("the sup-norm bound is checked on scalar families")
-    dev = fam.alpha_deviation()
-    if dev > 1e-8:
-        raise InvalidParameterError(
-            f"family is not alpha-orthonormal (Gram deviation {dev:.3g})")
-    warns = []
-    stream_velocities = sp.velocity_from_vorticity_coeffs(fam.grid, fam.vectors)
-    lhs_sq = _refinement_warning(stream_velocities, fam.grid, lambda r: r.max(),
-                                 warns, "max rho", 1e-3)
-    return math.sqrt(lhs_sq), fam.grad_norm_sq_sum(), warns
+    return _report("rho-l2", fam, lhs, rhs, near_saturation)
 
 
 def _linf_rhs(cap: int, grad_sum: float) -> float:
@@ -275,11 +239,14 @@ def spectral_sum_extras(lam_cap: int, spectrum: LatticeSpectrum | None = None) -
     }
 
 
+def _check_cap(lam_cap):
+    if not isinstance(lam_cap, (int, np.integer)) or lam_cap < 1:
+        raise InvalidParameterError(f"the spectral cap must be an integer >= 1, got {lam_cap!r}")
+
+
 def verify_rho_linf(fam: SuborthonormalFamily, lam_cap: int,
-                    scan_caps: range = range(1, 65),
-                    near_saturation: float = 0.95,
-                    _sides: tuple | None = None,
-                    _spectrum: LatticeSpectrum | None = None) -> InequalityReport:
+                    scan_caps: range = SCAN_CAPS,
+                    near_saturation: float = 0.95) -> InequalityReport:
     """sup-norm bound for rho = sum |grad-perp Laplace^{-1} phi_j|^2:
 
         ||rho||_inf^{1/2} <= 4 sqrt(2) pi (ln 4e Lam)^{1/2}
@@ -289,25 +256,33 @@ def verify_rho_linf(fam: SuborthonormalFamily, lam_cap: int,
     report also carries the cap minimizing the right-hand side over
     scan_caps and the two inverse-power spectral sums backing the proof.
     """
-    if not isinstance(lam_cap, (int, np.integer)) or lam_cap < 1:
-        raise InvalidParameterError(f"the spectral cap must be an integer >= 1, got {lam_cap!r}")
-    lhs, grad_sum, warns = _sides if _sides is not None else _linf_sides(fam)
-    rhs = _linf_rhs(lam_cap, grad_sum)
-    ratio = _ratio(lhs, rhs)
+    _check_cap(lam_cap)
+    sums = {lam_cap: spectral_sum_extras(int(lam_cap))}
+    return _linf_reports(fam, [lam_cap], sums, scan_caps, near_saturation)[0]
+
+
+def _linf_reports(fam: SuborthonormalFamily, lam_caps: list, sums: dict,
+                  scan_caps: range = SCAN_CAPS, near_saturation: float = 0.95) -> list:
+    """verify_rho_linf's report for each cap, given each cap's spectral sums;
+    the family's side of the bound and its best cap are evaluated once."""
+    if fam.role != VORTICITY:
+        raise InvalidParameterError("the sup-norm bound is checked on scalar families")
+    dev = fam.alpha_deviation()
+    if dev > 1e-8:
+        raise InvalidParameterError(
+            f"family is not alpha-orthonormal (Gram deviation {dev:.3g})")
+    # the maximum is not exact on any finite grid: re-checked on one twice as fine
+    stream_velocities = sp.velocity_from_vorticity_coeffs(fam.grid, fam.vectors)
+    coarse = rho_profile(stream_velocities, fam.grid, quad_factor=2).max()
+    fine = rho_profile(stream_velocities, fam.grid, quad_factor=4).max()
+    moved = abs(fine - coarse) / max(abs(fine), 1e-300)
+    warns = [f"max rho moved by {moved:.2e} under grid refinement"] if moved > 1e-3 else []
+    lhs, grad_sum = math.sqrt(fine), fam.grad_norm_sq_sum()
     best_cap = min(scan_caps, key=lambda cap: _linf_rhs(cap, grad_sum))
-    rep = InequalityReport(
-        target="rho-linf", n=fam.n, seed=fam.seed, lhs=lhs, rhs=rhs, ratio=ratio,
-        passed=ratio <= 1.0, warnings=list(warns),
-        extras={
-            "lam_cap": int(lam_cap),
-            "best_cap": int(best_cap),
-            "rhs_at_best_cap": _linf_rhs(best_cap, grad_sum),
-            **spectral_sum_extras(int(lam_cap), _spectrum),
-        },
-    )
-    if near_saturation < ratio <= 1.0:
-        rep.extras["near_saturation"] = True
-    return rep
+    return [_report("rho-linf", fam, lhs, _linf_rhs(cap, grad_sum), near_saturation, warns,
+                    lam_cap=int(cap), best_cap=int(best_cap),
+                    rhs_at_best_cap=_linf_rhs(best_cap, grad_sum), **sums[cap])
+            for cap in lam_caps]
 
 
 # ----------------------------------------------------------------------------
@@ -368,15 +343,14 @@ def run_rho_l2_sweep(grid: SpectralGrid, seeds, alphas, n: int = 8,
 
 def run_rho_linf_sweep(grid: SpectralGrid, seeds, lam_caps, n: int = 8,
                        alpha: float = 1.0, decay: float = 2.0) -> SweepReport:
-    metric = AlphaMetric(alpha)
     lam_caps = list(lam_caps)
-    # the sup-norm side is cap-independent and the spectral sums are
-    # family-independent: evaluate each once
+    for cap in lam_caps:
+        _check_cap(cap)
+    # the spectral sums are family-independent: evaluate them once per cap
     spectrum = LatticeSpectrum(max_e=max(16 * max(lam_caps), 64))
-    reports = []
-    for seed in seeds:
-        fam = sample_suborthonormal(grid, n, ALPHA_ORTHONORMAL, seed, VORTICITY, metric, decay)
-        sides = _linf_sides(fam)
-        for cap in lam_caps:
-            reports.append(verify_rho_linf(fam, cap, _sides=sides, _spectrum=spectrum))
-    return _sweep("rho-linf", reports)
+    sums = {cap: spectral_sum_extras(int(cap), spectrum) for cap in lam_caps}
+    metric = AlphaMetric(alpha)
+    return _sweep("rho-linf", (
+        rep for seed in seeds for rep in _linf_reports(
+            sample_suborthonormal(grid, n, ALPHA_ORTHONORMAL, seed, VORTICITY, metric, decay),
+            lam_caps, sums)))

@@ -173,7 +173,8 @@ class TraceSeries:
     evolve exactly as an m-frame does; q_hat is q_hat(n).  exponents are
     per-vector Lyapunov estimates from the log normalization factors over the
     same window.  With no event at t >= burn_in the verdict is withheld:
-    q_hats and exponents are NaN and window is None.
+    q_hats and exponents are NaN and window is None.  With no growth interval
+    starting at t >= burn_in the exponents alone are withheld (NaN).
     """
 
     n: int
@@ -210,6 +211,8 @@ class TraceSeries:
             "q_hat": None if self.window is None else self.q_hat,
             "n_star": None,
             "window": None if self.window is None else [self.window[0], self.window[1]],
+            "exponents": None if np.isnan(self.exponents).any()
+            else [float(e) for e in self.exponents],
         }
 
 
@@ -283,9 +286,12 @@ def evolve_tangent_frame(
         window = (float(times[sel][0]), float(times[-1]))
         # exponents: growth intervals fully inside the window
         exp_sel = prev_ts >= burn_in
-        if not np.any(exp_sel):
-            exp_sel = np.ones_like(sel)
-        exponents = logs[exp_sel].sum(axis=0) / (times[exp_sel][-1] - prev_ts[exp_sel][0])
+        if np.any(exp_sel):
+            exponents = logs[exp_sel].sum(axis=0) / (times[exp_sel][-1] - prev_ts[exp_sel][0])
+        else:
+            warnings.warn(f"no growth interval starts at t >= burn_in = {burn_in:.3g} (last "
+                          f"starts at t = {prev_ts[-1]:.3g}); exponents withheld",
+                          InsufficientDurationWarning, stacklevel=2)
     else:
         warnings.warn(
             f"no re-orthonormalization at t >= burn_in = {burn_in:.3g} (run ends at "

@@ -232,15 +232,20 @@ def half_of(grid: SpectralGrid, band: np.ndarray) -> np.ndarray:
     return half
 
 
-def stream_of(grid: SpectralGrid, u: np.ndarray, what: str = "field") -> np.ndarray:
-    """psi_hat on the band of a velocity (..., 2, n, n): psi = rot u / |k|^2, which
-    drops any gradient part.  A u with a nonzero coefficient off the band is
-    refused, since the band is all a state holds."""
-    outside = float(np.max(np.abs(u[..., ~grid.dealias_mask]), initial=0.0))
+def require_band(grid: SpectralGrid, c: np.ndarray, what: str = "field"):
+    """Refuse full-layout coefficients (..., n, n) with a nonzero entry off the band."""
+    outside = float(np.max(np.abs(c[..., ~grid.dealias_mask]), initial=0.0))
     if outside > 0:
         raise InvalidParameterError(
             f"{what} has coefficients outside the 2/3 band |k_i| <= {grid.dealias_cutoff} "
             f"(largest {outside:.3g})")
+
+
+def stream_of(grid: SpectralGrid, u: np.ndarray, what: str = "field") -> np.ndarray:
+    """psi_hat on the band of a velocity (..., 2, n, n): psi = rot u / |k|^2, which
+    drops any gradient part.  A u with a nonzero coefficient off the band is
+    refused, since the band is all a state holds."""
+    require_band(grid, u, what)
     b = band_of(grid, u)
     rot = -(grid.band_uw[0] * b[..., 0, :, :] + grid.band_uw[1] * b[..., 1, :, :])
     return np.divide(rot, grid.band_k2, out=np.zeros_like(rot), where=grid.band_k2 > 0)

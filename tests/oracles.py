@@ -2,7 +2,8 @@
 
 Field-level Parseval inner products and norms and the Stokes and Helmholtz
 multipliers on the velocity layout, two direct lattice counts N(E), the
-upward decimal rounding of the printed constants, the velocity-form
+upward decimal rounding of the printed constants, the zero-padding of a
+full coefficient layout into a finer grid, the velocity-form
 advection term B(u,v) on full complex FFTs (np.fft
 directly, no nsvlab transform), field-level right-hand sides and
 linearizations of the velocity and vorticity forms, a quadrature of the two
@@ -25,7 +26,6 @@ from nsvlab import fieldio
 from nsvlab import lyapunov as lyp
 from nsvlab import spectral as sp
 from nsvlab.errors import GridMismatchError, InvalidParameterError, RoleMismatchError
-from nsvlab.inequalities import pad_coeffs
 from nsvlab.spectral import TORUS_AREA, VELOCITY, VORTICITY, SpectralField
 
 # ----------------------------------------------------------------------------
@@ -122,6 +122,20 @@ def to_physical(coeffs):
     """Full-layout inverse transform; shares no code with nsvlab.spectral's pair."""
     n = coeffs.shape[-1]
     return np.fft.ifft2(coeffs, axes=(-2, -1)).real * (n * n)
+
+
+def pad_coeffs(c, n_out):
+    """Embed (..., n, n) Fourier coefficients into a larger n_out grid."""
+    n = c.shape[-1]
+    if n_out == n:
+        return c.copy()
+    if n_out < n:
+        raise InvalidParameterError(f"cannot pad {n} modes into {n_out}")
+    shifted = np.fft.fftshift(c, axes=(-2, -1))
+    out = np.zeros(c.shape[:-2] + (n_out, n_out), dtype=complex)
+    lo = n_out // 2 - n // 2
+    out[..., lo:lo + n, lo:lo + n] = shifted
+    return np.fft.ifftshift(out, axes=(-2, -1))
 
 
 def from_physical(values):

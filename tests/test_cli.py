@@ -99,8 +99,14 @@ class TestExitCodes:
         (["simulate", "--n", "abc"], None, "n: expected int, got str 'abc'"),
         (["verify", "lt", "--kind", "nope"], None, "kind must be one of"),
         (["simulate", "--dt", "nan"], None, "dt: expected a finite float, got nan"),
+        (["simulate", "--n", "16", "--dt", "0.01", "--t-end", "0.1"],
+         {"initial": {"kind": "random", "seed": "x"}}, "initial.seed: expected int, got str 'x'"),
+        (["simulate", "--n", "16", "--dt", "0.01", "--t-end", "0.1"],
+         {"initial": {"kind": "random", "seed": -1}}, "initial.seed must be >= 0, got -1"),
+        (["verify", "lt", "--grid-n", "16", "--seed=-1"], None,
+         "seed: expected an int >= 0, got -1"),
     ], ids=["empty-lam-range", "no-alphas", "ill-typed-alphas", "geometry", "n", "kind",
-            "nan"])
+            "nan", "initial-seed-type", "initial-seed-negative", "negative-seed"])
     def test_bad_value_is_2_with_manifest(self, tmp_path, capsys, argv, config, problem):
         if config is not None:
             (tmp_path / "c.json").write_text(json.dumps(config))
@@ -259,6 +265,10 @@ FLOW_VALID = {"forcing": {"kind": ("zero", "shear"), "amplitude": ("0.5", "2"),
                           "wavenumber": ("1", "2", "9")},
               "initial": {"kind": ("zero", "shear", "random", "file"), "amplitude": ("0.5", "2"),
                           "path": ("missing.field", "garbage.field")}}
+#: valid values of the config-only nested keys, and JSON values of the wrong
+#: type or range for them
+CONFIG_VALID = {"initial": {"seed": (0, 3), "decay": (1.0, 3), "wavenumber": (1, 2, 9)}}
+CONFIG_INVALID = (-1, 0, -0.5, 1.5, "x", "", None, True, float("nan"))
 OUT_OF_RANGE = ("-1", "0", "-0.5", "nope")
 ILL_TYPED = ("abc", "", "1e", "0x10", "nan", "inf")
 
@@ -267,7 +277,10 @@ ILL_TYPED = ("abc", "", "1e", "0x10", "nan", "inf")
 def argument_vectors(draw):
     """A subcommand and a value for each of its flags: valid, out of range or
     ill-typed (in half the vectors, valid only); the nested-block flags and
-    --seed only sometimes."""
+    --seed only sometimes.  Half the simulate and lyapunov vectors take their
+    initial block from a config file in place of the --initial-* flags, with
+    the config-only keys valid or not in any vector, so that they also reach a
+    run whose flags are all valid.  Returns (argv, config or None)."""
     subcommand = draw(st.sampled_from(sorted(cli.SCHEMAS)))
     mixed = draw(st.booleans())
 
@@ -276,6 +289,15 @@ def argument_vectors(draw):
             return st.sampled_from(valid)
         return st.one_of(st.sampled_from(valid), st.sampled_from(OUT_OF_RANGE),
                          st.sampled_from(ILL_TYPED))
+
+    config = None
+    if subcommand in ("simulate", "lyapunov") and draw(st.booleans()):
+        initial = {"kind": draw(st.sampled_from(("shear", "random")))}
+        for sub_key, valid in CONFIG_VALID["initial"].items():
+            if draw(st.booleans()):
+                initial[sub_key] = draw(st.one_of(st.sampled_from(valid),
+                                                  st.sampled_from(CONFIG_INVALID)))
+        config = {"initial": initial}
 
     argv = [subcommand]
     for key, (typ, _) in cli.SCHEMAS[subcommand].items():
@@ -288,6 +310,8 @@ def argument_vectors(draw):
             argv += [flag] + draw(st.lists(flag_value(("0.1", "1")), min_size=1 - mixed,
                                            max_size=3))
         elif typ is dict:
+            if config is not None and key in config:
+                continue
             for sub_key in cli.FLOW_FLAGS[key]:
                 if draw(st.booleans()):
                     argv.append(f"{flag}-{sub_key}={draw(flag_value(FLOW_VALID[key][sub_key]))}")
@@ -295,7 +319,7 @@ def argument_vectors(draw):
             argv.append(f"{flag}={draw(flag_value(VALID[subcommand][key]))}")
     if draw(st.booleans()):
         argv.append(f"--seed={draw(flag_value(('0', '3')))}")
-    return argv
+    return argv, config
 
 
 class TestExitContract:
@@ -305,15 +329,21 @@ class TestExitContract:
             assert scalars == set(VALID[subcommand]), subcommand
         for block, keys in cli.FLOW_FLAGS.items():
             assert set(keys) == set(FLOW_VALID[block]), block
+        for block, keys in cli.FLOW_CONFIG_KEYS.items():
+            assert set(keys) == set(CONFIG_VALID.get(block, {})), block
 
     @settings(max_examples=100, deadline=None)
-    @given(argv=argument_vectors())
-    def test_every_run_exits_in_contract_with_a_manifest(self, argv):
+    @given(drawn=argument_vectors())
+    def test_every_run_exits_in_contract_with_a_manifest(self, drawn):
+        argv, config = drawn
         with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
             warnings.simplefilter("ignore")
             (Path(tmp) / "garbage.field").write_text("not a field\n")
             out = Path(tmp) / "out"
             argv = [a.replace("garbage.field", str(Path(tmp) / "garbage.field")) for a in argv]
+            if config is not None:
+                (Path(tmp) / "c.json").write_text(json.dumps(config))
+                argv += ["--config", str(Path(tmp) / "c.json")]
             code = cli.main(argv + ["--output-dir", str(out)])
             assert code in (0, 1, 2, 3)
             manifest = json.loads((out / "manifest.json").read_text())

@@ -2,9 +2,11 @@
 
 The real-FFT transform pair and the streamfunction advection kernel of
 nsvlab.spectral are checked against full complex np.fft transforms and the
-velocity-form B(u,v).  dynamics.integrate and lyapunov.evolve_tangent_frame
-step the band streamfunction through one shared RK4 / integrating-factor
-RK4 function; the oracles step the SpectralField right-hand sides with
+velocity-form B(u,v), and the band-embedded density kernel
+inequalities.rho_profile against the zero-padded full layout it replaced.
+dynamics.integrate and lyapunov.evolve_tangent_frame step the band
+streamfunction through one shared RK4 / integrating-factor RK4 function;
+the oracles step the SpectralField right-hand sides with
 plain RK4 loops on the velocity layout.  The arithmetic differs, so
 agreement is to round-off, not bitwise.  Against explicit rk4_step loops on
 the band layout, in the arithmetic order of dynamics.advance's callers, the
@@ -20,7 +22,7 @@ from nsvlab import dynamics as dyn
 from nsvlab import inequalities as ineq
 from nsvlab import lyapunov as lyp
 from nsvlab import spectral as sp
-from nsvlab.spectral import VELOCITY, SpectralGrid
+from nsvlab.spectral import VELOCITY, VORTICITY, SpectralGrid
 
 import oracles
 
@@ -142,7 +144,7 @@ def test_kernel_band_is_alias_free_when_3_cutoff_below_n(cutoff):
     n = 48
     grid = SpectralGrid(n, cutoff)
     u = sp.random_field(grid, VELOCITY, seed=3, decay=0.0)
-    fine = sp.SpectralField(SpectralGrid(2 * n, cutoff), VELOCITY, ineq.pad_coeffs(u.coeffs, 2 * n))
+    fine = sp.SpectralField(SpectralGrid(2 * n, cutoff), VELOCITY, oracles.pad_coeffs(u.coeffs, 2 * n))
     rows = np.fft.fftfreq(n, d=1.0 / n).astype(int) % (2 * n)
     exact = oracles.bilinear_b(fine, fine).coeffs[:, rows][:, :, rows]
     got = biot_savart(grid, sp.bilinear_coeffs(grid, sp.stream_of(grid, u.coeffs)))
@@ -173,3 +175,20 @@ def test_transform_pair_matches_full_complex_ffts(n):
                                   sp.full_layout(cut[..., : n // 2 + 1]))
     assert rel_err(sp.to_physical(cut[..., : grid.dealias_cutoff + 1]), oracles.to_physical(cut)) \
         <= KERNEL_RTOL
+
+
+@pytest.mark.parametrize("q", [2, 4])
+@pytest.mark.parametrize("n", [16, 32, 48, 64])
+def test_rho_profile_matches_padded_full_layout(n, q):
+    # velocity families and the stream-velocities of scalar families, against
+    # the full layout zero-padded to the q n grid and transformed whole
+    grid = SpectralGrid(n)
+    velocity = ineq.sample_suborthonormal(grid, 16, seed=n).vectors
+    scalar = ineq.sample_suborthonormal(grid, 16, seed=n + 1, role=VORTICITY).vectors
+    for vectors in (velocity, sp.velocity_from_vorticity_coeffs(grid, scalar)):
+        got = ineq.rho_profile(vectors, grid, quad_factor=q)
+        ref = np.sum(sp.to_physical(oracles.pad_coeffs(vectors, q * n)) ** 2, axis=(0, 1))
+        assert got.quad_n == q * n
+        assert rel_err(got.values, ref) <= 1e-14
+        if n != 48:
+            np.testing.assert_array_equal(got.values, ref)

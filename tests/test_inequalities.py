@@ -10,6 +10,8 @@ from nsvlab import spectral as sp
 from nsvlab.errors import InvalidParameterError
 from nsvlab.spectral import VELOCITY, VORTICITY, AlphaMetric, SpectralGrid
 
+import oracles
+
 GRID = SpectralGrid(32)
 
 
@@ -26,18 +28,18 @@ def single_shear_family(alpha=1.0):
 class TestPadCoeffs:
     def test_padding_preserves_samples(self):
         f = sp.random_field(GRID, VORTICITY, seed=0, decay=2.0)
-        fine = sp.to_physical(ineq.pad_coeffs(f.coeffs, 64))
+        fine = sp.to_physical(oracles.pad_coeffs(f.coeffs, 64))
         coarse = f.to_physical()
         np.testing.assert_allclose(fine[::2, ::2], coarse, atol=1e-12)
 
     def test_identity_when_same_size(self):
         f = sp.random_field(GRID, VORTICITY, seed=1)
-        np.testing.assert_array_equal(ineq.pad_coeffs(f.coeffs, 32), f.coeffs)
+        np.testing.assert_array_equal(oracles.pad_coeffs(f.coeffs, 32), f.coeffs)
 
     def test_shrinking_rejected(self):
         f = sp.random_field(GRID, VORTICITY, seed=2)
         with pytest.raises(InvalidParameterError):
-            ineq.pad_coeffs(f.coeffs, 16)
+            oracles.pad_coeffs(f.coeffs, 16)
 
 
 class TestSampling:
@@ -86,6 +88,16 @@ class TestRhoProfile:
     def test_nonnegative(self):
         fam = ineq.sample_suborthonormal(GRID, 3, seed=7)
         assert ineq.rho_profile(fam.vectors, GRID).values.min() >= 0.0
+
+    def test_off_band_family_refused(self):
+        # one coefficient at |k_1| = K + 1, past the 2/3 band the quadrature is exact on
+        fam = ineq.sample_suborthonormal(GRID, 3, seed=17)
+        k = GRID.dealias_cutoff
+        fam.vectors[1, 0, k + 1, 1] = 1e-3
+        with pytest.raises(InvalidParameterError, match="outside the 2/3 band"):
+            ineq.rho_profile(fam.vectors, GRID)
+        with pytest.raises(InvalidParameterError, match="outside the 2/3 band"):
+            ineq.verify_lieb_thirring(fam)
 
     def test_quadrature_refinement_stable(self):
         fam = ineq.sample_suborthonormal(GRID, 4, seed=8)
@@ -188,6 +200,21 @@ class TestRhoLinf:
         fam = ineq.sample_suborthonormal(GRID, 2, seed=16, role=VELOCITY)
         with pytest.raises(InvalidParameterError):
             ineq.verify_rho_linf(fam, 1)
+
+    def test_sweep_reports_equal_the_per_cap_verifier(self):
+        # the sweep evaluates the sides and best cap once per family and the
+        # spectral sums once per cap; each report is the one verify_rho_linf gives
+        seeds, caps = range(3), (1, 5, 8, 64)
+        sweep = ineq.run_rho_linf_sweep(GRID, seeds=seeds, lam_caps=caps, n=6)
+        expected = []
+        for seed in seeds:
+            fam = ineq.sample_suborthonormal(GRID, 6, seed=seed, role=VORTICITY)
+            expected += [ineq.verify_rho_linf(fam, cap).as_dict() for cap in caps]
+        assert [rep.as_dict() for rep in sweep.reports] == expected
+
+    def test_sweep_refuses_a_bad_cap(self):
+        with pytest.raises(InvalidParameterError):
+            ineq.run_rho_linf_sweep(GRID, seeds=range(1), lam_caps=(1, 0), n=2)
 
     def test_cap_sweep_holds(self):
         sweep = ineq.run_rho_linf_sweep(GRID, seeds=range(3), lam_caps=(1, 8, 64), n=6)

@@ -236,7 +236,7 @@ class TestFrameEvolution:
         series.write_csv(tmp_path / "trace.csv")
         header = (tmp_path / "trace.csv").read_text().splitlines()[0]
         assert header == "t,trace_inst,trace_avg"
-        assert set(series.summary()) == {"n", "q_hat", "n_star", "window"}
+        assert set(series.summary()) == {"n", "q_hat", "n_star", "window", "exponents"}
         assert series.summary()["n_star"] is None
 
     def test_burn_in_past_the_end_withholds_the_verdict(self):
@@ -252,6 +252,18 @@ class TestFrameEvolution:
             scan = lyp.scan_n_star(cfg, t_end=1.0, burn_in=5.0)
         assert scan.n_star is None and scan.series.n == 1
         assert scan.summary()["q_hats"] == {"1": None}
+
+    def test_no_growth_interval_past_burn_in_withholds_the_exponents(self):
+        # events at t = 1 and 2: the one event past t = 1.5 gives q_hat, but both
+        # growth intervals, [0, 1] and [1, 2], start before the burn-in
+        cfg = dyn.SimConfig(nu=1.0, alpha=1.0, grid=SpectralGrid(16), dt=0.1, t_end=2.0)
+        with pytest.warns(dyn.InsufficientDurationWarning,
+                          match=r"no growth interval starts at t >= burn_in = 1.5"):
+            series = lyp.evolve_tangent_frame(cfg, 2, 2.0, burn_in=1.5)
+        assert series.window == (2.0, 2.0) and np.all(np.isfinite(series.q_hats))
+        assert np.all(np.isnan(series.exponents))
+        assert series.summary()["exponents"] is None
+        assert series.summary()["q_hat"] == series.q_hat
 
     def test_deterministic(self):
         cfg = cfg_for(dt=0.01)

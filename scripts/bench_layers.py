@@ -8,9 +8,14 @@ x2 and x4 quadrature grids, lattice enumeration up to |k|^2 = 1024, the
 dealiased nonlinear term (the kernel's u.grad w on the band) at n = 64, one
 right-hand side and one RK4 step of the band streamfunction at n = 64, one
 tangent-frame step per vector at n = 32 with 8 vectors on the forced flow and
-with 4 vectors on the zero base, and alpha Gram-Schmidt of an 8-vector frame
-at n = 32.  The transform pair and the nonlinear term are timed next to the
-full complex FFTs and the velocity-form B(u,v) of tests/oracles.py.
+with 4 vectors on the zero base, alpha Gram-Schmidt (CGS2) of an 8-vector
+frame at n = 32 and of 16-vector velocity and scalar families on the n = 64
+band, one whole sample_suborthonormal of a 16-vector family at n = 64, and
+the trace diagonal of an 8-vector frame at n = 32 on the forced flow and of
+a 4-vector frame on the zero base.  The transform pair, the nonlinear term,
+the family Gram-Schmidt and draw, and the trace diagonal are timed next to
+the full complex FFTs, the velocity-form B(u,v), the full-layout draw with
+modified Gram-Schmidt and the per-row trace of tests/oracles.py.
 The machine, CPU count and numpy version are recorded with the timings.
 
 Example:
@@ -33,7 +38,7 @@ from nsvlab import inequalities as ineq
 from nsvlab import lattice
 from nsvlab import lyapunov as lyp
 from nsvlab import spectral as sp
-from nsvlab.spectral import VELOCITY
+from nsvlab.spectral import VELOCITY, VORTICITY
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 import oracles  # noqa: E402  (the reference kernels live with the tests)
@@ -88,6 +93,21 @@ def layers():
            lambda: ineq.rho_profile(vectors, grid, quad_factor=4), inner=2)
     record("lattice.enumerate", lambda: lattice.LatticeSpectrum(max_e=1024), inner=10)
 
+    metric = sp.AlphaMetric(1.0)
+    weights = grid.band_count * (1.0 + metric.alpha * grid.band_k2)
+    for role, tag in ((VELOCITY, "velocity"), (VORTICITY, "scalar")):
+        rng = np.random.default_rng(0)
+        bands = np.stack([sp.random_band(grid, role, 2.0, rng) for _ in range(16)])
+        full = sp.full_layout(sp.half_of(grid, bands))
+        record(f"gram_schmidt.family16.n64.{tag}",
+               lambda: lyp.alpha_gram_schmidt(bands, weights), inner=3)
+        record(f"gram_schmidt.family16.n64.{tag}.mgs_full_layout_oracle",
+               lambda: oracles.mgs_gram_schmidt(full, metric.weights(grid)), inner=1)
+    record("sample_suborthonormal.family16.n64",
+           lambda: ineq.sample_suborthonormal(grid, 16, seed=0), inner=2)
+    record("sample_suborthonormal.family16.n64.full_layout_oracle",
+           lambda: oracles.sample_alpha_orthonormal(grid, 16, 0, VELOCITY, metric), inner=1)
+
     psi = sp.stream_of(grid, u.coeffs)
     record("bilinear.n64.vorticity_form", lambda: sp.bilinear_coeffs(grid, psi))
     record("bilinear.n64.velocity_form_oracle", lambda: oracles.bilinear_b(u, u))
@@ -106,6 +126,11 @@ def layers():
            lambda: dyn.rk4_step(rhs, state, cfg.dt, factors), inner=3, per=8)
     record("gram_schmidt.n32.m8",
            lambda: lyp.alpha_gram_schmidt(frame.vectors, frame.weights), inner=3)
+    multipliers = dyn.stream_multipliers(cfg)
+    record("trace_diagonal.n32.m8",
+           lambda: lyp.trace_diagonal(cfg.grid, multipliers, state, frame.weights))
+    record("trace_diagonal.n32.m8.per_row_oracle",
+           lambda: oracles.trace_diagonal(cfg, state, frame.weights))
 
     # the benchmark's zero-attractor frame: nu = alpha = 1, no forcing, dt = 0.1
     cfg = dyn.SimConfig(nu=1.0, alpha=1.0, grid=cfg.grid, dt=0.1, t_end=0.0)
@@ -114,6 +139,11 @@ def layers():
     state = np.concatenate([np.zeros((1,) + cfg.grid.band_shape, dtype=complex), frame.vectors])
     record("tangent_step_per_vector.zero_base.n32.m4",
            lambda: dyn.rk4_step(rhs, state, cfg.dt, factors), inner=100, per=4)
+    multipliers = dyn.stream_multipliers(cfg)
+    record("trace_diagonal.zero_base.n32.m4",
+           lambda: lyp.trace_diagonal(cfg.grid, multipliers, state, frame.weights), inner=100)
+    record("trace_diagonal.zero_base.n32.m4.per_row_oracle",
+           lambda: oracles.trace_diagonal(cfg, state, frame.weights), inner=100)
     return out
 
 

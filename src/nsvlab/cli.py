@@ -177,9 +177,9 @@ def parse_config(subcommand: str, file_path: str | None, overrides: dict) -> dic
 
 
 def _is_mode_row(row) -> bool:
-    """A forcing row [k1, k2, re0, im0, re1, im1]."""
-    return (isinstance(row, list) and len(row) == 6
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row))
+    """A forcing row [k1, k2, re0, im0, re1, im1], read as _coerce reads an int or float key."""
+    return isinstance(row, list) and len(row) == 6 and all(
+        _coerce("", x, typ, []) is not None for x, typ in zip(row, (int, int) + (float,) * 4))
 
 
 def _constraint_problems(subcommand: str, p: dict) -> list[str]:
@@ -218,8 +218,8 @@ def _constraint_problems(subcommand: str, p: dict) -> list[str]:
         rows = p["forcing"].get("modes")
         if p["forcing"].get("kind") == "modes" and not (
                 isinstance(rows, list) and all(map(_is_mode_row, rows))):
-            problems.append("forcing.modes must be a list of 6-number rows "
-                            f"[k1, k2, re0, im0, re1, im1], got {rows!r}")
+            problems.append("forcing.modes must be a list of 6-number rows [k1, k2, re0, im0, "
+                            f"re1, im1], finite, k1 and k2 integral, got {rows!r}")
         path = p["initial"].get("path")
         if p["initial"].get("kind") == "file" and not isinstance(path, str):
             problems.append(f"initial.path must be a string, got {path!r}")

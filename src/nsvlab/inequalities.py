@@ -1,13 +1,13 @@
 """Sampling-based verification of the spectral inequalities.
 
-Families of fields that are suborthonormal in L2 (Gram matrix dominated by
-the identity) feed three checks: the Lieb-Thirring bound on the quadratic
-density integral, the L2 bound on the density of alpha-orthonormal families,
-and the sup-norm bound on the density built from stream-velocities of a
-scalar family.  Densities are evaluated on a collocation grid at twice the
-field resolution, which integrates rho and rho^2 exactly for families on the
-2/3 band (off-band ones are refused); only the sup norm is re-checked on a
-grid twice as fine.
+Random families of fields that are suborthonormal in L2 (Gram matrix
+dominated by the identity), drawn and orthonormalized on the 2/3 band, feed
+three checks: the Lieb-Thirring bound on the quadratic density integral, the
+L2 bound on the density of alpha-orthonormal families, and the sup-norm bound
+on the stream-velocity density of a scalar family.  Densities are evaluated
+on a grid twice as fine as the field's, which integrates rho and rho^2
+exactly for families on the band (off-band ones are refused); only the sup
+norm is re-checked on a grid twice as fine again.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from . import spectral as sp
 from .bounds import CONSTANTS
 from .errors import DegenerateFrameError, InvalidParameterError
 from .lattice import sum_inverse_below, sum_inverse_square_above, LatticeSpectrum
-from .lyapunov import alpha_gram_schmidt, gram_deviation
+from .lyapunov import alpha_gram_schmidt, gram_deviation, gram_matrix
 from .spectral import TORUS_AREA, VELOCITY, VORTICITY, AlphaMetric, SpectralField, SpectralGrid
 
 ALPHA_ORTHONORMAL = "alpha-orthonormal"
@@ -56,8 +56,7 @@ class SuborthonormalFamily:
         return self.vectors.shape[0]
 
     def l2_gram(self) -> np.ndarray:
-        v = self.vectors.reshape(self.n, -1)
-        return TORUS_AREA * np.real(v @ np.conj(v).T)
+        return gram_matrix(self.vectors, 1.0)
 
     def grad_norm_sq_sum(self) -> float:
         return TORUS_AREA * float(np.sum(self.grid.k2 * np.abs(self.vectors) ** 2))
@@ -67,53 +66,44 @@ class SuborthonormalFamily:
         return gram_deviation(self.vectors, self.metric.weights(self.grid))
 
 
-def sample_suborthonormal(
-    grid: SpectralGrid,
-    n: int,
-    kind: str = ALPHA_ORTHONORMAL,
-    seed: int = 0,
-    role: str = VELOCITY,
-    metric: AlphaMetric = AlphaMetric(1.0),
-    decay: float = 2.0,
-    max_retries: int = 5,
-) -> SuborthonormalFamily:
+def sample_suborthonormal(grid: SpectralGrid, n: int, kind: str = ALPHA_ORTHONORMAL, seed: int = 0,
+                          role: str = VELOCITY, metric: AlphaMetric = AlphaMetric(1.0),
+                          decay: float = 2.0, max_retries: int = 5) -> SuborthonormalFamily:
     """Draw a random family satisfying the suborthonormality hypothesis.
 
     alpha-orthonormal: Gram-Schmidt in the alpha inner product (needs the
     vectors independent; a degenerate draw is retried with a shifted
     sub-seed).  gram-scaled: the raw fields scaled by the inverse square
-    root of the largest L2 Gram eigenvalue.
+    root of the largest L2 Gram eigenvalue.  Drawn, orthonormalized and
+    certified on the band (spectral.random_band; a k2 > 0 column counts twice),
+    then expanded to the full layout once.
     """
     if n < 1:
         raise InvalidParameterError(f"family size must be >= 1, got {n}")
+    if kind not in (ALPHA_ORTHONORMAL, GRAM_SCALED):
+        raise InvalidParameterError(f"unknown family kind {kind!r}")
     last_error = None
     for attempt in range(max_retries):
         sub_seed = seed + 1000 * attempt
         rng = np.random.default_rng(sub_seed)
-        vecs = np.stack([
-            sp.random_field(grid, role, seed=0, decay=decay, rng=rng).coeffs
-            for _ in range(n)
-        ])
+        bands = np.stack([sp.random_band(grid, role, decay, rng) for _ in range(n)])
         if kind == ALPHA_ORTHONORMAL:
             try:
-                vecs, _ = alpha_gram_schmidt(vecs, metric.weights(grid))
+                bands, _ = alpha_gram_schmidt(
+                    bands, grid.band_count * (1.0 + metric.alpha * grid.band_k2))
             except DegenerateFrameError as err:
                 last_error = err
                 continue
-        elif kind == GRAM_SCALED:
-            v = vecs.reshape(n, -1)
-            gram = TORUS_AREA * np.real(v @ np.conj(v).T)
-            top = float(np.linalg.eigvalsh(gram)[-1])
+        else:
+            top = float(np.linalg.eigvalsh(gram_matrix(bands, grid.band_count))[-1])
             if top <= 0:
                 last_error = DegenerateFrameError(index=0, message="zero random draw")
                 continue
-            vecs = vecs / math.sqrt(top)
-        else:
-            raise InvalidParameterError(f"unknown family kind {kind!r}")
-        fam = SuborthonormalFamily(grid=grid, role=role, metric=metric,
-                                   vectors=vecs, kind=kind, seed=sub_seed)
-        fam.certificate = float(np.linalg.eigvalsh(fam.l2_gram())[-1])
-        return fam
+            bands = bands / math.sqrt(top)
+        return SuborthonormalFamily(
+            grid=grid, role=role, metric=metric, vectors=sp.full_layout(sp.half_of(grid, bands)),
+            kind=kind, seed=sub_seed,
+            certificate=float(np.linalg.eigvalsh(gram_matrix(bands, grid.band_count))[-1]))
     raise DegenerateFrameError(
         index=getattr(last_error, "index", 0),
         message=f"no independent family after {max_retries} draws (seed {seed})")

@@ -1,10 +1,10 @@
 """Tangent frames under the linearized flow and trace functionals.
 
 A frame of n fields is kept orthonormal in the alpha-weighted inner product
-while it is transported by the linearization along a base trajectory.  The
-time-averaged trace of the linearized operator over the frame, q_hat(n),
-estimates the sum of the first n global Lyapunov exponents; the first n with
-q_hat(n) < 0 bounds the attractor dimension.
+(CGS2 Gram-Schmidt) while the linearization along a base trajectory
+transports it.  The time-averaged trace of the linearized operator over the
+frame, q_hat(n), estimates the sum of the first n global Lyapunov exponents;
+the first n with q_hat(n) < 0 bounds the attractor dimension.
 
 The supremum over trajectories and bases in the definition of q(n) is
 approximated by one long run with an evolving frame and periodic
@@ -56,10 +56,8 @@ class TangentFrame:
     @classmethod
     def random(cls, grid: SpectralGrid, n: int, metric: AlphaMetric, seed: int) -> "TangentFrame":
         rng = np.random.default_rng(seed)
-        vecs = np.stack([
-            sp.stream_of(grid, sp.random_field(grid, VELOCITY, seed=0, decay=3.0, rng=rng).coeffs)
-            for _ in range(n)
-        ])
+        vecs = np.stack([sp.band_stream(grid, sp.random_band(grid, VELOCITY, 3.0, rng))
+                         for _ in range(n)])
         return cls(grid, metric, alpha_gram_schmidt(vecs, metric.band_weights(grid))[0])
 
     @classmethod
@@ -74,60 +72,69 @@ class TangentFrame:
         return SpectralField(self.grid, VELOCITY, sp.velocity_of(self.grid, self.vectors[j]))
 
 
-def _weighted_inner(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
-    return TORUS_AREA * float(np.sum(w * (a * np.conj(b)).real))
+def _real_view(vectors: np.ndarray, weights) -> tuple:
+    """Rows of reals and weights for which TORUS_AREA sum w Re(a conj(b)) is a weighted dot."""
+    x = np.ascontiguousarray(vectors, dtype=complex).reshape(len(vectors), -1).view(np.float64)
+    return x, TORUS_AREA * np.repeat(np.broadcast_to(weights, vectors.shape[1:]).reshape(-1), 2)
+
+
+def gram_matrix(vectors: np.ndarray, weights) -> np.ndarray:
+    """The Gram matrix of stacked vectors in the inner product TORUS_AREA sum w Re(a conj(b))."""
+    x, w = _real_view(vectors, weights)
+    return (x * w) @ x.T
 
 
 def gram_deviation(vectors: np.ndarray, weights: np.ndarray) -> float:
-    """Largest deviation from the identity of the Gram matrix of stacked vectors
-    in the inner product TORUS_AREA sum w a conj(b)."""
-    v = vectors.reshape(len(vectors), -1)
-    w = np.broadcast_to(weights, vectors.shape[1:]).reshape(-1)
-    gram = TORUS_AREA * (v * w) @ np.conj(v).T
-    return float(np.max(np.abs(np.real(gram) - np.eye(len(vectors)))))
+    """Largest deviation of gram_matrix(vectors, weights) from the identity."""
+    return float(np.max(np.abs(gram_matrix(vectors, weights) - np.eye(len(vectors)))))
 
 
 def alpha_gram_schmidt(vectors: np.ndarray, weights: np.ndarray, tol: float = 1e-12):
-    """Modified Gram-Schmidt of stacked vectors in the inner product
-    TORUS_AREA sum w a conj(b): a TangentFrame's psi_hat with its band weights,
-    or a velocity or scalar family with the alpha weights 1 + alpha|k|^2.
+    """Gram-Schmidt of stacked vectors in the inner product TORUS_AREA sum w a
+    conj(b): a TangentFrame's psi_hat with its band weights, or a family's band
+    with the weights band_count (1 + alpha|k|^2).  Classical Gram-Schmidt
+    applied twice (CGS2; Giraud, Langou & Rozloznik 2005) on the real view:
+    each pass removes vector j's projections on the vectors before it by two
+    matrix-vector products, and no vector after j is read, so a prefix of the
+    stack is orthonormalized exactly as the stack is.
 
     Returns the orthonormalized vectors and the diagonal normalization factors
     (the per-vector norm of the residual, the log of which accumulates
     Lyapunov exponents).  Raises DegenerateFrameError naming the first vector
     that falls into the span of its predecessors.
     """
-    v = vectors.copy()
-    n = v.shape[0]
-    factors = np.empty(n)
-    for j in range(n):
-        original = math.sqrt(max(_weighted_inner(v[j], v[j], weights), 0.0))
-        for i in range(j):
-            proj = _weighted_inner(v[j], v[i], weights)
-            v[j] -= proj * v[i]
-        r = math.sqrt(max(_weighted_inner(v[j], v[j], weights), 0.0))
+    q = vectors.astype(complex)
+    x, w = _real_view(q, weights)
+    factors = np.empty(len(q))
+    for j, xj in enumerate(x):
+        original = math.sqrt(max(xj @ (w * xj), 0.0))
+        for _ in range(2):
+            xj -= (x[:j] @ (w * xj)) @ x[:j]
+        r = math.sqrt(max(xj @ (w * xj), 0.0))
         if r <= tol * max(original, tol):
             raise DegenerateFrameError(index=j)
-        v[j] /= r
+        xj /= r
         factors[j] = r
-    return v, factors
+    return q, factors
 
 
 # ----------------------------------------------------------------------------
 # traces
 
-def trace_diagonal(cfg: SimConfig, state: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def trace_diagonal(grid: SpectralGrid, multipliers: tuple, state: np.ndarray,
+                   weights: np.ndarray) -> np.ndarray:
     """(L_u theta_j, theta_j)_alpha for each theta_j of a stack [psi_u,
-    psi_theta_1, ...], with the linearization about u
+    psi_theta_1, ...], with multipliers = dynamics.stream_multipliers(cfg) and
+    the linearization about u
 
         L_u theta = -nu|k|^2/(1+a|k|^2) theta
                     - (u.grad w_theta + theta.grad w_u)/(|k|^2 (1+a|k|^2)).
     """
-    linear, inverse = stream_multipliers(cfg)
+    linear, inverse = multipliers
     lv = linear * state[1:]
     if state[0].any():
-        lv -= inverse * sp.bilinear_coeffs(cfg.grid, state)[1:]
-    return np.array([_weighted_inner(lv[j], state[1 + j], weights) for j in range(len(lv))])
+        lv -= inverse * sp.bilinear_coeffs(grid, state)[1:]
+    return TORUS_AREA * np.sum(weights * (lv * np.conj(state[1:])).real, axis=(-2, -1))
 
 
 def trace_n(frame: TangentFrame, base: SpectralField, cfg: SimConfig) -> float:
@@ -143,7 +150,7 @@ def trace_n(frame: TangentFrame, base: SpectralField, cfg: SimConfig) -> float:
         raise StaleFrameError(f"frame Gram deviation {dev:.3g} exceeds {GRAM_TOL:g}; "
                               "re-orthonormalize before taking traces")
     state = np.concatenate([sp.stream_of(frame.grid, base.coeffs, "base")[None], frame.vectors])
-    return float(sum(trace_diagonal(cfg, state, w)))
+    return float(sum(trace_diagonal(frame.grid, stream_multipliers(cfg), state, w)))
 
 
 # ----------------------------------------------------------------------------
@@ -254,14 +261,14 @@ def evolve_tangent_frame(
             InsufficientDurationWarning, stacklevel=2)
 
     frame = TangentFrame.random(grid, n, cfg.metric, seed=seed)
-    weights = frame.weights
+    weights, multipliers = frame.weights, stream_multipliers(cfg)
     state = np.concatenate([spin_up(cfg, warmup)[None], frame.vectors])
     times, diag, log_factors = [], [], []
 
     def reorthonormalize(step, state):
         state[1:], norms = alpha_gram_schmidt(state[1:], weights)
         times.append(step * dt)
-        diag.append(trace_diagonal(cfg, state, weights))
+        diag.append(trace_diagonal(grid, multipliers, state, weights))
         log_factors.append(np.log(norms))
 
     state = advance(cfg, state, int(round(t_end / dt)), reorth_every, reorthonormalize)

@@ -10,8 +10,8 @@ Velocity fields are stored as (2, n, n) complex arrays, scalar vorticity as
 psi_hat on the 2/3 band's half spectrum, an array (..., 2K+1, K+1) with
 K = dealias_cutoff (rows k1 = 0..K, -K..-1; columns k2 = 0..K): u = grad-perp
 psi = (d_y psi, -d_x psi) and w = rot u = -Lap psi.  stream_of and velocity_of
-map between the two.  All operators are pure functions; nothing here holds
-mutable state.
+map between the two.  Random fields are drawn on the band (random_band).
+All operators are pure functions; nothing here holds mutable state.
 """
 
 from __future__ import annotations
@@ -246,7 +246,11 @@ def stream_of(grid: SpectralGrid, u: np.ndarray, what: str = "field") -> np.ndar
     drops any gradient part.  A u with a nonzero coefficient off the band is
     refused, since the band is all a state holds."""
     require_band(grid, u, what)
-    b = band_of(grid, u)
+    return band_stream(grid, band_of(grid, u))
+
+
+def band_stream(grid: SpectralGrid, b: np.ndarray) -> np.ndarray:
+    """psi_hat = rot u / |k|^2 of a velocity's band (..., 2, 2K+1, K+1)."""
     rot = -(grid.band_uw[0] * b[..., 0, :, :] + grid.band_uw[1] * b[..., 1, :, :])
     return np.divide(rot, grid.band_k2, out=np.zeros_like(rot), where=grid.band_k2 > 0)
 
@@ -341,27 +345,26 @@ def shear_field(grid: SpectralGrid, amplitude: float = 1.0, wavenumber: int = 1)
     return field_from_modes(grid, VELOCITY, {(0, wavenumber): (amp, 0.0)}, project=False)
 
 
-def random_field(
-    grid: SpectralGrid,
-    role: str,
-    seed: int,
-    decay: float = 3.0,
-    rng: np.random.Generator | None = None,
-) -> SpectralField:
-    """Gaussian random coefficients with |k|^{-decay} falloff, dealiased.
+def random_band(grid: SpectralGrid, role: str, decay: float,
+                rng: np.random.Generator) -> np.ndarray:
+    """The band (..., 2K+1, K+1) of a Gaussian random field with |k|^{-decay}
+    falloff and zero mean, Leray-projected for a velocity: white physical-space
+    noise of the role's shape filtered through its half spectrum."""
+    noise = rng.standard_normal(grid.coeff_shape(role))
+    kx, ky, k2 = band_of(grid, np.stack([grid.kx, grid.ky, grid.k2_safe]))
+    b = band_of(grid, from_physical(noise, grid.dealias_cutoff + 1)) * k2 ** (-decay / 2.0)
+    b[..., 0, 0] = 0.0
+    if role == VELOCITY:  # Leray projection: b -= k (k.b) / |k|^2
+        b -= np.stack([kx, ky]) * ((kx * b[0] + ky * b[1]) / k2)
+    return b
 
-    Built by filtering white physical-space noise through the half spectrum,
-    so conjugate symmetry is exact.  Velocity output is Leray-projected.
-    Deterministic given seed.
-    """
+
+def random_field(grid: SpectralGrid, role: str, seed: int, decay: float = 3.0,
+                 rng: np.random.Generator | None = None) -> SpectralField:
+    """Gaussian random coefficients with |k|^{-decay} falloff on the 2/3 band
+    (random_band), so conjugate symmetry is exact.  Velocity output is
+    divergence-free.  Deterministic given seed."""
     if rng is None:
         rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(grid.coeff_shape(role))
-    c = full_layout(from_physical(noise))
-    c *= grid.k2_safe ** (-decay / 2.0)
-    c *= grid.dealias_mask
-    c[..., 0, 0] = 0.0
-    f = SpectralField(grid, role, c)
-    if role == VELOCITY:
-        f = leray_project(f)
-    return f
+    band = random_band(grid, role, decay, rng)
+    return SpectralField(grid, role, full_layout(half_of(grid, band)))

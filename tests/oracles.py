@@ -10,8 +10,10 @@ linearizations of the velocity and vorticity forms, a quadrature of the two
 terms of the trace bound, plain steppers over them (classical RK4, Lawson
 integrating-factor RK4, and a per-vector product-system RK4 for tangent
 frames), explicit rk4_step loops for `integrate` and `evolve_tangent_frame`
-on the band layout, and the per-coefficient snapshot writer.  Nothing here
-is fast; each function is a direct transcription of its equation.
+on the band layout, random fields, families and frames drawn on the full
+layout, modified Gram-Schmidt, the complex-form Gram matrix, the per-row
+trace diagonal, and the per-coefficient snapshot writer.  Nothing here is
+fast; each function is a direct transcription of its equation.
 
 Velocity form:   du/dt = -nu A (1+aA)^{-1} u - (1+aA)^{-1} B(u,u) + (1+aA)^{-1} g
 Vorticity form:  dw/dt = -(1-aD)^{-1} (u.grad w) + nu D (1-aD)^{-1} w + (1-aD)^{-1} rot g
@@ -25,7 +27,8 @@ from nsvlab import dynamics as dyn
 from nsvlab import fieldio
 from nsvlab import lyapunov as lyp
 from nsvlab import spectral as sp
-from nsvlab.errors import GridMismatchError, InvalidParameterError, RoleMismatchError
+from nsvlab.errors import (DegenerateFrameError, GridMismatchError, InvalidParameterError,
+                           RoleMismatchError)
 from nsvlab.spectral import TORUS_AREA, VELOCITY, VORTICITY, SpectralField
 
 # ----------------------------------------------------------------------------
@@ -473,6 +476,88 @@ def evolve_frame_band(cfg, n, t_end, burn_in, seed, warmup, reorth_every=10):
     inside = prev_ts >= burn_in
     exponents = logs[inside].sum(axis=0) / (times[inside][-1] - prev_ts[inside][0])
     return times, np.asarray(diag), exponents, sp.velocity_of(grid, state[0])
+
+
+# ----------------------------------------------------------------------------
+# random draws, Gram-Schmidt and the trace diagonal on their earlier layouts
+
+
+def random_field(grid, role, seed, decay=3.0, rng=None):
+    """spectral.random_field filtered, masked and Leray-projected on the full
+    layout (production draws on the band and expands once)."""
+    if rng is None:
+        rng = np.random.default_rng(seed)
+    noise = rng.standard_normal(grid.coeff_shape(role))
+    c = sp.full_layout(sp.from_physical(noise))
+    c *= grid.k2_safe ** (-decay / 2.0)
+    c *= grid.dealias_mask
+    c[..., 0, 0] = 0.0
+    f = SpectralField(grid, role, c)
+    if role == VELOCITY:
+        f = sp.leray_project(f)
+    return f
+
+
+def weighted_inner(a, b, w):
+    return TORUS_AREA * float(np.sum(w * (a * np.conj(b)).real))
+
+
+def mgs_gram_schmidt(vectors, weights, tol=1e-12):
+    """Modified Gram-Schmidt, one inner product per pair: the vectors, factors
+    and DegenerateFrameError rule of lyapunov.alpha_gram_schmidt."""
+    v = vectors.copy()
+    factors = np.empty(v.shape[0])
+    for j in range(v.shape[0]):
+        original = math.sqrt(max(weighted_inner(v[j], v[j], weights), 0.0))
+        for i in range(j):
+            v[j] -= weighted_inner(v[j], v[i], weights) * v[i]
+        r = math.sqrt(max(weighted_inner(v[j], v[j], weights), 0.0))
+        if r <= tol * max(original, tol):
+            raise DegenerateFrameError(index=j)
+        v[j] /= r
+        factors[j] = r
+    return v, factors
+
+
+def gram_matrix(vectors, weights):
+    """lyapunov.gram_matrix as one complex product, TORUS_AREA Re((v w) v^H)."""
+    v = vectors.reshape(len(vectors), -1)
+    w = np.broadcast_to(weights, vectors.shape[1:]).reshape(-1)
+    return TORUS_AREA * np.real((v * w) @ np.conj(v).T)
+
+
+def sample_alpha_orthonormal(grid, n, seed, role, metric, decay=2.0, max_retries=5):
+    """inequalities.sample_suborthonormal's alpha-orthonormal family drawn on
+    the full layout (random_field) and orthonormalized there by
+    mgs_gram_schmidt with the weights 1 + alpha|k|^2: (vectors, sub-seed)."""
+    for attempt in range(max_retries):
+        sub_seed = seed + 1000 * attempt
+        rng = np.random.default_rng(sub_seed)
+        vecs = np.stack([random_field(grid, role, 0, decay, rng).coeffs for _ in range(n)])
+        try:
+            return mgs_gram_schmidt(vecs, metric.weights(grid))[0], sub_seed
+        except DegenerateFrameError as err:
+            last_error = err
+    raise last_error
+
+
+def frame_random(grid, n, metric, seed):
+    """lyapunov.TangentFrame.random's vectors through the full layout: each
+    random_field's stream_of, orthonormalized by the production Gram-Schmidt."""
+    rng = np.random.default_rng(seed)
+    vecs = np.stack([sp.stream_of(grid, random_field(grid, VELOCITY, 0, 3.0, rng).coeffs)
+                     for _ in range(n)])
+    return lyp.alpha_gram_schmidt(vecs, metric.band_weights(grid))[0]
+
+
+def trace_diagonal(cfg, state, weights):
+    """lyapunov.trace_diagonal with its multipliers taken per call and one
+    weighted inner product per theta row."""
+    linear, inverse = dyn.stream_multipliers(cfg)
+    lv = linear * state[1:]
+    if state[0].any():
+        lv -= inverse * sp.bilinear_coeffs(cfg.grid, state)[1:]
+    return np.array([weighted_inner(lv[j], state[1 + j], weights) for j in range(len(lv))])
 
 
 # ----------------------------------------------------------------------------

@@ -236,6 +236,40 @@ class TestExitCodes:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert [c["name"] for c in manifest["summary"]["checks"]] == ["dissipative-envelope"]
 
+    MODES_SIMULATE = ["simulate", "--n", "16", "--nu", "1", "--alpha", "1",
+                      "--dt", "0.01", "--t-end", "0.05"]
+
+    def run_modes(self, tmp_path, rows):
+        tmp_path.mkdir(exist_ok=True)
+        (tmp_path / "m.json").write_text(json.dumps({"forcing": {"kind": "modes", "modes": rows}}))
+        out = tmp_path / "out"
+        code = cli.main(self.MODES_SIMULATE + ["--config", str(tmp_path / "m.json"),
+                                               "--output-dir", str(out)])
+        return code, out
+
+    @pytest.mark.parametrize("row", [
+        [float("nan"), 1, 0, 0.5, 0, 0], [0, 1.5, 0, 0.5, 0, 0], [0, float("inf"), 0, 0.5, 0, 0],
+        [0, 1, float("nan"), 0.5, 0, 0], [0, 1, 0, 0.5, 0, float("-inf")],
+    ], ids=["nan-k1", "fractional-k2", "inf-k2", "nan-amplitude", "inf-amplitude"])
+    def test_bad_forcing_row_is_2_with_manifest(self, tmp_path, capsys, row):
+        # wavenumbers go through int(): unchecked, NaN dies with a traceback
+        # (exit 1, no manifest) and 1.5 runs silently as mode (0, 1)
+        code, out = self.run_modes(tmp_path, [[0, 2, 0, 0.5, 0, 0], row])
+        assert code == cli.EXIT_CONFIG
+        problem = "forcing.modes must be a list of 6-number rows"
+        assert problem in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["complete"] is False
+        assert problem in manifest["summary"]["error"]
+
+    def test_integral_float_wavenumber_reads_as_int(self, tmp_path):
+        # 1.0 is accepted as 1, as any int key accepts it: the same run, byte for byte
+        code, out = self.run_modes(tmp_path / "int", [[0, 1, 0, 0.5, 0, 0]])
+        code_f, out_f = self.run_modes(tmp_path / "float", [[0.0, 1.0, 0, 0.5, 0, 0]])
+        assert code == code_f == cli.EXIT_OK
+        for name in ("final_state.field", "diagnostics.csv"):
+            assert (out / name).read_bytes() == (out_f / name).read_bytes()
+
     def test_short_run_warning_names_the_burn_in(self, tmp_path):
         # gamma = nu/(alpha+1) = 0.5: the burn-in ends at t = 10, the run at t = 0.1
         with pytest.warns(dyn.InsufficientDurationWarning,

@@ -4,6 +4,10 @@ The real-FFT transform pair and the streamfunction advection kernel of
 nsvlab.spectral are checked against full complex np.fft transforms and the
 velocity-form B(u,v), and the band-embedded density kernel
 inequalities.rho_profile against the zero-padded full layout it replaced.
+The band draw spectral.random_band, CGS2 Gram-Schmidt, the real-view Gram
+matrix and the batched trace diagonal are checked against the full-layout
+draw, modified Gram-Schmidt, the complex-form Gram matrix and the per-row
+trace they replaced; the draw bitwise, the rest to round-off.
 dynamics.integrate and lyapunov.evolve_tangent_frame step the band
 streamfunction through one shared RK4 / integrating-factor RK4 function;
 the oracles step the SpectralField right-hand sides with
@@ -22,6 +26,7 @@ from nsvlab import dynamics as dyn
 from nsvlab import inequalities as ineq
 from nsvlab import lyapunov as lyp
 from nsvlab import spectral as sp
+from nsvlab.errors import DegenerateFrameError
 from nsvlab.spectral import VELOCITY, VORTICITY, SpectralGrid
 
 import oracles
@@ -192,3 +197,109 @@ def test_rho_profile_matches_padded_full_layout(n, q):
         assert rel_err(got.values, ref) <= 1e-14
         if n != 48:
             np.testing.assert_array_equal(got.values, ref)
+
+
+@pytest.mark.parametrize("decay", [0.0, 1.5, 3.0])
+@pytest.mark.parametrize("role", [VELOCITY, VORTICITY])
+@pytest.mark.parametrize("n", [16, 24, 32, 48, 64])
+def test_random_field_is_bitwise_the_full_layout_draw(n, role, decay):
+    # the band draw filters and projects the same coefficients, entry by entry
+    grid = SpectralGrid(n)
+    got = sp.random_field(grid, role, seed=n, decay=decay).coeffs
+    np.testing.assert_array_equal(got, oracles.random_field(grid, role, seed=n, decay=decay).coeffs)
+    rng = np.random.default_rng(n)
+    np.testing.assert_array_equal(sp.random_band(grid, role, decay, rng),
+                                  sp.band_of(grid, got))
+
+
+def assert_gram_schmidt_matches_mgs(vectors, weights):
+    got, factors = lyp.alpha_gram_schmidt(vectors, weights)
+    ref, ref_factors = oracles.mgs_gram_schmidt(vectors, weights)
+    assert rel_err(got, ref) <= KERNEL_RTOL
+    assert rel_err(factors, ref_factors) <= KERNEL_RTOL
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_cgs2_matches_mgs_on_frames(m):
+    grid = SpectralGrid(32)
+    rng = np.random.default_rng(m)
+    psi = np.stack([sp.band_stream(grid, sp.random_band(grid, VELOCITY, 3.0, rng))
+                    for _ in range(m)])
+    assert_gram_schmidt_matches_mgs(psi, sp.AlphaMetric(0.5).band_weights(grid))
+
+
+@pytest.mark.parametrize("alpha", [0.01, 1.0])
+@pytest.mark.parametrize("role", [VELOCITY, VORTICITY])
+def test_cgs2_matches_mgs_on_families(role, alpha):
+    grid = SpectralGrid(64)
+    rng = np.random.default_rng(7)
+    bands = np.stack([sp.random_band(grid, role, 2.0, rng) for _ in range(16)])
+    assert_gram_schmidt_matches_mgs(bands, grid.band_count * (1.0 + alpha * grid.band_k2))
+
+
+@pytest.mark.parametrize("perturbation", [0.0, 1e-14])
+def test_cgs2_names_the_degenerate_vector_mgs_names(perturbation):
+    grid = SpectralGrid(32)
+    rng = np.random.default_rng(11)
+    psi = [sp.band_stream(grid, sp.random_band(grid, VELOCITY, 3.0, rng)) for _ in range(5)]
+    noise = sp.band_stream(grid, sp.random_band(grid, VELOCITY, 3.0, rng))
+    weights = sp.AlphaMetric(1.0).band_weights(grid)
+    for dependent in (2.0 * psi[1], 0.3 * psi[0] - 2.0 * psi[2] + psi[4]):
+        vectors = np.stack(psi + [dependent + perturbation * noise] + psi[3:4])
+        with pytest.raises(DegenerateFrameError) as got:
+            lyp.alpha_gram_schmidt(vectors, weights)
+        with pytest.raises(DegenerateFrameError) as ref:
+            oracles.mgs_gram_schmidt(vectors, weights)
+        assert got.value.index == ref.value.index == 5
+
+
+@pytest.mark.parametrize("role", [VELOCITY, VORTICITY])
+def test_gram_matrix_matches_complex_form(role):
+    # full layout with the alpha weights, and the band with its column counts
+    grid = SpectralGrid(32)
+    fam = ineq.sample_suborthonormal(grid, 8, seed=2, role=role, metric=sp.AlphaMetric(0.1))
+    for vectors, weights in ((fam.vectors, fam.metric.weights(grid)),
+                             (sp.band_of(grid, fam.vectors), grid.band_count)):
+        got = lyp.gram_matrix(vectors, weights)
+        assert rel_err(got, oracles.gram_matrix(vectors, weights)) <= KERNEL_RTOL
+
+
+@pytest.mark.parametrize("alpha", [0.01, 1.0])
+@pytest.mark.parametrize("role", [VELOCITY, VORTICITY])
+def test_family_matches_full_layout_draw_and_mgs(monkeypatch, role, alpha):
+    # one degenerate draw on each side: both retry with the same sub-seed
+    grid, metric = SpectralGrid(64), sp.AlphaMetric(alpha)
+
+    def degenerate_once(module, name):
+        real, calls = getattr(module, name), []
+
+        def first_fails(vectors, weights):
+            calls.append(1)
+            if len(calls) == 1:
+                raise DegenerateFrameError(index=3)
+            return real(vectors, weights)
+        monkeypatch.setattr(module, name, first_fails)
+
+    degenerate_once(ineq, "alpha_gram_schmidt")
+    degenerate_once(oracles, "mgs_gram_schmidt")
+    fam = ineq.sample_suborthonormal(grid, 16, seed=5, role=role, metric=metric)
+    ref, sub_seed = oracles.sample_alpha_orthonormal(grid, 16, 5, role, metric)
+    assert fam.seed == sub_seed == 1005
+    assert rel_err(fam.vectors, ref) <= KERNEL_RTOL
+
+
+def test_tangent_frame_random_is_bitwise_the_full_layout_draw():
+    grid, metric = SpectralGrid(32), sp.AlphaMetric(0.7)
+    frame = lyp.TangentFrame.random(grid, 6, metric, seed=9)
+    np.testing.assert_array_equal(frame.vectors, oracles.frame_random(grid, 6, metric, seed=9))
+
+
+@pytest.mark.parametrize("forced", [True, False])
+def test_trace_diagonal_matches_per_row_form(forced):
+    cfg = forced_cfg(0.3, 1.0) if forced else dyn.SimConfig(nu=1.0, alpha=1.0, grid=GRID,
+                                                            dt=0.01, t_end=1.0)
+    frame = lyp.TangentFrame.random(GRID, 5, cfg.metric, seed=3)
+    state = np.concatenate([dyn.initial_state(cfg)[0][None], frame.vectors])
+    assert state[0].any() == forced
+    got = lyp.trace_diagonal(GRID, dyn.stream_multipliers(cfg), state, frame.weights)
+    assert rel_err(got, oracles.trace_diagonal(cfg, state, frame.weights)) <= KERNEL_RTOL

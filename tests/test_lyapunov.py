@@ -44,6 +44,17 @@ class TestGramSchmidt:
         frame = lyp.TangentFrame.random(GRID, 6, AlphaMetric(1.0), seed=1)
         assert lyp.gram_deviation(frame.vectors, frame.weights) < 1e-10
 
+    def test_orthonormal_to_round_off_on_an_ill_conditioned_stack(self):
+        # six vectors 1e-6 apart: the second pass of CGS2 restores orthogonality
+        # that one classical pass loses (Gram deviation 3e-4 here) and that
+        # modified Gram-Schmidt keeps only to about cond * eps (2e-10)
+        rng = np.random.default_rng(1)
+        draws = [sp.band_stream(GRID, sp.random_band(GRID, VELOCITY, 3.0, rng)) for _ in range(7)]
+        vectors = np.stack([draws[0] + 1e-6 * d for d in draws[1:]])
+        weights = AlphaMetric(1.0).band_weights(GRID)
+        ortho, _ = lyp.alpha_gram_schmidt(vectors, weights)
+        assert lyp.gram_deviation(ortho, weights) <= 1e-14
+
     def test_parallel_vectors_rejected(self):
         u = sp.random_field(GRID, VELOCITY, seed=2)
         frame = lyp.TangentFrame.from_fields([u, 2.0 * u], AlphaMetric(1.0))

@@ -4,7 +4,8 @@
 Layers: the real-FFT transform pair (one velocity field at n = 64, and a
 16-vector family on the 128^2 quadrature grid that rho_profile uses), the
 family density rho_profile of a 16-vector velocity family at n = 64 on the
-x2 and x4 quadrature grids, lattice enumeration up to |k|^2 = 1024, the
+x2 and x4 quadrature grids, given on the band (as the verifiers hold it) and
+in the full layout, lattice enumeration up to |k|^2 = 1024, the
 dealiased nonlinear term (the kernel's u.grad w on the band) at n = 64, one
 right-hand side and one RK4 step of the band streamfunction at n = 64, one
 tangent-frame step per vector at n = 32 with 8 vectors on the forced flow and
@@ -88,13 +89,16 @@ def layers():
     record("to_physical.family16.q128.real", lambda: sp.to_physical(family), inner=2)
     record("to_physical.family16.q128.complex_oracle",
            lambda: oracles.to_physical(family), inner=2)
-    record("rho_profile.family16.n64.q2", lambda: ineq.rho_profile(vectors, grid), inner=2)
-    record("rho_profile.family16.n64.q4",
-           lambda: ineq.rho_profile(vectors, grid, quad_factor=4), inner=2)
+    band = sp.band_of(grid, vectors)
+    for tag, given in (("", vectors), (".band", band)):
+        record(f"rho_profile.family16.n64.q2{tag}", lambda: ineq.rho_profile(given, grid), inner=2)
+        record(f"rho_profile.family16.n64.q4{tag}",
+               lambda: ineq.rho_profile(given, grid, quad_factor=4), inner=2)
     record("lattice.enumerate", lambda: lattice.LatticeSpectrum(max_e=1024), inner=10)
 
     metric = sp.AlphaMetric(1.0)
     weights = grid.band_count * (1.0 + metric.alpha * grid.band_k2)
+    full_weights = oracles.alpha_weights(metric, grid)
     for role, tag in ((VELOCITY, "velocity"), (VORTICITY, "scalar")):
         rng = np.random.default_rng(0)
         bands = np.stack([sp.random_band(grid, role, 2.0, rng) for _ in range(16)])
@@ -102,7 +106,7 @@ def layers():
         record(f"gram_schmidt.family16.n64.{tag}",
                lambda: lyp.alpha_gram_schmidt(bands, weights), inner=3)
         record(f"gram_schmidt.family16.n64.{tag}.mgs_full_layout_oracle",
-               lambda: oracles.mgs_gram_schmidt(full, metric.weights(grid)), inner=1)
+               lambda: oracles.mgs_gram_schmidt(full, full_weights), inner=1)
     record("sample_suborthonormal.family16.n64",
            lambda: ineq.sample_suborthonormal(grid, 16, seed=0), inner=2)
     record("sample_suborthonormal.family16.n64.full_layout_oracle",

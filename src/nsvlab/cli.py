@@ -55,8 +55,10 @@ FLOW_FLAGS = {
     "initial": {"kind": str, "amplitude": float, "path": str},
 }
 
-#: keys of the nested blocks that only a config file sets: block -> {key: type}
-FLOW_CONFIG_KEYS = {"initial": {"seed": int, "decay": float, "wavenumber": int}}
+#: keys of the nested blocks that only a config file sets: block -> {key: type};
+#: with FLOW_FLAGS, every key a nested block may hold
+FLOW_CONFIG_KEYS = {"forcing": {"modes": list},
+                    "initial": {"seed": int, "decay": float, "wavenumber": int}}
 
 
 # ----------------------------------------------------------------------------
@@ -223,9 +225,11 @@ def _constraint_problems(subcommand: str, p: dict) -> list[str]:
         path = p["initial"].get("path")
         if p["initial"].get("kind") == "file" and not isinstance(path, str):
             problems.append(f"initial.path must be a string, got {path!r}")
-        for block, flag_keys in FLOW_FLAGS.items():  # kind and path are checked above
-            keys = {**flag_keys, **FLOW_CONFIG_KEYS.get(block, {})}
-            for key in sorted(keys.keys() & p[block].keys() - {"kind", "path"}):
+        for block, flag_keys in FLOW_FLAGS.items():  # kind, path and modes are checked above
+            keys = {**flag_keys, **FLOW_CONFIG_KEYS[block]}
+            problems.extend(f"unknown config key '{block}.{key}' for {subcommand}"
+                            for key in sorted(p[block].keys() - keys.keys()))
+            for key in sorted(keys.keys() & p[block].keys() - {"kind", "path", "modes"}):
                 _coerce(f"{block}.{key}", p[block][key], keys[key], problems)
         ic_seed = p["initial"].get("seed")
         if isinstance(ic_seed, (int, float)) and ic_seed < 0:
@@ -427,9 +431,9 @@ def _run_verify(params: dict, outdir: Path, seed: int, manifest: RunManifest):
         role = sp.VORTICITY if target == "rho-linf" else sp.VELOCITY
         fam = ineq.sample_suborthonormal(grid, params["family_n"], kind, worst_seed, role,
                                          sp.AlphaMetric(alpha))
-        for j in range(fam.n):
+        for j, coeffs in enumerate(sp.full_layout(sp.half_of(grid, fam.vectors))):
             wpath = outdir / f"witness_seed{worst_seed}_vec{j}.field"
-            save_field(sp.SpectralField(grid, role, fam.vectors[j]), wpath, alpha=alpha)
+            save_field(sp.SpectralField(grid, role, coeffs), wpath, alpha=alpha)
             manifest.add_artifact(wpath)
         payload["witness_persisted"] = True
 

@@ -56,7 +56,9 @@ def save_field(f: SpectralField, path, alpha: float = 0.0):
 
 
 def load_snapshot(path) -> tuple[SpectralField, dict]:
-    """Read a field snapshot; returns the field and its header metadata."""
+    """Read a field snapshot; returns the field and its header metadata.  A
+    malformed header or row is refused with InvalidParameterError naming
+    path:line."""
     with open(path) as fh:
         magic = fh.readline().rstrip("\n")
         if magic != FIELD_MAGIC:
@@ -72,26 +74,33 @@ def load_snapshot(path) -> tuple[SpectralField, dict]:
             cutoff = int(meta["dealias_cutoff"])
             role = meta["role"]
             alpha = float(meta["alpha"])
-        except (KeyError, ValueError) as err:
-            raise InvalidParameterError(f"{path}: malformed snapshot header: {err}") from err
-        if role not in (VELOCITY, VORTICITY):
-            raise InvalidParameterError(f"{path}: unknown role {role!r}")
-        grid = SpectralGrid(n, cutoff)
-        shape = grid.coeff_shape(role)
-        coeffs = np.zeros((2, n, n) if role == VELOCITY else (1, n, n), dtype=complex)
+            if role not in (VELOCITY, VORTICITY):
+                raise InvalidParameterError(f"unknown role {role!r}")
+            grid = SpectralGrid(n, cutoff)
+        except (KeyError, ValueError, InvalidParameterError) as err:
+            raise InvalidParameterError(f"{path}:2: malformed snapshot header: {err}") from err
+        components, half = (2 if role == VELOCITY else 1), n // 2
+        coeffs = np.zeros((components, n, n), dtype=complex)
         for line_no, line in enumerate(fh, start=4):
             parts = line.split()
             if not parts:
                 continue
             if len(parts) != 5:
                 raise InvalidParameterError(f"{path}:{line_no}: expected 5 columns")
-            comp, k1, k2 = int(parts[0]), int(parts[1]), int(parts[2])
-            coeffs[comp, k1 % n, k2 % n] = float(parts[3]) + 1j * float(parts[4])
-    c = coeffs if role == VELOCITY else coeffs[0]
-    if c.shape != shape:
-        raise InvalidParameterError(f"{path}: component rows inconsistent with role {role}")
+            try:
+                comp, k1, k2 = int(parts[0]), int(parts[1]), int(parts[2])
+                value = float(parts[3]) + 1j * float(parts[4])
+            except ValueError as err:
+                raise InvalidParameterError(f"{path}:{line_no}: {err}") from err
+            if not 0 <= comp < components:
+                raise InvalidParameterError(
+                    f"{path}:{line_no}: component {comp} of a {role} field")
+            if not (-half <= k1 < half and -half <= k2 < half):
+                raise InvalidParameterError(
+                    f"{path}:{line_no}: wavenumber ({k1}, {k2}) outside [-{half}, {half})")
+            coeffs[comp, k1 % n, k2 % n] = value
     meta_out = {"resolution_n": n, "dealias_cutoff": cutoff, "role": role, "alpha": alpha}
-    return SpectralField(grid, role, c), meta_out
+    return SpectralField(grid, role, coeffs if role == VELOCITY else coeffs[0]), meta_out
 
 
 def load_field(path) -> SpectralField:

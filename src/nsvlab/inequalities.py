@@ -4,10 +4,11 @@ Random families of fields that are suborthonormal in L2 (Gram matrix
 dominated by the identity), drawn and orthonormalized on the 2/3 band, feed
 three checks: the Lieb-Thirring bound on the quadratic density integral, the
 L2 bound on the density of alpha-orthonormal families, and the sup-norm bound
-on the stream-velocity density of a scalar family.  Densities are evaluated
-on a grid twice as fine as the field's, which integrates rho and rho^2
-exactly for families on the band (off-band ones are refused); only the sup
-norm is re-checked on a grid twice as fine again.
+on the stream-velocity density of a scalar family.  A family stays on the band
+(..., 2K+1, K+1) it was drawn on, where a k2 > 0 column counts twice in every
+Gram matrix and norm.  Densities are evaluated on a grid twice as fine as the
+field's, which integrates rho and rho^2 exactly for families on the band; only
+the sup norm is re-checked on a grid twice as fine again.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .bounds import CONSTANTS
 from .errors import DegenerateFrameError, InvalidParameterError
 from .lattice import sum_inverse_below, sum_inverse_square_above, LatticeSpectrum
 from .lyapunov import alpha_gram_schmidt, gram_deviation, gram_matrix
-from .spectral import TORUS_AREA, VELOCITY, VORTICITY, AlphaMetric, SpectralField, SpectralGrid
+from .spectral import TORUS_AREA, VELOCITY, VORTICITY, AlphaMetric, SpectralGrid
 
 ALPHA_ORTHONORMAL = "alpha-orthonormal"
 GRAM_SCALED = "gram-scaled"
@@ -38,9 +39,11 @@ SCAN_CAPS = range(1, 65)
 class SuborthonormalFamily:
     """n fields whose L2 Gram matrix is dominated by the identity.
 
-    certificate is the largest eigenvalue of the L2 Gram matrix (<= 1 up to
-    round-off); alpha-orthonormal families satisfy this automatically since
-    the L2 Gram is the identity minus a positive part.
+    vectors holds each field's band (n, 2, 2K+1, K+1) for velocity or
+    (n, 2K+1, K+1) for a scalar role.  certificate is the largest eigenvalue of
+    the L2 Gram matrix (<= 1 up to round-off); alpha-orthonormal families
+    satisfy this automatically since the L2 Gram is the identity minus a
+    positive part.
     """
 
     grid: SpectralGrid
@@ -56,14 +59,20 @@ class SuborthonormalFamily:
         return self.vectors.shape[0]
 
     def l2_gram(self) -> np.ndarray:
-        return gram_matrix(self.vectors, 1.0)
+        return gram_matrix(self.vectors, self.grid.band_count)
 
     def grad_norm_sq_sum(self) -> float:
-        return TORUS_AREA * float(np.sum(self.grid.k2 * np.abs(self.vectors) ** 2))
+        weights = self.grid.band_count * self.grid.band_k2
+        return TORUS_AREA * float(np.sum(weights * np.abs(self.vectors) ** 2))
 
     def alpha_deviation(self) -> float:
         """Largest deviation of the alpha Gram matrix from the identity."""
-        return gram_deviation(self.vectors, self.metric.weights(self.grid))
+        return gram_deviation(self.vectors, _alpha_weights(self.grid, self.metric))
+
+
+def _alpha_weights(grid: SpectralGrid, metric: AlphaMetric) -> np.ndarray:
+    """The weights of (u,v) + alpha (grad u, grad v) on a field's band."""
+    return grid.band_count * (1.0 + metric.alpha * grid.band_k2)
 
 
 def sample_suborthonormal(grid: SpectralGrid, n: int, kind: str = ALPHA_ORTHONORMAL, seed: int = 0,
@@ -74,9 +83,8 @@ def sample_suborthonormal(grid: SpectralGrid, n: int, kind: str = ALPHA_ORTHONOR
     alpha-orthonormal: Gram-Schmidt in the alpha inner product (needs the
     vectors independent; a degenerate draw is retried with a shifted
     sub-seed).  gram-scaled: the raw fields scaled by the inverse square
-    root of the largest L2 Gram eigenvalue.  Drawn, orthonormalized and
-    certified on the band (spectral.random_band; a k2 > 0 column counts twice),
-    then expanded to the full layout once.
+    root of the largest L2 Gram eigenvalue.  Drawn, orthonormalized,
+    certified and kept on the band (spectral.random_band).
     """
     if n < 1:
         raise InvalidParameterError(f"family size must be >= 1, got {n}")
@@ -89,8 +97,7 @@ def sample_suborthonormal(grid: SpectralGrid, n: int, kind: str = ALPHA_ORTHONOR
         bands = np.stack([sp.random_band(grid, role, decay, rng) for _ in range(n)])
         if kind == ALPHA_ORTHONORMAL:
             try:
-                bands, _ = alpha_gram_schmidt(
-                    bands, grid.band_count * (1.0 + metric.alpha * grid.band_k2))
+                bands, _ = alpha_gram_schmidt(bands, _alpha_weights(grid, metric))
             except DegenerateFrameError as err:
                 last_error = err
                 continue
@@ -101,8 +108,7 @@ def sample_suborthonormal(grid: SpectralGrid, n: int, kind: str = ALPHA_ORTHONOR
                 continue
             bands = bands / math.sqrt(top)
         return SuborthonormalFamily(
-            grid=grid, role=role, metric=metric, vectors=sp.full_layout(sp.half_of(grid, bands)),
-            kind=kind, seed=sub_seed,
+            grid=grid, role=role, metric=metric, vectors=bands, kind=kind, seed=sub_seed,
             certificate=float(np.linalg.eigvalsh(gram_matrix(bands, grid.band_count))[-1]))
     raise DegenerateFrameError(
         index=getattr(last_error, "index", 0),
@@ -135,14 +141,15 @@ class RhoProfile:
 
 def rho_profile(vectors: np.ndarray, grid: SpectralGrid, quad_factor: int = 2) -> RhoProfile:
     """Evaluate the family density on a grid quad_factor times finer.  The family
-    must lie on the 2/3 band |k_i| <= K, where it is the fine grid's half spectrum
-    (..., nq, K+1) on the band's rows, and rho^2 has degree 4K < 2n."""
-    sp.require_band(grid, vectors, "family")
-    k, nq = grid.dealias_cutoff, quad_factor * grid.n
-    half = np.zeros(vectors.shape[:-2] + (nq, k + 1), dtype=complex)
-    half[..., : k + 1, :] = vectors[..., : k + 1, : k + 1]
-    half[..., nq - k:, :] = vectors[..., grid.n - k:, : k + 1]
-    phys = sp.to_physical(half)  # (n, 2, nq, nq) velocity or (n, nq, nq) scalar family
+    is given on the band (..., 2K+1, K+1), as the verifiers hold it, or in the
+    full layout (..., n, n), which must lie on the 2/3 band |k_i| <= K.  The band
+    is the fine grid's half spectrum (..., nq, K+1) on the band's rows, and
+    rho^2 has degree 4K < 2n."""
+    if vectors.shape[-2:] != grid.band_shape:
+        sp.require_band(grid, vectors, "family")
+        vectors = sp.band_of(grid, vectors)
+    nq = quad_factor * grid.n
+    phys = sp.to_physical(sp.half_of(grid, vectors, nq))  # (n, 2, nq, nq) or (n, nq, nq)
     return RhoProfile(values=np.sum(phys**2, axis=tuple(range(phys.ndim - 2))), quad_n=nq)
 
 
@@ -190,11 +197,11 @@ def verify_lieb_thirring(fam: SuborthonormalFamily, near_saturation: float = 0.9
     divergence-free L2-suborthonormal velocity family."""
     if fam.role != VELOCITY:
         raise InvalidParameterError("the quadratic density bound is checked on velocity families")
+    lhs = rho_profile(fam.vectors, fam.grid).integral(2.0)
     warns = []
     certificate = float(np.linalg.eigvalsh(fam.l2_gram())[-1])  # stored one may be stale
     if certificate > 1.0 + 1e-9:
         warns.append(f"suborthonormality certificate {certificate:.6f} > 1")
-    lhs = rho_profile(fam.vectors, fam.grid).integral(2.0)
     rhs = CONSTANTS.c_lt_torus2d * fam.grad_norm_sq_sum()
     return _report("lt", fam, lhs, rhs, near_saturation, warns)
 
@@ -261,10 +268,12 @@ def _linf_reports(fam: SuborthonormalFamily, lam_caps: list, sums: dict,
     if dev > 1e-8:
         raise InvalidParameterError(
             f"family is not alpha-orthonormal (Gram deviation {dev:.3g})")
+    # u = grad-perp psi with psi = phi / |k|^2, the state's multipliers
+    grid = fam.grid
+    stream_velocities = grid.band_uw[:2] * (fam.vectors / grid.band_k[2])[..., None, :, :]
     # the maximum is not exact on any finite grid: re-checked on one twice as fine
-    stream_velocities = sp.velocity_from_vorticity_coeffs(fam.grid, fam.vectors)
-    coarse = rho_profile(stream_velocities, fam.grid, quad_factor=2).max()
-    fine = rho_profile(stream_velocities, fam.grid, quad_factor=4).max()
+    coarse = rho_profile(stream_velocities, grid, quad_factor=2).max()
+    fine = rho_profile(stream_velocities, grid, quad_factor=4).max()
     moved = abs(fine - coarse) / max(abs(fine), 1e-300)
     warns = [f"max rho moved by {moved:.2e} under grid refinement"] if moved > 1e-3 else []
     lhs, grad_sum = math.sqrt(fine), fam.grad_norm_sq_sum()

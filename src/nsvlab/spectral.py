@@ -5,12 +5,14 @@ with k on the integer lattice in numpy fft ordering, so the first Stokes
 eigenvalue is lambda_1 = 1 and all Laplacian eigenvalues are integers |k|^2.
 L2 norms carry the domain area |T^2| = 4 pi^2 (Parseval).
 
-Velocity fields are stored as (2, n, n) complex arrays, scalar vorticity as
-(n, n).  A time-stepped state is a solenoidal field held as its streamfunction
-psi_hat on the 2/3 band's half spectrum, an array (..., 2K+1, K+1) with
-K = dealias_cutoff (rows k1 = 0..K, -K..-1; columns k2 = 0..K): u = grad-perp
-psi = (d_y psi, -d_x psi) and w = rot u = -Lap psi.  stream_of and velocity_of
-map between the two.  Random fields are drawn on the band (random_band).
+Computation happens on the 2/3 band's half spectrum, an array (..., 2K+1, K+1)
+with K = dealias_cutoff (rows k1 = 0..K, -K..-1; columns k2 = 0..K).  A
+time-stepped state is a solenoidal field held there as its streamfunction
+psi_hat: u = grad-perp psi = (d_y psi, -d_x psi) and w = rot u = -Lap psi.
+Random fields and families are drawn on the band (random_band).  The full
+(2, n, n) velocity and (n, n) scalar layouts of SpectralField are the I/O
+format; stream_of and velocity_of map a state to and from it, and half_of
+embeds a band into the half spectrum of any grid with at least 2K+1 rows.
 All operators are pure functions; nothing here holds mutable state.
 """
 
@@ -45,9 +47,9 @@ class SpectralGrid:
         if self.n < 8 or self.n % 2 != 0:
             raise InvalidParameterError(f"grid resolution must be even and >= 8, got {self.n}")
         cutoff = self.dealias_cutoff or self.n // 3
-        if cutoff > self.n // 3:
+        if not 0 < cutoff <= self.n // 3:
             raise InvalidParameterError(
-                f"dealias_cutoff {cutoff} violates the 2/3 rule for n={self.n} (max {self.n // 3})"
+                f"dealias_cutoff {cutoff} violates the 2/3 rule for n={self.n} (1 to {self.n // 3})"
             )
         object.__setattr__(self, "dealias_cutoff", cutoff)
 
@@ -65,8 +67,10 @@ class SpectralGrid:
         # the band's half spectrum, rows k1 = 0..K, -K..-1 and columns k2 = 0..K:
         # where a real solenoidal field keeps its streamfunction psi_hat
         rows = np.r_[0:cutoff + 1, self.n - cutoff:self.n]
-        bkx, bky, bk2 = (a[rows, : cutoff + 1] for a in (kx, ky, k2))
+        bkx, bky, bk2, bk2_safe = (a[rows, : cutoff + 1] for a in (kx, ky, k2, k2_safe))
         object.__setattr__(self, "band_k2", bk2)
+        # kx, ky and |k|^2 (1 at the origin) on the band
+        object.__setattr__(self, "band_k", np.stack([bkx, bky, bk2_safe]))
         # a k2 > 0 column stands for itself and its conjugate at -k
         object.__setattr__(self, "band_count", np.where(bky > 0, 2.0, 1.0))
         # u = grad-perp psi = (d_y psi, -d_x psi) and grad w = grad(-Lap psi)
@@ -90,9 +94,6 @@ class AlphaMetric:
     def __post_init__(self):
         if self.alpha < 0:
             raise InvalidParameterError(f"alpha must be >= 0, got {self.alpha}")
-
-    def weights(self, grid: SpectralGrid) -> np.ndarray:
-        return 1.0 + self.alpha * grid.k2
 
     def band_weights(self, grid: SpectralGrid) -> np.ndarray:
         """The weights on psi_hat over the band: |k|^2 (1 + alpha |k|^2) per mode."""
@@ -206,13 +207,6 @@ def leray_project_coeffs(grid: SpectralGrid, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def divergence_linf(f: SpectralField) -> float:
-    """Max spectral divergence magnitude, for invariant checks."""
-    require_role(f, VELOCITY, "divergence_linf")
-    d = grid_divergence(f.grid, f.coeffs)
-    return float(np.max(np.abs(d)))
-
-
 def grid_divergence(grid: SpectralGrid, c: np.ndarray) -> np.ndarray:
     return 1j * (grid.kx * c[..., 0, :, :] + grid.ky * c[..., 1, :, :])
 
@@ -223,12 +217,13 @@ def band_of(grid: SpectralGrid, half: np.ndarray) -> np.ndarray:
     return np.concatenate([half[..., : k + 1, : k + 1], half[..., grid.n - k:, : k + 1]], axis=-2)
 
 
-def half_of(grid: SpectralGrid, band: np.ndarray) -> np.ndarray:
-    """The band's k2 >= 0 columns (..., n, K+1), zero on the rows off the band."""
-    k = grid.dealias_cutoff
-    half = np.zeros(band.shape[:-2] + (grid.n, k + 1), dtype=complex)
+def half_of(grid: SpectralGrid, band: np.ndarray, rows: int | None = None) -> np.ndarray:
+    """The band's k2 >= 0 columns on a grid of rows (default n) modes per axis,
+    (..., rows, K+1), zero on the rows off the band."""
+    k, rows = grid.dealias_cutoff, rows or grid.n
+    half = np.zeros(band.shape[:-2] + (rows, k + 1), dtype=complex)
     half[..., : k + 1, :] = band[..., : k + 1, :]
-    half[..., grid.n - k:, :] = band[..., k + 1:, :]
+    half[..., rows - k:, :] = band[..., k + 1:, :]
     return half
 
 
@@ -277,37 +272,6 @@ def bilinear_coeffs(grid: SpectralGrid, psi: np.ndarray) -> np.ndarray:
     return band_of(grid, from_physical(adv, grid.dealias_cutoff + 1)).reshape(psi.shape)
 
 
-def velocity_from_vorticity(w: SpectralField) -> SpectralField:
-    """Biot-Savart on the torus: the divergence-free u with rot u = w.
-
-    Per mode u_hat = -i k_perp w_hat / |k|^2 with k_perp = (-k2, k1), the
-    spectral form of grad-perp of the streamfunction Delta^{-1} w.
-    """
-    require_role(w, VORTICITY, "velocity_from_vorticity")
-    grid = w.grid
-    return SpectralField(grid, VELOCITY, velocity_from_vorticity_coeffs(grid, w.coeffs))
-
-
-def velocity_from_vorticity_coeffs(grid: SpectralGrid, wc: np.ndarray) -> np.ndarray:
-    psi = wc / grid.k2_safe  # -streamfunction scaled; origin irrelevant (zero mean)
-    shape = wc.shape[:-2] + (2,) + wc.shape[-2:]
-    out = np.empty(shape, dtype=complex)
-    out[..., 0, :, :] = 1j * grid.ky * psi
-    out[..., 1, :, :] = -1j * grid.kx * psi
-    out[..., 0, 0] = 0.0
-    return out
-
-
-def vorticity_of(u: SpectralField) -> SpectralField:
-    """rot u = d_x u_y - d_y u_x as a scalar spectral field."""
-    require_role(u, VELOCITY, "vorticity_of")
-    return SpectralField(u.grid, VORTICITY, vorticity_of_coeffs(u.grid, u.coeffs))
-
-
-def vorticity_of_coeffs(grid: SpectralGrid, uc: np.ndarray) -> np.ndarray:
-    return 1j * (grid.kx * uc[..., 1, :, :] - grid.ky * uc[..., 0, :, :])
-
-
 # ----------------------------------------------------------------------------
 # constructors
 
@@ -351,11 +315,11 @@ def random_band(grid: SpectralGrid, role: str, decay: float,
     falloff and zero mean, Leray-projected for a velocity: white physical-space
     noise of the role's shape filtered through its half spectrum."""
     noise = rng.standard_normal(grid.coeff_shape(role))
-    kx, ky, k2 = band_of(grid, np.stack([grid.kx, grid.ky, grid.k2_safe]))
+    kx, ky, k2 = grid.band_k
     b = band_of(grid, from_physical(noise, grid.dealias_cutoff + 1)) * k2 ** (-decay / 2.0)
     b[..., 0, 0] = 0.0
     if role == VELOCITY:  # Leray projection: b -= k (k.b) / |k|^2
-        b -= np.stack([kx, ky]) * ((kx * b[0] + ky * b[1]) / k2)
+        b -= grid.band_k[:2] * ((kx * b[0] + ky * b[1]) / k2)
     return b
 
 

@@ -1,19 +1,20 @@
 """Reference implementations that exist only to cross-check nsvlab's kernels.
 
-Field-level Parseval inner products and norms and the Stokes and Helmholtz
-multipliers on the velocity layout, two direct lattice counts N(E), the
-upward decimal rounding of the printed constants, the zero-padding of a
-full coefficient layout into a finer grid, the velocity-form
-advection term B(u,v) on full complex FFTs (np.fft
-directly, no nsvlab transform), field-level right-hand sides and
-linearizations of the velocity and vorticity forms, a quadrature of the two
-terms of the trace bound, plain steppers over them (classical RK4, Lawson
-integrating-factor RK4, and a per-vector product-system RK4 for tangent
-frames), explicit rk4_step loops for `integrate` and `evolve_tangent_frame`
-on the band layout, random fields, families and frames drawn on the full
-layout, modified Gram-Schmidt, the complex-form Gram matrix, the per-row
-trace diagonal, and the per-coefficient snapshot writer.  Nothing here is
-fast; each function is a direct transcription of its equation.
+Field-level Parseval inner products and norms, the alpha weights, the Stokes
+and Helmholtz multipliers, the spectral divergence and Biot-Savart and curl
+on the full layout, two direct lattice counts N(E), the upward decimal
+rounding of the printed constants, the zero-padding of a full coefficient
+layout into a finer grid, the velocity-form advection term B(u,v) on full
+complex FFTs (np.fft directly, no nsvlab transform), field-level right-hand
+sides and linearizations of the velocity and vorticity forms, a quadrature
+of the two terms of the trace bound, plain steppers over them (classical
+RK4, Lawson integrating-factor RK4, and a per-vector product-system RK4 for
+tangent frames), explicit rk4_step loops for `integrate` and
+`evolve_tangent_frame` on the band layout, random fields, families and
+frames drawn on the full layout, the full layout of a band, modified
+Gram-Schmidt, the complex-form Gram matrix, the per-row trace diagonal, and
+the per-coefficient snapshot writer. Nothing here is fast; each function is
+a direct transcription of its equation.
 
 Velocity form:   du/dt = -nu A (1+aA)^{-1} u - (1+aA)^{-1} B(u,u) + (1+aA)^{-1} g
 Vorticity form:  dw/dt = -(1-aD)^{-1} (u.grad w) + nu D (1-aD)^{-1} w + (1-aD)^{-1} rot g
@@ -56,15 +57,20 @@ def grad_norm_sq(u):
     return TORUS_AREA * float(np.sum(u.grid.k2 * np.abs(u.coeffs) ** 2))
 
 
+def alpha_weights(metric, grid):
+    """The weights 1 + alpha|k|^2 of (u,v) + alpha (grad u, grad v) per mode."""
+    return 1.0 + metric.alpha * grid.k2
+
+
 def alpha_inner(u, v, metric):
     """Parseval evaluation of (u,v) + alpha (grad u, grad v)."""
     _check_compatible(u, v)
-    w = metric.weights(u.grid)
+    w = alpha_weights(metric, u.grid)
     return TORUS_AREA * float(np.sum(w * (u.coeffs * np.conj(v.coeffs)).real))
 
 
 def alpha_norm_sq(u, metric):
-    w = metric.weights(u.grid)
+    w = alpha_weights(metric, u.grid)
     return TORUS_AREA * float(np.sum(w * np.abs(u.coeffs) ** 2))
 
 
@@ -80,7 +86,41 @@ def stokes_apply(u, s):
 
 def helmholtz_solve(f, metric):
     """Invert (1 + alpha A): per-mode division by (1 + alpha |k|^2)."""
-    return SpectralField(f.grid, f.role, f.coeffs / metric.weights(f.grid))
+    return SpectralField(f.grid, f.role, f.coeffs / alpha_weights(metric, f.grid))
+
+
+def divergence_linf(f):
+    """Max spectral divergence magnitude, for invariant checks."""
+    sp.require_role(f, VELOCITY, "divergence_linf")
+    return float(np.max(np.abs(sp.grid_divergence(f.grid, f.coeffs))))
+
+
+def velocity_from_vorticity(w):
+    """Biot-Savart on the torus: the divergence-free u with rot u = w.
+
+    Per mode u_hat = -i k_perp w_hat / |k|^2 with k_perp = (-k2, k1), the
+    spectral form of grad-perp of the streamfunction Delta^{-1} w.
+    """
+    sp.require_role(w, VORTICITY, "velocity_from_vorticity")
+    return SpectralField(w.grid, VELOCITY, velocity_from_vorticity_coeffs(w.grid, w.coeffs))
+
+
+def velocity_from_vorticity_coeffs(grid, wc):
+    psi = wc / grid.k2_safe  # -streamfunction scaled; origin irrelevant (zero mean)
+    shape = wc.shape[:-2] + (2,) + wc.shape[-2:]
+    out = np.empty(shape, dtype=complex)
+    out[..., 0, :, :] = 1j * grid.ky * psi
+    out[..., 1, :, :] = -1j * grid.kx * psi
+    out[..., 0, 0] = 0.0
+    return out
+
+
+def vorticity_of(u):
+    """rot u = d_x u_y - d_y u_x as a scalar spectral field."""
+    sp.require_role(u, VELOCITY, "vorticity_of")
+    grid = u.grid
+    return SpectralField(grid, VORTICITY,
+                         1j * (grid.kx * u.coeffs[..., 1, :, :] - grid.ky * u.coeffs[..., 0, :, :]))
 
 
 # ----------------------------------------------------------------------------
@@ -201,8 +241,8 @@ def rhs_vorticity(w, cfg, rot_g=None):
     """-(1-aD)^{-1}(u.grad w) + nu D (1-aD)^{-1} w + (1-aD)^{-1} rot g."""
     sp.require_role(w, VORTICITY, "rhs_vorticity")
     if rot_g is None:
-        rot_g = sp.vorticity_of(cfg.forcing.build(w.grid))
-    u = sp.velocity_from_vorticity(w)
+        rot_g = vorticity_of(cfg.forcing.build(w.grid))
+    u = velocity_from_vorticity(w)
     total = rot_g - advect_scalar(u, w) - cfg.nu * stokes_apply(w, 2.0)
     return helmholtz_solve(total, cfg.metric)
 
@@ -225,8 +265,8 @@ def linearized_apply_vorticity(phi, omega, cfg):
     u, v_phi the divergence-free velocities of w and phi."""
     sp.require_role(phi, VORTICITY, "linearized_apply_vorticity")
     sp.require_role(omega, VORTICITY, "linearized_apply_vorticity")
-    u = sp.velocity_from_vorticity(omega)
-    v_phi = sp.velocity_from_vorticity(phi)
+    u = velocity_from_vorticity(omega)
+    v_phi = velocity_from_vorticity(phi)
     total = (-cfg.nu) * stokes_apply(phi, 2.0) \
         - advect_scalar(u, phi) - advect_scalar(v_phi, omega)
     return helmholtz_solve(total, cfg.metric)
@@ -256,7 +296,7 @@ def trace_vorticity_reduced(phis, omega, cfg):
     total = 0.0
     for phi in phis:
         total -= cfg.nu * grad_norm_sq(phi)
-        total -= l2_inner(advect_scalar(sp.velocity_from_vorticity(phi), omega), phi)
+        total -= l2_inner(advect_scalar(velocity_from_vorticity(phi), omega), phi)
     return total
 
 
@@ -346,7 +386,7 @@ def integrate_velocity(cfg):
 def integrate_vorticity(cfg, w0):
     """Advance a scalar vorticity field with classical RK4 on rhs_vorticity."""
     grid = cfg.grid
-    rot_g = sp.vorticity_of(cfg.forcing.build(grid))
+    rot_g = vorticity_of(cfg.forcing.build(grid))
 
     def f(c):
         return rhs_vorticity(SpectralField(grid, VORTICITY, c), cfg, rot_g).coeffs
@@ -376,7 +416,7 @@ def evolve_frame(cfg, n, t_end, seed, reorth_every=10):
 
     frame = lyp.TangentFrame.random(grid, n, cfg.metric, seed=seed)
     y = np.stack([cfg.initial.build(grid).coeffs] + [frame.field(j).coeffs for j in range(n)])
-    weights = cfg.metric.weights(grid)
+    weights = alpha_weights(cfg.metric, grid)
     times, traces, logs = [], [], np.zeros(n)
     nsteps = int(round(t_end / cfg.dt))
     for step in range(1, nsteps + 1):
@@ -498,6 +538,17 @@ def random_field(grid, role, seed, decay=3.0, rng=None):
     return f
 
 
+def full_of_band(grid, band):
+    """The full (..., n, n) layout of a real field's band (..., 2K+1, K+1): each
+    coefficient at its k, and off the k2 = 0 column its conjugate at -k."""
+    n, k = grid.n, grid.dealias_cutoff
+    k1, k2 = np.r_[0:k + 1, -k:0][:, None], np.arange(k + 1)
+    full = np.zeros(band.shape[:-2] + (n, n), dtype=complex)
+    full[..., k1 % n, k2] = band
+    full[..., -k1 % n, -k2[1:] % n] = np.conj(band[..., 1:])
+    return full
+
+
 def weighted_inner(a, b, w):
     return TORUS_AREA * float(np.sum(w * (a * np.conj(b)).real))
 
@@ -535,7 +586,7 @@ def sample_alpha_orthonormal(grid, n, seed, role, metric, decay=2.0, max_retries
         rng = np.random.default_rng(sub_seed)
         vecs = np.stack([random_field(grid, role, 0, decay, rng).coeffs for _ in range(n)])
         try:
-            return mgs_gram_schmidt(vecs, metric.weights(grid))[0], sub_seed
+            return mgs_gram_schmidt(vecs, alpha_weights(metric, grid))[0], sub_seed
         except DegenerateFrameError as err:
             last_error = err
     raise last_error

@@ -14,7 +14,7 @@ from nsvlab import cli
 from nsvlab import dynamics as dyn
 from nsvlab import spectral as sp
 from nsvlab.errors import ConfigError
-from nsvlab.fieldio import load_field
+from nsvlab.fieldio import load_field, save_field
 
 import oracles
 
@@ -105,8 +105,14 @@ class TestExitCodes:
          {"initial": {"kind": "random", "seed": -1}}, "initial.seed must be >= 0, got -1"),
         (["verify", "lt", "--grid-n", "16", "--seed=-1"], None,
          "seed: expected an int >= 0, got -1"),
+        (["simulate", "--n", "16", "--dt", "0.01", "--t-end", "0.1"],
+         {"forcing": {"kind": "shear", "amplitud": 9}},
+         "unknown config key 'forcing.amplitud' for simulate"),
+        (["lyapunov", "--n", "16", "--dt", "0.01", "--window", "0.1"],
+         {"initial": {"kind": "random", "sed": 3}}, "unknown config key 'initial.sed' for lyapunov"),
     ], ids=["empty-lam-range", "no-alphas", "ill-typed-alphas", "geometry", "n", "kind",
-            "nan", "initial-seed-type", "initial-seed-negative", "negative-seed"])
+            "nan", "initial-seed-type", "initial-seed-negative", "negative-seed",
+            "forcing-unknown-key", "initial-unknown-key"])
     def test_bad_value_is_2_with_manifest(self, tmp_path, capsys, argv, config, problem):
         if config is not None:
             (tmp_path / "c.json").write_text(json.dumps(config))
@@ -206,6 +212,28 @@ class TestExitCodes:
         assert manifest["complete"] is False
         assert not (out / "diagnostics.csv").exists()
 
+    @pytest.mark.parametrize("edit, line", [
+        (lambda text: text + "0 x 1 0.5 0\n", 6),
+        (lambda text: text + "5 0 1 0.5 0\n", 6),
+        (lambda text: text + "0 0 17 0.5 0\n", 6),
+        (lambda text: text.replace("dealias_cutoff=5", "dealias_cutoff=-2"), 2),
+    ], ids=["non-numeric", "component", "wavenumber", "negative-cutoff"])
+    def test_malformed_snapshot_is_2_with_manifest(self, tmp_path, capsys, edit, line):
+        # a row or header the reader cannot place is refused by path and line: it had
+        # died with a traceback (exit 1, no manifest) or been read as another mode
+        path = tmp_path / "s.field"
+        save_field(sp.shear_field(sp.SpectralGrid(16), 1.0), path)   # rows on lines 4 and 5
+        path.write_text(edit(path.read_text()))
+        out = tmp_path / "out"
+        code = cli.main(["simulate", "--n", "16", "--dt", "0.01", "--t-end", "0.05",
+                         "--initial-kind", "file", "--initial-path", str(path),
+                         "--output-dir", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert f"{path}:{line}: " in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["complete"] is False
+        assert f"{path}:{line}: " in manifest["summary"]["error"]
+
     def test_file_started_run_writes_its_input_at_t0(self, tmp_path):
         # a velocity -> psi -> velocity round trip is not bitwise, so the t = 0
         # snapshot of a file-started run must be the field it read
@@ -298,10 +326,17 @@ VALID = {
 FLOW_VALID = {"forcing": {"kind": ("zero", "shear"), "amplitude": ("0.5", "2"),
                           "wavenumber": ("1", "2", "9")},
               "initial": {"kind": ("zero", "shear", "random", "file"), "amplitude": ("0.5", "2"),
-                          "path": ("missing.field", "garbage.field")}}
+                          "path": ("missing.field", "garbage.field", "malformed.field")}}
+#: the initial.path files a run may draw: a bad magic line, and a valid header
+#: over one malformed row
+FIELD_FILES = {"garbage.field": "not a field\n",
+               "malformed.field": "# nsvlab-field v1\n# resolution_n=16 dealias_cutoff=5 "
+                                  "role=velocity alpha=0\n# columns: component k1 k2 re im\n"
+                                  "0 x 1 0.5 0\n"}
 #: valid values of the config-only nested keys, and JSON values of the wrong
 #: type or range for them
-CONFIG_VALID = {"initial": {"seed": (0, 3), "decay": (1.0, 3), "wavenumber": (1, 2, 9)}}
+CONFIG_VALID = {"forcing": {"modes": ([[0, 1, 0.0, -0.5, 0.0, 0.0]],)},
+                "initial": {"seed": (0, 3), "decay": (1.0, 3), "wavenumber": (1, 2, 9)}}
 CONFIG_INVALID = (-1, 0, -0.5, 1.5, "x", "", None, True, float("nan"))
 OUT_OF_RANGE = ("-1", "0", "-0.5", "nope")
 ILL_TYPED = ("abc", "", "1e", "0x10", "nan", "inf")
@@ -372,9 +407,10 @@ class TestExitContract:
         argv, config = drawn
         with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            (Path(tmp) / "garbage.field").write_text("not a field\n")
+            for name, text in FIELD_FILES.items():
+                (Path(tmp) / name).write_text(text)
+                argv = [a.replace(name, str(Path(tmp) / name)) for a in argv]
             out = Path(tmp) / "out"
-            argv = [a.replace("garbage.field", str(Path(tmp) / "garbage.field")) for a in argv]
             if config is not None:
                 (Path(tmp) / "c.json").write_text(json.dumps(config))
                 argv += ["--config", str(Path(tmp) / "c.json")]

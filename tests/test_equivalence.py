@@ -3,7 +3,9 @@
 The real-FFT transform pair and the streamfunction advection kernel of
 nsvlab.spectral are checked against full complex np.fft transforms and the
 velocity-form B(u,v), and the band-embedded density kernel
-inequalities.rho_profile against the zero-padded full layout it replaced.
+inequalities.rho_profile, given a band or a full-layout family, against the
+zero-padded full layout it replaced; the sup-norm verifier's band stream
+velocities against Biot-Savart on the full layout.
 The band draw spectral.random_band, CGS2 Gram-Schmidt, the real-view Gram
 matrix and the batched trace diagonal are checked against the full-layout
 draw, modified Gram-Schmidt, the complex-form Gram matrix and the per-row
@@ -185,18 +187,32 @@ def test_transform_pair_matches_full_complex_ffts(n):
 @pytest.mark.parametrize("q", [2, 4])
 @pytest.mark.parametrize("n", [16, 32, 48, 64])
 def test_rho_profile_matches_padded_full_layout(n, q):
-    # velocity families and the stream-velocities of scalar families, against
-    # the full layout zero-padded to the q n grid and transformed whole
+    # velocity families and the stream-velocities of scalar families, on the
+    # band and in the full layout, against the full layout zero-padded to the
+    # q n grid and transformed whole
     grid = SpectralGrid(n)
-    velocity = ineq.sample_suborthonormal(grid, 16, seed=n).vectors
-    scalar = ineq.sample_suborthonormal(grid, 16, seed=n + 1, role=VORTICITY).vectors
-    for vectors in (velocity, sp.velocity_from_vorticity_coeffs(grid, scalar)):
-        got = ineq.rho_profile(vectors, grid, quad_factor=q)
+    velocity = oracles.full_of_band(grid, ineq.sample_suborthonormal(grid, 16, seed=n).vectors)
+    scalar = oracles.full_of_band(
+        grid, ineq.sample_suborthonormal(grid, 16, seed=n + 1, role=VORTICITY).vectors)
+    for vectors in (velocity, oracles.velocity_from_vorticity_coeffs(grid, scalar)):
         ref = np.sum(sp.to_physical(oracles.pad_coeffs(vectors, q * n)) ** 2, axis=(0, 1))
-        assert got.quad_n == q * n
-        assert rel_err(got.values, ref) <= 1e-14
-        if n != 48:
-            np.testing.assert_array_equal(got.values, ref)
+        for given in (vectors, sp.band_of(grid, vectors)):
+            got = ineq.rho_profile(given, grid, quad_factor=q)
+            assert got.quad_n == q * n
+            assert rel_err(got.values, ref) <= 1e-14
+            if n != 48:
+                np.testing.assert_array_equal(got.values, ref)
+
+
+@pytest.mark.parametrize("n", [16, 48])
+def test_rho_linf_lhs_matches_full_layout_stream_velocities(n):
+    # the sup-norm verifier's band stream velocities band_uw[:2] phi / |k|^2
+    # against Biot-Savart of the full-layout family
+    grid = SpectralGrid(n)
+    fam = ineq.sample_suborthonormal(grid, 8, seed=n, role=VORTICITY)
+    stream = oracles.velocity_from_vorticity_coeffs(grid, oracles.full_of_band(grid, fam.vectors))
+    lhs = ineq.verify_rho_linf(fam, 1).lhs
+    assert lhs == np.sqrt(ineq.rho_profile(stream, grid, quad_factor=4).max())
 
 
 @pytest.mark.parametrize("decay", [0.0, 1.5, 3.0])
@@ -207,9 +223,9 @@ def test_random_field_is_bitwise_the_full_layout_draw(n, role, decay):
     grid = SpectralGrid(n)
     got = sp.random_field(grid, role, seed=n, decay=decay).coeffs
     np.testing.assert_array_equal(got, oracles.random_field(grid, role, seed=n, decay=decay).coeffs)
-    rng = np.random.default_rng(n)
-    np.testing.assert_array_equal(sp.random_band(grid, role, decay, rng),
-                                  sp.band_of(grid, got))
+    band = sp.random_band(grid, role, decay, np.random.default_rng(n))
+    np.testing.assert_array_equal(band, sp.band_of(grid, got))
+    np.testing.assert_array_equal(oracles.full_of_band(grid, band), got)
 
 
 def assert_gram_schmidt_matches_mgs(vectors, weights):
@@ -258,8 +274,9 @@ def test_gram_matrix_matches_complex_form(role):
     # full layout with the alpha weights, and the band with its column counts
     grid = SpectralGrid(32)
     fam = ineq.sample_suborthonormal(grid, 8, seed=2, role=role, metric=sp.AlphaMetric(0.1))
-    for vectors, weights in ((fam.vectors, fam.metric.weights(grid)),
-                             (sp.band_of(grid, fam.vectors), grid.band_count)):
+    for vectors, weights in ((oracles.full_of_band(grid, fam.vectors),
+                              oracles.alpha_weights(fam.metric, grid)),
+                             (fam.vectors, grid.band_count)):
         got = lyp.gram_matrix(vectors, weights)
         assert rel_err(got, oracles.gram_matrix(vectors, weights)) <= KERNEL_RTOL
 
@@ -285,7 +302,7 @@ def test_family_matches_full_layout_draw_and_mgs(monkeypatch, role, alpha):
     fam = ineq.sample_suborthonormal(grid, 16, seed=5, role=role, metric=metric)
     ref, sub_seed = oracles.sample_alpha_orthonormal(grid, 16, 5, role, metric)
     assert fam.seed == sub_seed == 1005
-    assert rel_err(fam.vectors, ref) <= KERNEL_RTOL
+    assert rel_err(oracles.full_of_band(grid, fam.vectors), ref) <= KERNEL_RTOL
 
 
 def test_tangent_frame_random_is_bitwise_the_full_layout_draw():

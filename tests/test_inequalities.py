@@ -20,7 +20,8 @@ def single_shear_family(alpha=1.0):
     amp = 1.0 / (math.sqrt(2) * math.pi * math.sqrt(1 + alpha))
     u = sp.shear_field(GRID, amp)
     fam = ineq.SuborthonormalFamily(grid=GRID, role=VELOCITY, metric=AlphaMetric(alpha),
-                                    vectors=u.coeffs[None, ...], kind="manual", seed=0)
+                                    vectors=sp.band_of(GRID, u.coeffs[None, ...]), kind="manual",
+                                    seed=0)
     fam.certificate = float(np.linalg.eigvalsh(fam.l2_gram())[-1])
     return fam
 
@@ -81,8 +82,8 @@ class TestRhoProfile:
         # integral of rho equals sum of squared L2 norms
         fam = ineq.sample_suborthonormal(GRID, 5, seed=6)
         rho = ineq.rho_profile(fam.vectors, GRID)
-        mass = sum(sp.l2_norm_sq(sp.SpectralField(GRID, VELOCITY, fam.vectors[j]))
-                   for j in range(fam.n))
+        mass = sum(sp.l2_norm_sq(sp.SpectralField(GRID, VELOCITY, v))
+                   for v in oracles.full_of_band(GRID, fam.vectors))
         assert rho.integral(1.0) == pytest.approx(mass, rel=1e-12)
 
     def test_nonnegative(self):
@@ -90,9 +91,11 @@ class TestRhoProfile:
         assert ineq.rho_profile(fam.vectors, GRID).values.min() >= 0.0
 
     def test_off_band_family_refused(self):
-        # one coefficient at |k_1| = K + 1, past the 2/3 band the quadrature is exact on
+        # one coefficient at |k_1| = K + 1, past the 2/3 band the quadrature is exact on;
+        # only a full-layout family can hold it
         fam = ineq.sample_suborthonormal(GRID, 3, seed=17)
         k = GRID.dealias_cutoff
+        fam.vectors = oracles.full_of_band(GRID, fam.vectors)
         fam.vectors[1, 0, k + 1, 1] = 1e-3
         with pytest.raises(InvalidParameterError, match="outside the 2/3 band"):
             ineq.rho_profile(fam.vectors, GRID)

@@ -5,7 +5,9 @@ Two views of the alpha -> 0 limit on one run:
   * dynamics: distance at t = t_end between the regularized trajectory and
     the classical (alpha = 0) one, for a geometric ladder of alphas;
   * bounds: the basic trace bound blows up like 1/alpha while the quadratic
-    and log-form bounds stay finite - the sweep tabulates all three.
+    and log-form bounds stay finite - the sweep tabulates all three, each
+    with its validity (the linear and log-form bounds are stated only for
+    alpha <= alpha0, and read out-of-range past it).
 
 Example:
     python scripts/alpha_sweep.py --alphas 0.4 0.2 0.1 0.05 --t-end 1.0
@@ -20,6 +22,11 @@ from nsvlab import bounds as B
 from nsvlab import dynamics as dyn
 from nsvlab import spectral as sp
 from nsvlab.spectral import VELOCITY
+
+#: (CSV column, printed label, bound) for each tabulated bound
+BOUNDS = (("bound_basic", "basic", B.bound_basic),
+          ("bound_quadratic", "quadratic", B.bound_2d_quadratic),
+          ("bound_log", "log-form", B.bound_2d_log))
 
 
 def main():
@@ -44,21 +51,18 @@ def main():
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
-    print(f"{'alpha':>8}  {'traj dev':>12}  {'basic':>12}  {'quadratic':>12}  {'log-form':>12}")
+    print(f"{'alpha':>8}  {'traj dev':>12}" + "".join(f"  {label:>26}" for _, label, _ in BOUNDS))
     for alpha in sorted(args.alphas, reverse=True):
         final = dyn.integrate(dyn.SimConfig(alpha=alpha, **base)).final
         dev = math.sqrt(sp.l2_norm_sq(final - reference))
         inp = B.BoundsInput(d=2, nu=1.0, alpha=alpha, g_norm=args.gnorm)
-        rows.append({
-            "alpha": alpha,
-            "trajectory_deviation": dev,
-            "bound_basic": B.bound_basic(inp).value,
-            "bound_quadratic": B.bound_2d_quadratic(inp).value,
-            "bound_log": B.bound_2d_log(inp).value,
-        })
-        r = rows[-1]
-        print(f"{alpha:8.3f}  {dev:12.4e}  {r['bound_basic']:12.4g}  "
-              f"{r['bound_quadratic']:12.4g}  {r['bound_log']:12.4g}")
+        row, cells = {"alpha": alpha, "trajectory_deviation": dev}, []
+        for column, _, bound in BOUNDS:
+            entry = bound(inp)
+            row[column], row[f"{column}_validity"] = entry.value, entry.validity
+            cells.append(f"{entry.value:12.4g} {entry.validity:>13}")
+        rows.append(row)
+        print(f"{alpha:8.3f}  {dev:12.4e}  " + "  ".join(cells))
 
     with open(outdir / "sweep.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))

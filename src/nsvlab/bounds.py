@@ -8,7 +8,6 @@ branch crossovers are located by bisection.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -215,10 +214,10 @@ def bound_basic(inp: BoundsInput) -> BoundEntry:
     return BoundEntry("basic trace bound", f"basic-{inp.d}d", formula, value, validity, detail)
 
 
-def bound_3d_refined(inp: BoundsInput, prefactor: float = 1.0) -> BoundEntry:
+def bound_3d_refined(inp: BoundsInput) -> BoundEntry:
     """Refined 3D bound with the softer alpha^{-3/4} blow-up; the overall
-    dimensionless prefactor is not pinned down, so the entry is tagged
-    modulo-constant (prefactor defaults to 1)."""
+    dimensionless prefactor is not pinned down, so it is set to 1 and the
+    entry is tagged modulo-constant."""
     if inp.d != 3:
         raise WrongRegimeError(f"refined bound is stated for d=3, got d={inp.d}")
     a = inp.alpha_lambda1
@@ -228,11 +227,11 @@ def bound_3d_refined(inp: BoundsInput, prefactor: float = 1.0) -> BoundEntry:
             "refined 3d bound", "refined-3d", "C*(1+a)*G^(5/2)*((1+a)*a^(-3/4)*G^(3/2)+1)",
             math.inf, OUT_OF_RANGE, "diverges at alpha=0",
         )
-    value = prefactor * (1 + a) * g**2.5 * ((1 + a) * a**-0.75 * g**1.5 + 1)
+    value = (1 + a) * g**2.5 * ((1 + a) * a**-0.75 * g**1.5 + 1)
     return BoundEntry(
         "refined 3d bound", "refined-3d",
         "C*(1+a)*G^(5/2)*((1+a)*a^(-3/4)*G^(3/2)+1)",
-        value, MODULO_CONSTANT, f"prefactor C set to {prefactor:g}",
+        value, MODULO_CONSTANT, "prefactor C set to 1",
     )
 
 
@@ -256,11 +255,11 @@ def bound_3d_symmetric(inp: BoundsInput) -> BoundEntry:
     )
 
 
-def bound_2d_quadratic(inp: BoundsInput, constants: ConstantsTable = CONSTANTS) -> BoundEntry:
+def bound_2d_quadratic(inp: BoundsInput) -> BoundEntry:
     """(a+1) c_lt / 2 * G^2; finite at alpha = 0."""
     if inp.d != 2:
         raise WrongRegimeError(f"quadratic 2d bound is stated for d=2, got d={inp.d}")
-    c_lt = constants.c_lt(2, inp.geometry)
+    c_lt = CONSTANTS.c_lt(2, inp.geometry)
     value = (inp.alpha_lambda1 + 1) * c_lt / 2 * inp.grashof**2
     return BoundEntry(
         "quadratic 2d bound", "quadratic-2d", "(a+1)*c_lt/2 * G^2", value, OK,
@@ -268,16 +267,16 @@ def bound_2d_quadratic(inp: BoundsInput, constants: ConstantsTable = CONSTANTS) 
     )
 
 
-def bound_2d_linear(inp: BoundsInput, constants: ConstantsTable = CONSTANTS) -> BoundEntry:
+def bound_2d_linear(inp: BoundsInput) -> BoundEntry:
     """Linear-in-cal-G bound, valid for alpha <= alpha0."""
     if inp.d != 2:
         raise WrongRegimeError(f"linear 2d bound is stated for d=2, got d={inp.d}")
     if inp.grashof_cal <= 0:
         raise InvalidParameterError("linear 2d bound needs cal-G > 0")
     if inp.geometry == TORUS:
-        coeff, fid = constants.linear_torus_coeff, "linear-2d-torus"
+        coeff, fid = CONSTANTS.linear_torus_coeff, "linear-2d-torus"
     else:
-        coeff, fid = constants.linear_domain_coeff, "linear-2d-domain"
+        coeff, fid = CONSTANTS.linear_domain_coeff, "linear-2d-domain"
     value = coeff * inp.grashof_cal
     alpha0 = inp.alpha0_linear
     if inp.alpha > alpha0:
@@ -289,16 +288,16 @@ def bound_2d_linear(inp: BoundsInput, constants: ConstantsTable = CONSTANTS) -> 
                       f"alpha0={alpha0:.6g}")
 
 
-def bound_2d_log(inp: BoundsInput, constants: ConstantsTable = CONSTANTS) -> BoundEntry:
+def bound_2d_log(inp: BoundsInput) -> BoundEntry:
     """Torus bound min[linear, log-corrected 2/3 power], alpha <= alpha0."""
     if inp.d != 2 or inp.geometry != TORUS:
         raise WrongRegimeError("log-form bound is stated for the 2D torus")
     cg = inp.grashof_cal
     if cg <= 0:
         raise InvalidParameterError("log-form bound needs cal-G > 0")
-    linear = constants.linear_torus_coeff * cg
-    logged = constants.log_branch_coeff * cg ** (2 / 3) * (
-        math.log(cg) + constants.log_branch_offset) ** (1 / 3)
+    linear = CONSTANTS.linear_torus_coeff * cg
+    logged = CONSTANTS.log_branch_coeff * cg ** (2 / 3) * (
+        math.log(cg) + CONSTANTS.log_branch_offset) ** (1 / 3)
     value = min(linear, logged)
     branch = "linear" if linear <= logged else "log"
     alpha0 = inp.alpha0_linear
@@ -311,7 +310,7 @@ def bound_2d_log(inp: BoundsInput, constants: ConstantsTable = CONSTANTS) -> Bou
                       value, validity, detail)
 
 
-def classical_ns_bounds(inp: BoundsInput, constants: ConstantsTable = CONSTANTS) -> dict:
+def classical_ns_bounds(inp: BoundsInput) -> dict:
     """The three alpha=0 (classical) 2D bounds and their minimum."""
     if inp.d != 2:
         raise WrongRegimeError(f"classical bounds are stated for d=2, got d={inp.d}")
@@ -320,10 +319,10 @@ def classical_ns_bounds(inp: BoundsInput, constants: ConstantsTable = CONSTANTS)
     cg = inp.grashof_cal
     if cg <= 0:
         raise InvalidParameterError("classical bounds need cal-G > 0")
-    general = constants.classical_calg_coeff * cg
-    torus_linear = constants.classical_torus_coeff * cg
-    torus_log = constants.log_branch_coeff_classical * cg ** (2 / 3) * (
-        math.log(cg) + constants.log_branch_offset_classical) ** (1 / 3)
+    general = CONSTANTS.classical_calg_coeff * cg
+    torus_linear = CONSTANTS.classical_torus_coeff * cg
+    torus_log = CONSTANTS.log_branch_coeff_classical * cg ** (2 / 3) * (
+        math.log(cg) + CONSTANTS.log_branch_offset_classical) ** (1 / 3)
     values = {
         "classical_calg": general,
         "classical_torus_linear": torus_linear,
@@ -336,7 +335,8 @@ def classical_ns_bounds(inp: BoundsInput, constants: ConstantsTable = CONSTANTS)
 # ----------------------------------------------------------------------------
 # thresholds
 
-def bisect_root(f, a: float, b: float, tol: float = 1e-10, max_iter: int = 200) -> float:
+def bisect_root(f, a: float, b: float) -> float:
+    """A root of f in [a, b], to 1e-10 relative to max(1, |root|) or after 200 halvings."""
     fa, fb = f(a), f(b)
     if fa == 0:
         return a
@@ -345,10 +345,10 @@ def bisect_root(f, a: float, b: float, tol: float = 1e-10, max_iter: int = 200) 
     if fa * fb > 0:
         raise ArithmeticError(f"bisection bracket [{a:g}, {b:g}] does not change sign "
                               f"(f={fa:.3g}, {fb:.3g})")
-    for _ in range(max_iter):
+    for _ in range(200):
         m = 0.5 * (a + b)
         fm = f(m)
-        if fm == 0 or (b - a) <= tol * max(1.0, abs(m)):
+        if fm == 0 or (b - a) <= 1e-10 * max(1.0, abs(m)):
             return m
         if fa * fm < 0:
             b, fb = m, fm
@@ -431,9 +431,6 @@ class DimBoundReport:
             "bounds": [e.as_dict() for e in self.entries],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
-
     def to_text(self) -> str:
         rows = [("bound", "formula id", "value", "validity", "detail")]
         for e in self.entries:
@@ -445,8 +442,7 @@ class DimBoundReport:
         return "\n".join(["; ".join(head)] + lines)
 
 
-def build_report(inp: BoundsInput, constants: ConstantsTable = CONSTANTS,
-                 g0_offset: float = 5.74) -> DimBoundReport:
+def build_report(inp: BoundsInput, g0_offset: float = 5.74) -> DimBoundReport:
     """Evaluate every bound applicable to the input and collect thresholds."""
     entries = [bound_basic(inp)]
     derived = {
@@ -458,14 +454,14 @@ def build_report(inp: BoundsInput, constants: ConstantsTable = CONSTANTS,
         entries.append(bound_3d_refined(inp))
         entries.append(bound_3d_symmetric(inp))
     else:
-        entries.append(bound_2d_quadratic(inp, constants))
+        entries.append(bound_2d_quadratic(inp))
         if inp.grashof_cal > 0:
-            entries.append(bound_2d_linear(inp, constants))
+            entries.append(bound_2d_linear(inp))
             derived["alpha0_linear"] = inp.alpha0_linear
             if inp.geometry == TORUS:
-                entries.append(bound_2d_log(inp, constants))
+                entries.append(bound_2d_log(inp))
         if inp.alpha == 0 and inp.grashof_cal > 0:
-            classical = classical_ns_bounds(inp, constants)
+            classical = classical_ns_bounds(inp)
             keys = (("classical_calg", "classical_torus_linear", "classical_torus_log")
                     if inp.geometry == TORUS else ("classical_calg",))
             for key in keys:

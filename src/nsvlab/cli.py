@@ -36,7 +36,6 @@ from .errors import (
     IntegrationDivergedError,
     InvalidParameterError,
     RoleMismatchError,
-    StaleFrameError,
     WrongRegimeError,
 )
 from .fieldio import RunManifest, save_field, write_json
@@ -372,7 +371,7 @@ def _run_verify(params: dict, outdir: Path, seed: int, manifest: RunManifest):
     target = params["target"]
     grid = sp.SpectralGrid(params["grid_n"])
     seeds = range(seed, seed + params["families"])
-    witness = None
+    sweep = None
 
     if target == "spectrum":
         rep = lattice.verify_eigenvalue_bounds(params["jmax"])
@@ -394,16 +393,12 @@ def _run_verify(params: dict, outdir: Path, seed: int, manifest: RunManifest):
         payload = {"target": target,
                    "range": {"families": params["families"], "n": params["family_n"]},
                    **sweep.as_dict()}
-        payload["pass"] = sweep.all_passed
-        witness = sweep
     elif target == "rho-l2":
         sweep = ineq.run_rho_l2_sweep(grid, seeds, alphas=params["alphas"],
                                       n=params["family_n"])
         payload = {"target": target,
                    "range": {"families": params["families"], "alphas": params["alphas"]},
                    **sweep.as_dict()}
-        payload["pass"] = sweep.all_passed
-        witness = sweep
     else:  # rho-linf
         sums = lattice.verify_spectral_sums(params["sums_lam_max"])
         sweep = ineq.run_rho_linf_sweep(
@@ -416,24 +411,13 @@ def _run_verify(params: dict, outdir: Path, seed: int, manifest: RunManifest):
                    **sweep.as_dict()}
         payload["spectral_sums_pass"] = sums.passed
         payload["pass"] = sweep.all_passed and sums.passed
-        witness = sweep
 
-    if witness is not None and witness.near_saturation:
-        # keep the closest-to-saturation family on disk for inspection;
-        # worst_seed is the recorded successful sub-seed, so re-sampling
-        # from it reproduces the family exactly
-        worst_seed = witness.worst_seed
-        worst_report = max(witness.reports, key=lambda r: r.ratio)
-        # rho-l2 and rho-linf always draw alpha-orthonormal families, rho-l2
-        # at the alpha recorded on each report
-        alpha = worst_report.extras.get("alpha", params["alpha"])
-        kind = params["kind"] if target == "lt" else ineq.ALPHA_ORTHONORMAL
-        role = sp.VORTICITY if target == "rho-linf" else sp.VELOCITY
-        fam = ineq.sample_suborthonormal(grid, params["family_n"], kind, worst_seed, role,
-                                         sp.AlphaMetric(alpha))
+    if sweep is not None and sweep.near_saturation:
+        # keep the family behind the worst report on disk for inspection
+        fam = sweep.witness
         for j, coeffs in enumerate(sp.full_layout(sp.half_of(grid, fam.vectors))):
-            wpath = outdir / f"witness_seed{worst_seed}_vec{j}.field"
-            save_field(sp.SpectralField(grid, role, coeffs), wpath, alpha=alpha)
+            wpath = outdir / f"witness_seed{fam.seed}_vec{j}.field"
+            save_field(sp.SpectralField(grid, fam.role, coeffs), wpath, alpha=fam.metric.alpha)
             manifest.add_artifact(wpath)
         payload["witness_persisted"] = True
 
@@ -517,8 +501,8 @@ RUNNERS = {
 #: (2), or the run failed numerically or on I/O (3)
 CONFIG_ERRORS = (InvalidParameterError, ConfigError, RoleMismatchError, GridMismatchError,
                  WrongRegimeError)
-RUNTIME_ERRORS = (IntegrationDivergedError, DegenerateFrameError, StaleFrameError,
-                  ArithmeticError, np.linalg.LinAlgError, OSError)
+RUNTIME_ERRORS = (IntegrationDivergedError, DegenerateFrameError, ArithmeticError,
+                  np.linalg.LinAlgError, OSError)
 
 
 def _record_failure(manifest: RunManifest, err: Exception) -> int:

@@ -38,10 +38,6 @@ class DegenerateFrameError(ValueError):
         )
 
 
-class StaleFrameError(ValueError):
-    """A trace was requested on a frame that is no longer orthonormal."""
-
-
 class ConfigError(ValueError):
     """Aggregated configuration problems; `problems` lists every violation found."""
 

@@ -17,7 +17,9 @@ is left behind with a .partial suffix.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 import time
@@ -112,6 +114,15 @@ def load_field(path) -> SpectralField:
 
 def write_json(path, obj):
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def write_csv(path, header, rows):
+    """Write a header and rows of cells as CSV (csv.writer's \\r\\n line ends)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write_text(path, buf.getvalue())
 
 
 def sha256_of(path) -> str:

@@ -31,6 +31,9 @@ GRAM_SCALED = "gram-scaled"
 #: the caps a sup-norm report scans for the one minimizing its right-hand side
 SCAN_CAPS = range(1, 65)
 
+#: a passing report whose ratio exceeds this is flagged near saturation
+NEAR_SATURATION = 0.95
+
 
 # ----------------------------------------------------------------------------
 # families
@@ -183,16 +186,16 @@ def _ratio(lhs: float, rhs: float) -> float:
 
 
 def _report(target: str, fam: SuborthonormalFamily, lhs: float, rhs: float,
-            near_saturation: float, warnings=(), **extras) -> InequalityReport:
+            warnings=(), **extras) -> InequalityReport:
     ratio = _ratio(lhs, rhs)
     rep = InequalityReport(target=target, n=fam.n, seed=fam.seed, lhs=lhs, rhs=rhs, ratio=ratio,
                            passed=ratio <= 1.0, warnings=list(warnings), extras=extras)
-    if near_saturation < ratio <= 1.0:
+    if NEAR_SATURATION < ratio <= 1.0:
         rep.extras["near_saturation"] = True
     return rep
 
 
-def verify_lieb_thirring(fam: SuborthonormalFamily, near_saturation: float = 0.95) -> InequalityReport:
+def verify_lieb_thirring(fam: SuborthonormalFamily) -> InequalityReport:
     """integral of rho^2 <= c_lt(T^2) * sum ||grad u_j||^2 for a
     divergence-free L2-suborthonormal velocity family."""
     if fam.role != VELOCITY:
@@ -203,10 +206,10 @@ def verify_lieb_thirring(fam: SuborthonormalFamily, near_saturation: float = 0.9
     if certificate > 1.0 + 1e-9:
         warns.append(f"suborthonormality certificate {certificate:.6f} > 1")
     rhs = CONSTANTS.c_lt_torus2d * fam.grad_norm_sq_sum()
-    return _report("lt", fam, lhs, rhs, near_saturation, warns)
+    return _report("lt", fam, lhs, rhs, warns)
 
 
-def verify_rho_l2(fam: SuborthonormalFamily, near_saturation: float = 0.95) -> InequalityReport:
+def verify_rho_l2(fam: SuborthonormalFamily) -> InequalityReport:
     """||rho||_L2 <= sqrt(n) / (2 sqrt(pi) sqrt(alpha)) for alpha-orthonormal
     velocity families (2D).  The constant is inherited from the planar case
     and is checked here on the torus empirically."""
@@ -218,7 +221,7 @@ def verify_rho_l2(fam: SuborthonormalFamily, near_saturation: float = 0.95) -> I
             f"family is not alpha-orthonormal (Gram deviation {dev:.3g})")
     lhs = rho_profile(fam.vectors, fam.grid).l2_norm()
     rhs = math.sqrt(fam.n) / (2.0 * math.sqrt(math.pi) * math.sqrt(fam.metric.alpha))
-    return _report("rho-l2", fam, lhs, rhs, near_saturation)
+    return _report("rho-l2", fam, lhs, rhs)
 
 
 def _linf_rhs(cap: int, grad_sum: float) -> float:
@@ -241,9 +244,7 @@ def _check_cap(lam_cap):
         raise InvalidParameterError(f"the spectral cap must be an integer >= 1, got {lam_cap!r}")
 
 
-def verify_rho_linf(fam: SuborthonormalFamily, lam_cap: int,
-                    scan_caps: range = SCAN_CAPS,
-                    near_saturation: float = 0.95) -> InequalityReport:
+def verify_rho_linf(fam: SuborthonormalFamily, lam_cap: int) -> InequalityReport:
     """sup-norm bound for rho = sum |grad-perp Laplace^{-1} phi_j|^2:
 
         ||rho||_inf^{1/2} <= 4 sqrt(2) pi (ln 4e Lam)^{1/2}
@@ -251,15 +252,14 @@ def verify_rho_linf(fam: SuborthonormalFamily, lam_cap: int,
 
     for any integer Lam >= 1 and an alpha-orthonormal scalar family.  The
     report also carries the cap minimizing the right-hand side over
-    scan_caps and the two inverse-power spectral sums backing the proof.
+    SCAN_CAPS and the two inverse-power spectral sums backing the proof.
     """
     _check_cap(lam_cap)
     sums = {lam_cap: spectral_sum_extras(int(lam_cap))}
-    return _linf_reports(fam, [lam_cap], sums, scan_caps, near_saturation)[0]
+    return _linf_reports(fam, [lam_cap], sums)[0]
 
 
-def _linf_reports(fam: SuborthonormalFamily, lam_caps: list, sums: dict,
-                  scan_caps: range = SCAN_CAPS, near_saturation: float = 0.95) -> list:
+def _linf_reports(fam: SuborthonormalFamily, lam_caps: list, sums: dict) -> list:
     """verify_rho_linf's report for each cap, given each cap's spectral sums;
     the family's side of the bound and its best cap are evaluated once."""
     if fam.role != VORTICITY:
@@ -277,8 +277,8 @@ def _linf_reports(fam: SuborthonormalFamily, lam_caps: list, sums: dict,
     moved = abs(fine - coarse) / max(abs(fine), 1e-300)
     warns = [f"max rho moved by {moved:.2e} under grid refinement"] if moved > 1e-3 else []
     lhs, grad_sum = math.sqrt(fine), fam.grad_norm_sq_sum()
-    best_cap = min(scan_caps, key=lambda cap: _linf_rhs(cap, grad_sum))
-    return [_report("rho-linf", fam, lhs, _linf_rhs(cap, grad_sum), near_saturation, warns,
+    best_cap = min(SCAN_CAPS, key=lambda cap: _linf_rhs(cap, grad_sum))
+    return [_report("rho-linf", fam, lhs, _linf_rhs(cap, grad_sum), warns,
                     lam_cap=int(cap), best_cap=int(best_cap),
                     rhs_at_best_cap=_linf_rhs(best_cap, grad_sum), **sums[cap])
             for cap in lam_caps]
@@ -289,6 +289,9 @@ def _linf_reports(fam: SuborthonormalFamily, lam_caps: list, sums: dict,
 
 @dataclass
 class SweepReport:
+    """A sweep's reports and verdict; witness is the family behind its worst
+    report (worst_seed is that family's sub-seed)."""
+
     target: str
     count: int
     worst_ratio: float
@@ -296,6 +299,7 @@ class SweepReport:
     all_passed: bool
     near_saturation: list = field(default_factory=list)
     reports: list = field(default_factory=list)
+    witness: SuborthonormalFamily | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -305,9 +309,17 @@ class SweepReport:
         }
 
 
-def _sweep(target: str, reports) -> SweepReport:
-    reports = list(reports)
-    worst = max(reports, key=lambda r: r.ratio)
+def _sweep(target: str, families, check) -> SweepReport:
+    """Check each family (check(fam) -> its reports), keeping the family behind
+    the first report of the largest ratio and no other."""
+    reports, worst, witness = [], None, None
+    for fam in families:
+        for rep in check(fam):
+            reports.append(rep)
+            if worst is None or rep.ratio > worst.ratio:
+                worst, witness = rep, fam
+    if worst is None:
+        raise InvalidParameterError(f"the {target} sweep needs at least one family")
     return SweepReport(
         target=target,
         count=len(reports),
@@ -316,28 +328,27 @@ def _sweep(target: str, reports) -> SweepReport:
         all_passed=all(r.passed for r in reports),
         near_saturation=[r.seed for r in reports if r.extras.get("near_saturation")],
         reports=reports,
+        witness=witness,
     )
 
 
 def run_lt_sweep(grid: SpectralGrid, seeds, n: int = 8, kind: str = ALPHA_ORTHONORMAL,
                  alpha: float = 1.0, decay: float = 2.0) -> SweepReport:
     metric = AlphaMetric(alpha)
-    return _sweep("lt", (
-        verify_lieb_thirring(sample_suborthonormal(grid, n, kind, seed, VELOCITY, metric, decay))
-        for seed in seeds))
+    return _sweep("lt", (sample_suborthonormal(grid, n, kind, seed, VELOCITY, metric, decay)
+                         for seed in seeds), lambda fam: [verify_lieb_thirring(fam)])
 
 
 def run_rho_l2_sweep(grid: SpectralGrid, seeds, alphas, n: int = 8,
                      decay: float = 2.0) -> SweepReport:
-    reports = []
-    for alpha in alphas:
-        metric = AlphaMetric(alpha)
-        for seed in seeds:
-            fam = sample_suborthonormal(grid, n, ALPHA_ORTHONORMAL, seed, VELOCITY, metric, decay)
-            rep = verify_rho_l2(fam)
-            rep.extras["alpha"] = alpha
-            reports.append(rep)
-    return _sweep("rho-l2", reports)
+    def check(fam):
+        rep = verify_rho_l2(fam)
+        rep.extras["alpha"] = fam.metric.alpha
+        return [rep]
+
+    return _sweep("rho-l2", (
+        sample_suborthonormal(grid, n, ALPHA_ORTHONORMAL, seed, VELOCITY, AlphaMetric(alpha), decay)
+        for alpha in alphas for seed in seeds), check)
 
 
 def run_rho_linf_sweep(grid: SpectralGrid, seeds, lam_caps, n: int = 8,
@@ -350,6 +361,5 @@ def run_rho_linf_sweep(grid: SpectralGrid, seeds, lam_caps, n: int = 8,
     sums = {cap: spectral_sum_extras(int(cap), spectrum) for cap in lam_caps}
     metric = AlphaMetric(alpha)
     return _sweep("rho-linf", (
-        rep for seed in seeds for rep in _linf_reports(
-            sample_suborthonormal(grid, n, ALPHA_ORTHONORMAL, seed, VORTICITY, metric, decay),
-            lam_caps, sums)))
+        sample_suborthonormal(grid, n, ALPHA_ORTHONORMAL, seed, VORTICITY, metric, decay)
+        for seed in seeds), lambda fam: _linf_reports(fam, lam_caps, sums))

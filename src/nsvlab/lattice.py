@@ -136,26 +136,27 @@ class LiYauReport:
     passed: bool
 
 
-def verify_liyau(m_max: int, domain_measure: float = TORUS_AREA) -> LiYauReport:
+def verify_liyau(m_max: int) -> LiYauReport:
     """Partial-sum lower bound sum_{j<=m} lambda_j >= (2 pi/|domain|) m^2 and
-    its pointwise consequence lambda_m >= (2 pi/|domain|) m."""
+    its pointwise consequence lambda_m >= (2 pi/|domain|) m, |domain| = 4 pi^2."""
     if m_max < 1:
         raise InvalidParameterError(f"m_max must be >= 1, got {m_max}")
     spec = LatticeSpectrum.with_at_least(m_max)
     lam = spec.eigenvalues[:m_max].astype(np.float64)
     m = np.arange(1, m_max + 1, dtype=np.float64)
     partial = np.cumsum(lam)
-    threshold = (2 * math.pi / domain_measure) * m**2
+    rate = 2 * math.pi / TORUS_AREA
+    threshold = rate * m**2
     ratio = partial / threshold
 
     violations = []
     bad = np.nonzero(ratio < 1)[0]
     for i in bad[:10]:
         violations.append(f"sum up to m={i + 1} is {partial[i]:g} < {threshold[i]:g}")
-    pointwise = lam / ((2 * math.pi / domain_measure) * m)
+    pointwise = lam / (rate * m)
     bad = np.nonzero(pointwise < 1)[0]
     for i in bad[:10]:
-        violations.append(f"lambda_{i + 1}={lam[i]:g} < {(2 * math.pi / domain_measure) * (i + 1):g}")
+        violations.append(f"lambda_{i + 1}={lam[i]:g} < {rate * (i + 1):g}")
 
     small_m = min(100, m_max)
     return LiYauReport(
@@ -193,11 +194,11 @@ def inverse_square_tail_bound(e: float) -> float:
     return 2 * math.pi * (1.0 / (2 * r0**2) + a / (3 * r0**3))
 
 
-def sum_inverse_square_above(lam_cap: int, e_max: int | None = None,
-                             spectrum: LatticeSpectrum | None = None) -> float:
+def sum_inverse_square_above(lam_cap: int, spectrum: LatticeSpectrum | None = None) -> float:
     """Upper bound for sum of 1/lambda_j^2 over lambda_j > lam_cap:
-    exact enumeration up to e_max plus a rigorous integral tail."""
-    e_max = e_max or max(16 * lam_cap, 64)
+    exact enumeration up to e_max = max(16 lam_cap, 64) plus a rigorous
+    integral tail."""
+    e_max = max(16 * lam_cap, 64)
     spec = spectrum if spectrum is not None and spectrum.max_e >= e_max else LatticeSpectrum(max_e=e_max)
     lam = spec.eigenvalues
     mid = lam[(lam > lam_cap) & (lam <= e_max)].astype(np.float64)

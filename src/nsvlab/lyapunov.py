@@ -13,27 +13,18 @@ re-orthonormalization; reports carry the averaging window used.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import fieldio
 from . import spectral as sp
 from .dynamics import (InitialSpec, InsufficientDurationWarning, SimConfig, advance,
                        initial_state, stream_multipliers)
-from .errors import (
-    DegenerateFrameError,
-    GridMismatchError,
-    IntegrationDivergedError,
-    InvalidParameterError,
-    StaleFrameError,
-)
+from .errors import DegenerateFrameError, IntegrationDivergedError, InvalidParameterError
 from .spectral import TORUS_AREA, VELOCITY, AlphaMetric, SpectralField, SpectralGrid
-
-#: largest Gram deviation from the identity trace_n accepts in a frame
-GRAM_TOL = 1e-6
 
 
 @dataclass
@@ -60,17 +51,6 @@ class TangentFrame:
                          for _ in range(n)])
         return cls(grid, metric, alpha_gram_schmidt(vecs, metric.band_weights(grid))[0])
 
-    @classmethod
-    def from_fields(cls, fields, metric: AlphaMetric) -> "TangentFrame":
-        """The frame of velocity fields on one grid (each within the band)."""
-        grid = fields[0].grid
-        if any(f.grid != grid or f.role != VELOCITY for f in fields):
-            raise GridMismatchError("frame fields must be velocity fields on one grid")
-        return cls(grid, metric, np.stack([sp.stream_of(grid, f.coeffs) for f in fields]))
-
-    def field(self, j: int) -> SpectralField:
-        return SpectralField(self.grid, VELOCITY, sp.velocity_of(self.grid, self.vectors[j]))
-
 
 def _real_view(vectors: np.ndarray, weights) -> tuple:
     """Rows of reals and weights for which TORUS_AREA sum w Re(a conj(b)) is a weighted dot."""
@@ -89,7 +69,7 @@ def gram_deviation(vectors: np.ndarray, weights: np.ndarray) -> float:
     return float(np.max(np.abs(gram_matrix(vectors, weights) - np.eye(len(vectors)))))
 
 
-def alpha_gram_schmidt(vectors: np.ndarray, weights: np.ndarray, tol: float = 1e-12):
+def alpha_gram_schmidt(vectors: np.ndarray, weights: np.ndarray):
     """Gram-Schmidt of stacked vectors in the inner product TORUS_AREA sum w a
     conj(b): a TangentFrame's psi_hat with its band weights, or a family's band
     with the weights band_count (1 + alpha|k|^2).  Classical Gram-Schmidt
@@ -101,8 +81,10 @@ def alpha_gram_schmidt(vectors: np.ndarray, weights: np.ndarray, tol: float = 1e
     Returns the orthonormalized vectors and the diagonal normalization factors
     (the per-vector norm of the residual, the log of which accumulates
     Lyapunov exponents).  Raises DegenerateFrameError naming the first vector
-    that falls into the span of its predecessors.
+    that falls into the span of its predecessors: its residual is at most
+    1e-12 of its norm.
     """
+    tol = 1e-12
     q = vectors.astype(complex)
     x, w = _real_view(q, weights)
     factors = np.empty(len(q))
@@ -135,22 +117,6 @@ def trace_diagonal(grid: SpectralGrid, multipliers: tuple, state: np.ndarray,
     if state[0].any():
         lv -= inverse * sp.bilinear_coeffs(grid, state)[1:]
     return TORUS_AREA * np.sum(weights * (lv * np.conj(state[1:])).real, axis=(-2, -1))
-
-
-def trace_n(frame: TangentFrame, base: SpectralField, cfg: SimConfig) -> float:
-    """Sum of (L theta_j, theta_j)_alpha over the frame, linearized about the
-    velocity field base.
-
-    The frame must be freshly orthonormalized; if its Gram matrix has drifted
-    beyond GRAM_TOL a StaleFrameError is raised.
-    """
-    w = frame.weights
-    dev = gram_deviation(frame.vectors, w)
-    if dev > GRAM_TOL:
-        raise StaleFrameError(f"frame Gram deviation {dev:.3g} exceeds {GRAM_TOL:g}; "
-                              "re-orthonormalize before taking traces")
-    state = np.concatenate([sp.stream_of(frame.grid, base.coeffs, "base")[None], frame.vectors])
-    return float(sum(trace_diagonal(frame.grid, stream_multipliers(cfg), state, w)))
 
 
 # ----------------------------------------------------------------------------
@@ -200,17 +166,9 @@ class TraceSeries:
         return float(self.q_hats[-1])
 
     def write_csv(self, path):
-        from io import StringIO
-
-        from .fieldio import atomic_write_text
-
-        buf = StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(("t", "trace_inst", "trace_avg"))
-        for i in range(self.times.size):
-            writer.writerow([f"{self.times[i]:.12g}", f"{self.trace_inst[i]:.12g}",
-                             f"{self.trace_avg[i]:.12g}"])
-        atomic_write_text(path, buf.getvalue())
+        fieldio.write_csv(path, ("t", "trace_inst", "trace_avg"),
+                          ([f"{v:.12g}" for v in row]
+                           for row in zip(self.times, self.trace_inst, self.trace_avg)))
 
     def summary(self) -> dict:
         return {
@@ -249,6 +207,8 @@ def evolve_tangent_frame(
     grid = cfg.grid
     if n < 1:
         raise InvalidParameterError(f"frame size must be >= 1, got {n}")
+    if reorth_every < 1:
+        raise InvalidParameterError(f"reorth_every must be >= 1, got {reorth_every}")
     if t_end < cfg.dt:
         raise InvalidParameterError(f"t_end={t_end:g} is shorter than one step dt={cfg.dt:g}")
     dt = cfg.dt

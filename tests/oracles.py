@@ -283,8 +283,8 @@ def trace_velocity_reduced(frame, u, cfg):
     -nu sum ||grad theta_j||^2 - sum ((theta_j.grad) u, theta_j);
     the alpha weights cancel against (1+aA)^{-1} in the full trace."""
     total = 0.0
-    for j in range(frame.n):
-        theta = frame.field(j)
+    for v in frame.vectors:
+        theta = SpectralField(frame.grid, VELOCITY, sp.velocity_of(frame.grid, v))
         total -= cfg.nu * grad_norm_sq(theta)
         total -= l2_inner(bilinear_b(theta, u), theta)
     return total
@@ -305,7 +305,7 @@ def advection_trace_terms(frame, u):
     rho = sum |theta_j|^2; both by collocation quadrature on a doubled grid.
     The second times c_2 = sqrt(1/2) dominates the first for divergence-free u."""
     nq = 2 * frame.grid.n
-    th = to_physical(pad_coeffs(np.stack([frame.field(j).coeffs for j in range(frame.n)]), nq))
+    th = to_physical(pad_coeffs(sp.velocity_of(frame.grid, frame.vectors), nq))
     rho = np.sum(th**2, axis=(0, 1))
     uq = pad_coeffs(u.coeffs, nq)
     k1 = np.fft.fftfreq(nq, d=1.0 / nq)
@@ -415,7 +415,7 @@ def evolve_frame(cfg, n, t_end, seed, reorth_every=10):
         return np.stack(out)
 
     frame = lyp.TangentFrame.random(grid, n, cfg.metric, seed=seed)
-    y = np.stack([cfg.initial.build(grid).coeffs] + [frame.field(j).coeffs for j in range(n)])
+    y = np.concatenate([cfg.initial.build(grid).coeffs[None], sp.velocity_of(grid, frame.vectors)])
     weights = alpha_weights(cfg.metric, grid)
     times, traces, logs = [], [], np.zeros(n)
     nsteps = int(round(t_end / cfg.dt))

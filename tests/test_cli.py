@@ -323,16 +323,18 @@ VALID = {
                "alpha": ("0", "0.5"), "kind": ("alpha-orthonormal", "gram-scaled"),
                "lam_min": ("1", "2"), "lam_max": ("2", "8"), "sums_lam_max": ("10", "200")},
 }
+#: the snapshot files a run may name: a valid header over one row with a
+#: malformed wavenumber or value, a bad magic line, and no file at all
+FIELD_HEADER = ("# nsvlab-field v1\n# resolution_n=16 dealias_cutoff=5 role=velocity alpha=0\n"
+                "# columns: component k1 k2 re im\n")
+FIELD_FILES = {"malformed.field": FIELD_HEADER + "0 x 1 0.5 0\n",
+               "bad_value.field": FIELD_HEADER + "0 0 1 y 0\n",
+               "garbage.field": "not a field\n"}
+SNAPSHOT_PATHS = tuple(FIELD_FILES) + ("missing.field",)
 FLOW_VALID = {"forcing": {"kind": ("zero", "shear"), "amplitude": ("0.5", "2"),
                           "wavenumber": ("1", "2", "9")},
               "initial": {"kind": ("zero", "shear", "random", "file"), "amplitude": ("0.5", "2"),
-                          "path": ("missing.field", "garbage.field", "malformed.field")}}
-#: the initial.path files a run may draw: a bad magic line, and a valid header
-#: over one malformed row
-FIELD_FILES = {"garbage.field": "not a field\n",
-               "malformed.field": "# nsvlab-field v1\n# resolution_n=16 dealias_cutoff=5 "
-                                  "role=velocity alpha=0\n# columns: component k1 k2 re im\n"
-                                  "0 x 1 0.5 0\n"}
+                          "path": SNAPSHOT_PATHS}}
 #: valid values of the config-only nested keys, and JSON values of the wrong
 #: type or range for them
 CONFIG_VALID = {"forcing": {"modes": ([[0, 1, 0.0, -0.5, 0.0, 0.0]],)},
@@ -346,12 +348,17 @@ ILL_TYPED = ("abc", "", "1e", "0x10", "nan", "inf")
 def argument_vectors(draw):
     """A subcommand and a value for each of its flags: valid, out of range or
     ill-typed (in half the vectors, valid only); the nested-block flags and
-    --seed only sometimes.  Half the simulate and lyapunov vectors take their
-    initial block from a config file in place of the --initial-* flags, with
-    the config-only keys valid or not in any vector, so that they also reach a
-    run whose flags are all valid.  Returns (argv, config or None)."""
+    --seed only sometimes.  A simulate or lyapunov vector starts from its
+    --initial-* flags, from a config file's shear or random initial block
+    (with config-only keys and a modes forcing block, each valid or not, in
+    any vector), or from a snapshot file a config file names.  A snapshot
+    start keeps every flag valid, since a refused flag stops the run before
+    the file is read.  Returns (argv, config or None)."""
     subcommand = draw(st.sampled_from(sorted(cli.SCHEMAS)))
-    mixed = draw(st.booleans())
+    start = "flags"
+    if subcommand in ("simulate", "lyapunov"):
+        start = draw(st.sampled_from(("snapshot", "config", "flags")))
+    mixed = start != "snapshot" and draw(st.booleans())
 
     def flag_value(valid):
         if not mixed:
@@ -359,14 +366,21 @@ def argument_vectors(draw):
         return st.one_of(st.sampled_from(valid), st.sampled_from(OUT_OF_RANGE),
                          st.sampled_from(ILL_TYPED))
 
+    def config_value(valid):
+        return draw(st.one_of(st.sampled_from(valid), st.sampled_from(CONFIG_INVALID)))
+
     config = None
-    if subcommand in ("simulate", "lyapunov") and draw(st.booleans()):
+    if start == "snapshot":
+        config = {"initial": {"kind": "file", "path": draw(st.sampled_from(SNAPSHOT_PATHS))}}
+    elif start == "config":
         initial = {"kind": draw(st.sampled_from(("shear", "random")))}
         for sub_key, valid in CONFIG_VALID["initial"].items():
             if draw(st.booleans()):
-                initial[sub_key] = draw(st.one_of(st.sampled_from(valid),
-                                                  st.sampled_from(CONFIG_INVALID)))
+                initial[sub_key] = config_value(valid)
         config = {"initial": initial}
+        if draw(st.booleans()):
+            config["forcing"] = {"kind": "modes",
+                                 "modes": config_value(CONFIG_VALID["forcing"]["modes"])}
 
     argv = [subcommand]
     for key, (typ, _) in cli.SCHEMAS[subcommand].items():
@@ -407,12 +421,14 @@ class TestExitContract:
         argv, config = drawn
         with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
             warnings.simplefilter("ignore")
+            config_text = json.dumps(config)
             for name, text in FIELD_FILES.items():
                 (Path(tmp) / name).write_text(text)
                 argv = [a.replace(name, str(Path(tmp) / name)) for a in argv]
+                config_text = config_text.replace(name, str(Path(tmp) / name))
             out = Path(tmp) / "out"
             if config is not None:
-                (Path(tmp) / "c.json").write_text(json.dumps(config))
+                (Path(tmp) / "c.json").write_text(config_text)
                 argv += ["--config", str(Path(tmp) / "c.json")]
             code = cli.main(argv + ["--output-dir", str(out)])
             assert code in (0, 1, 2, 3)

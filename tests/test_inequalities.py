@@ -185,7 +185,7 @@ class TestRhoLinf:
 
     def test_best_cap_scan(self):
         fam = ineq.sample_suborthonormal(GRID, 4, seed=14, role=VORTICITY)
-        rep = ineq.verify_rho_linf(fam, 1, scan_caps=range(1, 65))
+        rep = ineq.verify_rho_linf(fam, 1)
         best = rep.extras["best_cap"]
         assert 1 <= best <= 64
         # scanning confirms minimality
@@ -250,6 +250,31 @@ class TestSweepReports:
         ratios = {r.seed: r.ratio for r in sweep.reports}
         assert sweep.worst_ratio == max(ratios.values())
         assert ratios[sweep.worst_seed] == sweep.worst_ratio
+
+    @pytest.mark.parametrize("target", ["lt", "rho-l2", "rho-linf"])
+    def test_witness_is_the_redrawn_worst_family(self, target):
+        # the family a sweep keeps is the one its worst report's sub-seed draws
+        # again, with the kind, role and alpha the sweep drew it with
+        grid, seeds = SpectralGrid(16), range(4)
+        if target == "lt":
+            sweep = ineq.run_lt_sweep(grid, seeds, n=3, kind=ineq.GRAM_SCALED, alpha=0.3)
+            kind, role, alpha = ineq.GRAM_SCALED, VELOCITY, 0.3
+        elif target == "rho-l2":
+            sweep = ineq.run_rho_l2_sweep(grid, seeds, alphas=[0.05, 2.0], n=3)
+            kind, role = ineq.ALPHA_ORTHONORMAL, VELOCITY
+            alpha = max(sweep.reports, key=lambda r: r.ratio).extras["alpha"]
+        else:
+            sweep = ineq.run_rho_linf_sweep(grid, seeds, lam_caps=range(1, 5), n=3, alpha=0.4)
+            kind, role, alpha = ineq.ALPHA_ORTHONORMAL, VORTICITY, 0.4
+        again = ineq.sample_suborthonormal(grid, 3, kind, sweep.worst_seed, role,
+                                           AlphaMetric(alpha))
+        assert sweep.witness.seed == sweep.worst_seed
+        assert (sweep.witness.role, sweep.witness.metric.alpha) == (role, alpha)
+        np.testing.assert_array_equal(sweep.witness.vectors, again.vectors)
+
+    def test_empty_sweep_refused(self):
+        with pytest.raises(InvalidParameterError, match="needs at least one family"):
+            ineq.run_lt_sweep(GRID, seeds=range(0), n=3)
 
     def test_as_dict_schema(self):
         sweep = ineq.run_lt_sweep(GRID, seeds=range(2), n=3)

@@ -8,8 +8,8 @@ import pytest
 from nsvlab import dynamics as dyn
 from nsvlab import lyapunov as lyp
 from nsvlab import spectral as sp
-from nsvlab.errors import DegenerateFrameError, IntegrationDivergedError, StaleFrameError
-from nsvlab.spectral import VELOCITY, VORTICITY, AlphaMetric, SpectralGrid
+from nsvlab.errors import DegenerateFrameError, IntegrationDivergedError, InvalidParameterError
+from nsvlab.spectral import VELOCITY, VORTICITY, AlphaMetric, SpectralField, SpectralGrid
 
 import oracles
 
@@ -30,7 +30,7 @@ def ground_modes(grid, metric):
         sp.field_from_modes(grid, VELOCITY, {(1, 0): (0.0, 1 / (2j))}),
         sp.field_from_modes(grid, VELOCITY, {(1, 0): (0.0, 0.5)}),
     ]
-    return lyp.TangentFrame.from_fields(fields, metric)
+    return lyp.TangentFrame(grid, metric, sp.stream_of(grid, np.stack([f.coeffs for f in fields])))
 
 
 class TestGramSchmidt:
@@ -57,7 +57,8 @@ class TestGramSchmidt:
 
     def test_parallel_vectors_rejected(self):
         u = sp.random_field(GRID, VELOCITY, seed=2)
-        frame = lyp.TangentFrame.from_fields([u, 2.0 * u], AlphaMetric(1.0))
+        vectors = sp.stream_of(GRID, np.stack([u.coeffs, 2.0 * u.coeffs]))
+        frame = lyp.TangentFrame(GRID, AlphaMetric(1.0), vectors)
         with pytest.raises(DegenerateFrameError) as exc:
             lyp.alpha_gram_schmidt(frame.vectors, frame.weights)
         assert exc.value.index == 1
@@ -77,7 +78,8 @@ class TestGramSchmidt:
         # deliberately mix to a skewed basis
         mixed = [fields[0], fields[0] + 0.1 * fields[1],
                  fields[2] + fields[1], fields[3] + 0.5 * fields[0]]
-        frame = lyp.TangentFrame.from_fields(mixed, metric)
+        vectors = sp.stream_of(GRID, np.stack([f.coeffs for f in mixed]))
+        frame = lyp.TangentFrame(GRID, metric, vectors)
         ortho, _ = lyp.alpha_gram_schmidt(frame.vectors, frame.weights)
         w = frame.weights
         for old in frame.vectors:
@@ -162,21 +164,17 @@ class TestTraces:
         modes = ground_modes(GRID, AlphaMetric(1.0))
         frame = lyp.TangentFrame(GRID, modes.metric,
                                  lyp.alpha_gram_schmidt(modes.vectors, modes.weights)[0])
-        tr = lyp.trace_n(frame, sp.zero_field(GRID, VELOCITY), cfg_for())
+        state = np.concatenate([np.zeros((1,) + GRID.band_shape, dtype=complex), frame.vectors])
+        tr = sum(lyp.trace_diagonal(GRID, dyn.stream_multipliers(cfg_for()), state, frame.weights))
         assert tr == pytest.approx(-2.0, abs=1e-12)
-
-    def test_stale_frame_rejected(self):
-        frame = lyp.TangentFrame.random(GRID, 3, AlphaMetric(1.0), seed=11)
-        frame.vectors[0] *= 1.5  # break normalization
-        with pytest.raises(StaleFrameError):
-            lyp.trace_n(frame, sp.zero_field(GRID, VELOCITY), cfg_for())
 
     def test_reduced_form_identity(self):
         # full alpha trace equals -nu sum ||grad theta||^2 - sum ((theta.grad)u, theta)
         cfg = cfg_for(nu=0.8, alpha=0.5)
         u = sp.random_field(GRID, VELOCITY, seed=12, decay=2.5)
         frame = lyp.TangentFrame.random(GRID, 5, AlphaMetric(0.5), seed=13)
-        full = lyp.trace_n(frame, u, cfg)
+        state = np.concatenate([sp.stream_of(GRID, u.coeffs)[None], frame.vectors])
+        full = sum(lyp.trace_diagonal(GRID, dyn.stream_multipliers(cfg), state, frame.weights))
         reduced = oracles.trace_velocity_reduced(frame, u, cfg)
         assert full == pytest.approx(reduced, rel=1e-10)
 
@@ -195,7 +193,8 @@ class TestTraces:
         # sum ||grad theta_j||^2 >= n/(alpha + 1) on alpha-orthonormal frames
         for alpha in (0.2, 1.0, 3.0):
             frame = lyp.TangentFrame.random(GRID, 6, AlphaMetric(alpha), seed=14)
-            total = sum(oracles.grad_norm_sq(frame.field(j)) for j in range(frame.n))
+            total = sum(oracles.grad_norm_sq(SpectralField(GRID, VELOCITY, theta))
+                        for theta in sp.velocity_of(GRID, frame.vectors))
             assert total >= 6.0 / (alpha + 1.0) * (1 - 1e-12)
 
     def test_advection_term_dominated_by_strain_integral(self):
@@ -208,8 +207,10 @@ class TestTraces:
             lhs, strain = oracles.advection_trace_terms(frame, u)
             assert abs(lhs) <= c2 * strain * (1 + 1e-9)
             # and the full trace obeys trace <= -nu sum ||grad theta||^2 + c2 * strain
-            tr = lyp.trace_n(frame, u, cfg)
-            grad_sum = sum(oracles.grad_norm_sq(frame.field(j)) for j in range(frame.n))
+            state = np.concatenate([sp.stream_of(GRID, u.coeffs)[None], frame.vectors])
+            tr = sum(lyp.trace_diagonal(GRID, dyn.stream_multipliers(cfg), state, frame.weights))
+            grad_sum = sum(oracles.grad_norm_sq(SpectralField(GRID, VELOCITY, theta))
+                           for theta in sp.velocity_of(GRID, frame.vectors))
             assert tr <= -cfg.nu * grad_sum + c2 * strain + 1e-9
 
 
@@ -249,6 +250,11 @@ class TestFrameEvolution:
         assert header == "t,trace_inst,trace_avg"
         assert set(series.summary()) == {"n", "q_hat", "n_star", "window", "exponents"}
         assert series.summary()["n_star"] is None
+
+    @pytest.mark.parametrize("reorth_every", [0, -3])
+    def test_nonpositive_reorth_every_refused(self, reorth_every):
+        with pytest.raises(InvalidParameterError, match="reorth_every must be >= 1"):
+            lyp.evolve_tangent_frame(cfg_for(), 2, 1.0, reorth_every=reorth_every)
 
     def test_burn_in_past_the_end_withholds_the_verdict(self):
         # no re-orthonormalization lies at t >= 5: nothing is averaged, so no q_hat

@@ -2,10 +2,10 @@
 """Best-of-k timings of nsvlab's numerical layers, as JSON.
 
 Layers: the real-FFT transform pair (one velocity field at n = 64, and a
-16-vector family on the 128^2 quadrature grid that rho_profile uses), the
+16-vector family on the 128^2 grid that the sup-norm check reads), the
 family density rho_profile of a 16-vector velocity family at n = 64 on the
-x2 and x4 quadrature grids, given on the band (as the verifiers hold it) and
-in the full layout, lattice enumeration up to |k|^2 = 1024, the
+default 90^2 grid (the smallest exact one for rho^2) and the x2 and x4 grids,
+given on the band (as the verifiers hold it) and in the full layout, lattice enumeration up to |k|^2 = 1024, the
 dealiased nonlinear term (the kernel's u.grad w on the band) at n = 64, one
 right-hand side and one RK4 step of the band streamfunction at n = 64, one
 tangent-frame step per vector at n = 32 with 8 vectors on the forced flow and
@@ -91,7 +91,10 @@ def layers():
            lambda: oracles.to_physical(family), inner=2)
     band = sp.band_of(grid, vectors)
     for tag, given in (("", vectors), (".band", band)):
-        record(f"rho_profile.family16.n64.q2{tag}", lambda: ineq.rho_profile(given, grid), inner=2)
+        record(f"rho_profile.family16.n64.exact{tag}", lambda: ineq.rho_profile(given, grid),
+               inner=2)
+        record(f"rho_profile.family16.n64.q2{tag}",
+               lambda: ineq.rho_profile(given, grid, quad_factor=2), inner=2)
         record(f"rho_profile.family16.n64.q4{tag}",
                lambda: ineq.rho_profile(given, grid, quad_factor=4), inner=2)
     record("lattice.enumerate", lambda: lattice.LatticeSpectrum(max_e=1024), inner=10)

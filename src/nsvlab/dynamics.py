@@ -133,7 +133,11 @@ class InitialSpec:
             f = sp.random_field(grid, VELOCITY, seed=self.seed, decay=self.decay)
             return f * self.amplitude
         if self.kind == "file":
-            f = fieldio.load_field(self.path)
+            try:
+                f = fieldio.load_field(self.path)
+            except FileNotFoundError as err:
+                # the configuration names the file: a missing one is refused like a missing config
+                raise InvalidParameterError(f"initial snapshot not found: {self.path}") from err
             if f.grid.n != grid.n:
                 raise InvalidParameterError(
                     f"snapshot resolution {f.grid.n} does not match grid {grid.n}")

@@ -110,9 +110,12 @@ class TestExitCodes:
          "unknown config key 'forcing.amplitud' for simulate"),
         (["lyapunov", "--n", "16", "--dt", "0.01", "--window", "0.1"],
          {"initial": {"kind": "random", "sed": 3}}, "unknown config key 'initial.sed' for lyapunov"),
+        (["simulate", "--n", "16", "--dt", "0.01", "--t-end", "0.1"],
+         {"initial": {"kind": "file", "path": "missing.field"}},
+         "initial snapshot not found: missing.field"),
     ], ids=["empty-lam-range", "no-alphas", "ill-typed-alphas", "geometry", "n", "kind",
             "nan", "initial-seed-type", "initial-seed-negative", "negative-seed",
-            "forcing-unknown-key", "initial-unknown-key"])
+            "forcing-unknown-key", "initial-unknown-key", "initial-snapshot-missing"])
     def test_bad_value_is_2_with_manifest(self, tmp_path, capsys, argv, config, problem):
         if config is not None:
             (tmp_path / "c.json").write_text(json.dumps(config))

@@ -184,21 +184,23 @@ def test_transform_pair_matches_full_complex_ffts(n):
         <= KERNEL_RTOL
 
 
-@pytest.mark.parametrize("q", [2, 4])
+@pytest.mark.parametrize("q", [None, 2, 4])
 @pytest.mark.parametrize("n", [16, 32, 48, 64])
 def test_rho_profile_matches_padded_full_layout(n, q):
     # velocity families and the stream-velocities of scalar families, on the
     # band and in the full layout, against the full layout zero-padded to the
-    # q n grid and transformed whole
+    # q n grid, or by default to the smallest even 5-smooth size > 4K, and
+    # transformed whole
     grid = SpectralGrid(n)
+    nq = {16: 24, 32: 48, 48: 72, 64: 90}[n] if q is None else q * n
     velocity = oracles.full_of_band(grid, ineq.sample_suborthonormal(grid, 16, seed=n).vectors)
     scalar = oracles.full_of_band(
         grid, ineq.sample_suborthonormal(grid, 16, seed=n + 1, role=VORTICITY).vectors)
     for vectors in (velocity, oracles.velocity_from_vorticity_coeffs(grid, scalar)):
-        ref = np.sum(sp.to_physical(oracles.pad_coeffs(vectors, q * n)) ** 2, axis=(0, 1))
+        ref = np.sum(sp.to_physical(oracles.pad_coeffs(vectors, nq)) ** 2, axis=(0, 1))
         for given in (vectors, sp.band_of(grid, vectors)):
             got = ineq.rho_profile(given, grid, quad_factor=q)
-            assert got.quad_n == q * n
+            assert got.quad_n == nq
             assert rel_err(got.values, ref) <= 1e-14
             if n != 48:
                 np.testing.assert_array_equal(got.values, ref)
@@ -212,7 +214,7 @@ def test_rho_linf_lhs_matches_full_layout_stream_velocities(n):
     fam = ineq.sample_suborthonormal(grid, 8, seed=n, role=VORTICITY)
     stream = oracles.velocity_from_vorticity_coeffs(grid, oracles.full_of_band(grid, fam.vectors))
     lhs = ineq.verify_rho_linf(fam, 1).lhs
-    assert lhs == np.sqrt(ineq.rho_profile(stream, grid, quad_factor=4).max())
+    assert lhs == np.sqrt(ineq.rho_profile(stream, grid, quad_factor=2).max())
 
 
 @pytest.mark.parametrize("decay", [0.0, 1.5, 3.0])

@@ -103,9 +103,10 @@ class TestRhoProfile:
             ineq.verify_lieb_thirring(fam)
 
     def test_quadrature_refinement_stable(self):
+        # the default grid (48 points at n = 32, K = 10) against the 2n one
         fam = ineq.sample_suborthonormal(GRID, 4, seed=8)
-        a = ineq.rho_profile(fam.vectors, GRID, quad_factor=2).integral(2.0)
-        b = ineq.rho_profile(fam.vectors, GRID, quad_factor=4).integral(2.0)
+        a = ineq.rho_profile(fam.vectors, GRID).integral(2.0)
+        b = ineq.rho_profile(fam.vectors, GRID, quad_factor=2).integral(2.0)
         assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -222,6 +223,77 @@ class TestRhoLinf:
     def test_cap_sweep_holds(self):
         sweep = ineq.run_rho_linf_sweep(GRID, seeds=range(3), lam_caps=(1, 8, 64), n=6)
         assert sweep.all_passed
+
+
+class TestRhoLinfVerdicts:
+    """The sup-norm verdict: pass on the certified bound, fail on the grid
+    maximum, and a second reading on the 4n grid only in between."""
+
+    def scaled_rhs(self, monkeypatch, fam, ratio):
+        # scale every cap's right-hand side so cap 1 reads this grid-max ratio on the 2n grid
+        base = ineq.verify_rho_linf(fam, 1)
+        scale, real = base.lhs / (ratio * base.rhs), ineq._linf_rhs
+        monkeypatch.setattr(ineq, "_linf_rhs", lambda cap, grad_sum: scale * real(cap, grad_sum))
+
+    def test_grid_max_over_the_bound_fails(self, monkeypatch, profile_grids):
+        fam = ineq.sample_suborthonormal(GRID, 8, seed=20, role=VORTICITY)
+        self.scaled_rhs(monkeypatch, fam, 1.05)
+        profile_grids.clear()
+        rep = ineq.verify_rho_linf(fam, 1)
+        assert rep.ratio == pytest.approx(1.05, rel=1e-12)
+        assert not rep.passed and rep.warnings == []
+        assert profile_grids == [2]
+
+    @pytest.mark.parametrize("ratio, passed", [(0.8, True), (0.95, False)])
+    def test_undecided_family_is_read_on_the_4n_grid(self, monkeypatch, profile_grids,
+                                                      ratio, passed):
+        # at n = 32, K = 10: sec(2 pi K / 2n) = 1.80 leaves both ratios undecided on
+        # the 2n grid; sec(2 pi K / 4n) = 1.13 certifies 0.8 but not 0.95
+        fam = ineq.sample_suborthonormal(GRID, 8, seed=21, role=VORTICITY)
+        self.scaled_rhs(monkeypatch, fam, ratio)
+        profile_grids.clear()
+        rep = ineq.verify_rho_linf(fam, 1)
+        assert profile_grids == [2, 4]
+        assert rep.passed is passed
+        assert rep.ratio == pytest.approx(ratio, rel=1e-3)
+        assert rep.extras["certified_ratio"] == pytest.approx(
+            rep.ratio / math.cos(math.pi * 20 / 128), rel=1e-12)
+        if passed:
+            assert rep.warnings == []
+        else:
+            assert rep.warnings == [f"undecided on the 128-point grid: grid-max ratio "
+                                    f"{rep.ratio:.6g} <= 1 < certified ratio "
+                                    f"{rep.extras['certified_ratio']:.6g}"]
+
+    def test_sweep_reads_each_family_once_on_the_2n_grid(self, profile_grids):
+        # c6d's set-up (16-vector families, caps 1..64) at n = 32
+        sweep = ineq.run_rho_linf_sweep(GRID, seeds=range(10), lam_caps=range(1, 65), n=16)
+        assert sweep.all_passed
+        assert profile_grids == [2] * 10
+        assert max(r.extras["certified_ratio"] for r in sweep.reports) < 1
+
+
+class TestSupBound:
+    @pytest.mark.parametrize("m, quad_n", [(1, 30), (3, 30), (5, 30), (8, 32), (21, 126)])
+    def test_maximum_between_nodes_is_reached(self, m, quad_n):
+        # T = cos(m(x - h/2)) cos(m(y - h/2)) peaks at 1 half a cell off the
+        # nodes; with m | quad_n its grid maximum is cos^2(pi m / quad_n)
+        h = 2 * math.pi / quad_n
+        row = np.cos(m * (np.arange(quad_n) * h - h / 2))
+        prof = ineq.RhoProfile(values=np.outer(row, row), quad_n=quad_n)
+        assert prof.max() == pytest.approx(math.cos(math.pi * m / quad_n) ** 2, rel=1e-12)
+        assert prof.sup_bound(m) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_certified_lhs_bounds_the_x8_maximum(self, seed):
+        fam = ineq.sample_suborthonormal(GRID, 16, seed=seed, role=VORTICITY)
+        stream = oracles.velocity_from_vorticity_coeffs(GRID, oracles.full_of_band(GRID, fam.vectors))
+        fine = math.sqrt(ineq.rho_profile(stream, GRID, quad_factor=8).max())
+        rep = ineq.verify_rho_linf(fam, 1)
+        # the 2n nodes are among the 8n ones
+        assert rep.lhs <= fine * (1 + 1e-12)
+        assert rep.extras["certified_lhs"] >= fine
+        assert rep.extras["certified_ratio"] == rep.extras["certified_lhs"] / rep.rhs
 
 
 class TestNearSaturation:

@@ -6,7 +6,8 @@ Layers: the real-FFT transform pair (one velocity field at n = 64, and a
 family density rho_profile of a 16-vector velocity family at n = 64 on the
 default 90^2 grid (the smallest exact one for rho^2) and the x2 and x4 grids,
 given on the band (as the verifiers hold it) and in the full layout, lattice enumeration up to |k|^2 = 1024, the
-dealiased nonlinear term (the kernel's u.grad w on the band) at n = 64, one
+dealiased nonlinear term (the kernel's u.grad w on the band) at n = 64 and on
+frame stacks (base and m vectors) at n = 32 with m = 8 and n = 48 with m = 4, one
 right-hand side and one RK4 step of the band streamfunction at n = 64, one
 tangent-frame step per vector at n = 32 with 8 vectors on the forced flow and
 with 4 vectors on the zero base, alpha Gram-Schmidt (CGS2) of an 8-vector
@@ -15,7 +16,8 @@ band, one whole sample_suborthonormal of a 16-vector family at n = 64, and
 the trace diagonal of an 8-vector frame at n = 32 on the forced flow and of
 a 4-vector frame on the zero base.  The transform pair, the nonlinear term,
 the family Gram-Schmidt and draw, and the trace diagonal are timed next to
-the full complex FFTs, the velocity-form B(u,v), the full-layout draw with
+the full complex FFTs, the velocity-form B(u,v) (at n = 64) and the
+advective-form band kernel (on the stacks), the full-layout draw with
 modified Gram-Schmidt and the per-row trace of tests/oracles.py.
 The machine, CPU count and numpy version are recorded with the timings.
 
@@ -118,6 +120,13 @@ def layers():
     psi = sp.stream_of(grid, u.coeffs)
     record("bilinear.n64.vorticity_form", lambda: sp.bilinear_coeffs(grid, psi))
     record("bilinear.n64.velocity_form_oracle", lambda: oracles.bilinear_b(u, u))
+    for n, m in ((32, 8), (48, 4)):
+        g = sp.SpectralGrid(n)
+        rng = np.random.default_rng(n)
+        stack = np.stack([sp.random_band(g, VORTICITY, 3.0, rng) for _ in range(m + 1)])
+        record(f"bilinear.n{n}.m{m}", lambda: sp.bilinear_coeffs(g, stack))
+        record(f"bilinear.n{n}.m{m}.advective_oracle",
+               lambda: oracles.advective_bilinear_coeffs(g, stack))
 
     cfg = forced_cfg(64)
     rhs, factors = dyn.stream_scheme(cfg, dyn.forcing_stream(cfg))

@@ -407,7 +407,7 @@ def integrate(cfg: SimConfig, *, snapshot_every: int = 0,
         rows.append((t, float(np.sum(w_l2 * sq)), float(np.sum(w_ens * sq)),
                      float(np.sum(w_alpha * sq))))
         if not cfl_warned:
-            umax = float(np.max(np.abs(sp.to_physical(sp.half_of(grid, grid.band_uw[:2] * c)))))
+            umax = float(np.max(np.abs(sp.to_physical(sp.half_of(grid, grid.band_u * c)))))
             if cfg.dt * umax * k_max > 1.0:
                 warnings.warn(
                     f"dt*max|u|*k_max = {cfg.dt * umax * k_max:.3g} > 1 at t={t:.4g}",

@@ -309,7 +309,7 @@ def _linf_reports(fam: SuborthonormalFamily, lam_caps: list, sums: dict) -> list
             f"family is not alpha-orthonormal (Gram deviation {dev:.3g})")
     # u = grad-perp psi with psi = phi / |k|^2, the state's multipliers
     grid = fam.grid
-    stream_velocities = grid.band_uw[:2] * (fam.vectors / grid.band_k[2])[..., None, :, :]
+    stream_velocities = grid.band_u * (fam.vectors / grid.band_k[2])[..., None, :, :]
     grad_sum = fam.grad_norm_sq_sum()
     rhs = {cap: _linf_rhs(cap, grad_sum) for cap in lam_caps}
     best_cap = min(SCAN_CAPS, key=lambda cap: _linf_rhs(cap, grad_sum))

@@ -6,9 +6,10 @@ eigenvalue is lambda_1 = 1 and all Laplacian eigenvalues are integers |k|^2.
 L2 norms carry the domain area |T^2| = 4 pi^2 (Parseval).
 
 Computation happens on the 2/3 band's half spectrum, an array (..., 2K+1, K+1)
-with K = dealias_cutoff (rows k1 = 0..K, -K..-1; columns k2 = 0..K).  A
-time-stepped state is a solenoidal field held there as its streamfunction
-psi_hat: u = grad-perp psi = (d_y psi, -d_x psi) and w = rot u = -Lap psi.
+with K = dealias_cutoff (rows k1 = 0..K, -K..-1; columns k2 = 0..K), by
+default (n - 1) // 3, the largest alias-free K.  A time-stepped state is a
+solenoidal field held there as its streamfunction psi_hat:
+u = grad-perp psi = (d_y psi, -d_x psi) and w = rot u = -Lap psi.
 Random fields and families are drawn on the band (random_band).  The full
 (2, n, n) velocity and (n, n) scalar layouts of SpectralField are the I/O
 format; stream_of and velocity_of map a state to and from it, and half_of
@@ -36,17 +37,19 @@ class SpectralGrid:
     """Square spectral grid with pre-computed wavenumber arrays.
 
     n is the number of modes per axis (even, >= 8); dealias_cutoff is the
-    largest retained wavenumber component for quadratic products (2/3 rule,
-    at most n // 3).
+    largest retained wavenumber component for quadratic products (2/3 rule).
+    The default (n - 1) // 3 is the largest alias-free cutoff (3K < n).  An
+    explicit cutoff up to n // 3 is accepted; when 3 divides n, n // 3 puts
+    the aliases of the 2n/3 products on the band's edge rows |k_i| = n/3.
     """
 
     n: int
-    dealias_cutoff: int = 0  # 0 means "use n // 3"
+    dealias_cutoff: int = 0  # 0 means "use (n - 1) // 3"
 
     def __post_init__(self):
         if self.n < 8 or self.n % 2 != 0:
             raise InvalidParameterError(f"grid resolution must be even and >= 8, got {self.n}")
-        cutoff = self.dealias_cutoff or self.n // 3
+        cutoff = self.dealias_cutoff or (self.n - 1) // 3
         if not 0 < cutoff <= self.n // 3:
             raise InvalidParameterError(
                 f"dealias_cutoff {cutoff} violates the 2/3 rule for n={self.n} (1 to {self.n // 3})"
@@ -73,9 +76,11 @@ class SpectralGrid:
         object.__setattr__(self, "band_k", np.stack([bkx, bky, bk2_safe]))
         # a k2 > 0 column stands for itself and its conjugate at -k
         object.__setattr__(self, "band_count", np.where(bky > 0, 2.0, 1.0))
-        # u = grad-perp psi = (d_y psi, -d_x psi) and grad w = grad(-Lap psi)
-        object.__setattr__(self, "band_uw", np.stack(
-            [1j * bky, -1j * bkx, 1j * bkx * bk2, 1j * bky * bk2]))
+        # u = grad-perp psi = (d_y psi, -d_x psi)
+        object.__setattr__(self, "band_u", np.stack([1j * bky, -1j * bkx]))
+        # curl div of the symmetric tensor [[Q, P], [P, -Q]] is
+        # (ky^2 - kx^2) P_hat + 2 kx ky Q_hat
+        object.__setattr__(self, "band_curl_div", np.stack([bky**2 - bkx**2, 2.0 * bkx * bky]))
 
     def coeff_shape(self, role: str) -> tuple:
         return (2, self.n, self.n) if role == VELOCITY else (self.n, self.n)
@@ -246,30 +251,38 @@ def stream_of(grid: SpectralGrid, u: np.ndarray, what: str = "field") -> np.ndar
 
 def band_stream(grid: SpectralGrid, b: np.ndarray) -> np.ndarray:
     """psi_hat = rot u / |k|^2 of a velocity's band (..., 2, 2K+1, K+1)."""
-    rot = -(grid.band_uw[0] * b[..., 0, :, :] + grid.band_uw[1] * b[..., 1, :, :])
+    rot = -(grid.band_u[0] * b[..., 0, :, :] + grid.band_u[1] * b[..., 1, :, :])
     return np.divide(rot, grid.band_k2, out=np.zeros_like(rot), where=grid.band_k2 > 0)
 
 
 def velocity_of(grid: SpectralGrid, psi: np.ndarray) -> np.ndarray:
     """The full-layout velocity (..., 2, n, n) of psi_hat on the band: u = grad-perp psi."""
-    return full_layout(half_of(grid, grid.band_uw[:2] * psi[..., None, :, :]))
+    return full_layout(half_of(grid, grid.band_u * psi[..., None, :, :]))
 
 
 def bilinear_coeffs(grid: SpectralGrid, psi: np.ndarray) -> np.ndarray:
     """u.grad w on the band for u = grad-perp psi and w = rot u = -Lap psi: the
-    curl of the dealiased B(u,u) = P((u.grad) u) in 2D.  The band is alias-free
-    when 3 * cutoff < n; at cutoff = n/3 its edge rows also take the aliases
-    of the 2n/3 products, the same ones the velocity form takes (to round-off).
+    curl of the dealiased B(u,u) = P((u.grad) u) in 2D, in divergence form
+    (Basdevant 1983): with u = (u, v), P = uv and Q = (u^2 - v^2)/2,
+    u.grad w = curl div(u (x) u) = (ky^2 - kx^2) P_hat + 2 kx ky Q_hat.
     A frame stack psi = [psi_u, psi_theta_1, ...] gives the rows [u.grad w_u,
     u.grad w_theta_j + theta_j.grad w_u], the curls of B(u,u) and of
-    B(theta_j,u) + B(u,theta_j).  One inverse real transform of
-    (u_x, u_y, d_x w, d_y w) per field, one forward of the products."""
+    B(theta_j,u) + B(u,theta_j), from the polarization P_j = u b + v a and
+    Q_j = u a - v b of theta_j = (a, b).  One inverse real transform of (u, v)
+    per field, one forward of (P, Q); exact when 3 * cutoff < n."""
     stack = psi.reshape((-1,) + grid.band_shape)
-    phys = to_physical(half_of(grid, grid.band_uw * stack[:, None]))
-    base = phys[0]
-    adv = base[0] * phys[:, 2] + base[1] * phys[:, 3]
-    adv[1:] += phys[1:, 0] * base[2] + phys[1:, 1] * base[3]
-    return band_of(grid, from_physical(adv, grid.dealias_cutoff + 1)).reshape(psi.shape)
+    vel = to_physical(half_of(grid, grid.band_u * stack[:, None]))
+    (u, v), a, b = vel[0], vel[:, 0], vel[:, 1]
+    pq = np.empty_like(vel)
+    p, q = pq[:, 0], pq[:, 1]
+    np.multiply(u, b, out=p)
+    p += v * a
+    np.multiply(u, a, out=q)
+    q -= v * b
+    pq[0] *= 0.5  # the base row is u polarized with itself
+    pq_hat = band_of(grid, from_physical(pq, grid.dealias_cutoff + 1))
+    div = grid.band_curl_div
+    return (div[0] * pq_hat[:, 0] + div[1] * pq_hat[:, 1]).reshape(psi.shape)
 
 
 # ----------------------------------------------------------------------------

@@ -5,7 +5,8 @@ and Helmholtz multipliers, the spectral divergence and Biot-Savart and curl
 on the full layout, two direct lattice counts N(E), the upward decimal
 rounding of the printed constants, the zero-padding of a full coefficient
 layout into a finer grid, the velocity-form advection term B(u,v) on full
-complex FFTs (np.fft directly, no nsvlab transform), field-level right-hand
+complex FFTs (np.fft directly, no nsvlab transform), the advective-form
+band kernel u.grad w from (u_x, u_y, d_x w, d_y w), field-level right-hand
 sides and linearizations of the velocity and vorticity forms, a quadrature
 of the two terms of the trace bound, plain steppers over them (classical
 RK4, Lawson integrating-factor RK4, and a per-vector product-system RK4 for
@@ -203,6 +204,22 @@ def bilinear_b(u, v):
     out = from_physical(adv) * mask
     out[..., 0, 0] = 0.0
     return sp.leray_project(SpectralField(grid, VELOCITY, out))
+
+
+def advective_bilinear_coeffs(grid, psi):
+    """u.grad w on the band in advective form, for u = grad-perp psi and
+    w = -Lap psi: one inverse real transform of (u_x, u_y, d_x w, d_y w) per
+    field of the stack, the products formed in physical space, one forward
+    transform.  A frame stack [psi_u, psi_theta_1, ...] gives the rows
+    [u.grad w_u, u.grad w_theta_j + theta_j.grad w_u]."""
+    kx, ky, k2 = grid.band_k
+    band_uw = np.stack([1j * ky, -1j * kx, 1j * kx * k2, 1j * ky * k2])
+    stack = psi.reshape((-1,) + grid.band_shape)
+    phys = sp.to_physical(sp.half_of(grid, band_uw * stack[:, None]))
+    base = phys[0]
+    adv = base[0] * phys[:, 2] + base[1] * phys[:, 3]
+    adv[1:] += phys[1:, 0] * base[2] + phys[1:, 1] * base[3]
+    return sp.band_of(grid, sp.from_physical(adv, grid.dealias_cutoff + 1)).reshape(psi.shape)
 
 
 def advect_scalar_coeffs(grid, uc, sc):

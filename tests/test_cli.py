@@ -177,7 +177,7 @@ class TestExitCodes:
         assert "frame vector 24" in manifest["summary"]["error"]
 
     def test_unstable_dt_is_2_with_manifest(self, tmp_path, capsys):
-        # the forced-study default at calG = 4000: dt * band max nu|k|^2/(1+alpha|k|^2) = 3.398
+        # the forced-study default at calG = 4000: dt * band max nu|k|^2/(1+alpha|k|^2) = 3.113
         code = cli.main(["simulate", "--n", "48", "--alpha", str(0.99 * 4 / 4000),
                          "--dt", "0.01", "--t-end", "1", "--output-dir", str(tmp_path)])
         assert code == cli.EXIT_CONFIG

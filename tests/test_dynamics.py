@@ -35,11 +35,11 @@ class TestConfigs:
         with pytest.raises(InvalidParameterError) as exc:
             dyn.SimConfig(nu=1.0, alpha=0.99 * 4 / 4000, grid=SpectralGrid(48), dt=0.01,
                           t_end=1.0)
-        assert "= 3.398" in str(exc.value) and "2.785" in str(exc.value)
+        assert "= 3.113" in str(exc.value) and "2.785" in str(exc.value)
 
     def test_dt_bound_edges(self):
         # dt * max = 2.78 passes; alpha = 0 is exempt (the viscous factor is exact)
-        lam = 16**2 + 16**2
+        lam = 15**2 + 15**2
         dt = 2.78 / (lam / (1 + 0.01 * lam))
         dyn.SimConfig(nu=1.0, alpha=0.01, grid=SpectralGrid(48), dt=dt, t_end=1.0)
         with pytest.raises(InvalidParameterError):
@@ -47,7 +47,7 @@ class TestConfigs:
         dyn.SimConfig(nu=1.0, alpha=0.0, grid=SpectralGrid(48), dt=1.0, t_end=1.0)
 
     def test_dt_bound_is_taken_over_the_band(self):
-        # 2.677 on the band |k_i| <= 16; the whole 48^2 grid would give 2.944
+        # 2.618 on the band |k_i| <= 15; the whole 48^2 grid would give 2.944
         cfg = dyn.SimConfig(nu=1.0, alpha=0.01, grid=SpectralGrid(48), dt=0.032, t_end=0.64,
                             initial=dyn.InitialSpec.random(seed=3))
         res = dyn.integrate(cfg)

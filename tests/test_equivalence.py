@@ -2,7 +2,8 @@
 
 The real-FFT transform pair and the streamfunction advection kernel of
 nsvlab.spectral are checked against full complex np.fft transforms and the
-velocity-form B(u,v), and the band-embedded density kernel
+velocity-form B(u,v), the divergence-form kernel also against the
+advective-form band kernel it replaced, and the band-embedded density kernel
 inequalities.rho_profile, given a band or a full-layout family, against the
 zero-padded full layout it replaced; the sup-norm verifier's band stream
 velocities against Biot-Savart on the full layout.
@@ -143,6 +144,20 @@ def test_kernel_matches_velocity_form_oracle(n, cutoff):
         assert rel_err(biot_savart(grid, row), ref_th) <= KERNEL_RTOL
 
 
+@pytest.mark.parametrize("n,cutoff", [(8, 0), (16, 0), (24, 0), (32, 0), (48, 0), (64, 0),
+                                      (32, 7)])
+def test_kernel_matches_advective_form_oracle(n, cutoff):
+    # the divergence form curl div(u (x) u) against the advective u.grad w it
+    # replaced: the same Galerkin product on an alias-free band
+    grid = SpectralGrid(n, cutoff)
+    psi = np.stack([sp.random_band(grid, VORTICITY, 1.5, np.random.default_rng(n + j))
+                    for j in range(4)])
+    for given in (psi[0], psi):
+        got = sp.bilinear_coeffs(grid, given)
+        assert got.shape == given.shape
+        assert rel_err(got, oracles.advective_bilinear_coeffs(grid, given)) <= KERNEL_RTOL
+
+
 @pytest.mark.parametrize("cutoff", [15, 16])
 def test_kernel_band_is_alias_free_when_3_cutoff_below_n(cutoff):
     # against the exact product of the band, formed on a 96^2 grid where none
@@ -192,7 +207,7 @@ def test_rho_profile_matches_padded_full_layout(n, q):
     # q n grid, or by default to the smallest even 5-smooth size > 4K, and
     # transformed whole
     grid = SpectralGrid(n)
-    nq = {16: 24, 32: 48, 48: 72, 64: 90}[n] if q is None else q * n
+    nq = {16: 24, 32: 48, 48: 64, 64: 90}[n] if q is None else q * n
     velocity = oracles.full_of_band(grid, ineq.sample_suborthonormal(grid, 16, seed=n).vectors)
     scalar = oracles.full_of_band(
         grid, ineq.sample_suborthonormal(grid, 16, seed=n + 1, role=VORTICITY).vectors)
@@ -208,7 +223,7 @@ def test_rho_profile_matches_padded_full_layout(n, q):
 
 @pytest.mark.parametrize("n", [16, 48])
 def test_rho_linf_lhs_matches_full_layout_stream_velocities(n):
-    # the sup-norm verifier's band stream velocities band_uw[:2] phi / |k|^2
+    # the sup-norm verifier's band stream velocities band_u phi / |k|^2
     # against Biot-Savart of the full-layout family
     grid = SpectralGrid(n)
     fam = ineq.sample_suborthonormal(grid, 8, seed=n, role=VORTICITY)

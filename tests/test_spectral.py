@@ -34,7 +34,7 @@ class TestGridAndMetric:
 
     def test_default_cutoff_is_two_thirds_rule(self):
         assert SpectralGrid(64).dealias_cutoff == 21
-        assert SpectralGrid(48).dealias_cutoff == 16
+        assert SpectralGrid(48).dealias_cutoff == 15
 
     def test_alpha_metric_rejects_negative(self):
         with pytest.raises(InvalidParameterError):

@@ -235,6 +235,7 @@ def _constraint_problems(subcommand: str, p: dict) -> list[str]:
             problems.append(f"initial.seed must be >= 0, got {ic_seed}")
         if subcommand == "simulate":
             nonneg("t_end")
+            nonneg("snapshot_every")
             if p["sample_every"] < 1:
                 problems.append(f"sample_every must be >= 1, got {p['sample_every']}")
         else:

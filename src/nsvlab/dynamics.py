@@ -5,8 +5,9 @@
 stepped as its curl on the streamfunction psi_hat over the 2/3 band (see
 spectral): u = grad-perp psi stays solenoidal and band-limited by
 construction.  Initial data and forcing come in, and snapshots and the final
-state go out, as velocity fields; data with a coefficient off the band is
-refused.  For alpha > 0 all Fourier multipliers are bounded by nu/alpha, so
+state go out, as velocity fields.  Forcing and named initial data are built
+on the band; a snapshot file or field is refused unless it is finite, real,
+on the band and divergence-free.  For alpha > 0 all Fourier multipliers are bounded by nu/alpha, so
 classical RK4 at fixed dt is adequate, and SimConfig refuses a dt past RK4's
 stability bound on the band; for alpha = 0 the stiff viscous multiplier is
 handled exactly with an integrating-factor RK4.  rk4_step is the one stepper
@@ -30,8 +31,8 @@ from .spectral import VELOCITY, AlphaMetric, SpectralField, SpectralGrid
 #: classical RK4 is stable for dt * lambda in [-2.785, 0] on the real axis
 RK4_REAL_BOUND = 2.785
 
-#: largest |k.u_hat| and |u_hat(-k) - conj u_hat(k)| an initial snapshot may
-#: carry, relative to its largest |u_hat|
+#: largest |k.u_hat| and |u_hat(-k) - conj u_hat(k)| initial data from a
+#: snapshot file or a field may carry, relative to its largest |u_hat|
 SNAPSHOT_RTOL = 1e-12
 
 
@@ -79,9 +80,7 @@ class ForcingSpec:
         if self.kind == "shear":
             return sp.shear_field(grid, self.amplitude, self.wavenumber)
         if self.kind == "modes":
-            f = sp.field_from_modes(grid, VELOCITY, dict(self.modes), project=True)
-            f.coeffs[..., 0, 0] = 0.0
-            return f
+            return sp.field_from_modes(grid, VELOCITY, dict(self.modes))
         raise InvalidParameterError(f"unknown forcing kind {self.kind!r}")
 
 
@@ -138,28 +137,36 @@ class InitialSpec:
             except FileNotFoundError as err:
                 # the configuration names the file: a missing one is refused like a missing config
                 raise InvalidParameterError(f"initial snapshot not found: {self.path}") from err
-            if f.grid.n != grid.n:
-                raise InvalidParameterError(
-                    f"snapshot resolution {f.grid.n} does not match grid {grid.n}")
-            if f.role != VELOCITY:
-                raise RoleMismatchError("initial snapshot must hold a velocity field")
-            # the advection kernel reads u as divergence-free and real (only its
-            # k2 >= 0 half): refuse a snapshot that is off either past round-off
-            c, neg = f.coeffs, (-np.arange(grid.n)) % grid.n
-            if not np.all(np.isfinite(c)):
-                raise InvalidParameterError(f"{self.path}: snapshot has non-finite coefficients")
-            for what, defect in (("divergence-free", sp.grid_divergence(grid, c)),
-                                 ("a real field", c - np.conj(c[:, neg][:, :, neg]))):
-                size = float(np.max(np.abs(defect)))
-                if size > SNAPSHOT_RTOL * float(np.max(np.abs(c))):
-                    raise InvalidParameterError(
-                        f"{self.path}: snapshot is not {what} (defect {size:.3g})")
-            return SpectralField(grid, VELOCITY, c)
+            return _checked_velocity(grid, f, f"{self.path}: snapshot")
         if self.kind == "field":
-            if self.fld.grid.n != grid.n:
-                raise InvalidParameterError("initial field is on a different grid")
-            return self.fld.copy()
+            return _checked_velocity(grid, self.fld, "initial field")
         raise InvalidParameterError(f"unknown initial kind {self.kind!r}")
+
+
+def _checked_velocity(grid: SpectralGrid, f: SpectralField, what: str) -> SpectralField:
+    """A copy of f as initial data on grid, refused unless it is of grid's size,
+    finite, a velocity and on the band, and real and divergence-free to
+    SNAPSHOT_RTOL: the kernel reads u as solenoidal and real (its k2 >= 0
+    half), and a state holds the band alone."""
+    c = f.coeffs
+    if f.grid.n != grid.n:
+        raise InvalidParameterError(f"{what} resolution {f.grid.n} does not match grid {grid.n}")
+    if not np.all(np.isfinite(c)):
+        raise InvalidParameterError(f"{what} has non-finite coefficients")
+    if f.role != VELOCITY:
+        raise RoleMismatchError(f"{what} must hold a velocity field, got {f.role}")
+    scale = SNAPSHOT_RTOL * float(np.max(np.abs(c)))
+
+    def refuse(problem, defect):
+        size = float(np.max(np.abs(defect)))
+        if size > scale:
+            raise InvalidParameterError(f"{what} is not {problem} (defect {size:.3g})")
+
+    neg = (-np.arange(grid.n)) % grid.n
+    refuse("a real field", c - np.conj(c[:, neg][:, :, neg]))
+    sp.require_band(grid, c, what)
+    refuse("divergence-free", np.sum(grid.band_k[:2] * sp.band_of(grid, c), axis=0))
+    return SpectralField(grid, VELOCITY, c.copy())
 
 
 @dataclass(frozen=True)
@@ -370,13 +377,17 @@ def integrate(cfg: SimConfig, *, snapshot_every: int = 0,
     Samples diagnostics every cfg.sample_every steps (t = 0 included).  With
     track_energy_budget the identity d/dt ||u||_a^2 + 2 nu ||grad u||^2
     - 2(g,u) = 0 is co-integrated with the same stage values and the final
-    defect is reported (a direct order check on the scheme).  Snapshots and
-    the final state are velocity fields; the t = 0 snapshot is the initial
-    velocity itself.
+    defect is reported (a direct order check on the scheme).  Snapshots are
+    taken only at sampled steps, at those that are multiples of
+    snapshot_every: snapshot_every 5 with sample_every 10 snapshots every 10
+    steps, and 0 takes none.  Snapshots and the final state
+    are velocity fields; the t = 0 snapshot is the initial velocity itself.
 
     Deterministic given cfg.  Raises IntegrationDivergedError on non-finite
     state, warns CflWarning when dt * max|u| * k_max > 1 at a sample point.
     """
+    if snapshot_every < 0:
+        raise InvalidParameterError(f"snapshot_every must be >= 0, got {snapshot_every}")
     grid = cfg.grid
     psi_g = forcing_stream(cfg)
     c, u0 = initial_state(cfg)

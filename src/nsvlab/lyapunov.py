@@ -125,8 +125,11 @@ def trace_diagonal(grid: SpectralGrid, multipliers: tuple, state: np.ndarray,
 def spin_up(cfg: SimConfig, warmup: float) -> np.ndarray:
     """cfg's initial psi_hat advanced warmup/dt steps alone (a copy at warmup 0).
 
-    The state is checked every cfg.sample_every steps and at the end; the
-    first non-finite check raises IntegrationDivergedError with its step."""
+    A negative warmup is refused.  The state is checked every cfg.sample_every
+    steps and at the end; the first non-finite check raises
+    IntegrationDivergedError with its step."""
+    if warmup < 0:
+        raise InvalidParameterError(f"warmup must be >= 0, got {warmup}")
     try:
         return advance(cfg, initial_state(cfg)[0], int(round(warmup / cfg.dt)),
                        cfg.sample_every, lambda step, c: None)
@@ -202,7 +205,7 @@ def evolve_tangent_frame(
     genuinely degenerate and the failure propagates with diagnostics.
 
     warmup advances the base flow alone before the frame is attached (to
-    start near the attractor).  Deterministic given (cfg, seed).
+    start near the attractor; see spin_up).  Deterministic given (cfg, seed).
     """
     grid = cfg.grid
     if n < 1:
@@ -298,8 +301,8 @@ def scan_n_star(cfg: SimConfig, t_end: float, n_max: int = 64, **kwargs) -> NSta
     if n_max < 1:
         raise InvalidParameterError(f"n_max must be >= 1, got {n_max}")
     warmup = kwargs.pop("warmup", 0.0)
-    if warmup > 0:
-        # every run starts from the same spun-up base: compute it once
+    if warmup != 0:
+        # every run starts from the same spun-up base (spin_up refuses warmup < 0)
         cfg = replace(cfg, initial=InitialSpec.from_stream(spin_up(cfg, warmup)))
     n = 1
     while True:

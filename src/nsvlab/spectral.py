@@ -10,10 +10,13 @@ with K = dealias_cutoff (rows k1 = 0..K, -K..-1; columns k2 = 0..K), by
 default (n - 1) // 3, the largest alias-free K.  A time-stepped state is a
 solenoidal field held there as its streamfunction psi_hat:
 u = grad-perp psi = (d_y psi, -d_x psi) and w = rot u = -Lap psi.
-Random fields and families are drawn on the band (random_band).  The full
-(2, n, n) velocity and (n, n) scalar layouts of SpectralField are the I/O
-format; stream_of and velocity_of map a state to and from it, and half_of
-embeds a band into the half spectrum of any grid with at least 2K+1 rows.
+Random fields and families are drawn on the band (random_band), and
+mode-built fields are assembled there (field_from_modes); a velocity is
+Leray-projected on the band (leray_project_coeffs), and SpectralGrid holds
+its wavenumbers on the band alone.  The full (2, n, n) velocity and (n, n)
+scalar layouts of SpectralField are the I/O format; stream_of and
+velocity_of map a state to and from it, and half_of embeds a band into the
+half spectrum of any grid with at least 2K+1 rows.
 All operators are pure functions; nothing here holds mutable state.
 """
 
@@ -34,7 +37,7 @@ LAMBDA1 = 1.0
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Square spectral grid with pre-computed wavenumber arrays.
+    """Square spectral grid with pre-computed wavenumber arrays on its 2/3 band.
 
     n is the number of modes per axis (even, >= 8); dealias_cutoff is the
     largest retained wavenumber component for quadratic products (2/3 rule).
@@ -56,24 +59,15 @@ class SpectralGrid:
             )
         object.__setattr__(self, "dealias_cutoff", cutoff)
 
-        k1 = np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.float64)
-        kx, ky = np.meshgrid(k1, k1, indexing="ij")
-        k2 = kx**2 + ky**2
-        k2_safe = k2.copy()
-        k2_safe[0, 0] = 1.0
-        mask = (np.abs(kx) <= cutoff) & (np.abs(ky) <= cutoff)
-        object.__setattr__(self, "kx", kx)
-        object.__setattr__(self, "ky", ky)
-        object.__setattr__(self, "k2", k2)
-        object.__setattr__(self, "k2_safe", k2_safe)
-        object.__setattr__(self, "dealias_mask", mask)
         # the band's half spectrum, rows k1 = 0..K, -K..-1 and columns k2 = 0..K:
         # where a real solenoidal field keeps its streamfunction psi_hat
-        rows = np.r_[0:cutoff + 1, self.n - cutoff:self.n]
-        bkx, bky, bk2, bk2_safe = (a[rows, : cutoff + 1] for a in (kx, ky, k2, k2_safe))
+        freq = np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.float64)
+        bkx, bky = np.meshgrid(freq[np.r_[0:cutoff + 1, self.n - cutoff:self.n]],
+                               freq[: cutoff + 1], indexing="ij")
+        bk2 = bkx**2 + bky**2
         object.__setattr__(self, "band_k2", bk2)
         # kx, ky and |k|^2 (1 at the origin) on the band
-        object.__setattr__(self, "band_k", np.stack([bkx, bky, bk2_safe]))
+        object.__setattr__(self, "band_k", np.stack([bkx, bky, np.where(bk2 > 0, bk2, 1.0)]))
         # a k2 > 0 column stands for itself and its conjugate at -k
         object.__setattr__(self, "band_count", np.where(bky > 0, 2.0, 1.0))
         # u = grad-perp psi = (d_y psi, -d_x psi)
@@ -151,11 +145,6 @@ def _check_compatible(a: SpectralField, b: SpectralField):
         raise RoleMismatchError(f"roles differ: {a.role} vs {b.role}")
 
 
-def require_role(f: SpectralField, role: str, op: str):
-    if f.role != role:
-        raise RoleMismatchError(f"{op} requires a {role} field, got {f.role}")
-
-
 # ----------------------------------------------------------------------------
 # transforms (batched over leading axes)
 
@@ -197,23 +186,12 @@ def l2_norm_sq(u: SpectralField) -> float:
 # ----------------------------------------------------------------------------
 # core operators
 
-def leray_project(f: SpectralField) -> SpectralField:
-    """Project onto divergence-free fields: u_hat -> u_hat - k (k.u_hat)/|k|^2."""
-    require_role(f, VELOCITY, "leray_project")
-    return SpectralField(f.grid, VELOCITY, leray_project_coeffs(f.grid, f.coeffs))
-
-
-def leray_project_coeffs(grid: SpectralGrid, c: np.ndarray) -> np.ndarray:
-    kdot = grid.kx * c[..., 0, :, :] + grid.ky * c[..., 1, :, :]
-    kdot = kdot / grid.k2_safe
-    out = c.copy()
-    out[..., 0, :, :] -= grid.kx * kdot
-    out[..., 1, :, :] -= grid.ky * kdot
-    return out
-
-
-def grid_divergence(grid: SpectralGrid, c: np.ndarray) -> np.ndarray:
-    return 1j * (grid.kx * c[..., 0, :, :] + grid.ky * c[..., 1, :, :])
+def leray_project_coeffs(grid: SpectralGrid, b: np.ndarray) -> np.ndarray:
+    """Project a velocity band (..., 2, 2K+1, K+1) onto divergence-free fields:
+    u_hat -> u_hat - k (k.u_hat)/|k|^2."""
+    kx, ky, k2 = grid.band_k
+    kdot = (kx * b[..., 0, :, :] + ky * b[..., 1, :, :]) / k2
+    return b - grid.band_k[:2] * kdot[..., None, :, :]
 
 
 def band_of(grid: SpectralGrid, half: np.ndarray) -> np.ndarray:
@@ -234,7 +212,8 @@ def half_of(grid: SpectralGrid, band: np.ndarray, rows: int | None = None) -> np
 
 def require_band(grid: SpectralGrid, c: np.ndarray, what: str = "field"):
     """Refuse full-layout coefficients (..., n, n) with a nonzero entry off the band."""
-    outside = float(np.max(np.abs(c[..., ~grid.dealias_mask]), initial=0.0))
+    off = slice(grid.dealias_cutoff + 1, grid.n - grid.dealias_cutoff)  # rows and columns
+    outside = max(float(np.max(np.abs(x), initial=0.0)) for x in (c[..., off, :], c[..., off]))
     if outside > 0:
         raise InvalidParameterError(
             f"{what} has coefficients outside the 2/3 band |k_i| <= {grid.dealias_cutoff} "
@@ -292,34 +271,34 @@ def zero_field(grid: SpectralGrid, role: str) -> SpectralField:
     return SpectralField(grid, role, np.zeros(grid.coeff_shape(role), dtype=complex))
 
 
-def field_from_modes(grid: SpectralGrid, role: str, modes, project: bool = True) -> SpectralField:
-    """Build a real field from {(k1, k2): amplitude} Fourier data.
+def field_from_modes(grid: SpectralGrid, role: str, modes) -> SpectralField:
+    """Build a real field from {(k1, k2): amplitude} Fourier data on the 2/3 band.
 
     The listed amplitude is placed at +k and its conjugate at -k, so the
-    resulting field is real.  Velocity amplitudes are 2-vectors.
+    resulting field is real; the band's half spectrum keeps whichever of the
+    two has k2 >= 0.  Velocity amplitudes are 2-vectors, and a velocity is
+    Leray-projected.
     """
-    c = np.zeros(grid.coeff_shape(role), dtype=complex)
-    n = grid.n
+    k = grid.dealias_cutoff
+    b = np.zeros(grid.coeff_shape(role)[:-2] + grid.band_shape, dtype=complex)
     for (k1, k2), amp in dict(modes).items():
         if (k1, k2) == (0, 0):
             raise InvalidParameterError("the zero mode is excluded (zero-mean fields)")
-        if max(abs(k1), abs(k2)) >= n // 2:
-            raise InvalidParameterError(f"mode {(k1, k2)} does not fit on an n={n} grid")
-        i, j = k1 % n, k2 % n
-        im, jm = (-k1) % n, (-k2) % n
+        if max(abs(k1), abs(k2)) > k:
+            raise InvalidParameterError(
+                f"mode {(k1, k2)} lies outside the 2/3 band |k_i| <= {k} of an n={grid.n} grid")
         amp = np.asarray(amp, dtype=complex)
-        c[..., i, j] += amp
-        c[..., im, jm] += np.conj(amp)
-    f = SpectralField(grid, role, c)
-    if role == VELOCITY and project:
-        f = leray_project(f)
-    return f
+        for (m1, m2), a in (((k1, k2), amp), ((-k1, -k2), np.conj(amp))):
+            if m2 >= 0:
+                b[..., m1 % (2 * k + 1), m2] += a
+    if role == VELOCITY:
+        b = leray_project_coeffs(grid, b)
+    return SpectralField(grid, role, full_layout(half_of(grid, b)))
 
 
 def shear_field(grid: SpectralGrid, amplitude: float = 1.0, wavenumber: int = 1) -> SpectralField:
     """The single-mode shear flow amplitude * (sin(m x2), 0)."""
-    amp = amplitude / (2j)
-    return field_from_modes(grid, VELOCITY, {(0, wavenumber): (amp, 0.0)}, project=False)
+    return field_from_modes(grid, VELOCITY, {(0, wavenumber): (amplitude / (2j), 0.0)})
 
 
 def random_band(grid: SpectralGrid, role: str, decay: float,
@@ -328,11 +307,11 @@ def random_band(grid: SpectralGrid, role: str, decay: float,
     falloff and zero mean, Leray-projected for a velocity: white physical-space
     noise of the role's shape filtered through its half spectrum."""
     noise = rng.standard_normal(grid.coeff_shape(role))
-    kx, ky, k2 = grid.band_k
+    k2 = grid.band_k[2]
     b = band_of(grid, from_physical(noise, grid.dealias_cutoff + 1)) * k2 ** (-decay / 2.0)
     b[..., 0, 0] = 0.0
-    if role == VELOCITY:  # Leray projection: b -= k (k.b) / |k|^2
-        b -= grid.band_k[:2] * ((kx * b[0] + ky * b[1]) / k2)
+    if role == VELOCITY:
+        b = leray_project_coeffs(grid, b)
     return b
 
 

@@ -1,8 +1,9 @@
 """Reference implementations that exist only to cross-check nsvlab's kernels.
 
-Field-level Parseval inner products and norms, the alpha weights, the Stokes
-and Helmholtz multipliers, the spectral divergence and Biot-Savart and curl
-on the full layout, two direct lattice counts N(E), the upward decimal
+The full-layout wavenumber arrays, Leray projection, spectral divergence
+and mode builder that spectral replaced by band forms; field-level Parseval
+inner products and norms, the alpha weights, the Stokes and Helmholtz
+multipliers, and Biot-Savart and curl on the full layout, two direct lattice counts N(E), the upward decimal
 rounding of the printed constants, the zero-padding of a full coefficient
 layout into a finer grid, the velocity-form advection term B(u,v) on full
 complex FFTs (np.fft directly, no nsvlab transform), the advective-form
@@ -21,7 +22,9 @@ Velocity form:   du/dt = -nu A (1+aA)^{-1} u - (1+aA)^{-1} B(u,u) + (1+aA)^{-1} 
 Vorticity form:  dw/dt = -(1-aD)^{-1} (u.grad w) + nu D (1-aD)^{-1} w + (1-aD)^{-1} rot g
 """
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +35,80 @@ from nsvlab import spectral as sp
 from nsvlab.errors import (DegenerateFrameError, GridMismatchError, InvalidParameterError,
                            RoleMismatchError)
 from nsvlab.spectral import TORUS_AREA, VELOCITY, VORTICITY, SpectralField
+
+# ----------------------------------------------------------------------------
+# full-layout wavenumbers, role guard, Leray projection, divergence and the
+# mode builder
+
+
+class Wavenumbers(NamedTuple):
+    kx: np.ndarray
+    ky: np.ndarray
+    k2: np.ndarray
+    k2_safe: np.ndarray     # |k|^2 with 1 at the origin
+    mask: np.ndarray        # the 2/3 band |k_i| <= dealias_cutoff
+
+
+@functools.lru_cache(maxsize=None)
+def wavenumbers(grid):
+    """kx, ky, |k|^2, |k|^2 safe at the origin and the band mask on the full
+    (n, n) layout: the full-layout counterparts of SpectralGrid's band arrays."""
+    k1 = np.fft.fftfreq(grid.n, d=1.0 / grid.n).astype(np.float64)
+    kx, ky = np.meshgrid(k1, k1, indexing="ij")
+    k2 = kx**2 + ky**2
+    k2_safe = k2.copy()
+    k2_safe[0, 0] = 1.0
+    cutoff = grid.dealias_cutoff
+    return Wavenumbers(kx, ky, k2, k2_safe, (np.abs(kx) <= cutoff) & (np.abs(ky) <= cutoff))
+
+
+def require_role(f, role, op):
+    if f.role != role:
+        raise RoleMismatchError(f"{op} requires a {role} field, got {f.role}")
+
+
+def leray_project_coeffs(grid, c):
+    """u_hat -> u_hat - k (k.u_hat)/|k|^2 on the full layout (..., 2, n, n)."""
+    k = wavenumbers(grid)
+    kdot = k.kx * c[..., 0, :, :] + k.ky * c[..., 1, :, :]
+    kdot = kdot / k.k2_safe
+    out = c.copy()
+    out[..., 0, :, :] -= k.kx * kdot
+    out[..., 1, :, :] -= k.ky * kdot
+    return out
+
+
+def leray_project(f):
+    """Project onto divergence-free fields on the full layout."""
+    require_role(f, VELOCITY, "leray_project")
+    return SpectralField(f.grid, VELOCITY, leray_project_coeffs(f.grid, f.coeffs))
+
+
+def divergence(grid, c):
+    """i k.u_hat on the full layout (..., 2, n, n)."""
+    k = wavenumbers(grid)
+    return 1j * (k.kx * c[..., 0, :, :] + k.ky * c[..., 1, :, :])
+
+
+def field_from_modes(grid, role, modes, project=True):
+    """spectral.field_from_modes assembled on the full layout: each amplitude
+    at +k and its conjugate at -k, then (velocity, project) the full-layout
+    Leray projection.  A mode need only fit on the grid, not on the band."""
+    c = np.zeros(grid.coeff_shape(role), dtype=complex)
+    n = grid.n
+    for (k1, k2), amp in dict(modes).items():
+        if (k1, k2) == (0, 0):
+            raise InvalidParameterError("the zero mode is excluded (zero-mean fields)")
+        if max(abs(k1), abs(k2)) >= n // 2:
+            raise InvalidParameterError(f"mode {(k1, k2)} does not fit on an n={n} grid")
+        amp = np.asarray(amp, dtype=complex)
+        c[..., k1 % n, k2 % n] += amp
+        c[..., (-k1) % n, (-k2) % n] += np.conj(amp)
+    f = SpectralField(grid, role, c)
+    if role == VELOCITY and project:
+        f = leray_project(f)
+    return f
+
 
 # ----------------------------------------------------------------------------
 # inner products, norms and multipliers on SpectralFields
@@ -55,12 +132,12 @@ def l2_norm(u):
 
 def grad_norm_sq(u):
     """||grad u||^2 = |T^2| sum_k |k|^2 |u_hat|^2 (enstrophy for velocity)."""
-    return TORUS_AREA * float(np.sum(u.grid.k2 * np.abs(u.coeffs) ** 2))
+    return TORUS_AREA * float(np.sum(wavenumbers(u.grid).k2 * np.abs(u.coeffs) ** 2))
 
 
 def alpha_weights(metric, grid):
     """The weights 1 + alpha|k|^2 of (u,v) + alpha (grad u, grad v) per mode."""
-    return 1.0 + metric.alpha * grid.k2
+    return 1.0 + metric.alpha * wavenumbers(grid).k2
 
 
 def alpha_inner(u, v, metric):
@@ -80,7 +157,7 @@ def stokes_apply(u, s):
     grid = u.grid
     if s == 0:
         return u.copy()
-    out = u.coeffs * grid.k2_safe ** (s / 2.0)
+    out = u.coeffs * wavenumbers(grid).k2_safe ** (s / 2.0)
     out[..., 0, 0] = 0.0
     return SpectralField(grid, u.role, out)
 
@@ -92,8 +169,8 @@ def helmholtz_solve(f, metric):
 
 def divergence_linf(f):
     """Max spectral divergence magnitude, for invariant checks."""
-    sp.require_role(f, VELOCITY, "divergence_linf")
-    return float(np.max(np.abs(sp.grid_divergence(f.grid, f.coeffs))))
+    require_role(f, VELOCITY, "divergence_linf")
+    return float(np.max(np.abs(divergence(f.grid, f.coeffs))))
 
 
 def velocity_from_vorticity(w):
@@ -102,26 +179,27 @@ def velocity_from_vorticity(w):
     Per mode u_hat = -i k_perp w_hat / |k|^2 with k_perp = (-k2, k1), the
     spectral form of grad-perp of the streamfunction Delta^{-1} w.
     """
-    sp.require_role(w, VORTICITY, "velocity_from_vorticity")
+    require_role(w, VORTICITY, "velocity_from_vorticity")
     return SpectralField(w.grid, VELOCITY, velocity_from_vorticity_coeffs(w.grid, w.coeffs))
 
 
 def velocity_from_vorticity_coeffs(grid, wc):
-    psi = wc / grid.k2_safe  # -streamfunction scaled; origin irrelevant (zero mean)
+    k = wavenumbers(grid)
+    psi = wc / k.k2_safe  # -streamfunction scaled; origin irrelevant (zero mean)
     shape = wc.shape[:-2] + (2,) + wc.shape[-2:]
     out = np.empty(shape, dtype=complex)
-    out[..., 0, :, :] = 1j * grid.ky * psi
-    out[..., 1, :, :] = -1j * grid.kx * psi
+    out[..., 0, :, :] = 1j * k.ky * psi
+    out[..., 1, :, :] = -1j * k.kx * psi
     out[..., 0, 0] = 0.0
     return out
 
 
 def vorticity_of(u):
     """rot u = d_x u_y - d_y u_x as a scalar spectral field."""
-    sp.require_role(u, VELOCITY, "vorticity_of")
-    grid = u.grid
-    return SpectralField(grid, VORTICITY,
-                         1j * (grid.kx * u.coeffs[..., 1, :, :] - grid.ky * u.coeffs[..., 0, :, :]))
+    require_role(u, VELOCITY, "vorticity_of")
+    k = wavenumbers(u.grid)
+    return SpectralField(u.grid, VORTICITY,
+                         1j * (k.kx * u.coeffs[..., 1, :, :] - k.ky * u.coeffs[..., 0, :, :]))
 
 
 # ----------------------------------------------------------------------------
@@ -191,19 +269,19 @@ def bilinear_b(u, v):
     """Dealiased B(u, v) = P((u.grad) v) in the velocity form: both inputs
     truncated to the 2/3 band, (u.grad) v formed in physical space, then
     truncated and Leray-projected."""
-    sp.require_role(u, VELOCITY, "bilinear_b")
-    sp.require_role(v, VELOCITY, "bilinear_b")
+    require_role(u, VELOCITY, "bilinear_b")
+    require_role(v, VELOCITY, "bilinear_b")
     if u.grid != v.grid:
         raise GridMismatchError("bilinear_b requires both fields on the same grid")
     grid = u.grid
-    mask = grid.dealias_mask
-    uh = u.coeffs * mask
-    vh = v.coeffs * mask
+    k = wavenumbers(grid)
+    uh = u.coeffs * k.mask
+    vh = v.coeffs * k.mask
     u_phys = to_physical(uh)
-    adv = u_phys[0] * to_physical(1j * grid.kx * vh) + u_phys[1] * to_physical(1j * grid.ky * vh)
-    out = from_physical(adv) * mask
+    adv = u_phys[0] * to_physical(1j * k.kx * vh) + u_phys[1] * to_physical(1j * k.ky * vh)
+    out = from_physical(adv) * k.mask
     out[..., 0, 0] = 0.0
-    return sp.leray_project(SpectralField(grid, VELOCITY, out))
+    return leray_project(SpectralField(grid, VELOCITY, out))
 
 
 def advective_bilinear_coeffs(grid, psi):
@@ -224,21 +302,21 @@ def advective_bilinear_coeffs(grid, psi):
 
 def advect_scalar_coeffs(grid, uc, sc):
     """Dealiased pseudo-spectral u.grad s for a scalar s (2/3 truncation)."""
-    mask = grid.dealias_mask
-    uh = uc * mask
-    sh = sc * mask
+    k = wavenumbers(grid)
+    uh = uc * k.mask
+    sh = sc * k.mask
     u_phys = to_physical(uh)
-    dsdx = to_physical(1j * grid.kx * sh)
-    dsdy = to_physical(1j * grid.ky * sh)
+    dsdx = to_physical(1j * k.kx * sh)
+    dsdy = to_physical(1j * k.ky * sh)
     adv = u_phys[..., 0, :, :] * dsdx + u_phys[..., 1, :, :] * dsdy
-    out = from_physical(adv) * mask
+    out = from_physical(adv) * k.mask
     out[..., 0, 0] = 0.0
     return out
 
 
 def advect_scalar(u, s):
-    sp.require_role(u, VELOCITY, "advect_scalar")
-    sp.require_role(s, VORTICITY, "advect_scalar")
+    require_role(u, VELOCITY, "advect_scalar")
+    require_role(s, VORTICITY, "advect_scalar")
     if u.grid != s.grid:
         raise GridMismatchError("advect_scalar requires both fields on the same grid")
     if not u.coeffs.any() or not s.coeffs.any():
@@ -256,7 +334,7 @@ def rhs_velocity(u, cfg, g=None):
 
 def rhs_vorticity(w, cfg, rot_g=None):
     """-(1-aD)^{-1}(u.grad w) + nu D (1-aD)^{-1} w + (1-aD)^{-1} rot g."""
-    sp.require_role(w, VORTICITY, "rhs_vorticity")
+    require_role(w, VORTICITY, "rhs_vorticity")
     if rot_g is None:
         rot_g = vorticity_of(cfg.forcing.build(w.grid))
     u = velocity_from_vorticity(w)
@@ -270,8 +348,8 @@ def rhs_vorticity(w, cfg, rot_g=None):
 
 def linearized_apply_velocity(theta, u, cfg):
     """L_u theta = -nu A(1+aA)^{-1} theta - (1+aA)^{-1}[B(theta,u) + B(u,theta)]."""
-    sp.require_role(theta, VELOCITY, "linearized_apply_velocity")
-    sp.require_role(u, VELOCITY, "linearized_apply_velocity")
+    require_role(theta, VELOCITY, "linearized_apply_velocity")
+    require_role(u, VELOCITY, "linearized_apply_velocity")
     total = (-cfg.nu) * stokes_apply(theta, 2.0) \
         - bilinear_b(theta, u) - bilinear_b(u, theta)
     return helmholtz_solve(total, cfg.metric)
@@ -280,8 +358,8 @@ def linearized_apply_velocity(theta, u, cfg):
 def linearized_apply_vorticity(phi, omega, cfg):
     """L_w phi = -(1-aD)^{-1}[u.grad phi + v_phi.grad w - nu D phi] with
     u, v_phi the divergence-free velocities of w and phi."""
-    sp.require_role(phi, VORTICITY, "linearized_apply_vorticity")
-    sp.require_role(omega, VORTICITY, "linearized_apply_vorticity")
+    require_role(phi, VORTICITY, "linearized_apply_vorticity")
+    require_role(omega, VORTICITY, "linearized_apply_vorticity")
     u = velocity_from_vorticity(omega)
     v_phi = velocity_from_vorticity(phi)
     total = (-cfg.nu) * stokes_apply(phi, 2.0) \
@@ -374,7 +452,7 @@ def _velocity_step(cfg, g):
     def nonlinear(c):
         return (g - bilinear_b(SpectralField(grid, VELOCITY, c),
                                   SpectralField(grid, VELOCITY, c))).coeffs
-    return lambda c: if_rk4(nonlinear, c, cfg.dt, cfg.nu * grid.k2)
+    return lambda c: if_rk4(nonlinear, c, cfg.dt, cfg.nu * wavenumbers(grid).k2)
 
 
 def integrate_velocity(cfg):
@@ -546,12 +624,12 @@ def random_field(grid, role, seed, decay=3.0, rng=None):
         rng = np.random.default_rng(seed)
     noise = rng.standard_normal(grid.coeff_shape(role))
     c = sp.full_layout(sp.from_physical(noise))
-    c *= grid.k2_safe ** (-decay / 2.0)
-    c *= grid.dealias_mask
+    c *= wavenumbers(grid).k2_safe ** (-decay / 2.0)
+    c *= wavenumbers(grid).mask
     c[..., 0, 0] = 0.0
     f = SpectralField(grid, role, c)
     if role == VELOCITY:
-        f = sp.leray_project(f)
+        f = leray_project(f)
     return f
 
 

@@ -113,9 +113,12 @@ class TestExitCodes:
         (["simulate", "--n", "16", "--dt", "0.01", "--t-end", "0.1"],
          {"initial": {"kind": "file", "path": "missing.field"}},
          "initial snapshot not found: missing.field"),
+        (["simulate", "--n", "16", "--dt", "0.01", "--t-end", "0.1", "--snapshot-every", "-5"],
+         None, "snapshot_every must be >= 0, got -5"),
     ], ids=["empty-lam-range", "no-alphas", "ill-typed-alphas", "geometry", "n", "kind",
             "nan", "initial-seed-type", "initial-seed-negative", "negative-seed",
-            "forcing-unknown-key", "initial-unknown-key", "initial-snapshot-missing"])
+            "forcing-unknown-key", "initial-unknown-key", "initial-snapshot-missing",
+            "negative-snapshot-every"])
     def test_bad_value_is_2_with_manifest(self, tmp_path, capsys, argv, config, problem):
         if config is not None:
             (tmp_path / "c.json").write_text(json.dumps(config))

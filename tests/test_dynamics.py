@@ -8,13 +8,14 @@ import pytest
 
 from nsvlab import dynamics as dyn
 from nsvlab import spectral as sp
-from nsvlab.errors import IntegrationDivergedError, InvalidParameterError
+from nsvlab.errors import IntegrationDivergedError, InvalidParameterError, RoleMismatchError
 from nsvlab.fieldio import save_field
 from nsvlab.spectral import VELOCITY, VORTICITY, AlphaMetric, SpectralGrid
 
 import oracles
 
 GRID = SpectralGrid(32)
+SMALL = SpectralGrid(16)
 
 
 def perturbed_shear(grid, seed=9, amp=1.0):
@@ -67,6 +68,38 @@ class TestConfigs:
         other = sp.random_field(SpectralGrid(16), VELOCITY, seed=0)
         with pytest.raises(InvalidParameterError):
             dyn.InitialSpec.from_field(other).build(GRID)
+
+    @pytest.mark.parametrize("make, error, problem", [
+        # u = (cos x1, 0) plus a shear: real, but div u = -sin x1
+        (lambda: sp.shear_field(SMALL, 1.0) + oracles.field_from_modes(
+            SMALL, VELOCITY, {(1, 0): (0.5, 0.0)}, project=False),
+         InvalidParameterError, "initial field is not divergence-free"),
+        (lambda: sp.shear_field(SMALL, 1.0) * (1 + 0.5j),
+         InvalidParameterError, "initial field is not a real field"),
+        (lambda: sp.random_field(SMALL, VORTICITY, seed=2),
+         RoleMismatchError, "initial field must hold a velocity field"),
+    ], ids=["non-solenoidal", "non-real", "vorticity"])
+    def test_initial_field_is_checked_like_a_snapshot(self, make, error, problem):
+        cfg = dyn.SimConfig(nu=1.0, alpha=1.0, grid=SMALL, dt=0.01, t_end=0.1,
+                            initial=dyn.InitialSpec.from_field(make()))
+        with pytest.raises(error, match=problem):
+            dyn.integrate(cfg, snapshot_every=1)
+
+    def test_initial_field_off_the_band_refused(self):
+        c = sp.shear_field(SMALL, 1.0).coeffs
+        c[0, 0, 6] = c[0, 0, -6] = 0.25      # plus (cos(6 x2)/2, 0): real, solenoidal, off the band
+        with pytest.raises(InvalidParameterError, match="initial field has coefficients outside"):
+            dyn.InitialSpec.from_field(sp.SpectralField(SMALL, VELOCITY, c)).build(SMALL)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [16, 48, 96])
+    def test_initial_field_admits_velocity_of_and_random_draws(self, n, seed):
+        grid = SpectralGrid(n)
+        u = sp.random_field(grid, VELOCITY, seed=seed, decay=seed)
+        psi = sp.random_band(grid, VORTICITY, 1.0, np.random.default_rng(seed))
+        for c in (u.coeffs, sp.velocity_of(grid, psi), perturbed_shear(grid, seed).coeffs):
+            built = dyn.InitialSpec.from_field(sp.SpectralField(grid, VELOCITY, c)).build(grid)
+            np.testing.assert_array_equal(built.coeffs, c)
 
     @pytest.mark.parametrize("rows, problem", [
         # u = (cos x1, 0): real, but div u = -sin x1
@@ -215,6 +248,18 @@ class TestIntegrate:
                             initial=dyn.InitialSpec.shear(1.0), sample_every=5)
         res = dyn.integrate(cfg, snapshot_every=10)
         assert [t for t, _ in res.snapshots] == pytest.approx([0.0, 0.1, 0.2])
+
+    def test_snapshots_only_at_sampled_steps(self):
+        # snapshot_every 5 with sample_every 10 snapshots every 10 steps
+        cfg = dyn.SimConfig(nu=1.0, alpha=1.0, grid=SMALL, dt=1e-2, t_end=0.3,
+                            initial=dyn.InitialSpec.shear(1.0), sample_every=10)
+        res = dyn.integrate(cfg, snapshot_every=5)
+        assert [t for t, _ in res.snapshots] == pytest.approx([0.0, 0.1, 0.2, 0.3])
+
+    def test_negative_snapshot_every_refused(self):
+        cfg = dyn.SimConfig(nu=1.0, alpha=1.0, grid=SMALL, dt=1e-2, t_end=0.1)
+        with pytest.raises(InvalidParameterError, match="snapshot_every must be >= 0, got -5"):
+            dyn.integrate(cfg, snapshot_every=-5)
 
 
 class TestEnergyBudget:

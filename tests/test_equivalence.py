@@ -7,7 +7,9 @@ advective-form band kernel it replaced, and the band-embedded density kernel
 inequalities.rho_profile, given a band or a full-layout family, against the
 zero-padded full layout it replaced; the sup-norm verifier's band stream
 velocities against Biot-Savart on the full layout.
-The band draw spectral.random_band, CGS2 Gram-Schmidt, the real-view Gram
+The band Leray projection and mode builder spectral.leray_project_coeffs and
+field_from_modes are checked bitwise against the full-layout projection and
+build they replaced.  The band draw spectral.random_band, CGS2 Gram-Schmidt, the real-view Gram
 matrix and the batched trace diagonal are checked against the full-layout
 draw, modified Gram-Schmidt, the complex-form Gram matrix and the per-row
 trace they replaced; the draw bitwise, the rest to round-off.
@@ -171,7 +173,8 @@ def test_kernel_band_is_alias_free_when_3_cutoff_below_n(cutoff):
     exact = oracles.bilinear_b(fine, fine).coeffs[:, rows][:, :, rows]
     got = biot_savart(grid, sp.bilinear_coeffs(grid, sp.stream_of(grid, u.coeffs)))
     err = np.abs(got - exact) / np.max(np.abs(exact))
-    edge = (np.abs(grid.kx) == n // 3) | (np.abs(grid.ky) == n // 3)
+    k = oracles.wavenumbers(grid)
+    edge = (np.abs(k.kx) == n // 3) | (np.abs(k.ky) == n // 3)
     assert np.max(err[:, ~edge]) <= KERNEL_RTOL
     assert (np.max(err[:, edge]) > 1e-3) == (cutoff == n // 3)
 
@@ -192,7 +195,7 @@ def test_transform_pair_matches_full_complex_ffts(n):
     assert rel_err(ref, values) <= KERNEL_RTOL
     # a dealiased field's columns past the band may be left out
     grid = SpectralGrid(n)
-    cut = full * grid.dealias_mask
+    cut = full * oracles.wavenumbers(grid).mask
     np.testing.assert_array_equal(sp.full_layout(cut[..., : grid.dealias_cutoff + 1]),
                                   sp.full_layout(cut[..., : n // 2 + 1]))
     assert rel_err(sp.to_physical(cut[..., : grid.dealias_cutoff + 1]), oracles.to_physical(cut)) \
@@ -243,6 +246,62 @@ def test_random_field_is_bitwise_the_full_layout_draw(n, role, decay):
     band = sp.random_band(grid, role, decay, np.random.default_rng(n))
     np.testing.assert_array_equal(band, sp.band_of(grid, got))
     np.testing.assert_array_equal(oracles.full_of_band(grid, band), got)
+
+
+@pytest.mark.parametrize("n", [16, 24, 48, 64])
+def test_band_leray_is_bitwise_the_full_layout_projection(n):
+    # random (non-solenoidal) velocity bands, one and a stack of three,
+    # against the full-layout projection entry by entry on the band
+    grid = SpectralGrid(n)
+    rng = np.random.default_rng(n)
+    for shape in ((2,), (3, 2)):
+        b = (rng.standard_normal(shape + grid.band_shape)
+             + 1j * rng.standard_normal(shape + grid.band_shape))
+        ref = oracles.leray_project_coeffs(grid, sp.full_layout(sp.half_of(grid, b)))
+        np.testing.assert_array_equal(sp.leray_project_coeffs(grid, b), sp.band_of(grid, ref))
+
+
+MODE_SETS = {
+    VELOCITY: [
+        {(0, 1): (0.5j, 0.0)},                                       # a shear
+        {(2, 1): (1.0 + 0.5j, -0.3), (-1, -2): (0.2j, 0.7)},         # k2 < 0
+        {(3, 0): (0.5, 1j), (-2, 0): (0.1, 0.2 - 0.4j)},             # k2 = 0
+        {(1, 1): (0.4, -0.4), (-1, -1): (0.3j, 0.1), (0, 2): (-2.0j, 0.0),
+         (2, 0): (0.3, 0.1), (-2, 0): (0.2, -0.5j)},                 # k and -k both named
+    ],
+    VORTICITY: [
+        {(1, 2): 1.0 + 0.5j, (-2, -1): 0.3},
+        {(2, 0): 0.4j, (-2, 0): 1.0, (0, -3): 0.5 - 0.25j, (0, 3): 2.0},
+    ],
+}
+
+
+@pytest.mark.parametrize("n", [16, 24, 48])
+@pytest.mark.parametrize("role, modes", [(role, m) for role, sets in MODE_SETS.items()
+                                         for m in sets])
+def test_field_from_modes_is_bitwise_the_full_layout_build(n, role, modes):
+    # every nonzero coefficient bitwise the full-layout build and projection;
+    # the exact zeros may differ in the sign of zero, which save_field never
+    # writes (it stores the nonzero entries only)
+    grid = SpectralGrid(n)
+    got = sp.field_from_modes(grid, role, modes).coeffs
+    ref = oracles.field_from_modes(grid, role, modes).coeffs
+    nonzero = ref != 0
+    assert nonzero.any()
+    np.testing.assert_array_equal(got[nonzero], ref[nonzero])
+    assert not got[~nonzero].any()
+
+
+def test_readme_forcing_stream_is_bytewise_the_full_layout_build():
+    # the README's modes forcing, at n = 64 as there: the stream the loop
+    # steps with, byte for byte as built on the full layout and cut to the band
+    grid = SpectralGrid(64)
+    modes = [((0, 2), (-2.8j, 0.0)), ((1, 1), (0.56, -0.56))]
+    cfg = dyn.SimConfig(nu=1.0, alpha=0.004, grid=grid, dt=0.01, t_end=40.0,
+                        forcing=dyn.ForcingSpec.from_modes(modes))
+    full = oracles.field_from_modes(grid, VELOCITY, dict(cfg.forcing.modes)).coeffs
+    full[..., 0, 0] = 0.0
+    assert dyn.forcing_stream(cfg).tobytes() == sp.stream_of(grid, full).tobytes()
 
 
 def assert_gram_schmidt_matches_mgs(vectors, weights):

@@ -96,7 +96,7 @@ class TestLinearizedOperators:
     def test_zero_base_is_diagonal(self):
         cfg = cfg_for(nu=1.3, alpha=0.6)
         theta = sp.field_from_modes(GRID, VELOCITY, {(1, 2): (0.4, -0.2 + 0.1j)})
-        theta = sp.leray_project(theta)
+        theta = oracles.leray_project(theta)
         out = oracles.linearized_apply_velocity(theta, sp.zero_field(GRID, VELOCITY), cfg)
         lam = 5.0
         np.testing.assert_allclose(out.coeffs, -(1.3 * lam / (1 + 0.6 * lam)) * theta.coeffs,
@@ -385,6 +385,16 @@ class TestSpinUp:
             lyp.spin_up(cfg, 200.0)
         assert exc.value.step > 0 and exc.value.t <= 200.0
         assert exc.value.t == exc.value.step * cfg.dt
+
+    def test_negative_warmup_refused(self):
+        # refused, not read as no warmup, by every job that spins a base up
+        cfg = cfg_for(initial=dyn.InitialSpec.random(seed=1))
+        with pytest.raises(InvalidParameterError, match="warmup must be >= 0, got -1.0"):
+            lyp.spin_up(cfg, -1.0)
+        with pytest.raises(InvalidParameterError, match="warmup must be >= 0, got -5"):
+            lyp.evolve_tangent_frame(cfg, 2, 0.1, burn_in=0.0, warmup=-5)
+        with pytest.raises(InvalidParameterError, match="warmup must be >= 0, got -0.5"):
+            lyp.scan_n_star(cfg, 0.1, n_max=2, burn_in=0.0, warmup=-0.5)
 
 
 class TestNestedPrefixes:

@@ -45,34 +45,34 @@ class TestGridAndMetric:
         assert np.all(w == 1.0)
 
 
+def band_mode(grid, k, amp):
+    """A velocity band (2, 2K+1, K+1) holding amp at k (k2 >= 0) alone, unprojected."""
+    b = np.zeros((2,) + grid.band_shape, dtype=complex)
+    b[:, k[0] % (2 * grid.dealias_cutoff + 1), k[1]] = amp
+    return b
+
+
 class TestLerayProjection:
+    # the band kernel spectral.leray_project_coeffs
     def test_gradient_mode_annihilated(self):
         # u_hat(k) parallel to k is a pure gradient
-        f = sp.field_from_modes(GRID, VELOCITY, {(2, 1): (2.0, 1.0)}, project=False)
-        p = sp.leray_project(f)
-        assert np.max(np.abs(p.coeffs)) < 1e-15
+        p = sp.leray_project_coeffs(GRID, band_mode(GRID, (2, 1), (2.0, 1.0)))
+        assert np.max(np.abs(p)) < 1e-15
 
     def test_divergence_free_field_unchanged(self):
-        f = sp.random_field(GRID, VELOCITY, seed=0)
-        p = sp.leray_project(f)
-        np.testing.assert_allclose(p.coeffs, f.coeffs, rtol=0, atol=1e-15)
+        b = sp.band_of(GRID, sp.random_field(GRID, VELOCITY, seed=0).coeffs)
+        p = sp.leray_project_coeffs(GRID, b)
+        np.testing.assert_allclose(p, b, rtol=0, atol=1e-15)
 
     def test_single_mode_by_hand(self):
         # u_hat((1,0)) = (1,1) -> (0,1): subtract k (k.u)/|k|^2
-        f = sp.field_from_modes(GRID, VELOCITY, {(1, 0): (1.0, 1.0)}, project=False)
-        p = sp.leray_project(f)
-        np.testing.assert_allclose(p.coeffs[:, 1, 0], [0.0, 1.0], atol=1e-15)
+        p = sp.leray_project_coeffs(GRID, band_mode(GRID, (1, 0), (1.0, 1.0)))
+        np.testing.assert_allclose(p[:, 1, 0], [0.0, 1.0], atol=1e-15)
 
     def test_idempotent(self):
-        f = sp.field_from_modes(GRID, VELOCITY, {(3, 2): (0.3 + 1j, -2.0)}, project=False)
-        once = sp.leray_project(f)
-        twice = sp.leray_project(once)
-        np.testing.assert_allclose(twice.coeffs, once.coeffs, rtol=1e-14, atol=1e-16)
-
-    def test_role_mismatch(self):
-        w = sp.random_field(GRID, VORTICITY, seed=1)
-        with pytest.raises(RoleMismatchError):
-            sp.leray_project(w)
+        once = sp.leray_project_coeffs(GRID, band_mode(GRID, (3, 2), (0.3 + 1j, -2.0)))
+        twice = sp.leray_project_coeffs(GRID, once)
+        np.testing.assert_allclose(twice, once, rtol=1e-14, atol=1e-16)
 
 
 class TestStokesAndHelmholtz:
@@ -147,10 +147,11 @@ class TestAlphaInner:
         # physical collocation of u.v + alpha grad u : grad v
         cell = (2 * math.pi / SMALL.n) ** 2
         up, vp = u.to_physical(), v.to_physical()
-        dux = sp.to_physical(1j * SMALL.kx * u.coeffs)
-        duy = sp.to_physical(1j * SMALL.ky * u.coeffs)
-        dvx = sp.to_physical(1j * SMALL.kx * v.coeffs)
-        dvy = sp.to_physical(1j * SMALL.ky * v.coeffs)
+        k = oracles.wavenumbers(SMALL)
+        dux = sp.to_physical(1j * k.kx * u.coeffs)
+        duy = sp.to_physical(1j * k.ky * u.coeffs)
+        dvx = sp.to_physical(1j * k.kx * v.coeffs)
+        dvy = sp.to_physical(1j * k.ky * v.coeffs)
         quad = float(np.sum(up * vp + alpha * (dux * dvx + duy * dvy))) * cell
         assert spectral == pytest.approx(quad, rel=1e-8, abs=1e-12)
 
@@ -180,7 +181,7 @@ class TestBilinear:
         # supported sums of {(+-1,0), (0,+-1)}: |k|^2 in {0, 2, 4}; compare
         # every retained coefficient against a direct convolution of the modes
         modes = {(1, 0): (0.0, 0.4 + 0.1j), (0, 1): (0.5 - 0.2j, 0.0)}
-        u = sp.field_from_modes(GRID, VELOCITY, modes, project=True)
+        u = sp.field_from_modes(GRID, VELOCITY, modes)
         b = advect(u)
 
         # collect the full (conjugate-completed) mode dictionary of u
@@ -259,7 +260,7 @@ class TestReality:
     def test_operations_preserve_conjugate_symmetry(self, seed):
         u = sp.random_field(SMALL, VELOCITY, seed=seed, decay=2.0)
         results = [
-            sp.leray_project(u),
+            oracles.leray_project(u),
             oracles.stokes_apply(u, 2.0),
             oracles.helmholtz_solve(u, AlphaMetric(0.5)),
             advect(u),
@@ -287,6 +288,12 @@ class TestFieldConstructors:
         with pytest.raises(InvalidParameterError):
             sp.field_from_modes(SMALL, VORTICITY, {(8, 0): 1.0})
 
+    @pytest.mark.parametrize("k", [(6, 0), (0, -6), (-3, 7)])
+    def test_mode_off_the_band_rejected(self, k):
+        # n = 16 keeps |k_i| <= 5: each of these fits the grid, not the band
+        with pytest.raises(InvalidParameterError, match=r"outside the 2/3 band \|k_i\| <= 5"):
+            sp.field_from_modes(SMALL, VELOCITY, {k: (1.0, 0.5)})
+
     def test_random_field_deterministic(self):
         a = sp.random_field(GRID, VELOCITY, seed=42)
         b = sp.random_field(GRID, VELOCITY, seed=42)
@@ -294,7 +301,7 @@ class TestFieldConstructors:
 
     def test_random_field_dealiased_and_projected(self):
         f = sp.random_field(GRID, VELOCITY, seed=13)
-        assert np.max(np.abs(f.coeffs[:, ~GRID.dealias_mask])) == 0.0
+        assert np.max(np.abs(f.coeffs[:, ~oracles.wavenumbers(GRID).mask])) == 0.0
         assert oracles.divergence_linf(f) < 1e-14
         assert f.coeffs[0, 0, 0] == 0.0
 

@@ -5,7 +5,10 @@ Layers: the real-FFT transform pair (one velocity field at n = 64, and a
 16-vector family on the 128^2 grid that the sup-norm check reads), the
 family density rho_profile of a 16-vector velocity family at n = 64 on the
 default 90^2 grid (the smallest exact one for rho^2) and the x2 and x4 grids,
-given on the band (as the verifiers hold it) and in the full layout, lattice enumeration up to |k|^2 = 1024, the
+given on the band (as the verifiers hold it) and in the full layout, the
+lattice spectrum's multiplicity table up to |k|^2 = 1024, the spectral-sum
+verifier at L = 10^4 (next to the sorted-list sums of tests/oracles.py) and
+the eigenvalue-bound verifier at j = 10^5, the
 dealiased nonlinear term (the kernel's u.grad w on the band) at n = 64 and on
 frame stacks (base and m vectors) at n = 32 with m = 8 and n = 48 with m = 4, one
 right-hand side and one RK4 step of the band streamfunction at n = 64, one
@@ -19,7 +22,9 @@ the family Gram-Schmidt and draw, and the trace diagonal are timed next to
 the full complex FFTs, the velocity-form B(u,v) (at n = 64) and the
 advective-form band kernel (on the stacks), the full-layout draw with
 modified Gram-Schmidt and the per-row trace of tests/oracles.py.
-The machine, CPU count and numpy version are recorded with the timings.
+The machine, CPU count and numpy version are recorded with the timings,
+and the tracemalloc peak of one call beside the time of the x2 density
+grid and of the two lattice verifiers.
 
 Example:
     PYTHONPATH=src python scripts/bench_layers.py --output BENCH.json
@@ -32,6 +37,7 @@ import os
 import platform
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -75,11 +81,24 @@ def forced_cfg(n):
                          initial=dyn.InitialSpec.random(seed=42, decay=3.0, amplitude=2.0))
 
 
-def layers():
-    out = {}
+def traced_peak_mb(fn):
+    """tracemalloc's peak over one call, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
-    def record(name, fn, inner=10, per=1):
+
+def layers():
+    """(best-of times in s, traced peaks in MB) by layer name."""
+    out, peaks = {}, {}
+
+    def record(name, fn, inner=10, per=1, peak=False):
         out[name] = best_of(fn, inner) / per
+        if peak:
+            peaks[name] = traced_peak_mb(fn)
 
     grid = sp.SpectralGrid(64)
     u = sp.random_field(grid, VELOCITY, seed=1)
@@ -96,10 +115,16 @@ def layers():
         record(f"rho_profile.family16.n64.exact{tag}", lambda: ineq.rho_profile(given, grid),
                inner=2)
         record(f"rho_profile.family16.n64.q2{tag}",
-               lambda: ineq.rho_profile(given, grid, quad_factor=2), inner=2)
+               lambda: ineq.rho_profile(given, grid, quad_factor=2), inner=2, peak=True)
         record(f"rho_profile.family16.n64.q4{tag}",
                lambda: ineq.rho_profile(given, grid, quad_factor=4), inner=2)
     record("lattice.enumerate", lambda: lattice.LatticeSpectrum(max_e=1024), inner=10)
+    record("lattice.verify_spectral_sums.L10000",
+           lambda: lattice.verify_spectral_sums(10_000), inner=2, peak=True)
+    record("lattice.verify_spectral_sums.L10000.sorted_oracle",
+           lambda: oracles.spectral_sums(10_000), inner=2, peak=True)
+    record("lattice.verify_eigenvalue_bounds.j100000",
+           lambda: lattice.verify_eigenvalue_bounds(100_000), inner=2, peak=True)
 
     metric = sp.AlphaMetric(1.0)
     weights = grid.band_count * (1.0 + metric.alpha * grid.band_k2)
@@ -160,7 +185,7 @@ def layers():
            lambda: lyp.trace_diagonal(cfg.grid, multipliers, state, frame.weights), inner=100)
     record("trace_diagonal.zero_base.n32.m4.per_row_oracle",
            lambda: oracles.trace_diagonal(cfg, state, frame.weights), inner=100)
-    return out
+    return out, peaks
 
 
 def main():
@@ -168,13 +193,15 @@ def main():
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--output", help="write the JSON here as well as to stdout")
     args = ap.parse_args()
+    timings, peaks = layers()
     report = {
         "machine": {"platform": platform.platform(), "processor": platform.machine(),
                     "cpu_count": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__},
         "method": f"best of {REPEATS} tries; each try is the mean of back-to-back calls",
         "unit": "s",
-        "layers": layers(),
+        "layers": timings,
+        "traced_peak_mb": peaks,
     }
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.output:

@@ -80,7 +80,7 @@ class ForcingSpec:
         if self.kind == "shear":
             return sp.shear_field(grid, self.amplitude, self.wavenumber)
         if self.kind == "modes":
-            return sp.field_from_modes(grid, VELOCITY, dict(self.modes))
+            return sp.field_from_modes(grid, VELOCITY, self.modes)
         raise InvalidParameterError(f"unknown forcing kind {self.kind!r}")
 
 

@@ -183,7 +183,8 @@ def rho_profile(vectors: np.ndarray, grid: SpectralGrid,
         vectors = sp.band_of(grid, vectors)
     nq = _exact_quad_n(grid) if quad_factor is None else quad_factor * grid.n
     phys = sp.to_physical(sp.half_of(grid, vectors, nq))  # (n, 2, nq, nq) or (n, nq, nq)
-    return RhoProfile(values=np.sum(phys**2, axis=tuple(range(phys.ndim - 2))), quad_n=nq)
+    np.square(phys, out=phys)
+    return RhoProfile(values=np.sum(phys, axis=tuple(range(phys.ndim - 2))), quad_n=nq)
 
 
 # ----------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Torus Laplacian spectrum by lattice enumeration and its verification.
 
 Eigenvalues are the squared norms |k|^2 over nonzero integer wavevectors,
-with multiplicity; N(E) counts eigenvalues <= E, so N(E) + 1 is the number
-of lattice points (origin included) in the closed disk of radius sqrt(E).
+with multiplicity r2(m) = #{k : |k|^2 = m}, the sum-of-two-squares count;
+N(E) counts eigenvalues <= E, so N(E) + 1 is the number of lattice points
+(origin included) in the closed disk of radius sqrt(E).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -16,30 +18,34 @@ from .errors import InvalidParameterError
 from .spectral import TORUS_AREA
 
 
-def _enumerate_sq_norms(max_e: float) -> np.ndarray:
-    """Sorted |k|^2 (with multiplicity) over 0 < |k|^2 <= max_e."""
-    if max_e < 0:
-        raise InvalidParameterError(f"max_e must be >= 0, got {max_e}")
-    kmax = int(math.isqrt(int(max_e)))
-    if kmax == 0:
-        return np.zeros(0, dtype=np.int64)
-    r = np.arange(-kmax, kmax + 1, dtype=np.int64)
-    s = (r[:, None] ** 2 + r[None, :] ** 2).ravel()
-    s = s[(s > 0) & (s <= max_e)]
-    s.sort()
-    return s
+def _r2_table(max_e: int) -> np.ndarray:
+    """r2[m] = #{k : |k|^2 = m} for 0 < m <= max_e, and r2[0] = 0 (the
+    origin is no eigenvalue).  Built one row k1 >= 0 of the quarter-plane at a
+    time: (k1, k2) stands for its sign flips, 2 per nonzero component."""
+    r2 = np.zeros(max_e + 1, dtype=np.int64)
+    sq = np.arange(math.isqrt(max_e) + 1, dtype=np.int64) ** 2
+    flips = np.where(sq > 0, 2, 1)   # sign flips of k2; k1 > 0 doubles them
+    weights = (flips, 2 * flips)
+    for k1, s1 in enumerate(sq.tolist()):
+        row = s1 + sq[:math.isqrt(max_e - s1) + 1]   # distinct entries: += is exact
+        r2[row] += weights[k1 > 0][:row.size]
+    r2[0] = 0
+    return r2
 
 
 @dataclass
 class LatticeSpectrum:
-    """Eigenvalues up to max_e, sorted with multiplicity, plus N(E)."""
+    """Eigenvalues up to max_e as their multiplicity table r2 (exact counts),
+    with the prefix tables its readers take: N(E) and the inverse-power sums."""
 
     max_e: int
-    eigenvalues: np.ndarray = field(repr=False, default=None)
+    r2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.eigenvalues is None:
-            self.eigenvalues = _enumerate_sq_norms(self.max_e)
+        if self.max_e < 0:
+            raise InvalidParameterError(f"max_e must be >= 0, got {self.max_e}")
+        self.max_e = int(self.max_e)
+        self.r2 = _r2_table(self.max_e)
 
     @classmethod
     def with_at_least(cls, count: int) -> "LatticeSpectrum":
@@ -54,14 +60,42 @@ class LatticeSpectrum:
                 break
             e *= 2
         spec = cls(max_e=e)
-        while spec.eigenvalues.size < count:  # paranoia; the bound above suffices
+        while spec.cumulative[-1] < count:  # paranoia; the bound above suffices
             e *= 2
             spec = cls(max_e=e)
         return spec
 
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """The sorted eigenvalues with multiplicity (expanded on each read)."""
+        return np.repeat(np.arange(self.max_e + 1), self.r2)
+
+    @cached_property
+    def cumulative(self) -> np.ndarray:
+        """N(m) for m = 0..max_e."""
+        return np.cumsum(self.r2)
+
+    def lowest(self, count: int) -> np.ndarray:
+        """lambda_1 <= ... <= lambda_count, expanded up to lambda_count only."""
+        top = int(np.searchsorted(self.cumulative, count))
+        return np.repeat(np.arange(top + 1), self.r2[:top + 1])[:count]
+
     def counting(self, e) -> np.ndarray:
         """N(E) = #{lambda_j <= E}, vectorized over E."""
-        return np.searchsorted(self.eigenvalues, np.asarray(e), side="right")
+        m = np.clip(np.floor(np.asarray(e, dtype=np.float64)), 0, self.max_e)
+        return self.cumulative[m.astype(np.int64)]
+
+    @cached_property
+    def inverse_below(self) -> np.ndarray:
+        """sum of 1/lambda_j over lambda_j <= L, for L = 0..max_e."""
+        m = np.arange(1, self.max_e + 1, dtype=np.float64)
+        return np.concatenate([[0.0], np.cumsum(self.r2[1:] / m)])
+
+    @cached_property
+    def inverse_square(self) -> np.ndarray:
+        """r2[m] / m^2, the sum of 1/lambda_j^2 over lambda_j = m, for m = 0..max_e."""
+        m = np.arange(1, self.max_e + 1, dtype=np.float64)
+        return np.concatenate([[0.0], self.r2[1:] / m**2])
 
 
 # ----------------------------------------------------------------------------
@@ -84,7 +118,7 @@ def verify_eigenvalue_bounds(j_max: int) -> SpectrumReport:
     if j_max < 2:
         raise InvalidParameterError(f"j_max must be >= 2, got {j_max}")
     spec = LatticeSpectrum.with_at_least(j_max)
-    lam = spec.eigenvalues[:j_max].astype(np.float64)
+    lam = spec.lowest(j_max).astype(np.float64)
     j = np.arange(1, j_max + 1, dtype=np.float64)
 
     violations = []
@@ -142,7 +176,7 @@ def verify_liyau(m_max: int) -> LiYauReport:
     if m_max < 1:
         raise InvalidParameterError(f"m_max must be >= 1, got {m_max}")
     spec = LatticeSpectrum.with_at_least(m_max)
-    lam = spec.eigenvalues[:m_max].astype(np.float64)
+    lam = spec.lowest(m_max).astype(np.float64)
     m = np.arange(1, m_max + 1, dtype=np.float64)
     partial = np.cumsum(lam)
     rate = 2 * math.pi / TORUS_AREA
@@ -172,11 +206,16 @@ def verify_liyau(m_max: int) -> LiYauReport:
 # ----------------------------------------------------------------------------
 # inverse-power spectral sums (used by the sup-norm density bound)
 
+def _reaching(spectrum: LatticeSpectrum | None, max_e: int) -> LatticeSpectrum:
+    """spectrum if it is enumerated up to max_e, else a new one that is."""
+    if spectrum is not None and spectrum.max_e >= max_e:
+        return spectrum
+    return LatticeSpectrum(max_e=max_e)
+
+
 def sum_inverse_below(lam_cap: int, spectrum: LatticeSpectrum | None = None) -> float:
     """Exact sum of 1/lambda_j over lambda_j <= lam_cap."""
-    spec = spectrum or LatticeSpectrum(max_e=lam_cap)
-    lam = spec.eigenvalues[spec.eigenvalues <= lam_cap].astype(np.float64)
-    return float(np.sum(1.0 / lam))
+    return float(_reaching(spectrum, lam_cap).inverse_below[lam_cap])
 
 
 def inverse_square_tail_bound(e: float) -> float:
@@ -199,10 +238,8 @@ def sum_inverse_square_above(lam_cap: int, spectrum: LatticeSpectrum | None = No
     exact enumeration up to e_max = max(16 lam_cap, 64) plus a rigorous
     integral tail."""
     e_max = max(16 * lam_cap, 64)
-    spec = spectrum if spectrum is not None and spectrum.max_e >= e_max else LatticeSpectrum(max_e=e_max)
-    lam = spec.eigenvalues
-    mid = lam[(lam > lam_cap) & (lam <= e_max)].astype(np.float64)
-    return float(np.sum(1.0 / mid**2)) + inverse_square_tail_bound(e_max)
+    mid = _reaching(spectrum, e_max).inverse_square[lam_cap + 1:e_max + 1]
+    return float(np.sum(mid)) + inverse_square_tail_bound(e_max)
 
 
 @dataclass
@@ -220,14 +257,11 @@ def verify_spectral_sums(lam_max: int = 10_000) -> SpectralSumReport:
     every integer L in [1, lam_max]."""
     e_max = 16 * lam_max
     spec = LatticeSpectrum(max_e=e_max)
-    lam = spec.eigenvalues.astype(np.float64)
     ls = np.arange(1, lam_max + 1, dtype=np.float64)
-
-    inv_prefix = np.concatenate([[0.0], np.cumsum(1.0 / lam)])
-    invsq_prefix = np.concatenate([[0.0], np.cumsum(1.0 / lam**2)])
-    idx = spec.counting(ls)
-    inv_below = inv_prefix[idx]
-    invsq_above = (invsq_prefix[-1] - invsq_prefix[idx]) + inverse_square_tail_bound(e_max)
+    inv_below = spec.inverse_below[1:lam_max + 1]
+    # from the top down, so that no tail is a difference of two whole sums
+    at_or_above = np.cumsum(spec.inverse_square[::-1])[::-1]
+    invsq_above = at_or_above[2:lam_max + 2] + inverse_square_tail_bound(e_max)
 
     below_bound = 4 * np.log(4 * math.e * ls)
     above_bound = 8.0 / ls

@@ -272,7 +272,8 @@ def zero_field(grid: SpectralGrid, role: str) -> SpectralField:
 
 
 def field_from_modes(grid: SpectralGrid, role: str, modes) -> SpectralField:
-    """Build a real field from {(k1, k2): amplitude} Fourier data on the 2/3 band.
+    """Build a real field from {(k1, k2): amplitude} Fourier data on the 2/3 band,
+    given as a dict or as (wavevector, amplitude) rows naming each k once.
 
     The listed amplitude is placed at +k and its conjugate at -k, so the
     resulting field is real; the band's half spectrum keeps whichever of the
@@ -281,7 +282,11 @@ def field_from_modes(grid: SpectralGrid, role: str, modes) -> SpectralField:
     """
     k = grid.dealias_cutoff
     b = np.zeros(grid.coeff_shape(role)[:-2] + grid.band_shape, dtype=complex)
-    for (k1, k2), amp in dict(modes).items():
+    named = set()
+    for (k1, k2), amp in (modes.items() if isinstance(modes, dict) else modes):
+        if (k1, k2) in named:
+            raise InvalidParameterError(f"mode {(k1, k2)} is listed more than once")
+        named.add((k1, k2))
         if (k1, k2) == (0, 0):
             raise InvalidParameterError("the zero mode is excluded (zero-mean fields)")
         if max(abs(k1), abs(k2)) > k:

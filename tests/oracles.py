@@ -3,8 +3,10 @@
 The full-layout wavenumber arrays, Leray projection, spectral divergence
 and mode builder that spectral replaced by band forms; field-level Parseval
 inner products and norms, the alpha weights, the Stokes and Helmholtz
-multipliers, and Biot-Savart and curl on the full layout, two direct lattice counts N(E), the upward decimal
-rounding of the printed constants, the zero-padding of a full coefficient
+multipliers, and Biot-Savart and curl on the full layout, two direct
+lattice counts N(E), the spectrum as a sorted list (the sort-based
+enumeration, and the spectral sums as prefix differences over it), the
+upward decimal rounding of the printed constants, the zero-padding of a full coefficient
 layout into a finer grid, the velocity-form advection term B(u,v) on full
 complex FFTs (np.fft directly, no nsvlab transform), the advective-form
 band kernel u.grad w from (u_x, u_y, d_x w, d_y w), field-level right-hand
@@ -30,6 +32,7 @@ import numpy as np
 
 from nsvlab import dynamics as dyn
 from nsvlab import fieldio
+from nsvlab.lattice import inverse_square_tail_bound
 from nsvlab import lyapunov as lyp
 from nsvlab import spectral as sp
 from nsvlab.errors import (DegenerateFrameError, GridMismatchError, InvalidParameterError,
@@ -203,7 +206,58 @@ def vorticity_of(u):
 
 
 # ----------------------------------------------------------------------------
-# lattice counts and decimal rounding
+# lattice counts, the spectrum as a sorted list, and decimal rounding
+
+
+def _enumerate_sq_norms(max_e: float) -> np.ndarray:
+    """Sorted |k|^2 (with multiplicity) over 0 < |k|^2 <= max_e."""
+    if max_e < 0:
+        raise InvalidParameterError(f"max_e must be >= 0, got {max_e}")
+    kmax = int(math.isqrt(int(max_e)))
+    if kmax == 0:
+        return np.zeros(0, dtype=np.int64)
+    r = np.arange(-kmax, kmax + 1, dtype=np.int64)
+    s = (r[:, None] ** 2 + r[None, :] ** 2).ravel()
+    s = s[(s > 0) & (s <= max_e)]
+    s.sort()
+    return s
+
+
+class SortedSpectrum:
+    """lattice.LatticeSpectrum's reading interface over the sorted eigenvalue
+    list of _enumerate_sq_norms: lambda_j by index and N(E) by binary search."""
+
+    def __init__(self, max_e):
+        self.max_e = max_e
+        self.eigenvalues = _enumerate_sq_norms(max_e)
+
+    @classmethod
+    def with_at_least(cls, count):
+        e = 16
+        while math.pi * (math.sqrt(e) - math.sqrt(2) / 2) ** 2 - 1 < count:
+            e *= 2
+        return cls(max_e=e)
+
+    def lowest(self, count):
+        return self.eigenvalues[:count]
+
+    def counting(self, e):
+        return np.searchsorted(self.eigenvalues, np.asarray(e), side="right")
+
+
+def spectral_sums(lam_max):
+    """(inv_below, invsq_above) of lattice.verify_spectral_sums from the sorted
+    list: prefix sums over the eigenvalues, and each tail as the whole sum of
+    1/lambda^2 minus a prefix, plus the integral tail bound."""
+    e_max = 16 * lam_max
+    lam = _enumerate_sq_norms(e_max).astype(np.float64)
+    ls = np.arange(1, lam_max + 1, dtype=np.float64)
+    inv_prefix = np.concatenate([[0.0], np.cumsum(1.0 / lam)])
+    invsq_prefix = np.concatenate([[0.0], np.cumsum(1.0 / lam**2)])
+    idx = np.searchsorted(lam, ls, side="right")
+    inv_below = inv_prefix[idx]
+    invsq_above = (invsq_prefix[-1] - invsq_prefix[idx]) + inverse_square_tail_bound(e_max)
+    return inv_below, invsq_above
 
 
 def lattice_count(e):

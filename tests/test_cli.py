@@ -304,6 +304,17 @@ class TestExitCodes:
         for name in ("final_state.field", "diagnostics.csv"):
             assert (out / name).read_bytes() == (out_f / name).read_bytes()
 
+    def test_repeated_forcing_row_is_2_with_manifest(self, tmp_path, capsys):
+        # a second row naming k = (1, 1) had silently replaced the first
+        code, out = self.run_modes(tmp_path, [[1, 1, 0.5, 0, -0.5, 0], [1, 1, 0.25, 0, -0.25, 0]])
+        assert code == cli.EXIT_CONFIG
+        problem = "mode (1, 1) is listed more than once"
+        assert problem in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["complete"] is False
+        assert problem in manifest["summary"]["error"]
+        assert not (out / "diagnostics.csv").exists()
+
     def test_short_run_warning_names_the_burn_in(self, tmp_path):
         # gamma = nu/(alpha+1) = 0.5: the burn-in ends at t = 10, the run at t = 0.1
         with pytest.warns(dyn.InsufficientDurationWarning,

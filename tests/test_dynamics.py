@@ -64,6 +64,12 @@ class TestConfigs:
         assert oracles.divergence_linf(f) < 1e-14
         assert f.coeffs[0, 0, 0] == 0.0
 
+    def test_forcing_refuses_a_repeated_wavevector(self):
+        # the second row had silently replaced the first: (0.25, -0.25) at k = (1, 1)
+        rows = [((1, 1), (0.5, -0.5)), ((1, 1), (0.25, -0.25))]
+        with pytest.raises(InvalidParameterError, match=r"mode \(1, 1\) is listed more than once"):
+            dyn.ForcingSpec.from_modes(rows).build(GRID)
+
     def test_initial_from_field_grid_guard(self):
         other = sp.random_field(SpectralGrid(16), VELOCITY, seed=0)
         with pytest.raises(InvalidParameterError):

@@ -22,6 +22,8 @@ the band layout, in the arithmetic order of dynamics.advance's callers, the
 agreement is bitwise.
 """
 
+import itertools
+import math
 import warnings
 
 import numpy as np
@@ -29,6 +31,7 @@ import pytest
 
 from nsvlab import dynamics as dyn
 from nsvlab import inequalities as ineq
+from nsvlab import lattice
 from nsvlab import lyapunov as lyp
 from nsvlab import spectral as sp
 from nsvlab.errors import DegenerateFrameError
@@ -396,3 +399,57 @@ def test_trace_diagonal_matches_per_row_form(forced):
     assert state[0].any() == forced
     got = lyp.trace_diagonal(GRID, dyn.stream_multipliers(cfg), state, frame.weights)
     assert rel_err(got, oracles.trace_diagonal(cfg, state, frame.weights)) <= KERNEL_RTOL
+
+
+@pytest.mark.parametrize("max_e", [0, 1, 2, 4, 1024, 32768, 160_000])
+def test_spectrum_table_is_the_sorted_enumeration(max_e):
+    spec, ref = lattice.LatticeSpectrum(max_e=max_e), oracles.SortedSpectrum(max_e)
+    assert spec.eigenvalues.dtype == ref.eigenvalues.dtype
+    np.testing.assert_array_equal(spec.eigenvalues, ref.eigenvalues)
+    total = ref.eigenvalues.size
+    for count in {0, 1, total // 3, total}:
+        np.testing.assert_array_equal(spec.lowest(count), ref.lowest(count))
+    e = np.arange(-1, max_e + 2)   # below the first eigenvalue and past max_e too
+    np.testing.assert_array_equal(spec.counting(e), ref.counting(e))
+    for frac in (0.5, 0.999, -1e-9):
+        np.testing.assert_array_equal(spec.counting(e + frac), ref.counting(e + frac))
+
+
+@pytest.mark.parametrize("verify, arg", [(lattice.verify_eigenvalue_bounds, 2000),
+                                         (lattice.verify_eigenvalue_bounds, 100_000),
+                                         (lattice.verify_liyau, 10_000)])
+def test_spectrum_reports_are_the_sorted_enumerations(monkeypatch, verify, arg):
+    table = verify(arg)
+    monkeypatch.setattr(lattice, "LatticeSpectrum", oracles.SortedSpectrum)
+    assert verify(arg) == table
+
+
+def test_spectral_sums_match_the_sorted_enumeration():
+    rep = lattice.verify_spectral_sums(10_000)
+    below, above = oracles.spectral_sums(10_000)
+    assert rep.passed
+    assert np.all(below < rep.inv_below_bound) and np.all(above < rep.invsq_above_bound)
+    np.testing.assert_allclose(rep.inv_below, below, rtol=1e-13, atol=0)
+    # the exact tails: each 1/lambda^2 times 2^120 is an integer
+    lam = oracles._enumerate_sq_norms(16 * 10_000)
+    scaled = [int(v) for v in np.ldexp(1.0 / lam.astype(float) ** 2, 120)]
+    from_top = list(itertools.accumulate(reversed(scaled)))[::-1] + [0]
+    first_above = np.searchsorted(lam, rep.lam_values, side="right")
+    exact = (np.array([math.ldexp(float(from_top[i]), -120) for i in first_above])
+             + lattice.inverse_square_tail_bound(16 * 10_000))
+    err, parent_err = np.abs(rep.invsq_above - exact), np.abs(above - exact)
+    assert np.all(err <= parent_err)
+    assert np.all(err <= 1e-13 * exact)
+
+
+def test_per_cap_spectral_sums_match_the_sorted_enumeration():
+    # the rho-linf sweep reads every cap's sums off one shared spectrum
+    spectrum = lattice.LatticeSpectrum(max_e=16 * 64)
+    for cap in range(1, 65):
+        e_max = max(16 * cap, 64)
+        lam = oracles._enumerate_sq_norms(e_max).astype(float)
+        below = float(np.sum(1.0 / lam[lam <= cap]))
+        above = float(np.sum(1.0 / lam[lam > cap] ** 2)) + lattice.inverse_square_tail_bound(e_max)
+        for spec in (spectrum, None):
+            assert abs(lattice.sum_inverse_below(cap, spec) - below) <= 1e-13 * below
+            assert abs(lattice.sum_inverse_square_above(cap, spec) - above) <= 1e-13 * above

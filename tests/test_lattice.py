@@ -149,6 +149,19 @@ class TestSpectralSums:
         with pytest.raises(InvalidParameterError):
             L.inverse_square_tail_bound(2.0)
 
+    @pytest.mark.parametrize("cap", [1, 10, 100, 1000, 10_000])
+    def test_sums_hold_to_fsum(self, cap):
+        # the tails had been the whole sum minus a prefix: 2.7e-12 off at L = 100
+        # and 2.9e-10 at L = 1e4
+        rep = L.verify_spectral_sums(10_000)
+        lam = oracles._enumerate_sq_norms(16 * 10_000).astype(float)
+        below = math.fsum(1.0 / lam[lam <= cap])
+        above = math.fsum(np.append(1.0 / lam[lam > cap] ** 2,
+                                    L.inverse_square_tail_bound(16 * 10_000)))
+        assert rep.lam_values[cap - 1] == cap
+        assert abs(rep.inv_below[cap - 1] - below) <= 1e-13 * below
+        assert abs(rep.invsq_above[cap - 1] - above) <= 1e-13 * above
+
     def test_lemmas_hold_to_1e4(self):
         rep = L.verify_spectral_sums(10_000)
         assert rep.passed

@@ -294,6 +294,11 @@ class TestFieldConstructors:
         with pytest.raises(InvalidParameterError, match=r"outside the 2/3 band \|k_i\| <= 5"):
             sp.field_from_modes(SMALL, VELOCITY, {k: (1.0, 0.5)})
 
+    def test_repeated_mode_row_rejected(self):
+        rows = [((2, 1), 1.0), ((0, 1), 0.5), ((2, 1), 0.25)]
+        with pytest.raises(InvalidParameterError, match=r"mode \(2, 1\) is listed more than once"):
+            sp.field_from_modes(SMALL, VORTICITY, rows)
+
     def test_random_field_deterministic(self):
         a = sp.random_field(GRID, VELOCITY, seed=42)
         b = sp.random_field(GRID, VELOCITY, seed=42)

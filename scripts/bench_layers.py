@@ -10,7 +10,8 @@ lattice spectrum's multiplicity table up to |k|^2 = 1024, the spectral-sum
 verifier at L = 10^4 (next to the sorted-list sums of tests/oracles.py) and
 the eigenvalue-bound verifier at j = 10^5, the
 dealiased nonlinear term (the kernel's u.grad w on the band) at n = 64 and on
-frame stacks (base and m vectors) at n = 32 with m = 8 and n = 48 with m = 4, one
+frame stacks (base and m vectors) at n = 32 with m = 8, n = 48 with m = 4 and
+m = 5, and n = 64 with m = 9, on fresh arrays and on a reused workspace, one
 right-hand side and one RK4 step of the band streamfunction at n = 64, one
 tangent-frame step per vector at n = 32 with 8 vectors on the forced flow and
 with 4 vectors on the zero base, alpha Gram-Schmidt (CGS2) of an 8-vector
@@ -20,14 +21,25 @@ the trace diagonal of an 8-vector frame at n = 32 on the forced flow and of
 a 4-vector frame on the zero base.  The transform pair, the nonlinear term,
 the family Gram-Schmidt and draw, and the trace diagonal are timed next to
 the full complex FFTs, the velocity-form B(u,v) (at n = 64) and the
-advective-form band kernel (on the stacks), the full-layout draw with
-modified Gram-Schmidt and the per-row trace of tests/oracles.py.
+advective-form and allocating band kernels (on the stacks), the full-layout
+draw with modified Gram-Schmidt and the per-row trace of tests/oracles.py.
 The machine, CPU count and numpy version are recorded with the timings,
 and the tracemalloc peak of one call beside the time of the x2 density
 grid and of the two lattice verifiers.
 
+With --rows fresh (or all), three `nsvlab` commands are also timed, each in
+a process of its own, which is where the cost of memory handed back to the
+kernel and faulted in again shows: the c9 probe (`lyapunov` with a 4-vector
+frame at n = 48 on the forced flow at calG = 3.2e4, dt = 0.003, 10 units of
+warmup, a 20-unit window and a 5-unit burn-in), `lyapunov` with an 8-vector
+frame at n = 64, alpha = 0.1, dt = 0.005 and a 6-unit window, and
+`simulate` at n = 64 (1520 steps).  Each row holds the wall time and, from
+getrusage(RUSAGE_CHILDREN), the user and system time and the minor page
+faults.  The commands import nsvlab as this process does (PYTHONPATH).
+
 Example:
     PYTHONPATH=src python scripts/bench_layers.py --output BENCH.json
+    PYTHONPATH=src python scripts/bench_layers.py --rows fresh
 """
 
 import argparse
@@ -35,7 +47,10 @@ import json
 import math
 import os
 import platform
+import resource
+import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -68,17 +83,63 @@ def best_of(fn, inner):
     return min(times)
 
 
-def forced_cfg(n):
-    """The benchmark's forced flow: Kolmogorov-type forcing at calG = 1000, alpha = 0.99 alpha0."""
+def forced_cfg(n, cal_g=1000.0, dt=0.01):
+    """The benchmark's forced flow: Kolmogorov-type forcing at calG = cal_g, alpha = 0.99 alpha0."""
     grid = sp.SpectralGrid(n)
     raw = [((0, 2), (1.0 / 2j, 0.0)), ((1, 1), (0.1, -0.1))]
     probe = dyn.ForcingSpec.from_modes(raw).build(grid)
-    scale = 1000.0 / (4 * math.pi**2) / math.sqrt(sp.l2_norm_sq(probe))
+    scale = cal_g / (4 * math.pi**2) / math.sqrt(sp.l2_norm_sq(probe))
     forcing = dyn.ForcingSpec.from_modes([(k, (a[0] * scale, a[1] * scale)) for k, a in raw])
     g_norm = math.sqrt(sp.l2_norm_sq(forcing.build(grid)))
     alpha = 0.99 * 4.0 / (g_norm * 4 * math.pi**2)
-    return dyn.SimConfig(nu=1.0, alpha=alpha, grid=grid, dt=0.01, t_end=1.0, forcing=forcing,
+    return dyn.SimConfig(nu=1.0, alpha=alpha, grid=grid, dt=dt, t_end=1.0, forcing=forcing,
                          initial=dyn.InitialSpec.random(seed=42, decay=3.0, amplitude=2.0))
+
+
+def c9_config():
+    """The c9 probe as an `nsvlab lyapunov` configuration (the frame seed is 5)."""
+    cfg = forced_cfg(48, cal_g=3.2e4, dt=0.003)
+    modes = [[k1, k2, a.real, a.imag, b.real, b.imag] for (k1, k2), (a, b) in cfg.forcing.modes]
+    return {"n": 48, "nu": cfg.nu, "alpha": cfg.alpha, "dt": cfg.dt, "frame_n": 4,
+            "window": 20.0, "warmup": 10.0, "burn_in": 5.0,
+            "forcing": {"kind": "modes", "modes": modes},
+            "initial": {"kind": "random", "seed": 42, "decay": 3.0, "amplitude": 2.0}}
+
+
+#: fresh-process rows: name -> `nsvlab` arguments (a config file named by
+#: "{config}" holds c9_config())
+FRESH = {
+    "c9_probe.n48.m4": ["lyapunov", "--config", "{config}", "--seed", "5"],
+    "cli.lyapunov.n64.m8": [
+        "lyapunov", "--n", "64", "--frame-n", "8", "--alpha", "0.1", "--dt", "0.005",
+        "--window", "6", "--forcing-kind", "shear", "--forcing-amplitude", "5.7",
+        "--initial-kind", "random"],
+    "cli.simulate.n64": [
+        "simulate", "--n", "64", "--alpha", "0.004", "--dt", "0.01", "--t-end", "15.2",
+        "--forcing-kind", "shear", "--forcing-amplitude", "5.7", "--initial-kind", "random",
+        "--snapshot-every", "50"],
+}
+
+
+def fresh_process():
+    """name -> {wall_s, user_s, sys_s, minor_faults} of each FRESH run, each
+    `python -m nsvlab.cli` in a process of its own."""
+    rows = {}
+    for name, args in FRESH.items():
+        with tempfile.TemporaryDirectory() as out:
+            config = Path(out) / "c9.json"
+            config.write_text(json.dumps(c9_config()))
+            command = [sys.executable, "-m", "nsvlab.cli"] + [a.format(config=config) for a in args]
+            before = resource.getrusage(resource.RUSAGE_CHILDREN)
+            start = time.perf_counter()
+            subprocess.run(command + ["--output-dir", out], check=True, stdout=subprocess.DEVNULL,
+                           stderr=subprocess.DEVNULL)
+            wall = time.perf_counter() - start
+            after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        rows[name] = {"wall_s": wall, "user_s": after.ru_utime - before.ru_utime,
+                      "sys_s": after.ru_stime - before.ru_stime,
+                      "minor_faults": after.ru_minflt - before.ru_minflt}
+    return rows
 
 
 def traced_peak_mb(fn):
@@ -145,26 +206,32 @@ def layers():
     psi = sp.stream_of(grid, u.coeffs)
     record("bilinear.n64.vorticity_form", lambda: sp.bilinear_coeffs(grid, psi))
     record("bilinear.n64.velocity_form_oracle", lambda: oracles.bilinear_b(u, u))
-    for n, m in ((32, 8), (48, 4)):
+    for n, m in ((32, 8), (48, 4), (48, 5), (64, 9)):
         g = sp.SpectralGrid(n)
         rng = np.random.default_rng(n)
         stack = np.stack([sp.random_band(g, VORTICITY, 3.0, rng) for _ in range(m + 1)])
+        work = sp.KernelWorkspace(g, m + 1)
         record(f"bilinear.n{n}.m{m}", lambda: sp.bilinear_coeffs(g, stack))
+        record(f"bilinear.n{n}.m{m}.workspace", lambda: sp.bilinear_coeffs(g, stack, work))
+        record(f"bilinear.n{n}.m{m}.allocating_oracle",
+               lambda: oracles.allocating_bilinear_coeffs(g, stack))
         record(f"bilinear.n{n}.m{m}.advective_oracle",
                lambda: oracles.advective_bilinear_coeffs(g, stack))
 
     cfg = forced_cfg(64)
     rhs, factors = dyn.stream_scheme(cfg, dyn.forcing_stream(cfg))
     c = dyn.initial_state(cfg)[0]
-    record("rhs.n64", lambda: rhs(c))
-    record("rk4_step.n64", lambda: dyn.rk4_step(rhs, c, cfg.dt, factors), inner=3)
+    k, new = np.empty_like(c), np.empty_like(c)
+    record("rhs.n64", lambda: rhs(c, k))
+    record("rk4_step.n64", lambda: dyn.rk4_step(rhs, c, cfg.dt, factors, new), inner=3)
 
     cfg = forced_cfg(32)
     rhs, factors = dyn.stream_scheme(cfg, dyn.forcing_stream(cfg))
     frame = lyp.TangentFrame.random(cfg.grid, 8, cfg.metric, seed=0)
     state = np.concatenate([dyn.initial_state(cfg)[0][None], frame.vectors])
+    new = np.empty_like(state)
     record("tangent_step_per_vector.n32.m8",
-           lambda: dyn.rk4_step(rhs, state, cfg.dt, factors), inner=3, per=8)
+           lambda: dyn.rk4_step(rhs, state, cfg.dt, factors, new), inner=3, per=8)
     record("gram_schmidt.n32.m8",
            lambda: lyp.alpha_gram_schmidt(frame.vectors, frame.weights), inner=3)
     multipliers = dyn.stream_multipliers(cfg)
@@ -178,8 +245,9 @@ def layers():
     rhs, factors = dyn.stream_scheme(cfg, dyn.forcing_stream(cfg))
     frame = lyp.TangentFrame.random(cfg.grid, 4, cfg.metric, seed=0)
     state = np.concatenate([np.zeros((1,) + cfg.grid.band_shape, dtype=complex), frame.vectors])
+    new = np.empty_like(state)
     record("tangent_step_per_vector.zero_base.n32.m4",
-           lambda: dyn.rk4_step(rhs, state, cfg.dt, factors), inner=100, per=4)
+           lambda: dyn.rk4_step(rhs, state, cfg.dt, factors, new), inner=100, per=4)
     multipliers = dyn.stream_multipliers(cfg)
     record("trace_diagonal.zero_base.n32.m4",
            lambda: lyp.trace_diagonal(cfg.grid, multipliers, state, frame.weights), inner=100)
@@ -192,17 +260,24 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--output", help="write the JSON here as well as to stdout")
+    ap.add_argument("--rows", choices=("layers", "fresh", "all"), default="layers",
+                    help="in-process layer timings, fresh-process runs, or both")
     args = ap.parse_args()
-    timings, peaks = layers()
     report = {
         "machine": {"platform": platform.platform(), "processor": platform.machine(),
                     "cpu_count": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__},
-        "method": f"best of {REPEATS} tries; each try is the mean of back-to-back calls",
-        "unit": "s",
-        "layers": timings,
-        "traced_peak_mb": peaks,
     }
+    if args.rows in ("layers", "all"):
+        timings, peaks = layers()
+        report.update({
+            "method": f"best of {REPEATS} tries; each try is the mean of back-to-back calls",
+            "unit": "s",
+            "layers": timings,
+            "traced_peak_mb": peaks,
+        })
+    if args.rows in ("fresh", "all"):
+        report["fresh_process"] = fresh_process()
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.output:
         Path(args.output).write_text(text)

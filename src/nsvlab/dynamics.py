@@ -258,33 +258,68 @@ class SimResult:
 # ----------------------------------------------------------------------------
 # integrators
 
-def rk4_step(rhs, c, dt, factors=None):
+def rk4_step(rhs, c, dt, factors=None, out=None):
     """One step of dc/dt = L c + rhs(c) with L diagonal; the one RK4 stepper.
 
     factors = (exp(L dt/2), exp(L dt)) gives Lawson's integrating-factor RK4,
-    which treats L exactly; factors = None (L = 0) gives classical RK4.
-    Returns the new state and the four stage states (c first).
+    which treats L exactly; factors = None (L = 0) gives classical RK4.  rhs
+    is stream_scheme's: rhs(c, k) writes the derivative at c into k, and
+    rhs.workspace(c.shape) holds the stage arrays, so the step allocates no
+    array but the new state, and that only when out is None.  The arithmetic is the
+    allocating form's, operation for operation: new = c + (dt/6) (k1 + 2 k2
+    + 2 k3 + k4), and for the integrating factor new = full c + (dt/6)
+    (full k1 + (2 half) (k2 + k3) + k4).
+
+    Returns the new state, written into out (which must not be c; a fresh
+    array when None), and the four stage states (c first).  c is only read.
+    The stage states s2..s4 are rhs's arrays: they hold until the next step
+    of a state of c's shape with the same rhs, so a caller that keeps them
+    copies them.
     """
+    w = rhs.workspace(c.shape)
+    s2, s3, s4 = w.stages
+    acc, k, k3, tmp = w.slopes                    # acc: k1, then the weighted sum
+    new = np.empty_like(c) if out is None else out
     h = 0.5 * dt
-    k1 = rhs(c)
+    rhs(c, acc)
     if factors is None:
-        s2 = c + h * k1
-        k2 = rhs(s2)
-        s3 = c + h * k2
-        k3 = rhs(s3)
-        s4 = c + dt * k3
-        k4 = rhs(s4)
-        new = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        np.add(np.multiply(acc, h, out=s2), c, out=s2)              # c + h k1
+        rhs(s2, k)
+        np.add(np.multiply(k, h, out=s3), c, out=s3)                # c + h k2
+        acc += np.multiply(k, 2.0, out=k)                           # k1 + 2 k2
+        rhs(s3, k)
+        np.add(np.multiply(k, dt, out=s4), c, out=s4)               # c + dt k3
+        acc += np.multiply(k, 2.0, out=k)                           # ... + 2 k3
+        acc += rhs(s4, k)                                           # ... + k4
+        np.add(c, np.multiply(acc, dt / 6.0, out=acc), out=new)
     else:
         half, full = factors
-        s2 = half * (c + h * k1)
-        k2 = rhs(s2)
-        s3 = half * c + h * k2
-        k3 = rhs(s3)
-        s4 = full * c + dt * half * k3
-        k4 = rhs(s4)
-        new = full * c + (dt / 6.0) * (full * k1 + 2.0 * half * (k2 + k3) + k4)
+        np.add(np.multiply(acc, h, out=s2), c, out=s2)
+        s2 *= half                                                  # half (c + h k1)
+        rhs(s2, k)
+        np.add(np.multiply(half, c, out=s3), np.multiply(k, h, out=tmp), out=s3)
+        rhs(s3, k3)
+        np.multiply(np.multiply(dt, half, out=w.factor), k3, out=tmp)
+        np.add(np.multiply(full, c, out=s4), tmp, out=s4)           # full c + (dt half) k3
+        np.multiply(np.multiply(2.0, half, out=w.factor), np.add(k, k3, out=k3), out=k3)
+        acc *= full
+        acc += k3                                                   # full k1 + (2 half)(k2 + k3)
+        acc += rhs(s4, k)                                           # ... + k4
+        np.add(np.multiply(full, c, out=tmp), np.multiply(acc, dt / 6.0, out=acc), out=new)
     return new, (c, s2, s3, s4)
+
+
+class StepWorkspace:
+    """The arrays a step of one state shape writes (see rk4_step): the stage
+    states s2..s4, the stage derivatives and a scratch state, the product
+    of a scalar and an integrating factor on the band, and the kernel's
+    planes for the state's rows."""
+
+    def __init__(self, grid: SpectralGrid, shape: tuple):
+        self.stages = np.empty((3,) + shape, dtype=complex)
+        self.slopes = np.empty((4,) + shape, dtype=complex)
+        self.factor = np.empty(grid.band_shape)
+        self.kernel = sp.KernelWorkspace(grid, shape[0] if len(shape) == 3 else 1)
 
 
 def stream_multipliers(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -311,6 +346,10 @@ def stream_scheme(cfg: SimConfig, psi_g: np.ndarray):
 
     rhs also steps a stack [psi_u, psi_theta_1, ..., psi_theta_m]: the one
     kernel call per stage gives the frame's linearized terms as well.
+    rhs(c, out) writes into out and returns it.  It owns a StepWorkspace per
+    state shape, made at the first call with that shape (rhs.workspace), so
+    one rhs steps a base and then its stack, and a loop over it allocates
+    no plane after its first step.
     """
     grid = cfg.grid
     linear, inverse = stream_multipliers(cfg)
@@ -321,15 +360,27 @@ def stream_scheme(cfg: SimConfig, psi_g: np.ndarray):
     else:
         factors = None
 
-    def rhs(c):
-        out = linear * c if factors is None else np.zeros_like(c)
+    spaces = {}
+
+    def workspace(shape):
+        if shape not in spaces:
+            spaces[shape] = StepWorkspace(grid, shape)
+        return spaces[shape]
+
+    def rhs(c, out):
+        if factors is None:
+            np.multiply(linear, c, out=out)
+        else:
+            out.fill(0.0)
         frame = c.ndim == 3
         base, out_base = (c[0], out[0]) if frame else (c, out)
         if base.any():
-            out -= inverse * sp.bilinear_coeffs(grid, c)
+            nonlinear = sp.bilinear_coeffs(grid, c, workspace(c.shape).kernel)
+            out -= np.multiply(inverse, nonlinear, out=nonlinear)
         out_base += forcing
         return out
 
+    rhs.workspace = workspace
     return rhs, factors
 
 
@@ -347,19 +398,27 @@ def forcing_stream(cfg: SimConfig) -> np.ndarray:
     return sp.stream_of(cfg.grid, cfg.forcing.build(cfg.grid).coeffs, "forcing")
 
 
-def advance(cfg: SimConfig, c: np.ndarray, nsteps: int, every: int, visit, stages=None):
+def advance(cfg: SimConfig, c: np.ndarray, nsteps: int, every: int, visit, stages=None,
+            scheme=None):
     """Take nsteps steps of cfg's scheme (stream_scheme) from psi_hat c, or a
     stack [psi_u, psi_theta_1, ...]; the one time loop.
 
     Every `every` steps and at the last step the state is tested: a
     non-finite state raises IntegrationDivergedError with its step and time,
     a finite one goes to visit(step, c), which may update c in place.
-    stages, if given, sees each step's four stage states.  Returns the final
+    stages, if given, sees each step's four stage states.  scheme is
+    stream_scheme(cfg, forcing_stream(cfg)) when the caller holds it (to
+    share its rhs's workspace); made here when None.  Returns the final
     state (c itself when nsteps is 0).
+
+    The given c is only read: the states alternate between two arrays of
+    this call's own, so what visit and stages see is overwritten two steps
+    and one step later, and the array returned is never written again.
     """
-    rhs, factors = stream_scheme(cfg, forcing_stream(cfg))
+    rhs, factors = stream_scheme(cfg, forcing_stream(cfg)) if scheme is None else scheme
+    states = np.empty((2,) + c.shape, dtype=complex)
     for step in range(1, nsteps + 1):
-        c, stage_states = rk4_step(rhs, c, cfg.dt, factors)
+        c, stage_states = rk4_step(rhs, c, cfg.dt, factors, states[step % 2])
         if stages is not None:
             stages(stage_states)
         if step % every == 0 or step == nsteps:

@@ -22,7 +22,7 @@ import numpy as np
 from . import fieldio
 from . import spectral as sp
 from .dynamics import (InitialSpec, InsufficientDurationWarning, SimConfig, advance,
-                       initial_state, stream_multipliers)
+                       forcing_stream, initial_state, stream_multipliers, stream_scheme)
 from .errors import DegenerateFrameError, IntegrationDivergedError, InvalidParameterError
 from .spectral import TORUS_AREA, VELOCITY, AlphaMetric, SpectralField, SpectralGrid
 
@@ -104,18 +104,20 @@ def alpha_gram_schmidt(vectors: np.ndarray, weights: np.ndarray):
 # traces
 
 def trace_diagonal(grid: SpectralGrid, multipliers: tuple, state: np.ndarray,
-                   weights: np.ndarray) -> np.ndarray:
+                   weights: np.ndarray, work: sp.KernelWorkspace | None = None) -> np.ndarray:
     """(L_u theta_j, theta_j)_alpha for each theta_j of a stack [psi_u,
     psi_theta_1, ...], with multipliers = dynamics.stream_multipliers(cfg) and
     the linearization about u
 
         L_u theta = -nu|k|^2/(1+a|k|^2) theta
                     - (u.grad w_theta + theta.grad w_u)/(|k|^2 (1+a|k|^2)).
+
+    work is the kernel's workspace for the stack (fresh arrays when None).
     """
     linear, inverse = multipliers
     lv = linear * state[1:]
     if state[0].any():
-        lv -= inverse * sp.bilinear_coeffs(grid, state)[1:]
+        lv -= inverse * sp.bilinear_coeffs(grid, state, work)[1:]
     return TORUS_AREA * np.sum(weights * (lv * np.conj(state[1:])).real, axis=(-2, -1))
 
 
@@ -226,15 +228,20 @@ def evolve_tangent_frame(
     frame = TangentFrame.random(grid, n, cfg.metric, seed=seed)
     weights, multipliers = frame.weights, stream_multipliers(cfg)
     state = np.concatenate([spin_up(cfg, warmup)[None], frame.vectors])
+    # the trace at an event reuses the steps' kernel planes: a visit runs
+    # between two steps, when no stage holds them
+    scheme = stream_scheme(cfg, forcing_stream(cfg))
+    kernel = scheme[0].workspace(state.shape).kernel
     times, diag, log_factors = [], [], []
 
     def reorthonormalize(step, state):
         state[1:], norms = alpha_gram_schmidt(state[1:], weights)
         times.append(step * dt)
-        diag.append(trace_diagonal(grid, multipliers, state, weights))
+        diag.append(trace_diagonal(grid, multipliers, state, weights, kernel))
         log_factors.append(np.log(norms))
 
-    state = advance(cfg, state, int(round(t_end / dt)), reorth_every, reorthonormalize)
+    state = advance(cfg, state, int(round(t_end / dt)), reorth_every, reorthonormalize,
+                    scheme=scheme)
 
     times = np.asarray(times)
     diag = np.asarray(diag)                  # (events, n)

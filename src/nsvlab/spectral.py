@@ -17,7 +17,10 @@ its wavenumbers on the band alone.  The full (2, n, n) velocity and (n, n)
 scalar layouts of SpectralField are the I/O format; stream_of and
 velocity_of map a state to and from it, and half_of embeds a band into the
 half spectrum of any grid with at least 2K+1 rows.
-All operators are pure functions; nothing here holds mutable state.
+The operators are functions of their inputs.  The one mutable state is a
+KernelWorkspace, the planes bilinear_coeffs writes, which a caller that
+evaluates the kernel every step (dynamics.stream_scheme) allocates once and
+hands back on each call; without one the kernel writes fresh planes.
 """
 
 from __future__ import annotations
@@ -148,20 +151,32 @@ def _check_compatible(a: SpectralField, b: SpectralField):
 # ----------------------------------------------------------------------------
 # transforms (batched over leading axes)
 
-def to_physical(coeffs: np.ndarray) -> np.ndarray:
+def to_physical(coeffs: np.ndarray, out: np.ndarray | None = None,
+                work: np.ndarray | None = None) -> np.ndarray:
     """u(x_j) = sum_k u_hat(k) e^{i k.x_j} for a real field's coefficients: the
-    full (..., n, n) layout, or its k2 >= 0 columns (those past the last given are zero)."""
+    full (..., n, n) layout, or its k2 >= 0 columns (those past the last given are zero).
+
+    No pass scales the samples: with norm="forward" the inverse transforms
+    are unnormalized, and the 1/n^2 of the analytic convention sits in
+    from_physical alone.  The samples go into out and the column transforms,
+    complex (..., n, cols), into work; fresh arrays when None."""
     n = coeffs.shape[-2]
-    return np.fft.irfft2(coeffs[..., : n // 2 + 1], s=(n, n), axes=(-2, -1)) * (n * n)
+    columns = np.fft.ifft(coeffs[..., : n // 2 + 1], axis=-2, norm="forward", out=work)
+    return np.fft.irfft(columns, n, axis=-1, norm="forward", out=out)
 
 
-def from_physical(values: np.ndarray, cols: int | None = None) -> np.ndarray:
+def from_physical(values: np.ndarray, cols: int | None = None, out: np.ndarray | None = None,
+                  work: np.ndarray | None = None) -> np.ndarray:
     """Half spectrum (..., n, n//2+1) of a real (..., n, n) batch, or its first
     cols columns k2 = 0..cols-1 (the column transforms past them are skipped);
-    see full_layout."""
-    n = values.shape[-1]
-    half = np.fft.rfft(values, axis=-1)[..., :cols]
-    return np.fft.fft(half, axis=-2) / (n * n)
+    see full_layout.
+
+    Each transform of the pair takes its 1/n (norm="forward"), so the
+    coefficients carry the 1/n^2 with no pass of their own.  The coefficients
+    go into out and the row transforms, complex (..., n, n//2+1), into work;
+    fresh arrays when None."""
+    half = np.fft.rfft(values, axis=-1, norm="forward", out=work)[..., :cols]
+    return np.fft.fft(half, axis=-2, norm="forward", out=out)
 
 
 def full_layout(half: np.ndarray) -> np.ndarray:
@@ -194,10 +209,12 @@ def leray_project_coeffs(grid: SpectralGrid, b: np.ndarray) -> np.ndarray:
     return b - grid.band_k[:2] * kdot[..., None, :, :]
 
 
-def band_of(grid: SpectralGrid, half: np.ndarray) -> np.ndarray:
-    """The band (..., 2K+1, K+1) of a half spectrum or full layout (..., n, >= K+1)."""
+def band_of(grid: SpectralGrid, half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The band (..., 2K+1, K+1) of a half spectrum or full layout (..., n, >= K+1),
+    into out if given."""
     k = grid.dealias_cutoff
-    return np.concatenate([half[..., : k + 1, : k + 1], half[..., grid.n - k:, : k + 1]], axis=-2)
+    return np.concatenate([half[..., : k + 1, : k + 1], half[..., grid.n - k:, : k + 1]], axis=-2,
+                          out=out)
 
 
 def half_of(grid: SpectralGrid, band: np.ndarray, rows: int | None = None) -> np.ndarray:
@@ -239,7 +256,29 @@ def velocity_of(grid: SpectralGrid, psi: np.ndarray) -> np.ndarray:
     return full_layout(half_of(grid, grid.band_u * psi[..., None, :, :]))
 
 
-def bilinear_coeffs(grid: SpectralGrid, psi: np.ndarray) -> np.ndarray:
+class KernelWorkspace:
+    """The arrays bilinear_coeffs writes for a stack of `rows` fields on grid:
+    the (u, v) half spectra, zero off the band rows, which are rewritten on
+    each call; the column transforms of both directions; the physical (u, v)
+    and (P, Q) planes and a product plane; the forward row transforms; the
+    band of (P_hat, Q_hat); and the result.  A call overwrites them all, so
+    the result it returns lives until the next call."""
+
+    def __init__(self, grid: SpectralGrid, rows: int):
+        n, cols = grid.n, grid.dealias_cutoff + 1
+        planes = (rows, 2, n)
+        self.half = np.zeros(planes + (cols,), dtype=complex)
+        self.columns = np.empty(planes + (cols,), dtype=complex)
+        self.vel = np.empty(planes + (n,))
+        self.pq = np.empty(planes + (n,))
+        self.product = np.empty((rows, n, n))
+        self.row_transforms = np.empty(planes + (n // 2 + 1,), dtype=complex)
+        self.pq_hat = np.empty((rows, 2) + grid.band_shape, dtype=complex)
+        self.result = np.empty((rows,) + grid.band_shape, dtype=complex)
+
+
+def bilinear_coeffs(grid: SpectralGrid, psi: np.ndarray,
+                    work: KernelWorkspace | None = None) -> np.ndarray:
     """u.grad w on the band for u = grad-perp psi and w = rot u = -Lap psi: the
     curl of the dealiased B(u,u) = P((u.grad) u) in 2D, in divergence form
     (Basdevant 1983): with u = (u, v), P = uv and Q = (u^2 - v^2)/2,
@@ -248,20 +287,29 @@ def bilinear_coeffs(grid: SpectralGrid, psi: np.ndarray) -> np.ndarray:
     u.grad w_theta_j + theta_j.grad w_u], the curls of B(u,u) and of
     B(theta_j,u) + B(u,theta_j), from the polarization P_j = u b + v a and
     Q_j = u a - v b of theta_j = (a, b).  One inverse real transform of (u, v)
-    per field, one forward of (P, Q); exact when 3 * cutoff < n."""
+    per field, one forward of (P, Q); exact when 3 * cutoff < n.
+
+    work, a KernelWorkspace for psi's row count, takes every array the call
+    writes, the returned one included; fresh ones when None."""
     stack = psi.reshape((-1,) + grid.band_shape)
-    vel = to_physical(half_of(grid, grid.band_u * stack[:, None]))
+    w = KernelWorkspace(grid, len(stack)) if work is None else work
+    k, band_u = grid.dealias_cutoff, grid.band_u
+    np.multiply(band_u[:, : k + 1], stack[:, None, : k + 1], out=w.half[:, :, : k + 1])
+    np.multiply(band_u[:, k + 1:], stack[:, None, k + 1:], out=w.half[:, :, grid.n - k:])
+    vel = to_physical(w.half, out=w.vel, work=w.columns)
     (u, v), a, b = vel[0], vel[:, 0], vel[:, 1]
-    pq = np.empty_like(vel)
-    p, q = pq[:, 0], pq[:, 1]
+    p, q = w.pq[:, 0], w.pq[:, 1]
     np.multiply(u, b, out=p)
-    p += v * a
+    p += np.multiply(v, a, out=w.product)
     np.multiply(u, a, out=q)
-    q -= v * b
-    pq[0] *= 0.5  # the base row is u polarized with itself
-    pq_hat = band_of(grid, from_physical(pq, grid.dealias_cutoff + 1))
+    q -= np.multiply(v, b, out=w.product)
+    w.pq[0] *= 0.5  # the base row is u polarized with itself
+    pq_hat = band_of(grid, from_physical(w.pq, k + 1, out=w.columns, work=w.row_transforms),
+                     out=w.pq_hat)
     div = grid.band_curl_div
-    return (div[0] * pq_hat[:, 0] + div[1] * pq_hat[:, 1]).reshape(psi.shape)
+    out = np.multiply(div[0], pq_hat[:, 0], out=w.result)
+    out += np.multiply(div[1], pq_hat[:, 1], out=pq_hat[:, 1])
+    return out.reshape(psi.shape)
 
 
 # ----------------------------------------------------------------------------

@@ -9,12 +9,14 @@ enumeration, and the spectral sums as prefix differences over it), the
 upward decimal rounding of the printed constants, the zero-padding of a full coefficient
 layout into a finer grid, the velocity-form advection term B(u,v) on full
 complex FFTs (np.fft directly, no nsvlab transform), the advective-form
-band kernel u.grad w from (u_x, u_y, d_x w, d_y w), field-level right-hand
+band kernel u.grad w from (u_x, u_y, d_x w, d_y w), the real transform pair
+with its n^2 scaling as a pass of its own and the divergence-form kernel,
+RK4 step and streamfunction scheme on fresh arrays, field-level right-hand
 sides and linearizations of the velocity and vorticity forms, a quadrature
 of the two terms of the trace bound, plain steppers over them (classical
 RK4, Lawson integrating-factor RK4, and a per-vector product-system RK4 for
-tangent frames), explicit rk4_step loops for `integrate` and
-`evolve_tangent_frame` on the band layout, random fields, families and
+tangent frames), explicit loops of that allocating step for `integrate`
+and `evolve_tangent_frame` on the band layout, random fields, families and
 frames drawn on the full layout, the full layout of a band, modified
 Gram-Schmidt, the complex-form Gram matrix, the per-row trace diagonal, and
 the per-coefficient snapshot writer. Nothing here is fast; each function is
@@ -354,6 +356,37 @@ def advective_bilinear_coeffs(grid, psi):
     return sp.band_of(grid, sp.from_physical(adv, grid.dealias_cutoff + 1)).reshape(psi.shape)
 
 
+def scaled_to_physical(coeffs):
+    """spectral.to_physical as an irfft2 with its n^2 scaling as a pass of its own."""
+    n = coeffs.shape[-2]
+    return np.fft.irfft2(coeffs[..., : n // 2 + 1], s=(n, n), axes=(-2, -1)) * (n * n)
+
+
+def scaled_from_physical(values, cols=None):
+    """spectral.from_physical with its 1/n^2 scaling as a pass of its own."""
+    n = values.shape[-1]
+    half = np.fft.rfft(values, axis=-1)[..., :cols]
+    return np.fft.fft(half, axis=-2) / (n * n)
+
+
+def allocating_bilinear_coeffs(grid, psi):
+    """spectral.bilinear_coeffs on fresh arrays for every plane and product,
+    over scaled_to_physical and scaled_from_physical."""
+    stack = psi.reshape((-1,) + grid.band_shape)
+    vel = scaled_to_physical(sp.half_of(grid, grid.band_u * stack[:, None]))
+    (u, v), a, b = vel[0], vel[:, 0], vel[:, 1]
+    pq = np.empty_like(vel)
+    p, q = pq[:, 0], pq[:, 1]
+    np.multiply(u, b, out=p)
+    p += v * a
+    np.multiply(u, a, out=q)
+    q -= v * b
+    pq[0] *= 0.5  # the base row is u polarized with itself
+    pq_hat = sp.band_of(grid, scaled_from_physical(pq, grid.dealias_cutoff + 1))
+    div = grid.band_curl_div
+    return (div[0] * pq_hat[:, 0] + div[1] * pq_hat[:, 1]).reshape(psi.shape)
+
+
 def advect_scalar_coeffs(grid, uc, sc):
     """Dealiased pseudo-spectral u.grad s for a scalar s (2/3 truncation)."""
     k = wavenumbers(grid)
@@ -494,6 +527,55 @@ def if_rk4(f, y, dt, rate):
     return full * y + (dt / 6.0) * (full * k1 + 2.0 * half * (k2 + k3) + k4)
 
 
+def allocating_rk4_step(rhs, c, dt, factors=None):
+    """dynamics.rk4_step with a fresh array for every stage and sum, over an
+    rhs(c) that returns a fresh derivative (allocating_scheme)."""
+    h = 0.5 * dt
+    k1 = rhs(c)
+    if factors is None:
+        s2 = c + h * k1
+        k2 = rhs(s2)
+        s3 = c + h * k2
+        k3 = rhs(s3)
+        s4 = c + dt * k3
+        k4 = rhs(s4)
+        new = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    else:
+        half, full = factors
+        s2 = half * (c + h * k1)
+        k2 = rhs(s2)
+        s3 = half * c + h * k2
+        k3 = rhs(s3)
+        s4 = full * c + dt * half * k3
+        k4 = rhs(s4)
+        new = full * c + (dt / 6.0) * (full * k1 + 2.0 * half * (k2 + k3) + k4)
+    return new, (c, s2, s3, s4)
+
+
+def allocating_scheme(cfg, psi_g):
+    """dynamics.stream_scheme with an rhs(c) that returns a fresh array, over
+    allocating_bilinear_coeffs: (rhs, factors) for allocating_rk4_step."""
+    grid = cfg.grid
+    linear, inverse = dyn.stream_multipliers(cfg)
+    forcing = inverse * grid.band_k2 * psi_g
+    if cfg.alpha == 0:
+        factors = (np.exp(-cfg.nu * grid.band_k2 * (cfg.dt / 2.0)),
+                   np.exp(-cfg.nu * grid.band_k2 * cfg.dt))
+    else:
+        factors = None
+
+    def rhs(c):
+        out = linear * c if factors is None else np.zeros_like(c)
+        frame = c.ndim == 3
+        base, out_base = (c[0], out[0]) if frame else (c, out)
+        if base.any():
+            out -= inverse * allocating_bilinear_coeffs(grid, c)
+        out_base += forcing
+        return out
+
+    return rhs, factors
+
+
 def _velocity_step(cfg, g):
     """u -> u(t + dt): classical RK4 on rhs_velocity at alpha > 0, Lawson
     IF-RK4 with the viscous factor at alpha = 0."""
@@ -581,14 +663,14 @@ def evolve_frame(cfg, n, t_end, seed, reorth_every=10):
 
 
 def integrate_band(cfg, snapshot_every=0, track_energy_budget=False):
-    """dynamics.integrate as an explicit rk4_step loop on the band
+    """dynamics.integrate as an explicit allocating_rk4_step loop on the band
     streamfunction, in integrate's arithmetic order.  Returns (final velocity
     coeffs, {diagnostics column: array}, [(t, snapshot velocity coeffs)],
     energy residual or None)."""
     grid = cfg.grid
     psi_g = dyn.forcing_stream(cfg)
     c, u0 = dyn.initial_state(cfg)
-    rhs, factors = dyn.stream_scheme(cfg, psi_g)
+    rhs, factors = allocating_scheme(cfg, psi_g)
     nsteps = int(round(cfg.t_end / cfg.dt))
     w_l2 = TORUS_AREA * grid.band_count * grid.band_k2
     w_ens = w_l2 * grid.band_k2
@@ -613,7 +695,7 @@ def integrate_band(cfg, snapshot_every=0, track_energy_budget=False):
     e_alpha_start = float(np.sum(w_alpha * np.abs(c) ** 2))
     sample(0, c)
     for step in range(1, nsteps + 1):
-        c, (s1, s2, s3, s4) = dyn.rk4_step(rhs, c, cfg.dt, factors)
+        c, (s1, s2, s3, s4) = allocating_rk4_step(rhs, c, cfg.dt, factors)
         if track_energy_budget:
             budget += (cfg.dt / 6.0) * (budget_rate(s1) + 2 * budget_rate(s2)
                                         + 2 * budget_rate(s3) + budget_rate(s4))
@@ -631,16 +713,17 @@ def integrate_band(cfg, snapshot_every=0, track_energy_budget=False):
 
 
 def evolve_frame_band(cfg, n, t_end, burn_in, seed, warmup, reorth_every=10):
-    """lyapunov.evolve_tangent_frame with its warmup as explicit rk4_step
-    loops on the band streamfunction, in its arithmetic order: the diagonal
-    (L theta_j, theta_j)_alpha from the linearized stack directly.  Returns
-    (event times, diagonal, exponents, final base velocity coeffs)."""
+    """lyapunov.evolve_tangent_frame with its warmup as explicit
+    allocating_rk4_step loops on the band streamfunction, in its arithmetic
+    order: the diagonal (L theta_j, theta_j)_alpha from the linearized stack
+    directly.  Returns (event times, diagonal, exponents, final base velocity
+    coeffs)."""
     grid = cfg.grid
-    rhs, factors = dyn.stream_scheme(cfg, dyn.forcing_stream(cfg))
+    rhs, factors = allocating_scheme(cfg, dyn.forcing_stream(cfg))
     linear, inverse = dyn.stream_multipliers(cfg)
     base = dyn.initial_state(cfg)[0]
     for _ in range(int(round(warmup / cfg.dt))):
-        base, _ = dyn.rk4_step(rhs, base, cfg.dt, factors)
+        base, _ = allocating_rk4_step(rhs, base, cfg.dt, factors)
     frame = lyp.TangentFrame.random(grid, n, cfg.metric, seed=seed)
     weights = frame.weights
     state = np.concatenate([base[None], frame.vectors])
@@ -651,12 +734,12 @@ def evolve_frame_band(cfg, n, t_end, burn_in, seed, warmup, reorth_every=10):
     nsteps = int(round(t_end / cfg.dt))
     times, diag, logs, prev_ts = [], [], [], []
     for step in range(1, nsteps + 1):
-        state, _ = dyn.rk4_step(rhs, state, cfg.dt, factors)
+        state, _ = allocating_rk4_step(rhs, state, cfg.dt, factors)
         if step % reorth_every == 0 or step == nsteps:
             state[1:], norms = lyp.alpha_gram_schmidt(state[1:], weights)
             lv = linear * state[1:]
             if state[0].any():
-                lv -= inverse * sp.bilinear_coeffs(grid, state)[1:]
+                lv -= inverse * allocating_bilinear_coeffs(grid, state)[1:]
             prev_ts.append(times[-1] if times else 0.0)
             times.append(step * cfg.dt)
             diag.append([inner(lv[j], state[1 + j]) for j in range(n)])

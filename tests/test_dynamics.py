@@ -1,6 +1,7 @@
 """Time stepping: analytic solutions, a priori estimates, order checks."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -422,3 +423,82 @@ class TestDiagnosticsSeries:
         assert d.g_norm == pytest.approx(g_norm, rel=1e-12)
         assert d.grashof_g == pytest.approx(g_norm / 4.0, rel=1e-12)
         assert d.grashof_cal_g == pytest.approx(g_norm * 4 * math.pi**2 / 4.0, rel=1e-12)
+
+
+class TestWorkspace:
+    """The time loop's arrays: allocated once, and not shared past their lifetime."""
+
+    FORCING = dyn.ForcingSpec.from_modes([((0, 2), (-2.0j, 0.0)), ((1, 1), (0.4, -0.4))])
+
+    def frame_cfg(self, alpha, grid=SpectralGrid(48)):
+        return dyn.SimConfig(nu=1.0, alpha=alpha, grid=grid, dt=0.003, t_end=1.0,
+                             forcing=self.FORCING,
+                             initial=dyn.InitialSpec.random(seed=4, amplitude=2.0))
+
+    def stack(self, cfg, rows):
+        # the base flow and rows - 1 frame vectors
+        rng = np.random.default_rng(rows)
+        vectors = [sp.band_stream(cfg.grid, sp.random_band(cfg.grid, VELOCITY, 3.0, rng))
+                   for _ in range(rows - 1)]
+        return np.stack([dyn.initial_state(cfg)[0]] + vectors)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.0])
+    def test_loop_allocates_no_plane_past_its_first_step(self, alpha):
+        # numpy's ufunc iterator scratch (up to getbufsize() elements per
+        # operand, whatever the array sizes) is cut to 16 elements while
+        # traced, so that the traced peak counts arrays
+        cfg = self.frame_cfg(alpha)
+        plane = cfg.grid.n ** 2 * 8
+        growth, start = [], [0]
+
+        def visit(step, c):
+            current, peak = tracemalloc.get_traced_memory()
+            if step > 1:
+                growth.append(peak - start[0])      # above the level the step began at
+            tracemalloc.reset_peak()
+            start[0] = current
+
+        bufsize = np.setbufsize(16)
+        tracemalloc.start()
+        try:
+            dyn.advance(cfg, self.stack(cfg, 5), 11, 1, visit)
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(bufsize)
+        assert len(growth) == 10
+        assert max(growth) < plane
+
+    def test_one_rhs_serves_a_base_and_its_stack(self):
+        # one rhs, its workspace keyed by shape, against a fresh rhs per call
+        for alpha in (0.3, 0.0):
+            cfg = self.frame_cfg(alpha, SMALL)
+            psi_g = dyn.forcing_stream(cfg)
+            stack = self.stack(cfg, 4)
+            shared, factors = dyn.stream_scheme(cfg, psi_g)
+            for c in (stack[0], stack, 0.5 * stack[0], 2.0 * stack):
+                fresh = dyn.stream_scheme(cfg, psi_g)[0]
+                np.testing.assert_array_equal(shared(c, np.empty_like(c)),
+                                              fresh(c, np.empty_like(c)))
+                got, got_stages = dyn.rk4_step(shared, c, cfg.dt, factors)
+                want, want_stages = dyn.rk4_step(fresh, c, cfg.dt, factors)
+                np.testing.assert_array_equal(got, want)
+                for g, w in zip(got_stages, want_stages):
+                    np.testing.assert_array_equal(g, w)
+
+    def test_advance_leaves_its_input_and_past_results_alone(self):
+        cfg = self.frame_cfg(0.0, SMALL)
+        start = self.stack(cfg, 3)
+        given = start.copy()
+        seen = []
+        first = dyn.advance(cfg, start, 5, 5, lambda step, c: seen.append((c, c.copy())))
+        kept = first.copy()
+        second = dyn.advance(cfg, first, 7, 1, lambda step, c: None)
+        np.testing.assert_array_equal(start, given)             # the input is only read
+        np.testing.assert_array_equal(first, kept)              # a later call writes its own
+        assert not np.shares_memory(first, second)
+        (visited, copy), = seen
+        assert visited is first
+        np.testing.assert_array_equal(visited, copy)
+        # the last state, advanced 7 steps more, is the 12-step run's
+        np.testing.assert_array_equal(second, dyn.advance(cfg, start, 12, 12,
+                                                          lambda step, c: None))

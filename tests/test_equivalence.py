@@ -17,9 +17,13 @@ dynamics.integrate and lyapunov.evolve_tangent_frame step the band
 streamfunction through one shared RK4 / integrating-factor RK4 function;
 the oracles step the SpectralField right-hand sides with
 plain RK4 loops on the velocity layout.  The arithmetic differs, so
-agreement is to round-off, not bitwise.  Against explicit rk4_step loops on
-the band layout, in the arithmetic order of dynamics.advance's callers, the
-agreement is bitwise.
+agreement is to round-off, not bitwise.  Against explicit loops on the band
+layout of the allocating RK4 step and kernel they replaced, in the
+arithmetic order of dynamics.advance's callers, the agreement is bitwise
+where every transform length is a power of two; so are the kernel, and the
+sup-norm verifier against the transform pair with its n^2 scaling as a pass
+of its own.  At other lengths (n = 48, the 90-point density grid) the 1/n
+each transform takes rounds apart from that pass, to 1e-15 relative.
 """
 
 import itertools
@@ -54,8 +58,8 @@ def biot_savart(grid, curl):
     return sp.velocity_of(grid, curl / np.where(grid.band_k2 > 0, grid.band_k2, 1.0))
 
 
-def forced_cfg(alpha, t_end, **kw):
-    return dyn.SimConfig(nu=1.0, alpha=alpha, grid=GRID, dt=0.01, t_end=t_end,
+def forced_cfg(alpha, t_end, grid=GRID, **kw):
+    return dyn.SimConfig(nu=1.0, alpha=alpha, grid=grid, dt=0.01, t_end=t_end,
                          forcing=FORCING, initial=dyn.InitialSpec.random(seed=4, amplitude=2.0),
                          **kw)
 
@@ -88,34 +92,98 @@ def test_tangent_frame_matches_product_system_oracle():
 
 @pytest.mark.parametrize("alpha", [0.3, 0.0])
 def test_integrate_is_bitwise_its_explicit_loop(alpha):
-    cfg = forced_cfg(alpha, 1.0, sample_every=7)         # 100 steps: neither cadence divides
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", dyn.CflWarning)
-        res = dyn.integrate(cfg, snapshot_every=14, track_energy_budget=True)
-    final, columns, snapshots, residual = oracles.integrate_band(cfg, 14, True)
-    np.testing.assert_array_equal(res.final.coeffs, final)
-    for name, ref in columns.items():
-        np.testing.assert_array_equal(getattr(res.diagnostics, name), ref, err_msg=name)
-    assert [t for t, _ in res.snapshots] == [t for t, _ in snapshots] and len(snapshots) == 8
-    for (_, got), (_, ref) in zip(res.snapshots, snapshots):
-        np.testing.assert_array_equal(got.coeffs, ref)
-    assert res.energy_residual == residual
+    # the loop of oracles.allocating_rk4_step over the allocating kernel: the
+    # in-place step and workspace kernel take the same operations in order
+    for grid in (GRID, SpectralGrid(32)):
+        cfg = forced_cfg(alpha, 1.0, grid, sample_every=7)   # 100 steps: neither cadence divides
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", dyn.CflWarning)
+            res = dyn.integrate(cfg, snapshot_every=14, track_energy_budget=True)
+        final, columns, snapshots, residual = oracles.integrate_band(cfg, 14, True)
+        np.testing.assert_array_equal(res.final.coeffs, final)
+        for name, ref in columns.items():
+            np.testing.assert_array_equal(getattr(res.diagnostics, name), ref, err_msg=name)
+        assert [t for t, _ in res.snapshots] == [t for t, _ in snapshots] and len(snapshots) == 8
+        for (_, got), (_, ref) in zip(res.snapshots, snapshots):
+            np.testing.assert_array_equal(got.coeffs, ref)
+        assert res.energy_residual == residual
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.0])
 def test_tangent_frame_is_bitwise_its_explicit_loop(alpha):
-    cfg = forced_cfg(alpha, 1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", dyn.InsufficientDurationWarning)
-        series = lyp.evolve_tangent_frame(cfg, 3, 1.05, burn_in=0.5, seed=2, warmup=0.3,
-                                          reorth_every=10)
-    times, diag, exponents, base_final = oracles.evolve_frame_band(
-        cfg, 3, 1.05, burn_in=0.5, seed=2, warmup=0.3, reorth_every=10)
-    assert times.size == 11                              # the last event is off the cadence
-    np.testing.assert_array_equal(series.times, times)
-    np.testing.assert_array_equal(series.diag, diag)
-    np.testing.assert_array_equal(series.exponents, exponents)
-    np.testing.assert_array_equal(series.base_final.coeffs, base_final)
+    for grid in (GRID, SpectralGrid(32)):
+        cfg = forced_cfg(alpha, 1.0, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", dyn.InsufficientDurationWarning)
+            series = lyp.evolve_tangent_frame(cfg, 3, 1.05, burn_in=0.5, seed=2, warmup=0.3,
+                                              reorth_every=10)
+        times, diag, exponents, base_final = oracles.evolve_frame_band(
+            cfg, 3, 1.05, burn_in=0.5, seed=2, warmup=0.3, reorth_every=10)
+        assert times.size == 11                          # the last event is off the cadence
+        np.testing.assert_array_equal(series.times, times)
+        np.testing.assert_array_equal(series.diag, diag)
+        np.testing.assert_array_equal(series.exponents, exponents)
+        np.testing.assert_array_equal(series.base_final.coeffs, base_final)
+
+
+@pytest.mark.parametrize("m", [1, 3, 9])
+@pytest.mark.parametrize("n", [16, 32, 48, 64])
+def test_kernel_is_the_allocating_kernel(n, m):
+    # bitwise where every transform length is a power of two; at n = 48 the
+    # 1/n that each transform now takes rounds apart from the n^2 pass.  A
+    # workspace used twice gives the second stack's rows, not the first's
+    grid = SpectralGrid(n)
+    rng = np.random.default_rng(10 * n + m)
+    work = sp.KernelWorkspace(grid, m)
+    for _ in range(2):
+        stack = np.stack([sp.random_band(grid, VORTICITY, 1.5, rng) for _ in range(m)])
+        for given in ((stack, stack[0]) if m == 1 else (stack,)):
+            ref = oracles.allocating_bilinear_coeffs(grid, given)
+            for got in (sp.bilinear_coeffs(grid, given), sp.bilinear_coeffs(grid, given, work)):
+                assert got.shape == given.shape
+                if n == 48:
+                    assert rel_err(got, ref) <= 1e-15
+                else:
+                    np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.0])
+def test_step_at_n48_matches_the_allocating_step(alpha):
+    # a base and a 4-vector stack on one rhs, against the allocating step
+    cfg = forced_cfg(alpha, 1.0, SpectralGrid(48))
+    psi_g = dyn.forcing_stream(cfg)
+    base = dyn.initial_state(cfg)[0]
+    frame = lyp.TangentFrame.random(cfg.grid, 4, cfg.metric, seed=1)
+    rhs, factors = dyn.stream_scheme(cfg, psi_g)
+    ref_rhs, ref_factors = oracles.allocating_scheme(cfg, psi_g)
+    for c in (base, np.concatenate([base[None], frame.vectors])):
+        new, stages = dyn.rk4_step(rhs, c, cfg.dt, factors)
+        ref, ref_stages = oracles.allocating_rk4_step(ref_rhs, c, cfg.dt, ref_factors)
+        assert rel_err(new, ref) <= 1e-15
+        for got, want in zip(stages, ref_stages):
+            assert rel_err(got, want) <= 1e-15
+
+
+def test_verifier_lhs_match_the_scaled_transforms(monkeypatch):
+    # on the benchmark's grid 64: lt and rho-l2 read rho on the 90-point grid,
+    # where the folded 1/n rounds apart; rho-linf reads the 128 and 256
+    # grids, powers of two, bit for bit
+    grid = SpectralGrid(64)
+
+    def lhs():
+        velocity = ineq.sample_suborthonormal(grid, 16, seed=3, metric=sp.AlphaMetric(0.1))
+        scalar = ineq.sample_suborthonormal(grid, 16, seed=4, role=VORTICITY)
+        linf = ineq.verify_rho_linf(scalar, 8)
+        return (ineq.verify_lieb_thirring(velocity).lhs, ineq.verify_rho_l2(velocity).lhs,
+                linf.lhs, linf.extras["certified_lhs"])
+
+    got = lhs()
+    monkeypatch.setattr(sp, "to_physical", oracles.scaled_to_physical)
+    monkeypatch.setattr(sp, "from_physical", oracles.scaled_from_physical)
+    ref = lhs()
+    for g, r in zip(got[:2], ref[:2]):
+        assert abs(g - r) <= 1e-15 * r
+    assert got[2:] == ref[2:]
 
 
 def test_tangent_frame_base_follows_integrate():

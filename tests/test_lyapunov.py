@@ -359,9 +359,9 @@ class TestNStarScan:
                 series.q_hats = np.abs(series.q_hats)
             return series
 
-        def counting(rhs, c, dt, factors=None):
+        def counting(rhs, c, *args):
             base_steps.append(c.ndim == 2)
-            return step(rhs, c, dt, factors)
+            return step(rhs, c, *args)
 
         monkeypatch.setattr(lyp, "evolve_tangent_frame", doubling)
         monkeypatch.setattr(dyn, "rk4_step", counting)

@@ -16,13 +16,17 @@ right-hand side and one RK4 step of the band streamfunction at n = 64, one
 tangent-frame step per vector at n = 32 with 8 vectors on the forced flow and
 with 4 vectors on the zero base, alpha Gram-Schmidt (CGS2) of an 8-vector
 frame at n = 32 and of 16-vector velocity and scalar families on the n = 64
-band, one whole sample_suborthonormal of a 16-vector family at n = 64, and
+band, one whole sample_suborthonormal of a 16-vector family at n = 64, one
+stacked random_band draw of 16 velocity fields at n = 64, one
+run_rho_l2_sweep (4 seeds x 3 alphas, 16 vectors, grid 64), and
 the trace diagonal of an 8-vector frame at n = 32 on the forced flow and of
 a 4-vector frame on the zero base.  The transform pair, the nonlinear term,
-the family Gram-Schmidt and draw, and the trace diagonal are timed next to
-the full complex FFTs, the velocity-form B(u,v) (at n = 64) and the
-advective-form and allocating band kernels (on the stacks), the full-layout
-draw with modified Gram-Schmidt and the per-row trace of tests/oracles.py.
+the family Gram-Schmidt and draw, the stacked draw, the rho-l2 sweep and the
+trace diagonal are timed next to the full complex FFTs, the velocity-form
+B(u,v) (at n = 64) and the advective-form and allocating band kernels (on
+the stacks), the full-layout draw with modified Gram-Schmidt, 16 per-vector
+draws, the sweep drawing every (alpha, seed) family afresh and the per-row
+trace of tests/oracles.py.
 The machine, CPU count and numpy version are recorded with the timings,
 and the tracemalloc peak of one call beside the time of the x2 density
 grid and of the two lattice verifiers.
@@ -191,8 +195,7 @@ def layers():
     weights = grid.band_count * (1.0 + metric.alpha * grid.band_k2)
     full_weights = oracles.alpha_weights(metric, grid)
     for role, tag in ((VELOCITY, "velocity"), (VORTICITY, "scalar")):
-        rng = np.random.default_rng(0)
-        bands = np.stack([sp.random_band(grid, role, 2.0, rng) for _ in range(16)])
+        bands = sp.random_band(grid, role, 2.0, np.random.default_rng(0), (16,))
         full = sp.full_layout(sp.half_of(grid, bands))
         record(f"gram_schmidt.family16.n64.{tag}",
                lambda: lyp.alpha_gram_schmidt(bands, weights), inner=3)
@@ -202,14 +205,23 @@ def layers():
            lambda: ineq.sample_suborthonormal(grid, 16, seed=0), inner=2)
     record("sample_suborthonormal.family16.n64.full_layout_oracle",
            lambda: oracles.sample_alpha_orthonormal(grid, 16, 0, VELOCITY, metric), inner=1)
+    record("random_band.stack16.n64",
+           lambda: sp.random_band(grid, VELOCITY, 2.0, np.random.default_rng(0), (16,)), inner=3)
+    record("random_band.stack16.n64.per_vector_oracle",
+           lambda: oracles.per_vector_bands(grid, VELOCITY, 2.0, np.random.default_rng(0), 16),
+           inner=3)
+    sweep_args = (grid, range(4), (0.01, 0.1, 1.0), 16)
+    record("run_rho_l2_sweep.seeds4.alphas3.family16.n64",
+           lambda: ineq.run_rho_l2_sweep(*sweep_args), inner=1)
+    record("run_rho_l2_sweep.seeds4.alphas3.family16.n64.alpha_major_oracle",
+           lambda: oracles.alpha_major_rho_l2_sweep(*sweep_args), inner=1)
 
     psi = sp.stream_of(grid, u.coeffs)
     record("bilinear.n64.vorticity_form", lambda: sp.bilinear_coeffs(grid, psi))
     record("bilinear.n64.velocity_form_oracle", lambda: oracles.bilinear_b(u, u))
     for n, m in ((32, 8), (48, 4), (48, 5), (64, 9)):
         g = sp.SpectralGrid(n)
-        rng = np.random.default_rng(n)
-        stack = np.stack([sp.random_band(g, VORTICITY, 3.0, rng) for _ in range(m + 1)])
+        stack = sp.random_band(g, VORTICITY, 3.0, np.random.default_rng(n), (m + 1,))
         work = sp.KernelWorkspace(g, m + 1)
         record(f"bilinear.n{n}.m{m}", lambda: sp.bilinear_coeffs(g, stack))
         record(f"bilinear.n{n}.m{m}.workspace", lambda: sp.bilinear_coeffs(g, stack, work))

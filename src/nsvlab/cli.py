@@ -473,6 +473,15 @@ def _from_flag(text, typ):
         return text
 
 
+def _recordable(value):
+    """value with each non-finite float as its repr: a refused flag leaves strict JSON."""
+    if isinstance(value, dict):
+        return {key: _recordable(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return list(map(_recordable, value))
+    return repr(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _collect_overrides(args: argparse.Namespace, subcommand: str) -> dict:
     overrides = {}
     for key, (typ, default) in SCHEMAS[subcommand].items():
@@ -561,7 +570,7 @@ def main(argv=None) -> int:
         params = parse_config(subcommand, args.config, overrides)
     except (ConfigError, InvalidParameterError) as err:
         manifest = RunManifest(config={"subcommand": subcommand, "config_file": args.config,
-                                       "overrides": overrides, "seed": seed})
+                                       "overrides": _recordable(overrides), "seed": seed})
         code = _record_failure(manifest, err)
         _write_manifest(manifest, outdir)
         return code

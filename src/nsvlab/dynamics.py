@@ -181,7 +181,9 @@ class SimConfig:
     sample_every: int = 10
 
     def __post_init__(self):
-        problems = []
+        problems = [f"{name}: expected a finite float, got {value!r}"
+                    for name, value in (("nu", self.nu), ("alpha", self.alpha), ("dt", self.dt),
+                                        ("t_end", self.t_end)) if not math.isfinite(value)]
         if self.nu <= 0:
             problems.append(f"nu must be > 0, got {self.nu}")
         if self.alpha < 0:

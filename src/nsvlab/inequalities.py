@@ -13,6 +13,9 @@ such M (90 at n = 64).  The sup norm is not exact on any grid; it is read on
 the grid twice as fine as the field's (N = 2n) and certified there by the van
 der Corput-Schaake bound max rho <= sec^2(2 pi K / N) * max over the N-grid.
 Only a family the two do not decide is read again at N = 4n.
+A family's noise is drawn as one stack (spectral.random_band), and the rho-l2
+sweep draws each seed once and orthonormalizes that draw for every alpha,
+listing its reports alpha-major as if each family had been drawn afresh.
 """
 
 from __future__ import annotations
@@ -90,36 +93,52 @@ def sample_suborthonormal(grid: SpectralGrid, n: int, kind: str = ALPHA_ORTHONOR
     alpha-orthonormal: Gram-Schmidt in the alpha inner product (needs the
     vectors independent; a degenerate draw is retried with a shifted
     sub-seed).  gram-scaled: the raw fields scaled by the inverse square
-    root of the largest L2 Gram eigenvalue.  Drawn, orthonormalized,
-    certified and kept on the band (spectral.random_band).
+    root of the largest L2 Gram eigenvalue.  Drawn as one stack
+    (spectral.random_band), orthonormalized, certified and kept on the band.
     """
     if n < 1:
         raise InvalidParameterError(f"family size must be >= 1, got {n}")
     if kind not in (ALPHA_ORTHONORMAL, GRAM_SCALED):
         raise InvalidParameterError(f"unknown family kind {kind!r}")
+    return _family(grid, n, kind, seed, role, metric, decay, max_retries)
+
+
+def _draw(grid: SpectralGrid, n: int, seed: int, role: str, decay: float) -> np.ndarray:
+    return sp.random_band(grid, role, decay, np.random.default_rng(seed), (n,))
+
+
+def _family(grid: SpectralGrid, n: int, kind: str, seed: int, role: str, metric: AlphaMetric,
+            decay: float, max_retries: int = 5,
+            draw: np.ndarray | None = None) -> SuborthonormalFamily:
+    """sample_suborthonormal's family of seed's draw (given, or _draw), and
+    while that is degenerate of sub-seed seed + 1000 * attempt's draw."""
     last_error = None
     for attempt in range(max_retries):
         sub_seed = seed + 1000 * attempt
-        rng = np.random.default_rng(sub_seed)
-        bands = np.stack([sp.random_band(grid, role, decay, rng) for _ in range(n)])
-        if kind == ALPHA_ORTHONORMAL:
-            try:
-                bands, _ = alpha_gram_schmidt(bands, _alpha_weights(grid, metric))
-            except DegenerateFrameError as err:
-                last_error = err
-                continue
-        else:
-            top = float(np.linalg.eigvalsh(gram_matrix(bands, grid.band_count))[-1])
-            if top <= 0:
-                last_error = DegenerateFrameError(index=0, message="zero random draw")
-                continue
-            bands = bands / math.sqrt(top)
-        return SuborthonormalFamily(
-            grid=grid, role=role, metric=metric, vectors=bands, kind=kind, seed=sub_seed,
-            certificate=float(np.linalg.eigvalsh(gram_matrix(bands, grid.band_count))[-1]))
+        bands = draw if attempt == 0 and draw is not None else _draw(grid, n, sub_seed, role, decay)
+        try:
+            return _orthonormalized(grid, bands, kind, sub_seed, role, metric)
+        except DegenerateFrameError as err:
+            last_error = err
     raise DegenerateFrameError(
         index=getattr(last_error, "index", 0),
         message=f"no independent family after {max_retries} draws (seed {seed})")
+
+
+def _orthonormalized(grid: SpectralGrid, bands: np.ndarray, kind: str, seed: int, role: str,
+                     metric: AlphaMetric) -> SuborthonormalFamily:
+    """The certified family of a draw (left as it is); DegenerateFrameError if
+    the draw has no family of that kind."""
+    if kind == ALPHA_ORTHONORMAL:
+        bands, _ = alpha_gram_schmidt(bands, _alpha_weights(grid, metric))
+    else:
+        top = float(np.linalg.eigvalsh(gram_matrix(bands, grid.band_count))[-1])
+        if top <= 0:
+            raise DegenerateFrameError(index=0, message="zero random draw")
+        bands = bands / math.sqrt(top)
+    return SuborthonormalFamily(
+        grid=grid, role=role, metric=metric, vectors=bands, kind=kind, seed=seed,
+        certificate=float(np.linalg.eigvalsh(gram_matrix(bands, grid.band_count))[-1]))
 
 
 # ----------------------------------------------------------------------------
@@ -359,22 +378,25 @@ class SweepReport:
         }
 
 
-def _sweep(target: str, families, check) -> SweepReport:
-    """Check each family (check(fam) -> its reports), keeping the family behind
-    the first report of the largest ratio and no other."""
-    reports, worst, witness = [], None, None
-    for fam in families:
-        for rep in check(fam):
-            reports.append(rep)
-            if worst is None or rep.ratio > worst.ratio:
-                worst, witness = rep, fam
+def _sweep(target: str, checked) -> SweepReport:
+    """The sweep of checked, triples (position, family, its reports) in any
+    order: the reports listed by position, and the family behind the first
+    of them with the largest ratio kept and no other."""
+    placed, worst, witness = [], None, None
+    for position, fam, reps in checked:
+        for k, rep in enumerate(reps):
+            key = (-rep.ratio, position, k)
+            placed.append((position, k, rep))
+            if worst is None or key < worst[0]:
+                worst, witness = (key, rep), fam
     if worst is None:
         raise InvalidParameterError(f"the {target} sweep needs at least one family")
+    reports = [rep for *_, rep in sorted(placed, key=lambda p: p[:2])]
     return SweepReport(
         target=target,
         count=len(reports),
-        worst_ratio=worst.ratio,
-        worst_seed=worst.seed,
+        worst_ratio=worst[1].ratio,
+        worst_seed=worst[1].seed,
         all_passed=all(r.passed for r in reports),
         near_saturation=[r.seed for r in reports if r.extras.get("near_saturation")],
         reports=reports,
@@ -385,20 +407,31 @@ def _sweep(target: str, families, check) -> SweepReport:
 def run_lt_sweep(grid: SpectralGrid, seeds, n: int = 8, kind: str = ALPHA_ORTHONORMAL,
                  alpha: float = 1.0, decay: float = 2.0) -> SweepReport:
     metric = AlphaMetric(alpha)
-    return _sweep("lt", (sample_suborthonormal(grid, n, kind, seed, VELOCITY, metric, decay)
-                         for seed in seeds), lambda fam: [verify_lieb_thirring(fam)])
+    families = (sample_suborthonormal(grid, n, kind, seed, VELOCITY, metric, decay)
+                for seed in seeds)
+    return _sweep("lt", ((j, fam, [verify_lieb_thirring(fam)]) for j, fam in enumerate(families)))
 
 
 def run_rho_l2_sweep(grid: SpectralGrid, seeds, alphas, n: int = 8,
                      decay: float = 2.0) -> SweepReport:
-    def check(fam):
-        rep = verify_rho_l2(fam)
-        rep.extras["alpha"] = fam.metric.alpha
-        return [rep]
+    """verify_rho_l2 at each alpha of each seed's one draw, listed alpha-major;
+    a degenerate (alpha, seed) family alone is drawn again (_family)."""
+    alphas = list(alphas)
+    if not alphas or not all(0 < a < math.inf for a in alphas):
+        raise InvalidParameterError(
+            f"alphas must be non-empty, each finite and > 0, got {alphas!r}")
+    metrics = [AlphaMetric(alpha) for alpha in alphas]
 
-    return _sweep("rho-l2", (
-        sample_suborthonormal(grid, n, ALPHA_ORTHONORMAL, seed, VELOCITY, AlphaMetric(alpha), decay)
-        for alpha in alphas for seed in seeds), check)
+    def checked():
+        for j, seed in enumerate(seeds):
+            draw = _draw(grid, n, seed, VELOCITY, decay)
+            for i, metric in enumerate(metrics):
+                fam = _family(grid, n, ALPHA_ORTHONORMAL, seed, VELOCITY, metric, decay, draw=draw)
+                rep = verify_rho_l2(fam)
+                rep.extras["alpha"] = metric.alpha
+                yield (i, j), fam, [rep]
+
+    return _sweep("rho-l2", checked())
 
 
 def run_rho_linf_sweep(grid: SpectralGrid, seeds, lam_caps, n: int = 8,
@@ -410,6 +443,7 @@ def run_rho_linf_sweep(grid: SpectralGrid, seeds, lam_caps, n: int = 8,
     spectrum = LatticeSpectrum(max_e=max(16 * max(lam_caps), 64))
     sums = {cap: spectral_sum_extras(int(cap), spectrum) for cap in lam_caps}
     metric = AlphaMetric(alpha)
-    return _sweep("rho-linf", (
-        sample_suborthonormal(grid, n, ALPHA_ORTHONORMAL, seed, VORTICITY, metric, decay)
-        for seed in seeds), lambda fam: _linf_reports(fam, lam_caps, sums))
+    families = (sample_suborthonormal(grid, n, ALPHA_ORTHONORMAL, seed, VORTICITY, metric, decay)
+                for seed in seeds)
+    return _sweep("rho-linf", ((j, fam, _linf_reports(fam, lam_caps, sums))
+                               for j, fam in enumerate(families)))

@@ -47,8 +47,7 @@ class TangentFrame:
     @classmethod
     def random(cls, grid: SpectralGrid, n: int, metric: AlphaMetric, seed: int) -> "TangentFrame":
         rng = np.random.default_rng(seed)
-        vecs = np.stack([sp.band_stream(grid, sp.random_band(grid, VELOCITY, 3.0, rng))
-                         for _ in range(n)])
+        vecs = sp.band_stream(grid, sp.random_band(grid, VELOCITY, 3.0, rng, (n,)))
         return cls(grid, metric, alpha_gram_schmidt(vecs, metric.band_weights(grid))[0])
 
 

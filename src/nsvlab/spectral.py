@@ -94,8 +94,8 @@ class AlphaMetric:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise InvalidParameterError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0 <= self.alpha < np.inf:
+            raise InvalidParameterError(f"alpha must be finite and >= 0, got {self.alpha}")
 
     def band_weights(self, grid: SpectralGrid) -> np.ndarray:
         """The weights on psi_hat over the band: |k|^2 (1 + alpha |k|^2) per mode."""
@@ -355,11 +355,14 @@ def shear_field(grid: SpectralGrid, amplitude: float = 1.0, wavenumber: int = 1)
 
 
 def random_band(grid: SpectralGrid, role: str, decay: float,
-                rng: np.random.Generator) -> np.ndarray:
-    """The band (..., 2K+1, K+1) of a Gaussian random field with |k|^{-decay}
-    falloff and zero mean, Leray-projected for a velocity: white physical-space
-    noise of the role's shape filtered through its half spectrum."""
-    noise = rng.standard_normal(grid.coeff_shape(role))
+                rng: np.random.Generator, stack: tuple = ()) -> np.ndarray:
+    """The band (*stack, ..., 2K+1, K+1) of Gaussian random fields with
+    |k|^{-decay} falloff and zero mean, Leray-projected for a velocity: white
+    physical-space noise of the role's shape filtered through its half
+    spectrum.  A stack of fields is one noise array drawn at once, bitwise the
+    fields of that many draws in turn (rng fills in order, each transform
+    line is its own)."""
+    noise = rng.standard_normal(tuple(stack) + grid.coeff_shape(role))
     k2 = grid.band_k[2]
     b = band_of(grid, from_physical(noise, grid.dealias_cutoff + 1)) * k2 ** (-decay / 2.0)
     b[..., 0, 0] = 0.0

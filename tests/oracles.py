@@ -17,7 +17,9 @@ of the two terms of the trace bound, plain steppers over them (classical
 RK4, Lawson integrating-factor RK4, and a per-vector product-system RK4 for
 tangent frames), explicit loops of that allocating step for `integrate`
 and `evolve_tangent_frame` on the band layout, random fields, families and
-frames drawn on the full layout, the full layout of a band, modified
+frames drawn on the full layout, band families drawn one vector at a time
+and the rho-l2 sweep drawing each (alpha, seed) family afresh in report
+order, the full layout of a band, modified
 Gram-Schmidt, the complex-form Gram matrix, the per-row trace diagonal, and
 the per-coefficient snapshot writer. Nothing here is fast; each function is
 a direct transcription of its equation.
@@ -34,6 +36,7 @@ import numpy as np
 
 from nsvlab import dynamics as dyn
 from nsvlab import fieldio
+from nsvlab import inequalities as ineq
 from nsvlab.lattice import inverse_square_tail_bound
 from nsvlab import lyapunov as lyp
 from nsvlab import spectral as sp
@@ -822,6 +825,71 @@ def sample_alpha_orthonormal(grid, n, seed, role, metric, decay=2.0, max_retries
         except DegenerateFrameError as err:
             last_error = err
     raise last_error
+
+
+def per_vector_bands(grid, role, decay, rng, m):
+    """m fields drawn one spectral.random_band call at a time, stacked."""
+    return np.stack([sp.random_band(grid, role, decay, rng) for _ in range(m)])
+
+
+def per_vector_family(grid, n, kind="alpha-orthonormal", seed=0, role=VELOCITY,
+                      metric=sp.AlphaMetric(1.0), decay=2.0, max_retries=5):
+    """inequalities.sample_suborthonormal drawing its family one vector at a
+    time (per_vector_bands), each attempt's draw and certificate in one loop."""
+    last_error = None
+    for attempt in range(max_retries):
+        sub_seed = seed + 1000 * attempt
+        bands = per_vector_bands(grid, role, decay, np.random.default_rng(sub_seed), n)
+        if kind == "alpha-orthonormal":
+            try:
+                bands, _ = ineq.alpha_gram_schmidt(
+                    bands, grid.band_count * (1.0 + metric.alpha * grid.band_k2))
+            except DegenerateFrameError as err:
+                last_error = err
+                continue
+        else:
+            top = float(np.linalg.eigvalsh(ineq.gram_matrix(bands, grid.band_count))[-1])
+            if top <= 0:
+                last_error = DegenerateFrameError(index=0, message="zero random draw")
+                continue
+            bands = bands / math.sqrt(top)
+        return ineq.SuborthonormalFamily(
+            grid=grid, role=role, metric=metric, vectors=bands, kind=kind, seed=sub_seed,
+            certificate=float(np.linalg.eigvalsh(ineq.gram_matrix(bands, grid.band_count))[-1]))
+    raise DegenerateFrameError(
+        index=getattr(last_error, "index", 0),
+        message=f"no independent family after {max_retries} draws (seed {seed})")
+
+
+def first_worst_sweep(target, families, check):
+    """inequalities' sweep over families in report order: check(fam) gives a
+    family's reports, and the family behind the first report of the largest
+    ratio is kept."""
+    reports, worst, witness = [], None, None
+    for fam in families:
+        for rep in check(fam):
+            reports.append(rep)
+            if worst is None or rep.ratio > worst.ratio:
+                worst, witness = rep, fam
+    return ineq.SweepReport(
+        target=target, count=len(reports), worst_ratio=worst.ratio, worst_seed=worst.seed,
+        all_passed=all(r.passed for r in reports),
+        near_saturation=[r.seed for r in reports if r.extras.get("near_saturation")],
+        reports=reports, witness=witness)
+
+
+def alpha_major_rho_l2_sweep(grid, seeds, alphas, n=8, decay=2.0):
+    """inequalities.run_rho_l2_sweep as a generator of every (alpha, seed)
+    family in report order, each drawn from scratch (per_vector_family)."""
+    def check(fam):
+        rep = ineq.verify_rho_l2(fam)
+        rep.extras["alpha"] = fam.metric.alpha
+        return [rep]
+
+    return first_worst_sweep("rho-l2", (
+        per_vector_family(grid, n, "alpha-orthonormal", seed, VELOCITY, sp.AlphaMetric(alpha),
+                          decay)
+        for alpha in alphas for seed in seeds), check)
 
 
 def frame_random(grid, n, metric, seed):

@@ -130,6 +130,21 @@ class TestExitCodes:
         assert manifest["complete"] is False
         assert problem in manifest["summary"]["error"]
 
+    @pytest.mark.parametrize("argv, recorded", [
+        (["simulate", "--dt", "nan"], {"dt": "nan"}),
+        (["verify", "rho-l2", "--alphas", "0.1", "inf"], {"target": "rho-l2",
+                                                           "alphas": [0.1, "inf"]}),
+    ], ids=["simulate-dt-nan", "rho-l2-alphas-inf"])
+    def test_refusal_manifest_is_strict_json(self, tmp_path, capsys, argv, recorded):
+        # a non-finite flag is recorded as a string: no NaN or Infinity token
+        assert cli.main(argv + ["--output-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+        manifest = json.loads((tmp_path / "manifest.json").read_text(), parse_constant=refuse)
+        assert manifest["complete"] is False
+        assert manifest["config"]["overrides"] == recorded
+
     def test_bounds_ok_is_0(self, tmp_path, capsys):
         code = cli.main(["bounds", "--d", "2", "--nu", "1", "--alpha", "0.5",
                          "--gnorm", "2.0", "--output-dir", str(tmp_path)])

@@ -32,6 +32,15 @@ class TestConfigs:
         with pytest.raises(InvalidParameterError):
             dyn.SimConfig(nu=1.0, alpha=1.0, grid=GRID, dt=0.0, t_end=1.0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("alpha", math.nan), ("nu", math.nan), ("dt", math.nan), ("t_end", math.nan),
+        ("t_end", math.inf), ("dt", math.inf), ("alpha", math.inf)])
+    def test_simconfig_refuses_non_finite(self, name, value):
+        params = {"nu": 1.0, "alpha": 0.1, "grid": GRID, "dt": 1e-3, "t_end": 1.0, name: value}
+        with pytest.raises(InvalidParameterError,
+                           match=f"{name}: expected a finite float, got {value!r}"):
+            dyn.SimConfig(**params)
+
     def test_unstable_dt_refused(self):
         # scripts/forced_attractor_study.py at its default calG = 4000
         with pytest.raises(InvalidParameterError) as exc:

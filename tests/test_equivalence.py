@@ -12,7 +12,10 @@ field_from_modes are checked bitwise against the full-layout projection and
 build they replaced.  The band draw spectral.random_band, CGS2 Gram-Schmidt, the real-view Gram
 matrix and the batched trace diagonal are checked against the full-layout
 draw, modified Gram-Schmidt, the complex-form Gram matrix and the per-row
-trace they replaced; the draw bitwise, the rest to round-off.
+trace they replaced; the draw bitwise, the rest to round-off.  A stacked
+draw, the families drawn as one stack, and the rho-l2 sweep that draws each
+seed once for all its alphas are checked bitwise against per-vector draws
+and the sweep that draws every (alpha, seed) family afresh in report order.
 dynamics.integrate and lyapunov.evolve_tangent_frame step the band
 streamfunction through one shared RK4 / integrating-factor RK4 function;
 the oracles step the SpectralField right-hand sides with
@@ -27,6 +30,7 @@ each transform takes rounds apart from that pass, to 1e-15 relative.
 """
 
 import itertools
+import json
 import math
 import warnings
 
@@ -456,6 +460,82 @@ def test_tangent_frame_random_is_bitwise_the_full_layout_draw():
     grid, metric = SpectralGrid(32), sp.AlphaMetric(0.7)
     frame = lyp.TangentFrame.random(grid, 6, metric, seed=9)
     np.testing.assert_array_equal(frame.vectors, oracles.frame_random(grid, 6, metric, seed=9))
+
+
+@pytest.mark.parametrize("role", [VELOCITY, VORTICITY])
+@pytest.mark.parametrize("n", [48, 64])
+def test_batched_draw_is_bitwise_the_per_vector_draws(n, role):
+    grid = SpectralGrid(n)
+    batched_rng, per_vector_rng = np.random.default_rng(n), np.random.default_rng(n)
+    got = sp.random_band(grid, role, 2.0, batched_rng, (16,))
+    ref = oracles.per_vector_bands(grid, role, 2.0, per_vector_rng, 16)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    assert batched_rng.bit_generator.state == per_vector_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("kind, role", [(ineq.ALPHA_ORTHONORMAL, VELOCITY),
+                                        (ineq.ALPHA_ORTHONORMAL, VORTICITY),
+                                        (ineq.GRAM_SCALED, VELOCITY)])
+def test_family_is_bitwise_the_per_vector_family(kind, role):
+    grid, metric = SpectralGrid(48), sp.AlphaMetric(0.1)
+    fam = ineq.sample_suborthonormal(grid, 8, kind, seed=6, role=role, metric=metric)
+    ref = oracles.per_vector_family(grid, 8, kind, seed=6, role=role, metric=metric)
+    assert fam.vectors.tobytes() == ref.vectors.tobytes()
+    assert (fam.seed, fam.certificate) == (ref.seed, ref.certificate)
+
+
+def sweep_record(sweep):
+    """Every report, the verdict and the witness of a sweep, floats by repr."""
+    return (json.dumps([r.as_dict() for r in sweep.reports]), json.dumps(sweep.as_dict()),
+            sweep.witness.vectors.tobytes(), sweep.witness.seed, sweep.witness.metric.alpha)
+
+
+@pytest.mark.parametrize("n, seeds, alphas, family_n", [
+    (16, range(6), (0.05, 2.0, 0.3), 3),
+    (32, range(7, 11), (0.01, 0.1, 1.0), 6),
+])
+def test_rho_l2_sweep_is_bitwise_the_alpha_major_sweep(n, seeds, alphas, family_n):
+    grid = SpectralGrid(n)
+    got = ineq.run_rho_l2_sweep(grid, seeds, alphas, n=family_n)
+    ref = oracles.alpha_major_rho_l2_sweep(grid, seeds, alphas, n=family_n)
+    assert sweep_record(got) == sweep_record(ref)
+
+
+def test_rho_l2_sweep_breaks_ratio_ties_alpha_major(monkeypatch):
+    # the largest ratio at (alpha 0.05, seed 1) and (alpha 2, seed 0): the
+    # witness is the first in report order, not the first one drawn
+    top = {(0.05, 1), (2.0, 0)}
+
+    def tied(fam):
+        ratio = 0.9 if (fam.metric.alpha, fam.seed) in top else 0.5
+        return ineq.InequalityReport("rho-l2", fam.n, fam.seed, ratio, 1.0, ratio, True)
+    monkeypatch.setattr(ineq, "verify_rho_l2", tied)
+    grid, seeds, alphas = SpectralGrid(16), range(3), (0.05, 2.0)
+    got = ineq.run_rho_l2_sweep(grid, seeds, alphas, n=3)
+    ref = oracles.alpha_major_rho_l2_sweep(grid, seeds, alphas, n=3)
+    assert (got.witness.metric.alpha, got.witness.seed) == (0.05, 1)
+    assert sweep_record(got) == sweep_record(ref)
+
+
+def test_rho_l2_sweep_retries_only_the_degenerate_family(monkeypatch):
+    # seed 2's draw degenerates at alpha = 2 alone: both forms redraw that
+    # family with sub-seed 1002 and keep seed 2's draw at the other alphas
+    grid, seeds, alphas = SpectralGrid(16), range(4), (0.05, 2.0, 0.3)
+    bad_draw = oracles.per_vector_bands(grid, VELOCITY, 2.0, np.random.default_rng(2), 3)
+    bad_weights = grid.band_count * (1.0 + 2.0 * grid.band_k2)
+    real, failed = ineq.alpha_gram_schmidt, []
+
+    def degenerate_at(vectors, weights):
+        if np.array_equal(vectors, bad_draw) and np.array_equal(weights, bad_weights):
+            failed.append(1)
+            raise DegenerateFrameError(index=1)
+        return real(vectors, weights)
+    monkeypatch.setattr(ineq, "alpha_gram_schmidt", degenerate_at)
+    got = ineq.run_rho_l2_sweep(grid, seeds, alphas, n=3)
+    ref = oracles.alpha_major_rho_l2_sweep(grid, seeds, alphas, n=3)
+    assert len(failed) == 2
+    assert [r.seed for r in got.reports] == [0, 1, 2, 3, 0, 1, 1002, 3, 0, 1, 2, 3]
+    assert sweep_record(got) == sweep_record(ref)
 
 
 @pytest.mark.parametrize("forced", [True, False])

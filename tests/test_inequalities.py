@@ -159,6 +159,26 @@ class TestRhoL2:
         sweep = ineq.run_rho_l2_sweep(GRID, seeds=range(4), alphas=(0.01, 0.1, 1.0), n=6)
         assert sweep.all_passed
 
+    def test_sweep_draws_each_seed_once(self, monkeypatch):
+        # 5 seeds x 3 alphas: 5 draws of a 3-vector stack, not 15
+        real, stacks = sp.random_band, []
+
+        def counting(grid, role, decay, rng, stack=()):
+            stacks.append(stack)
+            return real(grid, role, decay, rng, stack)
+        monkeypatch.setattr(sp, "random_band", counting)
+        sweep = ineq.run_rho_l2_sweep(SpectralGrid(16), range(5), (0.05, 2.0, 0.3), n=3)
+        assert sweep.count == 15 and stacks == [(3,)] * 5
+
+    @pytest.mark.parametrize("alphas", [(), (math.nan,), (0.1, math.inf), (0.1, 0.0), (-1.0,)])
+    def test_sweep_refuses_bad_alphas_before_any_draw(self, monkeypatch, alphas):
+        drawn = []
+        monkeypatch.setattr(sp, "random_band", lambda *args: drawn.append(args))
+        with pytest.raises(InvalidParameterError,
+                           match="alphas must be non-empty, each finite and > 0"):
+            ineq.run_rho_l2_sweep(GRID, range(3), alphas, n=3)
+        assert drawn == []
+
     def test_requires_positive_alpha(self):
         fam = single_shear_family(alpha=0.0)
         with pytest.raises(InvalidParameterError):

@@ -40,6 +40,11 @@ class TestGridAndMetric:
         with pytest.raises(InvalidParameterError):
             AlphaMetric(-0.5)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_alpha_metric_rejects_non_finite(self, alpha):
+        with pytest.raises(InvalidParameterError, match="alpha must be finite and >= 0"):
+            AlphaMetric(alpha)
+
     def test_alpha_zero_weights_are_identity(self):
         w = oracles.alpha_weights(AlphaMetric(0.0), SMALL)
         assert np.all(w == 1.0)

@@ -12,7 +12,8 @@ the eigenvalue-bound verifier at j = 10^5, the
 dealiased nonlinear term (the kernel's u.grad w on the band) at n = 64 and on
 frame stacks (base and m vectors) at n = 32 with m = 8, n = 48 with m = 4 and
 m = 5, and n = 64 with m = 9, on fresh arrays and on a reused workspace, one
-right-hand side and one RK4 step of the band streamfunction at n = 64, one
+right-hand side and one RK4 step of the band streamfunction at n = 64 (and
+one integrating-factor RK4 step of the same flow at alpha = 0), one
 tangent-frame step per vector at n = 32 with 8 vectors on the forced flow and
 with 4 vectors on the zero base, alpha Gram-Schmidt (CGS2) of an 8-vector
 frame at n = 32 and of 16-vector velocity and scalar families on the n = 64
@@ -47,6 +48,7 @@ Example:
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -236,6 +238,10 @@ def layers():
     k, new = np.empty_like(c), np.empty_like(c)
     record("rhs.n64", lambda: rhs(c, k))
     record("rk4_step.n64", lambda: dyn.rk4_step(rhs, c, cfg.dt, factors, new), inner=3)
+    # the same flow at alpha = 0: the integrating-factor step
+    cfg = dataclasses.replace(cfg, alpha=0.0)
+    rhs, factors = dyn.stream_scheme(cfg, dyn.forcing_stream(cfg))
+    record("rk4_step.n64.alpha0", lambda: dyn.rk4_step(rhs, c, cfg.dt, factors, new), inner=3)
 
     cfg = forced_cfg(32)
     rhs, factors = dyn.stream_scheme(cfg, dyn.forcing_stream(cfg))

@@ -541,12 +541,14 @@ def run(subcommand: str, params: dict, seed: int, output_dir: Path) -> int:
     """Dispatch a validated configuration and write the run manifest.
 
     A failed run still writes manifest.json, with complete = false and the
-    error in its summary, and returns EXIT_CONFIG or EXIT_RUNTIME.
+    error in its summary, and returns EXIT_CONFIG or EXIT_RUNTIME.  An
+    output_dir that cannot be made (a path through a regular file) is
+    EXIT_RUNTIME with one error line, and no manifest can be written there.
     """
-    output_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(config={"subcommand": subcommand, "params": params, "seed": seed})
     started = time.time()
     try:
+        output_dir.mkdir(parents=True, exist_ok=True)
         code, manifest.summary = RUNNERS[subcommand](params, output_dir, seed, manifest)
     except CONFIG_ERRORS + RUNTIME_ERRORS as err:
         code = _record_failure(manifest, err)

@@ -263,9 +263,10 @@ class SimResult:
 def rk4_step(rhs, c, dt, factors=None, out=None):
     """One step of dc/dt = L c + rhs(c) with L diagonal; the one RK4 stepper.
 
-    factors = (exp(L dt/2), exp(L dt)) gives Lawson's integrating-factor RK4,
-    which treats L exactly; factors = None (L = 0) gives classical RK4.  rhs
-    is stream_scheme's: rhs(c, k) writes the derivative at c into k, and
+    factors = stream_scheme's (exp(L dt/2), exp(L dt), dt exp(L dt/2),
+    2 exp(L dt/2)) gives Lawson's integrating-factor RK4, which treats L
+    exactly; factors = None (L = 0) gives classical RK4.  rhs is
+    stream_scheme's: rhs(c, k) writes the derivative at c into k, and
     rhs.workspace(c.shape) holds the stage arrays, so the step allocates no
     array but the new state, and that only when out is None.  The arithmetic is the
     allocating form's, operation for operation: new = c + (dt/6) (k1 + 2 k2
@@ -295,15 +296,15 @@ def rk4_step(rhs, c, dt, factors=None, out=None):
         acc += rhs(s4, k)                                           # ... + k4
         np.add(c, np.multiply(acc, dt / 6.0, out=acc), out=new)
     else:
-        half, full = factors
+        half, full, dt_half, two_half = factors
         np.add(np.multiply(acc, h, out=s2), c, out=s2)
         s2 *= half                                                  # half (c + h k1)
         rhs(s2, k)
         np.add(np.multiply(half, c, out=s3), np.multiply(k, h, out=tmp), out=s3)
         rhs(s3, k3)
-        np.multiply(np.multiply(dt, half, out=w.factor), k3, out=tmp)
+        np.multiply(dt_half, k3, out=tmp)
         np.add(np.multiply(full, c, out=s4), tmp, out=s4)           # full c + (dt half) k3
-        np.multiply(np.multiply(2.0, half, out=w.factor), np.add(k, k3, out=k3), out=k3)
+        np.multiply(two_half, np.add(k, k3, out=k3), out=k3)
         acc *= full
         acc += k3                                                   # full k1 + (2 half)(k2 + k3)
         acc += rhs(s4, k)                                           # ... + k4
@@ -313,25 +314,25 @@ def rk4_step(rhs, c, dt, factors=None, out=None):
 
 class StepWorkspace:
     """The arrays a step of one state shape writes (see rk4_step): the stage
-    states s2..s4, the stage derivatives and a scratch state, the product
-    of a scalar and an integrating factor on the band, and the kernel's
-    planes for the state's rows."""
+    states s2..s4, the stage derivatives and a scratch state, and the
+    kernel's planes for the state's rows."""
 
     def __init__(self, grid: SpectralGrid, shape: tuple):
         self.stages = np.empty((3,) + shape, dtype=complex)
         self.slopes = np.empty((4,) + shape, dtype=complex)
-        self.factor = np.empty(grid.band_shape)
         self.kernel = sp.KernelWorkspace(grid, shape[0] if len(shape) == 3 else 1)
 
 
 def stream_multipliers(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """(L, 1/(|k|^2 (1+alpha|k|^2))) on the band: the linear multiplier
     L = -nu|k|^2/(1+alpha|k|^2), and the factor that takes the curl terms
-    rot g - u.grad w to dpsi/dt (zero at k = 0)."""
+    rot g - u.grad w to dpsi/dt (zero at k = 0).  Both are complex (x + 0j),
+    the state's dtype, so a product with a state casts nothing; it is the
+    product a float multiplier gives, bit for bit."""
     k2 = cfg.grid.band_k2
     smoothing = 1.0 + cfg.alpha * k2
     inverse = np.divide(1.0, k2 * smoothing, out=np.zeros_like(k2), where=k2 > 0)
-    return -cfg.nu * k2 / smoothing, inverse
+    return (-cfg.nu * k2 / smoothing).astype(complex), inverse.astype(complex)
 
 
 def stream_scheme(cfg: SimConfig, psi_g: np.ndarray):
@@ -344,7 +345,9 @@ def stream_scheme(cfg: SimConfig, psi_g: np.ndarray):
     streamfunction, rot g / |k|^2.  At alpha > 0 every multiplier is bounded
     by nu/alpha: rhs is the whole right-hand side and factors is None
     (classical RK4).  At alpha = 0 the viscous multiplier is stiff: rhs leaves
-    it out and factors carries it exactly (integrating-factor RK4).
+    it out and factors carries it exactly (integrating-factor RK4): the
+    complex exp(L dt/2) and exp(L dt), and the products dt exp(L dt/2) and
+    2 exp(L dt/2) that rk4_step takes, made once here.
 
     rhs also steps a stack [psi_u, psi_theta_1, ..., psi_theta_m]: the one
     kernel call per stage gives the frame's linearized terms as well.
@@ -357,8 +360,9 @@ def stream_scheme(cfg: SimConfig, psi_g: np.ndarray):
     linear, inverse = stream_multipliers(cfg)
     forcing = inverse * grid.band_k2 * psi_g
     if cfg.alpha == 0:
-        factors = (np.exp(-cfg.nu * grid.band_k2 * (cfg.dt / 2.0)),
-                   np.exp(-cfg.nu * grid.band_k2 * cfg.dt))
+        half = np.exp(-cfg.nu * grid.band_k2 * (cfg.dt / 2.0)).astype(complex)
+        factors = (half, np.exp(-cfg.nu * grid.band_k2 * cfg.dt).astype(complex),
+                   cfg.dt * half, 2.0 * half)
     else:
         factors = None
 

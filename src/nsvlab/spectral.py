@@ -20,7 +20,9 @@ half spectrum of any grid with at least 2K+1 rows.
 The operators are functions of their inputs.  The one mutable state is a
 KernelWorkspace, the planes bilinear_coeffs writes, which a caller that
 evaluates the kernel every step (dynamics.stream_scheme) allocates once and
-hands back on each call; without one the kernel writes fresh planes.
+hands back on each call; without one the kernel writes fresh planes.  A
+band multiplier that scales complex coefficients every step (band_u,
+band_curl_div) is held complex, so the product casts nothing.
 """
 
 from __future__ import annotations
@@ -76,8 +78,9 @@ class SpectralGrid:
         # u = grad-perp psi = (d_y psi, -d_x psi)
         object.__setattr__(self, "band_u", np.stack([1j * bky, -1j * bkx]))
         # curl div of the symmetric tensor [[Q, P], [P, -Q]] is
-        # (ky^2 - kx^2) P_hat + 2 kx ky Q_hat
-        object.__setattr__(self, "band_curl_div", np.stack([bky**2 - bkx**2, 2.0 * bkx * bky]))
+        # (ky^2 - kx^2) P_hat + 2 kx ky Q_hat, held complex like the planes it scales
+        object.__setattr__(self, "band_curl_div",
+                           np.stack([bky**2 - bkx**2, 2.0 * bkx * bky]).astype(complex))
 
     def coeff_shape(self, role: str) -> tuple:
         return (2, self.n, self.n) if role == VELOCITY else (self.n, self.n)
@@ -260,9 +263,10 @@ class KernelWorkspace:
     """The arrays bilinear_coeffs writes for a stack of `rows` fields on grid:
     the (u, v) half spectra, zero off the band rows, which are rewritten on
     each call; the column transforms of both directions; the physical (u, v)
-    and (P, Q) planes and a product plane; the forward row transforms; the
-    band of (P_hat, Q_hat); and the result.  A call overwrites them all, so
-    the result it returns lives until the next call."""
+    and (P, Q) planes; two planes for the base row's [u, -v], the second
+    of which first holds v^2; the forward row transforms; the band of
+    (P_hat, Q_hat); and the result.  A call overwrites them all, so the
+    result it returns lives until the next call."""
 
     def __init__(self, grid: SpectralGrid, rows: int):
         n, cols = grid.n, grid.dealias_cutoff + 1
@@ -271,10 +275,14 @@ class KernelWorkspace:
         self.columns = np.empty(planes + (cols,), dtype=complex)
         self.vel = np.empty(planes + (n,))
         self.pq = np.empty(planes + (n,))
-        self.product = np.empty((rows, n, n))
+        self.signed = np.empty((2, n, n))
         self.row_transforms = np.empty(planes + (n // 2 + 1,), dtype=complex)
         self.pq_hat = np.empty((rows, 2) + grid.band_shape, dtype=complex)
         self.result = np.empty((rows,) + grid.band_shape, dtype=complex)
+
+
+#: takes the base row (u, v) to (u, -v), exactly
+_SIGNS = np.array([1.0, -1.0])[:, None, None]
 
 
 def bilinear_coeffs(grid: SpectralGrid, psi: np.ndarray,
@@ -286,8 +294,11 @@ def bilinear_coeffs(grid: SpectralGrid, psi: np.ndarray,
     A frame stack psi = [psi_u, psi_theta_1, ...] gives the rows [u.grad w_u,
     u.grad w_theta_j + theta_j.grad w_u], the curls of B(u,u) and of
     B(theta_j,u) + B(u,theta_j), from the polarization P_j = u b + v a and
-    Q_j = u a - v b of theta_j = (a, b).  One inverse real transform of (u, v)
-    per field, one forward of (P, Q); exact when 3 * cutoff < n.
+    Q_j = u a - v b of theta_j = (a, b): each a contraction over the component
+    axis, [v, u].(a, b) and [u, -v].(a, b), for all j at once.  The base row
+    is formed on its own (its polarization halved: uv and (u^2 - v^2)/2).  One
+    inverse real transform of (u, v) per field, one forward of (P, Q); exact
+    when 3 * cutoff < n.
 
     work, a KernelWorkspace for psi's row count, takes every array the call
     writes, the returned one included; fresh ones when None."""
@@ -297,13 +308,14 @@ def bilinear_coeffs(grid: SpectralGrid, psi: np.ndarray,
     np.multiply(band_u[:, : k + 1], stack[:, None, : k + 1], out=w.half[:, :, : k + 1])
     np.multiply(band_u[:, k + 1:], stack[:, None, k + 1:], out=w.half[:, :, grid.n - k:])
     vel = to_physical(w.half, out=w.vel, work=w.columns)
-    (u, v), a, b = vel[0], vel[:, 0], vel[:, 1]
-    p, q = w.pq[:, 0], w.pq[:, 1]
-    np.multiply(u, b, out=p)
-    p += np.multiply(v, a, out=w.product)
-    np.multiply(u, a, out=q)
-    q -= np.multiply(v, b, out=w.product)
-    w.pq[0] *= 0.5  # the base row is u polarized with itself
+    (u, v), (p, q) = vel[0], w.pq[0]
+    np.multiply(u, v, out=p)
+    np.subtract(np.multiply(u, u, out=q), np.multiply(v, v, out=w.signed[1]), out=q)
+    q *= 0.5
+    if len(stack) > 1:
+        np.einsum("cxy,jcxy->jxy", vel[0, ::-1], vel[1:], out=w.pq[1:, 0])
+        np.einsum("cxy,jcxy->jxy", np.multiply(vel[0], _SIGNS, out=w.signed), vel[1:],
+                  out=w.pq[1:, 1])
     pq_hat = band_of(grid, from_physical(w.pq, k + 1, out=w.columns, work=w.row_transforms),
                      out=w.pq_hat)
     div = grid.band_curl_div

@@ -11,7 +11,8 @@ layout into a finer grid, the velocity-form advection term B(u,v) on full
 complex FFTs (np.fft directly, no nsvlab transform), the advective-form
 band kernel u.grad w from (u_x, u_y, d_x w, d_y w), the real transform pair
 with its n^2 scaling as a pass of its own and the divergence-form kernel,
-RK4 step and streamfunction scheme on fresh arrays, field-level right-hand
+RK4 step and streamfunction scheme on fresh arrays with float multipliers
+and curl-div factors (production holds them complex), field-level right-hand
 sides and linearizations of the velocity and vorticity forms, a quadrature
 of the two terms of the trace bound, plain steppers over them (classical
 RK4, Lawson integrating-factor RK4, and a per-vector product-system RK4 for
@@ -386,8 +387,8 @@ def allocating_bilinear_coeffs(grid, psi):
     q -= v * b
     pq[0] *= 0.5  # the base row is u polarized with itself
     pq_hat = sp.band_of(grid, scaled_from_physical(pq, grid.dealias_cutoff + 1))
-    div = grid.band_curl_div
-    return (div[0] * pq_hat[:, 0] + div[1] * pq_hat[:, 1]).reshape(psi.shape)
+    kx, ky = grid.band_k[:2]                       # the float curl-div multipliers
+    return ((ky**2 - kx**2) * pq_hat[:, 0] + (2.0 * kx * ky) * pq_hat[:, 1]).reshape(psi.shape)
 
 
 def advect_scalar_coeffs(grid, uc, sc):
@@ -555,11 +556,21 @@ def allocating_rk4_step(rhs, c, dt, factors=None):
     return new, (c, s2, s3, s4)
 
 
+def stream_multipliers(cfg):
+    """dynamics.stream_multipliers as float arrays: (L, 1/(|k|^2 (1+alpha|k|^2)))
+    on the band, L = -nu|k|^2/(1+alpha|k|^2), zero at k = 0."""
+    k2 = cfg.grid.band_k2
+    smoothing = 1.0 + cfg.alpha * k2
+    inverse = np.divide(1.0, k2 * smoothing, out=np.zeros_like(k2), where=k2 > 0)
+    return -cfg.nu * k2 / smoothing, inverse
+
+
 def allocating_scheme(cfg, psi_g):
     """dynamics.stream_scheme with an rhs(c) that returns a fresh array, over
-    allocating_bilinear_coeffs: (rhs, factors) for allocating_rk4_step."""
+    allocating_bilinear_coeffs and the float multipliers and factors:
+    (rhs, factors) for allocating_rk4_step."""
     grid = cfg.grid
-    linear, inverse = dyn.stream_multipliers(cfg)
+    linear, inverse = stream_multipliers(cfg)
     forcing = inverse * grid.band_k2 * psi_g
     if cfg.alpha == 0:
         factors = (np.exp(-cfg.nu * grid.band_k2 * (cfg.dt / 2.0)),
@@ -723,7 +734,7 @@ def evolve_frame_band(cfg, n, t_end, burn_in, seed, warmup, reorth_every=10):
     coeffs)."""
     grid = cfg.grid
     rhs, factors = allocating_scheme(cfg, dyn.forcing_stream(cfg))
-    linear, inverse = dyn.stream_multipliers(cfg)
+    linear, inverse = stream_multipliers(cfg)
     base = dyn.initial_state(cfg)[0]
     for _ in range(int(round(warmup / cfg.dt))):
         base, _ = allocating_rk4_step(rhs, base, cfg.dt, factors)
@@ -904,7 +915,7 @@ def frame_random(grid, n, metric, seed):
 def trace_diagonal(cfg, state, weights):
     """lyapunov.trace_diagonal with its multipliers taken per call and one
     weighted inner product per theta row."""
-    linear, inverse = dyn.stream_multipliers(cfg)
+    linear, inverse = stream_multipliers(cfg)
     lv = linear * state[1:]
     if state[0].any():
         lv -= inverse * sp.bilinear_coeffs(cfg.grid, state)[1:]

@@ -171,6 +171,18 @@ class TestExitCodes:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["complete"] is False
 
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_unusable_output_dir_is_3(self, tmp_path, capsys, below):
+        # a regular file, or a path through one: no directory and no manifest
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        target = blocker / below if below else blocker
+        code = cli.main(["simulate", "--n", "16", "--t-end", "0.1", "--output-dir", str(target)])
+        assert code == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(target) in err
+        assert blocker.read_text() == "" and sorted(tmp_path.iterdir()) == [blocker]
+
     def test_verification_failure_is_1(self, tmp_path, monkeypatch):
         from nsvlab import lattice
 

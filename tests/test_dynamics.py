@@ -494,6 +494,27 @@ class TestWorkspace:
                 for g, w in zip(got_stages, want_stages):
                     np.testing.assert_array_equal(g, w)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.0])
+    def test_stage_multipliers_are_complex(self, alpha):
+        # in the state's dtype, so no product with a state casts, and equal to
+        # the float multipliers (imaginary parts +0)
+        cfg = self.frame_cfg(alpha, SMALL)
+        multipliers = dyn.stream_multipliers(cfg)
+        for got, ref in zip(multipliers, oracles.stream_multipliers(cfg)):
+            assert got.dtype == complex and not np.signbit(got.imag).any()
+            np.testing.assert_array_equal(got, ref)
+        assert cfg.grid.band_curl_div.dtype == complex
+        factors = dyn.stream_scheme(cfg, dyn.forcing_stream(cfg))[1]
+        if alpha > 0:
+            assert factors is None
+        else:
+            half, full, dt_half, two_half = factors
+            assert all(f.dtype == complex for f in factors)
+            np.testing.assert_array_equal(half, np.exp(-cfg.nu * cfg.grid.band_k2 * (cfg.dt / 2.0)))
+            np.testing.assert_array_equal(full, np.exp(-cfg.nu * cfg.grid.band_k2 * cfg.dt))
+            np.testing.assert_array_equal(dt_half, cfg.dt * half.real)
+            np.testing.assert_array_equal(two_half, 2.0 * half.real)
+
     def test_advance_leaves_its_input_and_past_results_alone(self):
         cfg = self.frame_cfg(0.0, SMALL)
         start = self.stack(cfg, 3)

@@ -21,7 +21,8 @@ streamfunction through one shared RK4 / integrating-factor RK4 function;
 the oracles step the SpectralField right-hand sides with
 plain RK4 loops on the velocity layout.  The arithmetic differs, so
 agreement is to round-off, not bitwise.  Against explicit loops on the band
-layout of the allocating RK4 step and kernel they replaced, in the
+layout of the allocating RK4 step and kernel they replaced, with the float
+multipliers that the stages now hold complex, in the
 arithmetic order of dynamics.advance's callers, the agreement is bitwise
 where every transform length is a power of two; so are the kernel, and the
 sup-norm verifier against the transform pair with its n^2 scaling as a pass
@@ -130,12 +131,15 @@ def test_tangent_frame_is_bitwise_its_explicit_loop(alpha):
         np.testing.assert_array_equal(series.base_final.coeffs, base_final)
 
 
-@pytest.mark.parametrize("m", [1, 3, 9])
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 9])
 @pytest.mark.parametrize("n", [16, 32, 48, 64])
 def test_kernel_is_the_allocating_kernel(n, m):
     # bitwise where every transform length is a power of two; at n = 48 the
-    # 1/n that each transform now takes rounds apart from the n^2 pass.  A
-    # workspace used twice gives the second stack's rows, not the first's
+    # 1/n that each transform now takes rounds apart from the n^2 pass.  m
+    # counts the rows: the base row alone (m = 1), one frame row (m = 2), up
+    # to the benchmark's 8-vector frame (m = 9), each against the
+    # polarization on every row.  A workspace used twice gives the second
+    # stack's rows, not the first's
     grid = SpectralGrid(n)
     rng = np.random.default_rng(10 * n + m)
     work = sp.KernelWorkspace(grid, m)

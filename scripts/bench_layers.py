@@ -30,7 +30,12 @@ draws, the sweep drawing every (alpha, seed) family afresh and the per-row
 trace of tests/oracles.py.
 The machine, CPU count and numpy version are recorded with the timings,
 and the tracemalloc peak of one call beside the time of the x2 density
-grid and of the two lattice verifiers.
+grid and of the two lattice verifiers.  Right after each row a fixed host
+reference kernel (np.fft.rfft2 of a fixed 64^2 plane) is timed the same
+way, into host_ref_s under the row's name: the host's speed while that row
+ran.  Over five runs of one tree (BENCH_19.json) the ratios row / host_ref_s
+spread wider than the rows themselves, so rows from different runs still
+compare only in alternated repeat runs.
 
 With --rows fresh (or all), three `nsvlab` commands are also timed, each in
 a process of its own, which is where the cost of memory handed back to the
@@ -77,6 +82,10 @@ import oracles  # noqa: E402  (the reference kernels live with the tests)
 REPEATS = 15
 
 
+#: the host reference kernel's input (see host_ref_s in the module docstring)
+REF_PLANE = np.random.default_rng(0).standard_normal((64, 64))
+
+
 def best_of(fn, inner):
     """Smallest mean time of `inner` back-to-back calls, over REPEATS tries."""
     fn()
@@ -92,11 +101,7 @@ def best_of(fn, inner):
 def forced_cfg(n, cal_g=1000.0, dt=0.01):
     """The benchmark's forced flow: Kolmogorov-type forcing at calG = cal_g, alpha = 0.99 alpha0."""
     grid = sp.SpectralGrid(n)
-    raw = [((0, 2), (1.0 / 2j, 0.0)), ((1, 1), (0.1, -0.1))]
-    probe = dyn.ForcingSpec.from_modes(raw).build(grid)
-    scale = cal_g / (4 * math.pi**2) / math.sqrt(sp.l2_norm_sq(probe))
-    forcing = dyn.ForcingSpec.from_modes([(k, (a[0] * scale, a[1] * scale)) for k, a in raw])
-    g_norm = math.sqrt(sp.l2_norm_sq(forcing.build(grid)))
+    forcing, g_norm = oracles.c7_forcing(grid, cal_g)
     alpha = 0.99 * 4.0 / (g_norm * 4 * math.pi**2)
     return dyn.SimConfig(nu=1.0, alpha=alpha, grid=grid, dt=dt, t_end=1.0, forcing=forcing,
                          initial=dyn.InitialSpec.random(seed=42, decay=3.0, amplitude=2.0))
@@ -159,11 +164,13 @@ def traced_peak_mb(fn):
 
 
 def layers():
-    """(best-of times in s, traced peaks in MB) by layer name."""
-    out, peaks = {}, {}
+    """(best-of times in s, traced peaks in MB, host reference times in s)
+    by layer name."""
+    out, peaks, refs = {}, {}, {}
 
     def record(name, fn, inner=10, per=1, peak=False):
         out[name] = best_of(fn, inner) / per
+        refs[name] = best_of(lambda: np.fft.rfft2(REF_PLANE), 10)
         if peak:
             peaks[name] = traced_peak_mb(fn)
 
@@ -271,7 +278,7 @@ def layers():
            lambda: lyp.trace_diagonal(cfg.grid, multipliers, state, frame.weights), inner=100)
     record("trace_diagonal.zero_base.n32.m4.per_row_oracle",
            lambda: oracles.trace_diagonal(cfg, state, frame.weights), inner=100)
-    return out, peaks
+    return out, peaks, refs
 
 
 def main():
@@ -287,12 +294,13 @@ def main():
                     "numpy": np.__version__},
     }
     if args.rows in ("layers", "all"):
-        timings, peaks = layers()
+        timings, peaks, refs = layers()
         report.update({
             "method": f"best of {REPEATS} tries; each try is the mean of back-to-back calls",
             "unit": "s",
             "layers": timings,
             "traced_peak_mb": peaks,
+            "host_ref_s": refs,
         })
     if args.rows in ("fresh", "all"):
         report["fresh_process"] = fresh_process()

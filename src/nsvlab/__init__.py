@@ -7,7 +7,6 @@ from .spectral import (  # noqa: F401
     VELOCITY,
     VORTICITY,
     TORUS_AREA,
-    LAMBDA1,
     AlphaMetric,
     SpectralField,
     SpectralGrid,

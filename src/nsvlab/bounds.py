@@ -26,29 +26,19 @@ DOMAIN = "domain"
 class ConstantsTable:
     """Best known constants entering the dimension bounds.
 
-    c_lt_* are Lieb-Thirring constants for divergence-free suborthonormal
-    families (per dimension and geometry); c_d bounds the pointwise advection
-    trace term; k1/k1_classical/k2 assemble the logarithmic 2D bounds.
+    c_lt_* are the 2D Lieb-Thirring constants for divergence-free
+    suborthonormal families (plane and torus); c_2 bounds the pointwise
+    advection trace term in 2D; k1/k1_classical/k2 assemble the logarithmic
+    2D bounds.  The 3D bounds are evaluated modulo a constant (see
+    bound_3d_refined), so no 3D constant is held.
     """
 
     c_lt_plane2d: float = 1.456 / (2 * math.pi)
     c_lt_torus2d: float = 3 * math.pi / 32
-    c_lt_space3d: float = (5 / 6) * 2 ** (1 / 3) * math.pi ** (-4 / 3) * 1.456 ** (2 / 3)
-    c_lt_torus3d: float = (5 / 3) * (2 / math.pi) ** (2 / 3)
     c_2: float = math.sqrt(0.5)
-    c_3: float = math.sqrt(2 / 3)
     k1: float = 16 * math.sqrt(math.pi)
     k1_classical: float = 2 ** (15 / 4) * math.sqrt(math.pi)
     k2: float = 3 * math.log(2) + 2
-
-    def c_lt(self, d: int, geometry: str) -> float:
-        table = {
-            (2, DOMAIN): self.c_lt_plane2d,
-            (2, TORUS): self.c_lt_torus2d,
-            (3, DOMAIN): self.c_lt_space3d,
-            (3, TORUS): self.c_lt_torus3d,
-        }
-        return table[(d, geometry)]
 
     # exact branch constants of the logarithmic bounds
     @property
@@ -215,9 +205,10 @@ def bound_basic(inp: BoundsInput) -> BoundEntry:
 
 
 def bound_3d_refined(inp: BoundsInput) -> BoundEntry:
-    """Refined 3D bound with the softer alpha^{-3/4} blow-up; the overall
-    dimensionless prefactor is not pinned down, so it is set to 1 and the
-    entry is tagged modulo-constant."""
+    """Refined 3D bound with the softer alpha^{-3/4} blow-up.  Its prefactor
+    C would be assembled from the 3D Lieb-Thirring and trace constants by a
+    derivation not reproduced here, so no 3D constant is held: C is set to 1
+    and the entry is tagged modulo-constant."""
     if inp.d != 3:
         raise WrongRegimeError(f"refined bound is stated for d=3, got d={inp.d}")
     a = inp.alpha_lambda1
@@ -236,7 +227,8 @@ def bound_3d_refined(inp: BoundsInput) -> BoundEntry:
 
 
 def bound_3d_symmetric(inp: BoundsInput) -> BoundEntry:
-    """Symmetric small-alpha/large-G form a^{-3/4} G^2 min[a^{-3/4}, G^2]."""
+    """Symmetric small-alpha/large-G form a^{-3/4} G^2 min[a^{-3/4}, G^2],
+    modulo-constant for the reason given in bound_3d_refined."""
     if inp.d != 3:
         raise WrongRegimeError(f"symmetric form is stated for d=3, got d={inp.d}")
     a = inp.alpha_lambda1
@@ -259,7 +251,7 @@ def bound_2d_quadratic(inp: BoundsInput) -> BoundEntry:
     """(a+1) c_lt / 2 * G^2; finite at alpha = 0."""
     if inp.d != 2:
         raise WrongRegimeError(f"quadratic 2d bound is stated for d=2, got d={inp.d}")
-    c_lt = CONSTANTS.c_lt(2, inp.geometry)
+    c_lt = CONSTANTS.c_lt_torus2d if inp.geometry == TORUS else CONSTANTS.c_lt_plane2d
     value = (inp.alpha_lambda1 + 1) * c_lt / 2 * inp.grashof**2
     return BoundEntry(
         "quadratic 2d bound", "quadratic-2d", "(a+1)*c_lt/2 * G^2", value, OK,
@@ -362,7 +354,7 @@ class Thresholds:
     """Self-consistency thresholds of the logarithmic 2D bounds.
 
     g0 is the cal-G above which the log-branch derivation is self-consistent
-    (root of x = 7.46 x^{2/3}(ln x + offset)^{1/3}); the crossovers are where
+    (root of x = 7.46 x^{2/3}(ln x + 5.74)^{1/3}); the crossovers are where
     the min switches from the linear to the log branch.  Branch constants use
     the published decimal summaries, which is how the companion summary
     values were produced (exact constants move the classical crossover by
@@ -387,10 +379,10 @@ class Thresholds:
 _PRINTED = {name: printed for name, _, _, printed in DECIMAL_SUMMARIES}
 
 
-def compute_thresholds(offset: float = _PRINTED["log_offset"]) -> Thresholds:
-    """Locate g0 (for the given offset; 5.74 default, 5.24 variant reported
-    alongside) and both min-branch crossovers by bisection, on the printed
-    branch decimals."""
+def compute_thresholds() -> Thresholds:
+    """Locate g0 at the printed offset 5.74 (g0_variant_524 at the variant
+    offset 5.24) and both min-branch crossovers by bisection, on the printed
+    branch decimals.  Every bracket is fixed and changes sign."""
     p = _PRINTED
 
     def gap(linear, coeff, off):
@@ -404,7 +396,7 @@ def compute_thresholds(offset: float = _PRINTED["log_offset"]) -> Thresholds:
     cross_classical = bisect_root(
         gap(p["classical_torus"], p["log_coeff_classical"], p["log_offset_classical"]), 1e6, 1e12)
     return Thresholds(
-        g0=g0_fn(offset),
+        g0=g0_fn(p["log_offset"]),
         g0_variant_524=g0_fn(5.24),
         crossover_log_vs_linear=cross_log,
         crossover_classical=cross_classical,
@@ -442,7 +434,7 @@ class DimBoundReport:
         return "\n".join(["; ".join(head)] + lines)
 
 
-def build_report(inp: BoundsInput, g0_offset: float = 5.74) -> DimBoundReport:
+def build_report(inp: BoundsInput) -> DimBoundReport:
     """Evaluate every bound applicable to the input and collect thresholds."""
     entries = [bound_basic(inp)]
     derived = {
@@ -475,5 +467,5 @@ def build_report(inp: BoundsInput, g0_offset: float = 5.74) -> DimBoundReport:
                 ))
         if inp.geometry == TORUS:
             derived.update({f"threshold_{k}": v
-                            for k, v in compute_thresholds(g0_offset).as_dict().items()})
+                            for k, v in compute_thresholds().as_dict().items()})
     return DimBoundReport(inp=inp, entries=entries, derived=derived)

@@ -38,7 +38,7 @@ from .errors import (
     RoleMismatchError,
     WrongRegimeError,
 )
-from .fieldio import RunManifest, save_field, write_json
+from .fieldio import RunManifest, atomic_write_text, save_field, write_json
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -73,7 +73,6 @@ SCHEMAS = {
         "lambda1": (float, 1.0),
         "measure": (float, 4 * np.pi**2),
         "geometry": (str, "torus"),
-        "g0_offset": (float, 5.74),
     },
     "simulate": {
         "n": (int, 64),
@@ -299,14 +298,12 @@ def _run_bounds(params: dict, outdir: Path, seed: int, manifest: RunManifest):
         d=params["d"], nu=params["nu"], alpha=params["alpha"], g_norm=params["gnorm"],
         lambda1=params["lambda1"], domain_measure=params["measure"],
         geometry=params["geometry"])
-    report = bounds_mod.build_report(inp, g0_offset=params["g0_offset"])
+    report = bounds_mod.build_report(inp)
     report_path = outdir / "bounds.json"
     write_json(report_path, report.as_dict())
     manifest.add_artifact(report_path)
     table_path = outdir / "bounds.txt"
     table = report.to_text()
-    from .fieldio import atomic_write_text
-
     atomic_write_text(table_path, table + "\n")
     manifest.add_artifact(table_path)
     print(table)

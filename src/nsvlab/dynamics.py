@@ -260,21 +260,20 @@ class SimResult:
 # ----------------------------------------------------------------------------
 # integrators
 
-def rk4_step(rhs, c, dt, factors=None, out=None):
+def rk4_step(rhs, c, dt, factors, out):
     """One step of dc/dt = L c + rhs(c) with L diagonal; the one RK4 stepper.
 
-    factors = stream_scheme's (exp(L dt/2), exp(L dt), dt exp(L dt/2),
-    2 exp(L dt/2)) gives Lawson's integrating-factor RK4, which treats L
-    exactly; factors = None (L = 0) gives classical RK4.  rhs is
-    stream_scheme's: rhs(c, k) writes the derivative at c into k, and
-    rhs.workspace(c.shape) holds the stage arrays, so the step allocates no
-    array but the new state, and that only when out is None.  The arithmetic is the
-    allocating form's, operation for operation: new = c + (dt/6) (k1 + 2 k2
-    + 2 k3 + k4), and for the integrating factor new = full c + (dt/6)
-    (full k1 + (2 half) (k2 + k3) + k4).
+    rhs and factors are stream_scheme's.  factors = (exp(L dt/2), exp(L dt),
+    dt exp(L dt/2), 2 exp(L dt/2)) gives Lawson's integrating-factor RK4,
+    which treats L exactly; factors = None (L = 0) gives classical RK4.
+    rhs(c, k) writes the derivative at c into k, and rhs.workspace(c.shape)
+    holds the stage arrays, so the step allocates no array.  The arithmetic
+    is the allocating form's, operation for operation: new = c + (dt/6) (k1
+    + 2 k2 + 2 k3 + k4), and for the integrating factor new = full c +
+    (dt/6) (full k1 + (2 half) (k2 + k3) + k4).
 
-    Returns the new state, written into out (which must not be c; a fresh
-    array when None), and the four stage states (c first).  c is only read.
+    Returns the new state, written into out (an array of c's shape and dtype
+    that is not c), and the four stage states (c first).  c is only read.
     The stage states s2..s4 are rhs's arrays: they hold until the next step
     of a state of c's shape with the same rhs, so a caller that keeps them
     copies them.
@@ -282,7 +281,6 @@ def rk4_step(rhs, c, dt, factors=None, out=None):
     w = rhs.workspace(c.shape)
     s2, s3, s4 = w.stages
     acc, k, k3, tmp = w.slopes                    # acc: k1, then the weighted sum
-    new = np.empty_like(c) if out is None else out
     h = 0.5 * dt
     rhs(c, acc)
     if factors is None:
@@ -294,7 +292,7 @@ def rk4_step(rhs, c, dt, factors=None, out=None):
         np.add(np.multiply(k, dt, out=s4), c, out=s4)               # c + dt k3
         acc += np.multiply(k, 2.0, out=k)                           # ... + 2 k3
         acc += rhs(s4, k)                                           # ... + k4
-        np.add(c, np.multiply(acc, dt / 6.0, out=acc), out=new)
+        np.add(c, np.multiply(acc, dt / 6.0, out=acc), out=out)
     else:
         half, full, dt_half, two_half = factors
         np.add(np.multiply(acc, h, out=s2), c, out=s2)
@@ -308,8 +306,8 @@ def rk4_step(rhs, c, dt, factors=None, out=None):
         acc *= full
         acc += k3                                                   # full k1 + (2 half)(k2 + k3)
         acc += rhs(s4, k)                                           # ... + k4
-        np.add(np.multiply(full, c, out=tmp), np.multiply(acc, dt / 6.0, out=acc), out=new)
-    return new, (c, s2, s3, s4)
+        np.add(np.multiply(full, c, out=tmp), np.multiply(acc, dt / 6.0, out=acc), out=out)
+    return out, (c, s2, s3, s4)
 
 
 class StepWorkspace:
@@ -564,7 +562,8 @@ def check_dissipative_bound(series: DiagnosticsSeries, cfg: SimConfig) -> BoundC
 def check_time_averages(series: DiagnosticsSeries, cfg: SimConfig) -> list[BoundCheckReport]:
     """Check the enstrophy averages against the forcing:
     mean ||grad u||^2 <= ||g||^2/nu^2 and mean ||grad u|| <= ||g||/nu,
-    Cesaro means over t >= 5/gamma (burn-in discarded), each to 1% relative.
+    Cesaro means over the samples at t >= 5/gamma (burn-in discarded), each
+    to 1% relative; the reported window starts at the first of them.
 
     The claims are long-time limits; at a finite horizon the time-integrated
     energy inequality carries an extra ||u(t0)||_a^2/(nu*window) transient
@@ -583,7 +582,8 @@ def check_time_averages(series: DiagnosticsSeries, cfg: SimConfig) -> list[Bound
             f"averaging window {series.t[-1] - burn:.3g} < 10/gamma = {10 / gamma:.3g}; "
             "time-average checks may not be converged",
             InsufficientDurationWarning, stacklevel=2)
-    window = max(float(series.t[-1] - series.t[keep][0]), float(cfg.dt))
+    start = float(series.t[keep][0])     # the first averaged sample
+    window = max(float(series.t[-1]) - start, float(cfg.dt))
     mean_enstrophy = float(np.mean(series.enstrophy[keep]))
     mean_grad = float(np.mean(np.sqrt(series.enstrophy[keep])))
     transient = float(series.energy_alpha[keep][0]) / (cfg.nu * window)
@@ -598,7 +598,7 @@ def check_time_averages(series: DiagnosticsSeries, cfg: SimConfig) -> list[Bound
             tolerance=tol, passed=violation == 0.0,
             detail=(f"mean={mean:.6g} bound={bound:.6g} "
                     f"(transient term {transient:.3g}) "
-                    f"window=[{burn:.3g}, {series.t[-1]:.3g}]"),
+                    f"window=[{start:.6g}, {series.t[-1]:.6g}]"),
         )
 
     return [

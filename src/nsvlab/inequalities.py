@@ -41,6 +41,13 @@ SCAN_CAPS = range(1, 65)
 #: a passing report whose ratio exceeds this is flagged near saturation
 NEAR_SATURATION = 0.95
 
+#: every family is drawn with |k|^-FAMILY_DECAY falloff (spectral.random_band)
+FAMILY_DECAY = 2.0
+
+#: a family is drawn at most MAX_DRAWS times (sub-seeds seed + 1000 * attempt)
+#: before its degeneracy is raised
+MAX_DRAWS = 5
+
 
 # ----------------------------------------------------------------------------
 # families
@@ -86,43 +93,43 @@ def _alpha_weights(grid: SpectralGrid, metric: AlphaMetric) -> np.ndarray:
 
 
 def sample_suborthonormal(grid: SpectralGrid, n: int, kind: str = ALPHA_ORTHONORMAL, seed: int = 0,
-                          role: str = VELOCITY, metric: AlphaMetric = AlphaMetric(1.0),
-                          decay: float = 2.0, max_retries: int = 5) -> SuborthonormalFamily:
+                          role: str = VELOCITY,
+                          metric: AlphaMetric = AlphaMetric(1.0)) -> SuborthonormalFamily:
     """Draw a random family satisfying the suborthonormality hypothesis.
 
     alpha-orthonormal: Gram-Schmidt in the alpha inner product (needs the
     vectors independent; a degenerate draw is retried with a shifted
-    sub-seed).  gram-scaled: the raw fields scaled by the inverse square
-    root of the largest L2 Gram eigenvalue.  Drawn as one stack
-    (spectral.random_band), orthonormalized, certified and kept on the band.
+    sub-seed, MAX_DRAWS draws in all).  gram-scaled: the raw fields scaled
+    by the inverse square root of the largest L2 Gram eigenvalue.  Drawn as
+    one stack (spectral.random_band, FAMILY_DECAY), orthonormalized,
+    certified and kept on the band.
     """
     if n < 1:
         raise InvalidParameterError(f"family size must be >= 1, got {n}")
     if kind not in (ALPHA_ORTHONORMAL, GRAM_SCALED):
         raise InvalidParameterError(f"unknown family kind {kind!r}")
-    return _family(grid, n, kind, seed, role, metric, decay, max_retries)
+    return _family(grid, n, kind, seed, role, metric, _draw(grid, n, seed, role))
 
 
-def _draw(grid: SpectralGrid, n: int, seed: int, role: str, decay: float) -> np.ndarray:
-    return sp.random_band(grid, role, decay, np.random.default_rng(seed), (n,))
+def _draw(grid: SpectralGrid, n: int, seed: int, role: str) -> np.ndarray:
+    return sp.random_band(grid, role, FAMILY_DECAY, np.random.default_rng(seed), (n,))
 
 
 def _family(grid: SpectralGrid, n: int, kind: str, seed: int, role: str, metric: AlphaMetric,
-            decay: float, max_retries: int = 5,
-            draw: np.ndarray | None = None) -> SuborthonormalFamily:
-    """sample_suborthonormal's family of seed's draw (given, or _draw), and
-    while that is degenerate of sub-seed seed + 1000 * attempt's draw."""
+            draw: np.ndarray) -> SuborthonormalFamily:
+    """sample_suborthonormal's family of seed's draw, and while that is
+    degenerate of sub-seed seed + 1000 * attempt's draw."""
     last_error = None
-    for attempt in range(max_retries):
+    for attempt in range(MAX_DRAWS):
         sub_seed = seed + 1000 * attempt
-        bands = draw if attempt == 0 and draw is not None else _draw(grid, n, sub_seed, role, decay)
+        bands = draw if attempt == 0 else _draw(grid, n, sub_seed, role)
         try:
             return _orthonormalized(grid, bands, kind, sub_seed, role, metric)
         except DegenerateFrameError as err:
             last_error = err
     raise DegenerateFrameError(
         index=getattr(last_error, "index", 0),
-        message=f"no independent family after {max_retries} draws (seed {seed})")
+        message=f"no independent family after {MAX_DRAWS} draws (seed {seed})")
 
 
 def _orthonormalized(grid: SpectralGrid, bands: np.ndarray, kind: str, seed: int, role: str,
@@ -405,15 +412,14 @@ def _sweep(target: str, checked) -> SweepReport:
 
 
 def run_lt_sweep(grid: SpectralGrid, seeds, n: int = 8, kind: str = ALPHA_ORTHONORMAL,
-                 alpha: float = 1.0, decay: float = 2.0) -> SweepReport:
+                 alpha: float = 1.0) -> SweepReport:
     metric = AlphaMetric(alpha)
-    families = (sample_suborthonormal(grid, n, kind, seed, VELOCITY, metric, decay)
+    families = (sample_suborthonormal(grid, n, kind, seed, VELOCITY, metric)
                 for seed in seeds)
     return _sweep("lt", ((j, fam, [verify_lieb_thirring(fam)]) for j, fam in enumerate(families)))
 
 
-def run_rho_l2_sweep(grid: SpectralGrid, seeds, alphas, n: int = 8,
-                     decay: float = 2.0) -> SweepReport:
+def run_rho_l2_sweep(grid: SpectralGrid, seeds, alphas, n: int = 8) -> SweepReport:
     """verify_rho_l2 at each alpha of each seed's one draw, listed alpha-major;
     a degenerate (alpha, seed) family alone is drawn again (_family)."""
     alphas = list(alphas)
@@ -424,9 +430,9 @@ def run_rho_l2_sweep(grid: SpectralGrid, seeds, alphas, n: int = 8,
 
     def checked():
         for j, seed in enumerate(seeds):
-            draw = _draw(grid, n, seed, VELOCITY, decay)
+            draw = _draw(grid, n, seed, VELOCITY)
             for i, metric in enumerate(metrics):
-                fam = _family(grid, n, ALPHA_ORTHONORMAL, seed, VELOCITY, metric, decay, draw=draw)
+                fam = _family(grid, n, ALPHA_ORTHONORMAL, seed, VELOCITY, metric, draw)
                 rep = verify_rho_l2(fam)
                 rep.extras["alpha"] = metric.alpha
                 yield (i, j), fam, [rep]
@@ -435,7 +441,7 @@ def run_rho_l2_sweep(grid: SpectralGrid, seeds, alphas, n: int = 8,
 
 
 def run_rho_linf_sweep(grid: SpectralGrid, seeds, lam_caps, n: int = 8,
-                       alpha: float = 1.0, decay: float = 2.0) -> SweepReport:
+                       alpha: float = 1.0) -> SweepReport:
     lam_caps = list(lam_caps)
     for cap in lam_caps:
         _check_cap(cap)
@@ -443,7 +449,7 @@ def run_rho_linf_sweep(grid: SpectralGrid, seeds, lam_caps, n: int = 8,
     spectrum = LatticeSpectrum(max_e=max(16 * max(lam_caps), 64))
     sums = {cap: spectral_sum_extras(int(cap), spectrum) for cap in lam_caps}
     metric = AlphaMetric(alpha)
-    families = (sample_suborthonormal(grid, n, ALPHA_ORTHONORMAL, seed, VORTICITY, metric, decay)
+    families = (sample_suborthonormal(grid, n, ALPHA_ORTHONORMAL, seed, VORTICITY, metric)
                 for seed in seeds)
     return _sweep("rho-linf", ((j, fam, _linf_reports(fam, lam_caps, sums))
                                for j, fam in enumerate(families)))

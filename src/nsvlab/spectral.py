@@ -37,7 +37,6 @@ VELOCITY = "velocity"
 VORTICITY = "vorticity"
 
 TORUS_AREA = 4.0 * np.pi**2
-LAMBDA1 = 1.0
 
 
 @dataclass(frozen=True)
@@ -383,12 +382,9 @@ def random_band(grid: SpectralGrid, role: str, decay: float,
     return b
 
 
-def random_field(grid: SpectralGrid, role: str, seed: int, decay: float = 3.0,
-                 rng: np.random.Generator | None = None) -> SpectralField:
+def random_field(grid: SpectralGrid, role: str, seed: int, decay: float = 3.0) -> SpectralField:
     """Gaussian random coefficients with |k|^{-decay} falloff on the 2/3 band
     (random_band), so conjugate symmetry is exact.  Velocity output is
     divergence-free.  Deterministic given seed."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    band = random_band(grid, role, decay, rng)
+    band = random_band(grid, role, decay, np.random.default_rng(seed))
     return SpectralField(grid, role, full_layout(half_of(grid, band)))

@@ -23,7 +23,8 @@ and the rho-l2 sweep drawing each (alpha, seed) family afresh in report
 order, the full layout of a band, modified
 Gram-Schmidt, the complex-form Gram matrix, the per-row trace diagonal, and
 the per-coefficient snapshot writer. Nothing here is fast; each function is
-a direct transcription of its equation.
+a direct transcription of its equation.  c7_forcing builds criterion 7's
+forcing for every test and script that runs that flow.
 
 Velocity form:   du/dt = -nu A (1+aA)^{-1} u - (1+aA)^{-1} B(u,u) + (1+aA)^{-1} g
 Vorticity form:  dw/dt = -(1-aD)^{-1} (u.grad w) + nu D (1-aD)^{-1} w + (1-aD)^{-1} rot g
@@ -920,6 +921,21 @@ def trace_diagonal(cfg, state, weights):
     if state[0].any():
         lv -= inverse * sp.bilinear_coeffs(cfg.grid, state)[1:]
     return np.array([weighted_inner(lv[j], state[1 + j], weights) for j in range(len(lv))])
+
+
+# ----------------------------------------------------------------------------
+# criterion 7's forcing
+
+
+def c7_forcing(grid, cal_g):
+    """Criterion 7's two-mode forcing, a k = (0, 2) shear plus a k = (1, 1)
+    mode, scaled to calG = ||g|| 4 pi^2 = cal_g at nu = 1: (ForcingSpec,
+    ||g||).  Each caller forms its own alpha from ||g||."""
+    raw = [((0, 2), (1.0 / 2j, 0.0)), ((1, 1), (0.1, -0.1))]
+    probe = dyn.ForcingSpec.from_modes(raw).build(grid)
+    scale = cal_g / (4 * math.pi**2) / math.sqrt(sp.l2_norm_sq(probe))
+    forcing = dyn.ForcingSpec.from_modes([(k, (a[0] * scale, a[1] * scale)) for k, a in raw])
+    return forcing, math.sqrt(sp.l2_norm_sq(forcing.build(grid)))
 
 
 # ----------------------------------------------------------------------------

@@ -223,13 +223,7 @@ def test_c7_forced_run_n_star_below_bound():
     log-form bound.  The published dimension claims are asymptotic upper
     bounds, not desk-scale equalities; this property check is the contract."""
     grid = SpectralGrid(48)
-    target = 1000.0 / (4 * math.pi**2)  # ||g|| for calG = 1000 at nu = 1
-    raw = [((0, 2), (1.0 / 2j, 0.0)), ((1, 1), (0.1, -0.1))]
-    probe = dyn.ForcingSpec.from_modes(raw).build(grid)
-    scale = target / math.sqrt(sp.l2_norm_sq(probe))
-    forcing = dyn.ForcingSpec.from_modes(
-        [(k, (a[0] * scale, a[1] * scale)) for k, a in raw])
-    g_norm = math.sqrt(sp.l2_norm_sq(forcing.build(grid)))
+    forcing, g_norm = oracles.c7_forcing(grid, 1000.0)
     cal_g = g_norm * 4 * math.pi**2
 
     alpha0 = 4.0 / cal_g

@@ -115,10 +115,12 @@ class TestExitCodes:
          "initial snapshot not found: missing.field"),
         (["simulate", "--n", "16", "--dt", "0.01", "--t-end", "0.1", "--snapshot-every", "-5"],
          None, "snapshot_every must be >= 0, got -5"),
+        # g0 is taken at the printed offset 5.74 alone: a config setting it is refused
+        (["bounds"], {"g0_offset": -10}, "unknown config key 'g0_offset' for bounds"),
     ], ids=["empty-lam-range", "no-alphas", "ill-typed-alphas", "geometry", "n", "kind",
             "nan", "initial-seed-type", "initial-seed-negative", "negative-seed",
             "forcing-unknown-key", "initial-unknown-key", "initial-snapshot-missing",
-            "negative-snapshot-every"])
+            "negative-snapshot-every", "bounds-g0-offset"])
     def test_bad_value_is_2_with_manifest(self, tmp_path, capsys, argv, config, problem):
         if config is not None:
             (tmp_path / "c.json").write_text(json.dumps(config))
@@ -354,7 +356,7 @@ class TestExitCodes:
 VALID = {
     "bounds": {"d": ("2", "3"), "nu": ("0.5", "1"), "alpha": ("0", "0.01", "1"),
                "gnorm": ("1", "25"), "lambda1": ("1",), "measure": (repr(4 * np.pi**2), "2"),
-               "geometry": ("torus", "domain"), "g0_offset": ("5.74", "0")},
+               "geometry": ("torus", "domain")},
     "simulate": {"n": ("8", "12", "16"), "nu": ("0.5", "1"), "alpha": ("0", "0.1", "1"),
                  "dt": ("0.01", "0.05"), "t_end": ("0", "0.1", "0.2"),
                  "sample_every": ("1", "5"), "snapshot_every": ("0", "3")},

@@ -397,6 +397,20 @@ class TestAprioriChecks:
         mean_enstrophy = float(np.mean(res.diagnostics.enstrophy[burn]))
         assert mean_enstrophy < 0.99 * res.diagnostics.g_norm**2 / cfg.nu**2
 
+    def test_time_average_window_starts_at_the_first_averaged_sample(self):
+        # gamma = 0.5: the burn-in ends at t = 10 and the first sample past it
+        # is at 10.02, where the mean and its transient term start
+        cfg = dyn.SimConfig(nu=1.0, alpha=1.0, grid=SpectralGrid(16), dt=0.003, t_end=31.0)
+        t = np.array([0.0, 5.0, 9.99, 10.02, 20.0, 31.0])
+        ones = np.ones_like(t)
+        series = dyn.DiagnosticsSeries(
+            t=t, energy_l2=ones, enstrophy=ones, energy_alpha=np.array([4.0, 3, 2, 1.5, 1, 1]),
+            avg_enstrophy=ones, avg_grad_l1=ones, grashof_g=1.0, grashof_cal_g=1.0,
+            g_norm=1.0, gamma=cfg.gamma)
+        transient = 1.5 / (31.0 - 10.02)
+        for rep in dyn.check_time_averages(series, cfg):
+            assert rep.detail.endswith(f"(transient term {transient:.3g}) window=[10.02, 31]")
+
     def test_insufficient_duration_warning(self):
         cfg = dyn.SimConfig(nu=1.0, alpha=1.0, grid=GRID, dt=1e-2, t_end=0.5,
                             forcing=dyn.ForcingSpec.shear(1.0), sample_every=10)
@@ -488,8 +502,8 @@ class TestWorkspace:
                 fresh = dyn.stream_scheme(cfg, psi_g)[0]
                 np.testing.assert_array_equal(shared(c, np.empty_like(c)),
                                               fresh(c, np.empty_like(c)))
-                got, got_stages = dyn.rk4_step(shared, c, cfg.dt, factors)
-                want, want_stages = dyn.rk4_step(fresh, c, cfg.dt, factors)
+                got, got_stages = dyn.rk4_step(shared, c, cfg.dt, factors, np.empty_like(c))
+                want, want_stages = dyn.rk4_step(fresh, c, cfg.dt, factors, np.empty_like(c))
                 np.testing.assert_array_equal(got, want)
                 for g, w in zip(got_stages, want_stages):
                     np.testing.assert_array_equal(g, w)

@@ -165,7 +165,7 @@ def test_step_at_n48_matches_the_allocating_step(alpha):
     rhs, factors = dyn.stream_scheme(cfg, psi_g)
     ref_rhs, ref_factors = oracles.allocating_scheme(cfg, psi_g)
     for c in (base, np.concatenate([base[None], frame.vectors])):
-        new, stages = dyn.rk4_step(rhs, c, cfg.dt, factors)
+        new, stages = dyn.rk4_step(rhs, c, cfg.dt, factors, np.empty_like(c))
         ref, ref_stages = oracles.allocating_rk4_step(ref_rhs, c, cfg.dt, ref_factors)
         assert rel_err(new, ref) <= 1e-15
         for got, want in zip(stages, ref_stages):

@@ -74,7 +74,7 @@ class TestGramSchmidt:
     def test_span_preserved(self):
         metric = AlphaMetric(0.5)
         rng = np.random.default_rng(3)
-        fields = [sp.random_field(GRID, VELOCITY, seed=0, rng=rng) for _ in range(4)]
+        fields = [oracles.random_field(GRID, VELOCITY, seed=0, rng=rng) for _ in range(4)]
         # deliberately mix to a skewed basis
         mixed = [fields[0], fields[0] + 0.1 * fields[1],
                  fields[2] + fields[1], fields[3] + 0.5 * fields[0]]
@@ -182,7 +182,8 @@ class TestTraces:
         cfg = cfg_for(nu=0.8, alpha=0.5)
         w = sp.random_field(GRID, VORTICITY, seed=17, decay=2.5)
         rng = np.random.default_rng(18)
-        raw = np.stack([sp.random_field(GRID, VORTICITY, seed=0, rng=rng).coeffs for _ in range(4)])
+        raw = np.stack([oracles.random_field(GRID, VORTICITY, seed=0, rng=rng).coeffs
+                        for _ in range(4)])
         ortho, _ = lyp.alpha_gram_schmidt(raw, oracles.alpha_weights(cfg.metric, GRID))
         phis = [sp.SpectralField(GRID, VORTICITY, phi) for phi in ortho]
         full = oracles.trace_vorticity(phis, w, cfg)
@@ -411,11 +412,7 @@ class TestNestedPrefixes:
             np.testing.assert_allclose(full.exponents[:m], part.exponents, rtol=1e-15)
 
     def test_forced_base(self):
-        raw = [((0, 2), (1.0 / 2j, 0.0)), ((1, 1), (0.1, -0.1))]
-        probe = dyn.ForcingSpec.from_modes(raw).build(GRID)
-        scale = 1000.0 / (4 * math.pi**2) / math.sqrt(sp.l2_norm_sq(probe))   # calG = 1000
-        forcing = dyn.ForcingSpec.from_modes([(k, (a[0] * scale, a[1] * scale)) for k, a in raw])
-        g_norm = math.sqrt(sp.l2_norm_sq(forcing.build(GRID)))
+        forcing, g_norm = oracles.c7_forcing(GRID, 1000.0)
         alpha = 0.99 * 4.0 / (g_norm * 4 * math.pi**2)
         cfg = cfg_for(alpha=alpha, forcing=forcing,
                       initial=dyn.InitialSpec.random(seed=42, decay=3.0, amplitude=2.0))

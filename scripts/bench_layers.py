@@ -13,7 +13,9 @@ dealiased nonlinear term (the kernel's u.grad w on the band) at n = 64 and on
 frame stacks (base and m vectors) at n = 32 with m = 8, n = 48 with m = 4 and
 m = 5, and n = 64 with m = 9, on fresh arrays and on a reused workspace, one
 right-hand side and one RK4 step of the band streamfunction at n = 64 (and
-one integrating-factor RK4 step of the same flow at alpha = 0), one
+one integrating-factor RK4 step of the same flow at alpha = 0), the snapshot
+writer on one n = 64 state of that flow (fieldio.save_field, next to the
+per-coefficient text of tests/oracles.py written the same way), one
 tangent-frame step per vector at n = 32 with 8 vectors on the forced flow and
 with 4 vectors on the zero base, alpha Gram-Schmidt (CGS2) of an 8-vector
 frame at n = 32 and of 16-vector velocity and scalar families on the n = 64
@@ -30,12 +32,12 @@ draws, the sweep drawing every (alpha, seed) family afresh and the per-row
 trace of tests/oracles.py.
 The machine, CPU count and numpy version are recorded with the timings,
 and the tracemalloc peak of one call beside the time of the x2 density
-grid and of the two lattice verifiers.  Right after each row a fixed host
-reference kernel (np.fft.rfft2 of a fixed 64^2 plane) is timed the same
-way, into host_ref_s under the row's name: the host's speed while that row
-ran.  Over five runs of one tree (BENCH_19.json) the ratios row / host_ref_s
-spread wider than the rows themselves, so rows from different runs still
-compare only in alternated repeat runs.
+grid, of the two lattice verifiers and of the two snapshot writers.  Right
+after each row a fixed host reference kernel (np.fft.rfft2 of a fixed 64^2
+plane) is timed the same way, into host_ref_s under the row's name: the
+host's speed while that row ran.  Over five runs of one tree (BENCH_19.json)
+the ratios row / host_ref_s spread wider than the rows themselves, so rows
+from different runs still compare only in alternated repeat runs.
 
 With --rows fresh (or all), three `nsvlab` commands are also timed, each in
 a process of its own, which is where the cost of memory handed back to the
@@ -69,6 +71,7 @@ from pathlib import Path
 import numpy as np
 
 from nsvlab import dynamics as dyn
+from nsvlab import fieldio
 from nsvlab import inequalities as ineq
 from nsvlab import lattice
 from nsvlab import lyapunov as lyp
@@ -249,6 +252,17 @@ def layers():
     cfg = dataclasses.replace(cfg, alpha=0.0)
     rhs, factors = dyn.stream_scheme(cfg, dyn.forcing_stream(cfg))
     record("rk4_step.n64.alpha0", lambda: dyn.rk4_step(rhs, c, cfg.dt, factors, new), inner=3)
+
+    # one snapshot of the forced flow at n = 64 (t = 1), as forced-sim writes it
+    cfg = forced_cfg(64)
+    snap = dyn.integrate(cfg).final
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "snapshot.field"
+        record("fieldio.save_field.n64", lambda: fieldio.save_field(snap, path, cfg.alpha),
+               peak=True)
+        record("fieldio.save_field.n64.per_coefficient_oracle",
+               lambda: fieldio.atomic_write_text(path, oracles.save_field_text(snap, cfg.alpha)),
+               peak=True)
 
     cfg = forced_cfg(32)
     rhs, factors = dyn.stream_scheme(cfg, dyn.forcing_stream(cfg))

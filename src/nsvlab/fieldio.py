@@ -8,8 +8,9 @@ Field snapshot (text, version 1):
     <component> <k1> <k2> <re> <im>
     ...
 
-One row per stored Fourier coefficient (exact zeros omitted), %.17g floats
-so values round-trip bit-exactly.  Scalar fields use component 0 only.
+One row per stored Fourier coefficient (exact zeros omitted), %.17g floats:
+every finite or infinite part round-trips bit-exactly, the sign of a -0 part
+included; a NaN part reads back unsigned.  Scalar fields use component 0 only.
 
 All writers go through a temp-then-rename step; on failure the partial file
 is left behind with a .partial suffix.
@@ -23,6 +24,7 @@ import io
 import json
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -35,32 +37,65 @@ from .spectral import VELOCITY, VORTICITY, SpectralField, SpectralGrid
 FIELD_MAGIC = "# nsvlab-field v1"
 
 
-def atomic_write_text(path, text: str):
+@contextmanager
+def atomic_open(path):
+    """A text file written at path.partial and renamed to path when the block
+    ends without an error; on an error the partial file is left behind."""
     path = Path(path)
     partial = path.with_name(path.name + ".partial")
     with open(partial, "w") as fh:
-        fh.write(text)
+        yield fh
     os.replace(partial, path)
 
 
+def atomic_write_text(path, text: str):
+    with atomic_open(path) as fh:
+        fh.write(text)
+
+
 def save_field(f: SpectralField, path, alpha: float = 0.0):
-    """Write a field snapshot; alpha records the metric of the producing run."""
-    header = (f"{FIELD_MAGIC}\n# resolution_n={f.grid.n} dealias_cutoff={f.grid.dealias_cutoff} "
+    """Write a field snapshot; alpha records the metric of the producing run.
+
+    The bytes are those of one "%d %d %d %.17g %.17g" row per stored
+    coefficient, but each distinct |part| is formatted once: a full-layout
+    field stores every +-k pair as conjugates, so about half its parts
+    share a magnitude.  A "-" goes back on as a prefix wherever the sign bit
+    is set, except on NaN, which %.17g prints unsigned."""
+    n = f.grid.n
+    header = (f"{FIELD_MAGIC}\n# resolution_n={n} dealias_cutoff={f.grid.dealias_cutoff} "
               f"role={f.role} alpha={alpha:.17g}\n# columns: component k1 k2 re im\n")
     coeffs = f.coeffs if f.role == VELOCITY else f.coeffs[None, ...]
     comp, i, j = np.nonzero(coeffs)           # component-major, then row-major
-    freq = np.fft.fftfreq(f.grid.n, d=1.0 / f.grid.n).astype(int)
     vals = coeffs[comp, i, j]
-    columns = (comp.tolist(), freq[i].tolist(), freq[j].tolist(),
-               vals.real.tolist(), vals.imag.tolist())
-    rows = ("%d %d %d %.17g %.17g\n" * comp.size) % tuple(x for row in zip(*columns) for x in row)
-    atomic_write_text(path, header + rows)
+    parts = np.stack((vals.real, vals.imag), axis=1)
+    mags, which = np.unique(np.abs(parts), return_inverse=True)
+    which = which.reshape(parts.shape)
+    digits = np.array(("%.17g " * mags.size % tuple(mags.tolist())).split(), dtype=object)
+    signs = np.array(["", "-", " ", " -"], dtype=object)[
+        (np.signbit(parts) & ~np.isnan(parts)) + np.array([0, 2])]
+    freq = np.fft.fftfreq(n, d=1.0 / n).astype(int).tolist()
+    heads = np.array([f"{c} {k} " for c in range(coeffs.shape[0]) for k in freq], dtype=object)
+    tails = np.array([f"{k} " for k in freq], dtype=object)
+    # rows go out in blocks, each joined from seven cells a row ("c k1 ", "k2 ",
+    # sign, |re|, " " and sign, |im|, "\n"), so the text is never held whole
+    cells = np.empty((1024, 7), dtype=object)
+    cells[:, 6] = "\n"
+    with atomic_open(path) as fh:
+        fh.write(header)
+        for start in range(0, vals.size, len(cells)):
+            rows = slice(start, start + len(cells))
+            block = cells[:comp[rows].size]
+            block[:, 0] = heads[comp[rows] * n + i[rows]]
+            block[:, 1] = tails[j[rows]]
+            block[:, [2, 4]] = signs[rows]
+            block[:, [3, 5]] = digits[which[rows]]
+            fh.write("".join(block.ravel().tolist()))
 
 
 def load_snapshot(path) -> tuple[SpectralField, dict]:
     """Read a field snapshot; returns the field and its header metadata.  A
-    malformed header or row is refused with InvalidParameterError naming
-    path:line."""
+    malformed header or row, or a second row for one coefficient, is refused
+    with InvalidParameterError naming path:line."""
     with open(path) as fh:
         magic = fh.readline().rstrip("\n")
         if magic != FIELD_MAGIC:
@@ -83,6 +118,7 @@ def load_snapshot(path) -> tuple[SpectralField, dict]:
             raise InvalidParameterError(f"{path}:2: malformed snapshot header: {err}") from err
         components, half = (2 if role == VELOCITY else 1), n // 2
         coeffs = np.zeros((components, n, n), dtype=complex)
+        seen = set()
         for line_no, line in enumerate(fh, start=4):
             parts = line.split()
             if not parts:
@@ -91,7 +127,7 @@ def load_snapshot(path) -> tuple[SpectralField, dict]:
                 raise InvalidParameterError(f"{path}:{line_no}: expected 5 columns")
             try:
                 comp, k1, k2 = int(parts[0]), int(parts[1]), int(parts[2])
-                value = float(parts[3]) + 1j * float(parts[4])
+                value = complex(float(parts[3]), float(parts[4]))
             except ValueError as err:
                 raise InvalidParameterError(f"{path}:{line_no}: {err}") from err
             if not 0 <= comp < components:
@@ -100,6 +136,10 @@ def load_snapshot(path) -> tuple[SpectralField, dict]:
             if not (-half <= k1 < half and -half <= k2 < half):
                 raise InvalidParameterError(
                     f"{path}:{line_no}: wavenumber ({k1}, {k2}) outside [-{half}, {half})")
+            if (comp, k1, k2) in seen:
+                raise InvalidParameterError(
+                    f"{path}:{line_no}: component {comp} at ({k1}, {k2}) given twice")
+            seen.add((comp, k1, k2))
             coeffs[comp, k1 % n, k2 % n] = value
     meta_out = {"resolution_n": n, "dealias_cutoff": cutoff, "role": role, "alpha": alpha}
     return SpectralField(grid, role, coeffs if role == VELOCITY else coeffs[0]), meta_out

@@ -252,10 +252,12 @@ class TestExitCodes:
         (lambda text: text + "5 0 1 0.5 0\n", 6),
         (lambda text: text + "0 0 17 0.5 0\n", 6),
         (lambda text: text.replace("dealias_cutoff=5", "dealias_cutoff=-2"), 2),
-    ], ids=["non-numeric", "component", "wavenumber", "negative-cutoff"])
+        (lambda text: text + "0 0 1 7 7\n", 6),
+    ], ids=["non-numeric", "component", "wavenumber", "negative-cutoff", "repeated-row"])
     def test_malformed_snapshot_is_2_with_manifest(self, tmp_path, capsys, edit, line):
         # a row or header the reader cannot place is refused by path and line: it had
-        # died with a traceback (exit 1, no manifest) or been read as another mode
+        # died with a traceback (exit 1, no manifest) or been read as another mode,
+        # and a second row for one coefficient had silently replaced the first
         path = tmp_path / "s.field"
         save_field(sp.shear_field(sp.SpectralGrid(16), 1.0), path)   # rows on lines 4 and 5
         path.write_text(edit(path.read_text()))

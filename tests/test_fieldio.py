@@ -3,9 +3,12 @@
 import json
 import math
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nsvlab import dynamics as dyn, fieldio, lyapunov as lyp, spectral as sp
 from nsvlab.errors import InvalidParameterError
@@ -25,6 +28,48 @@ def holed_field():
     c[0, 3, 3] = 1j * c[0, 3, 3].imag
     c[1, 2, 7] = c[1, 2, 7].real
     return SpectralField(GRID, VELOCITY, c)
+
+
+def forced_snapshot():
+    # an n = 64 state of the forced flow at alpha = 0.99 alpha0, as a forced run
+    # writes it: every +-k pair stored as conjugates
+    grid = SpectralGrid(64)
+    forcing, g_norm = oracles.c7_forcing(grid, 1000.0)
+    cfg = dyn.SimConfig(nu=1.0, alpha=0.99 / (g_norm * math.pi**2), grid=grid, dt=0.01,
+                        t_end=0.1, forcing=forcing,
+                        initial=dyn.InitialSpec.random(seed=42, decay=3.0, amplitude=2.0))
+    return dyn.integrate(cfg).final
+
+
+def non_hermitian_field():
+    # independent random parts over the full layout: no two magnitudes pair up
+    rng = np.random.default_rng(7)
+    shape = GRID.coeff_shape(VELOCITY)
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return SpectralField(GRID, VELOCITY, coeffs)
+
+
+#: (re, im) parts that test the sign and notation of %.17g: signed zeros beside a
+#: nonzero partner, infinities, NaN with and without its sign bit, the smallest
+#: subnormal, and the magnitudes where %g switches notation (exponent -5 and 17);
+#: the last coefficient has two zero parts and is not stored
+SPECIAL_PARTS = [
+    (-0.0, 1.5), (2.5, -0.0), (0.0, -3.0), (-4.0, 0.0), (math.inf, -math.inf),
+    (-math.inf, 0.0), (math.nan, 1.0), (np.copysign(math.nan, -1.0), -1.0),
+    (-2.0, np.copysign(math.nan, -1.0)), (5e-324, -5e-324), (-0.0, 5e-324),
+    (1e-5, -1e-5), (np.nextafter(1e-5, 0.0), np.nextafter(1e-5, 1.0)), (1e-4, -9.999e-5),
+    (1e16, -1e16), (np.nextafter(1e16, 0.0), 9999999999999998.0), (1e17, -1e17),
+    (np.nextafter(1e17, 0.0), np.nextafter(1e17, math.inf)), (-0.0, -0.0),
+]
+
+
+def parts_field(parts, grid=GRID, role=VELOCITY):
+    """A field holding the (re, im) parts in its first coefficients, row-major."""
+    coeffs = np.zeros(grid.coeff_shape(role), dtype=complex)
+    flat = coeffs.reshape(-1)
+    flat.real[:len(parts)] = [re for re, _ in parts]
+    flat.imag[:len(parts)] = [im for _, im in parts]
+    return SpectralField(grid, role, coeffs)
 
 
 class TestSnapshots:
@@ -62,12 +107,44 @@ class TestSnapshots:
         lambda: sp.random_field(GRID, VELOCITY, seed=0, decay=2.0),
         lambda: sp.random_field(GRID, VORTICITY, seed=1, decay=2.0),
         holed_field,
-    ], ids=["velocity", "vorticity", "zeros-in-band"])
+        forced_snapshot,
+        non_hermitian_field,
+        lambda: parts_field(SPECIAL_PARTS),
+        lambda: parts_field(SPECIAL_PARTS, role=VORTICITY),
+    ], ids=["velocity", "vorticity", "zeros-in-band", "forced-n64", "non-hermitian",
+            "special-parts", "special-parts-scalar"])
     def test_writer_bytes_match_the_per_coefficient_writer(self, tmp_path, make):
         f = make()
         path = tmp_path / "f.field"
-        fieldio.save_field(f, path, alpha=0.3)
-        assert path.read_bytes() == oracles.save_field_text(f, alpha=0.3).encode()
+        for alpha in (0.0, 0.3, 1 / 3):
+            fieldio.save_field(f, path, alpha=alpha)
+            assert path.read_bytes() == oracles.save_field_text(f, alpha=alpha).encode()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=64))
+    def test_rows_print_each_part_as_17g(self, parts):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.field"
+            fieldio.save_field(parts_field(parts, SpectralGrid(8), VORTICITY), path)
+            rows = path.read_text().splitlines()[3:]
+        stored = [(re, im) for re, im in parts if not (re == 0 and im == 0)]
+        assert [row.split()[3:] for row in rows] == [["%.17g" % re, "%.17g" % im]
+                                                     for re, im in stored]
+
+    def test_special_parts_round_trip(self, tmp_path):
+        # every finite or infinite part comes back bit for bit, -0 included; a
+        # NaN part comes back as NaN without its sign; an unstored coefficient as +0
+        path = tmp_path / "f.field"
+        f = parts_field(SPECIAL_PARTS)
+        fieldio.save_field(f, path)
+        back = fieldio.load_field(path).coeffs
+        stored = f.coeffs != 0
+        for sent, got in ((f.coeffs.real, back.real), (f.coeffs.imag, back.imag)):
+            want = np.where(stored, sent, 0.0)
+            nan = np.isnan(want)
+            np.testing.assert_array_equal(np.isnan(got), nan)
+            assert not np.signbit(got[nan]).any()
+            assert (got[~nan].view(np.uint64) == want[~nan].view(np.uint64)).all()
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.field"

@@ -9,7 +9,7 @@ branch crossovers are located by bisection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -175,33 +175,29 @@ class BoundEntry:
     validity: str = OK
     detail: str = ""
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "formula_id": self.formula_id,
-            "formula": self.formula,
-            "value": self.value,
-            "validity": self.validity,
-            "detail": self.detail,
-        }
-
 
 # ----------------------------------------------------------------------------
 # individual bounds
 
+def _diverging_at_alpha0(inp: BoundsInput, name: str, formula_id: str, formula: str,
+                         evaluate) -> BoundEntry:
+    """The entry whose value, validity and detail are evaluate(a, G) for
+    a = alpha lambda1 > 0; its formula holds a negative power of a, so at
+    a = 0 it diverges (value inf, out-of-range)."""
+    a = inp.alpha_lambda1
+    if a == 0:
+        return BoundEntry(name, formula_id, formula, math.inf, OUT_OF_RANGE, "diverges at alpha=0")
+    return BoundEntry(name, formula_id, formula, *evaluate(a, inp.grashof))
+
+
 def bound_basic(inp: BoundsInput) -> BoundEntry:
     """Trace bound valid in 2D and 3D; diverges as alpha -> 0."""
-    a = inp.alpha_lambda1
-    g = inp.grashof
     if inp.d == 2:
-        formula = "(a+1)^2/(8*pi*a) * G^2"
-        value = math.inf if a == 0 else (a + 1) ** 2 / (8 * math.pi * a) * g**2
+        formula, denominator = "(a+1)^2/(8*pi*a) * G^2", lambda a: 8 * math.pi * a
     else:
-        formula = "(a+1)^2/(6*pi*a^(3/2)) * G^2"
-        value = math.inf if a == 0 else (a + 1) ** 2 / (6 * math.pi * a**1.5) * g**2
-    validity = OUT_OF_RANGE if a == 0 else OK
-    detail = "diverges at alpha=0" if a == 0 else ""
-    return BoundEntry("basic trace bound", f"basic-{inp.d}d", formula, value, validity, detail)
+        formula, denominator = "(a+1)^2/(6*pi*a^(3/2)) * G^2", lambda a: 6 * math.pi * a**1.5
+    return _diverging_at_alpha0(inp, "basic trace bound", f"basic-{inp.d}d", formula,
+                                lambda a, g: ((a + 1) ** 2 / denominator(a) * g**2, OK, ""))
 
 
 def bound_3d_refined(inp: BoundsInput) -> BoundEntry:
@@ -211,19 +207,10 @@ def bound_3d_refined(inp: BoundsInput) -> BoundEntry:
     and the entry is tagged modulo-constant."""
     if inp.d != 3:
         raise WrongRegimeError(f"refined bound is stated for d=3, got d={inp.d}")
-    a = inp.alpha_lambda1
-    g = inp.grashof
-    if a == 0:
-        return BoundEntry(
-            "refined 3d bound", "refined-3d", "C*(1+a)*G^(5/2)*((1+a)*a^(-3/4)*G^(3/2)+1)",
-            math.inf, OUT_OF_RANGE, "diverges at alpha=0",
-        )
-    value = (1 + a) * g**2.5 * ((1 + a) * a**-0.75 * g**1.5 + 1)
-    return BoundEntry(
-        "refined 3d bound", "refined-3d",
-        "C*(1+a)*G^(5/2)*((1+a)*a^(-3/4)*G^(3/2)+1)",
-        value, MODULO_CONSTANT, "prefactor C set to 1",
-    )
+    return _diverging_at_alpha0(
+        inp, "refined 3d bound", "refined-3d", "C*(1+a)*G^(5/2)*((1+a)*a^(-3/4)*G^(3/2)+1)",
+        lambda a, g: ((1 + a) * g**2.5 * ((1 + a) * a**-0.75 * g**1.5 + 1),
+                      MODULO_CONSTANT, "prefactor C set to 1"))
 
 
 def bound_3d_symmetric(inp: BoundsInput) -> BoundEntry:
@@ -231,20 +218,14 @@ def bound_3d_symmetric(inp: BoundsInput) -> BoundEntry:
     modulo-constant for the reason given in bound_3d_refined."""
     if inp.d != 3:
         raise WrongRegimeError(f"symmetric form is stated for d=3, got d={inp.d}")
-    a = inp.alpha_lambda1
-    g = inp.grashof
-    if a == 0:
-        return BoundEntry(
-            "symmetric 3d form", "symmetric-3d", "a^(-3/4)*G^2*min[a^(-3/4), G^2]",
-            math.inf, OUT_OF_RANGE, "diverges at alpha=0",
-        )
-    first, second = a**-0.75, g**2
-    branch = "alpha" if first <= second else "grashof"
-    value = a**-0.75 * g**2 * min(first, second)
-    return BoundEntry(
-        "symmetric 3d form", "symmetric-3d", "a^(-3/4)*G^2*min[a^(-3/4), G^2]",
-        value, MODULO_CONSTANT, f"min attained by {branch} branch",
-    )
+
+    def evaluate(a, g):
+        first, second = a**-0.75, g**2
+        branch = "alpha" if first <= second else "grashof"
+        return (first * second * min(first, second), MODULO_CONSTANT,
+                f"min attained by {branch} branch")
+    return _diverging_at_alpha0(inp, "symmetric 3d form", "symmetric-3d",
+                                "a^(-3/4)*G^2*min[a^(-3/4), G^2]", evaluate)
 
 
 def bound_2d_quadratic(inp: BoundsInput) -> BoundEntry:
@@ -280,6 +261,11 @@ def bound_2d_linear(inp: BoundsInput) -> BoundEntry:
                       f"alpha0={alpha0:.6g}")
 
 
+def log_branch(x: float, coeff: float, offset: float) -> float:
+    """coeff x^{2/3} (ln x + offset)^{1/3}, the log branch of the 2D torus bounds."""
+    return coeff * x ** (2 / 3) * (math.log(x) + offset) ** (1 / 3)
+
+
 def bound_2d_log(inp: BoundsInput) -> BoundEntry:
     """Torus bound min[linear, log-corrected 2/3 power], alpha <= alpha0."""
     if inp.d != 2 or inp.geometry != TORUS:
@@ -288,8 +274,7 @@ def bound_2d_log(inp: BoundsInput) -> BoundEntry:
     if cg <= 0:
         raise InvalidParameterError("log-form bound needs cal-G > 0")
     linear = CONSTANTS.linear_torus_coeff * cg
-    logged = CONSTANTS.log_branch_coeff * cg ** (2 / 3) * (
-        math.log(cg) + CONSTANTS.log_branch_offset) ** (1 / 3)
+    logged = log_branch(cg, CONSTANTS.log_branch_coeff, CONSTANTS.log_branch_offset)
     value = min(linear, logged)
     branch = "linear" if linear <= logged else "log"
     alpha0 = inp.alpha0_linear
@@ -313,8 +298,8 @@ def classical_ns_bounds(inp: BoundsInput) -> dict:
         raise InvalidParameterError("classical bounds need cal-G > 0")
     general = CONSTANTS.classical_calg_coeff * cg
     torus_linear = CONSTANTS.classical_torus_coeff * cg
-    torus_log = CONSTANTS.log_branch_coeff_classical * cg ** (2 / 3) * (
-        math.log(cg) + CONSTANTS.log_branch_offset_classical) ** (1 / 3)
+    torus_log = log_branch(cg, CONSTANTS.log_branch_coeff_classical,
+                           CONSTANTS.log_branch_offset_classical)
     values = {
         "classical_calg": general,
         "classical_torus_linear": torus_linear,
@@ -366,14 +351,6 @@ class Thresholds:
     crossover_log_vs_linear: float
     crossover_classical: float
 
-    def as_dict(self) -> dict:
-        return {
-            "g0": self.g0,
-            "g0_variant_524": self.g0_variant_524,
-            "crossover_log_vs_linear": self.crossover_log_vs_linear,
-            "crossover_classical": self.crossover_classical,
-        }
-
 
 #: the printed decimals of DECIMAL_SUMMARIES by name; the thresholds use these
 _PRINTED = {name: printed for name, _, _, printed in DECIMAL_SUMMARIES}
@@ -386,8 +363,7 @@ def compute_thresholds() -> Thresholds:
     p = _PRINTED
 
     def gap(linear, coeff, off):
-        # linear branch minus log branch: linear x - coeff x^(2/3) (ln x + off)^(1/3)
-        return lambda x: linear * x - coeff * x ** (2 / 3) * (math.log(x) + off) ** (1 / 3)
+        return lambda x: linear * x - log_branch(x, coeff, off)
 
     def g0_fn(off):
         return bisect_root(gap(1.0, p["log_coeff"], off), 1e2, 1e6)
@@ -413,15 +389,8 @@ class DimBoundReport:
     derived: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "input": {
-                "d": self.inp.d, "nu": self.inp.nu, "alpha": self.inp.alpha,
-                "g_norm": self.inp.g_norm, "lambda1": self.inp.lambda1,
-                "domain_measure": self.inp.domain_measure, "geometry": self.inp.geometry,
-            },
-            "derived": self.derived,
-            "bounds": [e.as_dict() for e in self.entries],
-        }
+        return {"input": asdict(self.inp), "derived": self.derived,
+                "bounds": [asdict(e) for e in self.entries]}
 
     def to_text(self) -> str:
         rows = [("bound", "formula id", "value", "validity", "detail")]
@@ -467,5 +436,5 @@ def build_report(inp: BoundsInput) -> DimBoundReport:
                 ))
         if inp.geometry == TORUS:
             derived.update({f"threshold_{k}": v
-                            for k, v in compute_thresholds().as_dict().items()})
+                            for k, v in asdict(compute_thresholds()).items()})
     return DimBoundReport(inp=inp, entries=entries, derived=derived)

@@ -328,9 +328,13 @@ def _run_simulate(params: dict, outdir: Path, seed: int, manifest: RunManifest):
     final_path = outdir / "final_state.field"
     save_field(result.final, final_path, alpha=cfg.alpha)
     manifest.add_artifact(final_path)
+    final_bits = result.final.coeffs.tobytes()
     for t, snap in result.snapshots:
         snap_path = outdir / f"snapshot_t{t:.6g}.field"
-        save_field(snap, snap_path, alpha=cfg.alpha)
+        if snap.coeffs.tobytes() == final_bits:  # the final state, formatted once
+            atomic_write_text(snap_path, final_path.read_text())
+        else:
+            save_field(snap, snap_path, alpha=cfg.alpha)
         manifest.add_artifact(snap_path)
 
     checks = [dyn.check_dissipative_bound(result.diagnostics, cfg)]

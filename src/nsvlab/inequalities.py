@@ -82,9 +82,12 @@ class SuborthonormalFamily:
         weights = self.grid.band_count * self.grid.band_k2
         return TORUS_AREA * float(np.sum(weights * np.abs(self.vectors) ** 2))
 
-    def alpha_deviation(self) -> float:
-        """Largest deviation of the alpha Gram matrix from the identity."""
-        return gram_deviation(self.vectors, _alpha_weights(self.grid, self.metric))
+    def require_alpha_orthonormal(self):
+        """Refuse the family unless its alpha Gram matrix is the identity to 1e-8."""
+        dev = gram_deviation(self.vectors, _alpha_weights(self.grid, self.metric))
+        if dev > 1e-8:
+            raise InvalidParameterError(
+                f"family is not alpha-orthonormal (Gram deviation {dev:.3g})")
 
 
 def _alpha_weights(grid: SpectralGrid, metric: AlphaMetric) -> np.ndarray:
@@ -228,13 +231,6 @@ class InequalityReport:
     warnings: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "target": self.target, "n": self.n, "seed": self.seed,
-            "lhs": self.lhs, "rhs": self.rhs, "ratio": self.ratio,
-            "passed": self.passed, "warnings": self.warnings, "extras": self.extras,
-        }
-
 
 def _ratio(lhs: float, rhs: float) -> float:
     if rhs == 0.0:
@@ -274,10 +270,7 @@ def verify_rho_l2(fam: SuborthonormalFamily) -> InequalityReport:
     and is checked here on the torus empirically."""
     if fam.metric.alpha <= 0:
         raise InvalidParameterError("the L2 density bound needs alpha > 0")
-    dev = fam.alpha_deviation()
-    if dev > 1e-8:
-        raise InvalidParameterError(
-            f"family is not alpha-orthonormal (Gram deviation {dev:.3g})")
+    fam.require_alpha_orthonormal()
     lhs = rho_profile(fam.vectors, fam.grid).l2_norm()
     rhs = math.sqrt(fam.n) / (2.0 * math.sqrt(math.pi) * math.sqrt(fam.metric.alpha))
     return _report("rho-l2", fam, lhs, rhs)
@@ -330,10 +323,7 @@ def _linf_reports(fam: SuborthonormalFamily, lam_caps: list, sums: dict) -> list
     grid, and a cap still between them there fails."""
     if fam.role != VORTICITY:
         raise InvalidParameterError("the sup-norm bound is checked on scalar families")
-    dev = fam.alpha_deviation()
-    if dev > 1e-8:
-        raise InvalidParameterError(
-            f"family is not alpha-orthonormal (Gram deviation {dev:.3g})")
+    fam.require_alpha_orthonormal()
     # u = grad-perp psi with psi = phi / |k|^2, the state's multipliers
     grid = fam.grid
     stream_velocities = grid.band_u * (fam.vectors / grid.band_k[2])[..., None, :, :]

@@ -22,7 +22,8 @@ frames drawn on the full layout, band families drawn one vector at a time
 and the rho-l2 sweep drawing each (alpha, seed) family afresh in report
 order, the full layout of a band, modified
 Gram-Schmidt, the complex-form Gram matrix, the per-row trace diagonal, and
-the per-coefficient snapshot writer. Nothing here is fast; each function is
+the per-coefficient snapshot writer, and the bounds and inequality reports
+with every bound formula and record field written out. Nothing here is fast; each function is
 a direct transcription of its equation.  c7_forcing builds criterion 7's
 forcing for every test and script that runs that flow.
 
@@ -36,6 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from nsvlab import bounds as B
 from nsvlab import dynamics as dyn
 from nsvlab import fieldio
 from nsvlab import inequalities as ineq
@@ -960,3 +962,180 @@ def save_field_text(f, alpha=0.0):
             c = coeffs[comp, i, j]
             lines.append(f"{comp} {freq[i]} {freq[j]} {c.real:.17g} {c.imag:.17g}")
     return "\n".join(lines) + "\n"
+
+
+# ----------------------------------------------------------------------------
+# bounds and inequality reports with every formula and record field spelled out
+
+
+def bound_entry_dict(e):
+    return {
+        "name": e.name,
+        "formula_id": e.formula_id,
+        "formula": e.formula,
+        "value": e.value,
+        "validity": e.validity,
+        "detail": e.detail,
+    }
+
+
+def inequality_report_dict(rep):
+    return {
+        "target": rep.target, "n": rep.n, "seed": rep.seed,
+        "lhs": rep.lhs, "rhs": rep.rhs, "ratio": rep.ratio,
+        "passed": rep.passed, "warnings": rep.warnings, "extras": rep.extras,
+    }
+
+
+def _bound_basic(inp):
+    a = inp.alpha_lambda1
+    g = inp.grashof
+    if inp.d == 2:
+        formula = "(a+1)^2/(8*pi*a) * G^2"
+        value = math.inf if a == 0 else (a + 1) ** 2 / (8 * math.pi * a) * g**2
+    else:
+        formula = "(a+1)^2/(6*pi*a^(3/2)) * G^2"
+        value = math.inf if a == 0 else (a + 1) ** 2 / (6 * math.pi * a**1.5) * g**2
+    validity = B.OUT_OF_RANGE if a == 0 else B.OK
+    detail = "diverges at alpha=0" if a == 0 else ""
+    return B.BoundEntry("basic trace bound", f"basic-{inp.d}d", formula, value, validity, detail)
+
+
+def _bound_3d_refined(inp):
+    a = inp.alpha_lambda1
+    g = inp.grashof
+    if a == 0:
+        return B.BoundEntry(
+            "refined 3d bound", "refined-3d", "C*(1+a)*G^(5/2)*((1+a)*a^(-3/4)*G^(3/2)+1)",
+            math.inf, B.OUT_OF_RANGE, "diverges at alpha=0",
+        )
+    value = (1 + a) * g**2.5 * ((1 + a) * a**-0.75 * g**1.5 + 1)
+    return B.BoundEntry(
+        "refined 3d bound", "refined-3d",
+        "C*(1+a)*G^(5/2)*((1+a)*a^(-3/4)*G^(3/2)+1)",
+        value, B.MODULO_CONSTANT, "prefactor C set to 1",
+    )
+
+
+def _bound_3d_symmetric(inp):
+    a = inp.alpha_lambda1
+    g = inp.grashof
+    if a == 0:
+        return B.BoundEntry(
+            "symmetric 3d form", "symmetric-3d", "a^(-3/4)*G^2*min[a^(-3/4), G^2]",
+            math.inf, B.OUT_OF_RANGE, "diverges at alpha=0",
+        )
+    first, second = a**-0.75, g**2
+    branch = "alpha" if first <= second else "grashof"
+    value = a**-0.75 * g**2 * min(first, second)
+    return B.BoundEntry(
+        "symmetric 3d form", "symmetric-3d", "a^(-3/4)*G^2*min[a^(-3/4), G^2]",
+        value, B.MODULO_CONSTANT, f"min attained by {branch} branch",
+    )
+
+
+def _bound_2d_log(inp):
+    cg = inp.grashof_cal
+    linear = B.CONSTANTS.linear_torus_coeff * cg
+    logged = B.CONSTANTS.log_branch_coeff * cg ** (2 / 3) * (
+        math.log(cg) + B.CONSTANTS.log_branch_offset) ** (1 / 3)
+    value = min(linear, logged)
+    branch = "linear" if linear <= logged else "log"
+    alpha0 = inp.alpha0_linear
+    validity = B.OK if inp.alpha <= alpha0 else B.OUT_OF_RANGE
+    detail = f"min attained by {branch} branch; alpha0={alpha0:.6g}"
+    if validity == B.OUT_OF_RANGE:
+        detail += f"; alpha={inp.alpha:g} exceeds alpha0"
+    return B.BoundEntry("log-form 2d torus bound", "log-2d-torus",
+                        "min[c1*calG, c2*calG^(2/3)*(ln calG + b)^(1/3)]",
+                        value, validity, detail)
+
+
+def _classical_ns_bounds(inp):
+    cg = inp.grashof_cal
+    general = B.CONSTANTS.classical_calg_coeff * cg
+    torus_linear = B.CONSTANTS.classical_torus_coeff * cg
+    torus_log = B.CONSTANTS.log_branch_coeff_classical * cg ** (2 / 3) * (
+        math.log(cg) + B.CONSTANTS.log_branch_offset_classical) ** (1 / 3)
+    values = {
+        "classical_calg": general,
+        "classical_torus_linear": torus_linear,
+        "classical_torus_log": torus_log,
+    }
+    values["min"] = min(values.values())
+    return values
+
+
+def thresholds_dict():
+    """bounds.compute_thresholds() with its threshold fields listed."""
+    p = {name: printed for name, _, _, printed in B.DECIMAL_SUMMARIES}
+
+    def gap(linear, coeff, off):
+        return lambda x: linear * x - coeff * x ** (2 / 3) * (math.log(x) + off) ** (1 / 3)
+
+    def g0_fn(off):
+        return B.bisect_root(gap(1.0, p["log_coeff"], off), 1e2, 1e6)
+
+    cross_log = B.bisect_root(gap(p["linear_torus"], p["log_coeff"], p["log_offset"]), 1e6, 1e12)
+    cross_classical = B.bisect_root(
+        gap(p["classical_torus"], p["log_coeff_classical"], p["log_offset_classical"]), 1e6, 1e12)
+    return {
+        "g0": g0_fn(p["log_offset"]),
+        "g0_variant_524": g0_fn(5.24),
+        "crossover_log_vs_linear": cross_log,
+        "crossover_classical": cross_classical,
+    }
+
+
+def bounds_report(inp):
+    """bounds.build_report(inp)'s as_dict() and to_text(): each log branch,
+    each alpha = 0 entry and each record's fields written out in full.  The
+    quadratic and linear 2D entries are the production ones."""
+    entries = [_bound_basic(inp)]
+    derived = {
+        "G": inp.grashof,
+        "calG": inp.grashof_cal,
+        "alpha_lambda1": inp.alpha_lambda1,
+    }
+    if inp.d == 3:
+        entries.append(_bound_3d_refined(inp))
+        entries.append(_bound_3d_symmetric(inp))
+    else:
+        entries.append(B.bound_2d_quadratic(inp))
+        if inp.grashof_cal > 0:
+            entries.append(B.bound_2d_linear(inp))
+            derived["alpha0_linear"] = inp.alpha0_linear
+            if inp.geometry == B.TORUS:
+                entries.append(_bound_2d_log(inp))
+        if inp.alpha == 0 and inp.grashof_cal > 0:
+            classical = _classical_ns_bounds(inp)
+            keys = (("classical_calg", "classical_torus_linear", "classical_torus_log")
+                    if inp.geometry == B.TORUS else ("classical_calg",))
+            for key in keys:
+                entries.append(B.BoundEntry(
+                    key.replace("_", " "), key.replace("_", "-"), key, classical[key], B.OK,
+                ))
+            if inp.geometry == B.TORUS:
+                entries.append(B.BoundEntry(
+                    "classical minimum", "classical-min", "min of the three",
+                    classical["min"], B.OK,
+                ))
+        if inp.geometry == B.TORUS:
+            derived.update({f"threshold_{k}": v for k, v in thresholds_dict().items()})
+    payload = {
+        "input": {
+            "d": inp.d, "nu": inp.nu, "alpha": inp.alpha,
+            "g_norm": inp.g_norm, "lambda1": inp.lambda1,
+            "domain_measure": inp.domain_measure, "geometry": inp.geometry,
+        },
+        "derived": derived,
+        "bounds": [bound_entry_dict(e) for e in entries],
+    }
+    rows = [("bound", "formula id", "value", "validity", "detail")]
+    for e in entries:
+        rows.append((e.name, e.formula_id, f"{e.value:.6g}", e.validity, e.detail))
+    widths = [max(len(r[i]) for r in rows) for i in range(5)]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in rows]
+    lines.insert(1, "  ".join("-" * w for w in widths))
+    head = [f"{k} = {v:.6g}" for k, v in derived.items()]
+    return payload, "\n".join(["; ".join(head)] + lines)

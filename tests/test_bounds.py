@@ -56,6 +56,11 @@ class TestRefinedAndSymmetric3d:
         lead = big.grashof**4 * big.alpha_lambda1**-0.75
         assert B.bound_3d_refined(big).value == pytest.approx(lead, rel=0.01)
 
+    @pytest.mark.parametrize("bound", [B.bound_3d_refined, B.bound_3d_symmetric])
+    def test_alpha_zero_diverges(self, bound):
+        e = bound(inp(d=3, alpha=0.0, g_norm=10.0, geometry="domain"))
+        assert (e.value, e.validity, e.detail) == (math.inf, B.OUT_OF_RANGE, "diverges at alpha=0")
+
     def test_refined_wrong_dimension(self):
         with pytest.raises(WrongRegimeError):
             B.bound_3d_refined(inp(d=2))

@@ -287,6 +287,30 @@ class TestExitCodes:
         u = load_field(start)
         assert not np.array_equal(sp.velocity_of(u.grid, sp.stream_of(u.grid, u.coeffs)), u.coeffs)
 
+    @pytest.mark.filterwarnings("ignore:no sample at t")
+    def test_final_snapshot_is_the_final_state_formatted_once(self, tmp_path, monkeypatch):
+        # t_end = 3 is a snapshot time: final_state.field and snapshot_t3.field
+        # hold the same bytes, and only the first is formatted
+        formatted = []
+
+        def counting(f, path, alpha):
+            formatted.append(Path(path).name)
+            save_field(f, path, alpha=alpha)
+        monkeypatch.setattr(cli, "save_field", counting)
+        code = cli.main(["simulate", "--n", "32", "--alpha", "0", "--dt", "0.01", "--t-end", "3",
+                         "--snapshot-every", "50", "--forcing-kind", "shear",
+                         "--initial-kind", "random", "--output-dir", str(tmp_path)])
+        assert code == cli.EXIT_OK
+        assert formatted == ["final_state.field"] + [f"snapshot_t{t:g}.field"
+                                                     for t in (0, 0.5, 1, 1.5, 2, 2.5)]
+        final = (tmp_path / "final_state.field").read_bytes()
+        assert (tmp_path / "snapshot_t3.field").read_bytes() == final
+        assert (tmp_path / "snapshot_t2.5.field").read_bytes() != final
+        hashes = {a["path"]: a["sha256"] for a in
+                  json.loads((tmp_path / "manifest.json").read_text())["artifacts"]}
+        assert hashes["snapshot_t3.field"] == hashes["final_state.field"]
+        assert len(hashes) == 9
+
     SHORT_SIMULATE = ["simulate", "--n", "16", "--nu", "1", "--alpha", "1",
                       "--dt", "0.01", "--t-end", "0.1",
                       "--forcing-kind", "shear", "--forcing-amplitude", "1.0",

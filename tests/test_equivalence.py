@@ -28,16 +28,22 @@ where every transform length is a power of two; so are the kernel, and the
 sup-norm verifier against the transform pair with its n^2 scaling as a pass
 of its own.  At other lengths (n = 48, the 90-point density grid) the 1/n
 each transform takes rounds apart from that pass, to 1e-15 relative.
+The bounds report (as_dict and to_text) and the inequality report records,
+whose fields are now dataclasses.asdict's and whose log branch and alpha = 0
+rule are each stated once, are checked byte for byte against the
+hand-written fields and formulas they replaced.
 """
 
 import itertools
 import json
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from nsvlab import bounds as B
 from nsvlab import dynamics as dyn
 from nsvlab import inequalities as ineq
 from nsvlab import lattice
@@ -490,7 +496,7 @@ def test_family_is_bitwise_the_per_vector_family(kind, role):
 
 def sweep_record(sweep):
     """Every report, the verdict and the witness of a sweep, floats by repr."""
-    return (json.dumps([r.as_dict() for r in sweep.reports]), json.dumps(sweep.as_dict()),
+    return (json.dumps([asdict(r) for r in sweep.reports]), json.dumps(sweep.as_dict()),
             sweep.witness.vectors.tobytes(), sweep.witness.seed, sweep.witness.metric.alpha)
 
 
@@ -605,3 +611,38 @@ def test_per_cap_spectral_sums_match_the_sorted_enumeration():
         for spec in (spectrum, None):
             assert abs(lattice.sum_inverse_below(cap, spec) - below) <= 1e-13 * below
             assert abs(lattice.sum_inverse_square_above(cap, spec) - above) <= 1e-13 * above
+
+
+# ----------------------------------------------------------------------------
+# report records: dataclasses.asdict and the shared bound formulas against the
+# hand-written fields and formulas they replace
+
+
+@pytest.mark.parametrize("d, geometry", [(2, "torus"), (2, "domain"), (3, "torus"), (3, "domain")])
+def test_bounds_report_is_the_written_out_report(d, geometry):
+    for alpha, g_norm in itertools.product((0.0, 1e-4, 0.01, 1.0), (0.0, 1.0, 1e3, 1e8)):
+        inp = B.BoundsInput(d=d, nu=1.0, alpha=alpha, g_norm=g_norm, geometry=geometry)
+        rep = B.build_report(inp)
+        payload, text = oracles.bounds_report(inp)
+        # unsorted dumps: the same fields in the same order, floats by repr
+        assert json.dumps(rep.as_dict()) == json.dumps(payload), (alpha, g_norm)
+        assert rep.to_text() == text, (alpha, g_norm)
+
+
+def test_log_entries_are_the_written_out_branches_over_a_grashof_sweep():
+    # the log-form and classical torus log entries at 241 values of calG, bitwise
+    for g_norm in np.geomspace(1e-3, 1e9, 241).tolist():
+        inp = B.BoundsInput(d=2, nu=1.0, alpha=0.0, g_norm=g_norm)
+        payload, text = oracles.bounds_report(inp)
+        assert json.dumps(B.build_report(inp).as_dict()) == json.dumps(payload), g_norm
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda grid: ineq.run_lt_sweep(grid, range(3), n=4),
+    lambda grid: ineq.run_rho_l2_sweep(grid, range(2), (0.1, 1.0), n=4),
+    lambda grid: ineq.run_rho_linf_sweep(grid, range(2), range(1, 5), n=4),
+], ids=["lt", "rho-l2", "rho-linf"])
+def test_inequality_reports_are_the_written_out_records(sweep):
+    reports = sweep(SpectralGrid(16)).reports
+    assert json.dumps([asdict(r) for r in reports]) == json.dumps(
+        [oracles.inequality_report_dict(r) for r in reports])

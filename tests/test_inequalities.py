@@ -1,6 +1,7 @@
 """Suborthonormal families, density profiles, and the inequality verifiers."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -220,6 +221,12 @@ class TestRhoLinf:
         with pytest.raises(InvalidParameterError):
             ineq.verify_rho_linf(fam, 0)
 
+    def test_requires_orthonormal_family(self):
+        fam = ineq.sample_suborthonormal(GRID, 3, seed=11, role=VORTICITY)
+        fam.vectors = fam.vectors * 0.1  # far from alpha-orthonormal
+        with pytest.raises(InvalidParameterError, match="not alpha-orthonormal"):
+            ineq.verify_rho_linf(fam, 1)
+
     def test_rejects_velocity_family(self):
         fam = ineq.sample_suborthonormal(GRID, 2, seed=16, role=VELOCITY)
         with pytest.raises(InvalidParameterError):
@@ -233,8 +240,8 @@ class TestRhoLinf:
         expected = []
         for seed in seeds:
             fam = ineq.sample_suborthonormal(GRID, 6, seed=seed, role=VORTICITY)
-            expected += [ineq.verify_rho_linf(fam, cap).as_dict() for cap in caps]
-        assert [rep.as_dict() for rep in sweep.reports] == expected
+            expected += [asdict(ineq.verify_rho_linf(fam, cap)) for cap in caps]
+        assert [asdict(rep) for rep in sweep.reports] == expected
 
     def test_sweep_refuses_a_bad_cap(self):
         with pytest.raises(InvalidParameterError):

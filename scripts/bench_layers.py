@@ -32,12 +32,9 @@ draws, the sweep drawing every (alpha, seed) family afresh and the per-row
 trace of tests/oracles.py.
 The machine, CPU count and numpy version are recorded with the timings,
 and the tracemalloc peak of one call beside the time of the x2 density
-grid, of the two lattice verifiers and of the two snapshot writers.  Right
-after each row a fixed host reference kernel (np.fft.rfft2 of a fixed 64^2
-plane) is timed the same way, into host_ref_s under the row's name: the
-host's speed while that row ran.  Over five runs of one tree (BENCH_19.json)
-the ratios row / host_ref_s spread wider than the rows themselves, so rows
-from different runs still compare only in alternated repeat runs.
+grid, of the two lattice verifiers and of the two snapshot writers.  Rows
+from different runs compare only in alternated repeat runs: the host's speed
+drifts between runs.
 
 With --rows fresh (or all), three `nsvlab` commands are also timed, each in
 a process of its own, which is where the cost of memory handed back to the
@@ -83,10 +80,6 @@ import oracles  # noqa: E402  (the reference kernels live with the tests)
 
 #: tries per layer; the best one is kept
 REPEATS = 15
-
-
-#: the host reference kernel's input (see host_ref_s in the module docstring)
-REF_PLANE = np.random.default_rng(0).standard_normal((64, 64))
 
 
 def best_of(fn, inner):
@@ -167,13 +160,11 @@ def traced_peak_mb(fn):
 
 
 def layers():
-    """(best-of times in s, traced peaks in MB, host reference times in s)
-    by layer name."""
-    out, peaks, refs = {}, {}, {}
+    """(best-of times in s, traced peaks in MB) by layer name."""
+    out, peaks = {}, {}
 
     def record(name, fn, inner=10, per=1, peak=False):
         out[name] = best_of(fn, inner) / per
-        refs[name] = best_of(lambda: np.fft.rfft2(REF_PLANE), 10)
         if peak:
             peaks[name] = traced_peak_mb(fn)
 
@@ -243,14 +234,14 @@ def layers():
                lambda: oracles.advective_bilinear_coeffs(g, stack))
 
     cfg = forced_cfg(64)
-    rhs, factors = dyn.stream_scheme(cfg, dyn.forcing_stream(cfg))
+    rhs, factors = dyn.stream_scheme(cfg)
     c = dyn.initial_state(cfg)[0]
     k, new = np.empty_like(c), np.empty_like(c)
     record("rhs.n64", lambda: rhs(c, k))
     record("rk4_step.n64", lambda: dyn.rk4_step(rhs, c, cfg.dt, factors, new), inner=3)
     # the same flow at alpha = 0: the integrating-factor step
     cfg = dataclasses.replace(cfg, alpha=0.0)
-    rhs, factors = dyn.stream_scheme(cfg, dyn.forcing_stream(cfg))
+    rhs, factors = dyn.stream_scheme(cfg)
     record("rk4_step.n64.alpha0", lambda: dyn.rk4_step(rhs, c, cfg.dt, factors, new), inner=3)
 
     # one snapshot of the forced flow at n = 64 (t = 1), as forced-sim writes it
@@ -265,7 +256,7 @@ def layers():
                peak=True)
 
     cfg = forced_cfg(32)
-    rhs, factors = dyn.stream_scheme(cfg, dyn.forcing_stream(cfg))
+    rhs, factors = dyn.stream_scheme(cfg)
     frame = lyp.TangentFrame.random(cfg.grid, 8, cfg.metric, seed=0)
     state = np.concatenate([dyn.initial_state(cfg)[0][None], frame.vectors])
     new = np.empty_like(state)
@@ -281,7 +272,7 @@ def layers():
 
     # the benchmark's zero-attractor frame: nu = alpha = 1, no forcing, dt = 0.1
     cfg = dyn.SimConfig(nu=1.0, alpha=1.0, grid=cfg.grid, dt=0.1, t_end=0.0)
-    rhs, factors = dyn.stream_scheme(cfg, dyn.forcing_stream(cfg))
+    rhs, factors = dyn.stream_scheme(cfg)
     frame = lyp.TangentFrame.random(cfg.grid, 4, cfg.metric, seed=0)
     state = np.concatenate([np.zeros((1,) + cfg.grid.band_shape, dtype=complex), frame.vectors])
     new = np.empty_like(state)
@@ -292,7 +283,7 @@ def layers():
            lambda: lyp.trace_diagonal(cfg.grid, multipliers, state, frame.weights), inner=100)
     record("trace_diagonal.zero_base.n32.m4.per_row_oracle",
            lambda: oracles.trace_diagonal(cfg, state, frame.weights), inner=100)
-    return out, peaks, refs
+    return out, peaks
 
 
 def main():
@@ -308,13 +299,12 @@ def main():
                     "numpy": np.__version__},
     }
     if args.rows in ("layers", "all"):
-        timings, peaks, refs = layers()
+        timings, peaks = layers()
         report.update({
             "method": f"best of {REPEATS} tries; each try is the mean of back-to-back calls",
             "unit": "s",
             "layers": timings,
             "traced_peak_mb": peaks,
-            "host_ref_s": refs,
         })
     if args.rows in ("fresh", "all"):
         report["fresh_process"] = fresh_process()

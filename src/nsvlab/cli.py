@@ -248,8 +248,9 @@ def _constraint_problems(subcommand: str, p: dict) -> list[str]:
         if p["target"] not in VERIFY_TARGETS:
             problems.append(f"target must be one of {VERIFY_TARGETS}, got {p['target']!r}")
         for key in ("jmax", "mmax", "families", "family_n", "lam_min", "lam_max", "sums_lam_max"):
-            if p[key] < 1:
-                problems.append(f"{key} must be >= 1, got {p[key]}")
+            least = 2 if key == "jmax" else 1   # lambda_j <= j/2 is checked from j = 2
+            if p[key] < least:
+                problems.append(f"{key} must be >= {least}, got {p[key]}")
         nonneg("alpha")
         if p["grid_n"] < 8 or p["grid_n"] % 2:
             problems.append(f"grid_n must be even and >= 8, got {p['grid_n']}")
@@ -264,30 +265,18 @@ def _constraint_problems(subcommand: str, p: dict) -> list[str]:
     return problems
 
 
-def _forcing_from(params: dict) -> dyn.ForcingSpec:
-    f = params["forcing"]
-    kind = f.get("kind", "zero")
-    if kind == "zero":
-        return dyn.ForcingSpec.zero()
-    if kind == "shear":
-        return dyn.ForcingSpec.shear(float(f.get("amplitude", 1.0)), int(f.get("wavenumber", 1)))
-    modes = [((int(m[0]), int(m[1])), (m[2] + 1j * m[3], m[4] + 1j * m[5]))
-             for m in f["modes"]]
-    return dyn.ForcingSpec.from_modes(modes)
-
-
-def _initial_from(params: dict, seed: int) -> dyn.InitialSpec:
-    ic = params["initial"]
-    kind = ic.get("kind", "zero")
-    if kind == "zero":
-        return dyn.InitialSpec.zero()
-    if kind == "shear":
-        return dyn.InitialSpec.shear(float(ic.get("amplitude", 1.0)), int(ic.get("wavenumber", 1)))
-    if kind == "random":
-        return dyn.InitialSpec.random(seed=int(ic.get("seed", seed)),
-                                      decay=float(ic.get("decay", 3.0)),
-                                      amplitude=float(ic.get("amplitude", 1.0)))
-    return dyn.InitialSpec.from_file(ic["path"])
+def _spec_from(block: dict, seed: int) -> dyn.FieldSpec:
+    """A validated forcing or initial block as the FieldSpec its keys name,
+    each key typed by FLOW_FLAGS and FLOW_CONFIG_KEYS (which type a shared key
+    alike) and a random field's seed defaulting to the run's; a modes block's
+    rows [k1, k2, re0, im0, re1, im1] go through FieldSpec.from_modes."""
+    if block["kind"] == "modes":
+        return dyn.FieldSpec.from_modes(
+            ((int(m[0]), int(m[1])), (m[2] + 1j * m[3], m[4] + 1j * m[5])) for m in block["modes"])
+    types = {key: typ for table in (FLOW_FLAGS, FLOW_CONFIG_KEYS) for keys in table.values()
+             for key, typ in keys.items()}
+    fields = {key: types[key](value) for key, value in block.items() if key != "modes"}
+    return dyn.FieldSpec(**{"seed": seed, **fields})
 
 
 # ----------------------------------------------------------------------------
@@ -314,8 +303,8 @@ def _sim_config(params: dict, seed: int) -> dyn.SimConfig:
     grid = sp.SpectralGrid(params["n"])
     return dyn.SimConfig(
         nu=params["nu"], alpha=params["alpha"], grid=grid, dt=params["dt"],
-        t_end=params.get("t_end", 0.0), forcing=_forcing_from(params),
-        initial=_initial_from(params, seed),
+        t_end=params.get("t_end", 0.0), forcing=_spec_from(params["forcing"], seed),
+        initial=_spec_from(params["initial"], seed),
         sample_every=params.get("sample_every", 10))
 
 

@@ -48,31 +48,55 @@ class InsufficientDurationWarning(UserWarning):
 # forcing and initial data
 
 @dataclass(frozen=True)
-class ForcingSpec:
-    """Divergence-free, zero-mean body force.
+class FieldSpec:
+    """A divergence-free velocity on the band: the forcing g or the initial data.
 
-    kind "modes" carries explicit (wavevector, 2-vector amplitude) pairs
-    (amplitude at +k, conjugate placed at -k); kind "shear" is the
-    single-mode flow amplitude*(sin(m x2), 0); kind "zero" is no forcing.
+    kind "zero" is no flow; "shear" the single-mode flow amplitude*(sin(m
+    x2), 0) with m = wavenumber; "modes" explicit (wavevector, 2-vector
+    amplitude) pairs (amplitude at +k, conjugate placed at -k); "random" a
+    seeded random field of the given spectral decay, times amplitude; "file"
+    a snapshot file; "field" an explicit field.  Kind "stream" carries psi_hat
+    on the band handed on from another run, read by initial_state alone.
     """
 
     kind: str = "zero"
-    modes: tuple = ()
-    amplitude: float = 0.0
+    amplitude: float = 1.0
     wavenumber: int = 1
+    seed: int = 0
+    decay: float = 3.0
+    modes: tuple = ()
+    path: str = ""
+    fld: SpectralField | None = None
+    psi: np.ndarray | None = None
 
     @classmethod
-    def zero(cls) -> "ForcingSpec":
+    def zero(cls) -> "FieldSpec":
         return cls(kind="zero")
 
     @classmethod
-    def shear(cls, amplitude: float, wavenumber: int = 1) -> "ForcingSpec":
+    def shear(cls, amplitude: float, wavenumber: int = 1) -> "FieldSpec":
         return cls(kind="shear", amplitude=amplitude, wavenumber=wavenumber)
 
     @classmethod
-    def from_modes(cls, modes) -> "ForcingSpec":
+    def from_modes(cls, modes) -> "FieldSpec":
         frozen = tuple((tuple(k), (complex(a[0]), complex(a[1]))) for k, a in modes)
         return cls(kind="modes", modes=frozen)
+
+    @classmethod
+    def random(cls, seed: int, decay: float = 3.0, amplitude: float = 1.0) -> "FieldSpec":
+        return cls(kind="random", seed=seed, decay=decay, amplitude=amplitude)
+
+    @classmethod
+    def from_file(cls, path: str) -> "FieldSpec":
+        return cls(kind="file", path=str(path))
+
+    @classmethod
+    def from_field(cls, fld: SpectralField) -> "FieldSpec":
+        return cls(kind="field", fld=fld)
+
+    @classmethod
+    def from_stream(cls, psi: np.ndarray) -> "FieldSpec":
+        return cls(kind="stream", psi=psi)
 
     def build(self, grid: SpectralGrid) -> SpectralField:
         if self.kind == "zero":
@@ -81,53 +105,6 @@ class ForcingSpec:
             return sp.shear_field(grid, self.amplitude, self.wavenumber)
         if self.kind == "modes":
             return sp.field_from_modes(grid, VELOCITY, self.modes)
-        raise InvalidParameterError(f"unknown forcing kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class InitialSpec:
-    """Initial velocity: an analytic named case, a seeded random field, a
-    snapshot file, or an explicit field; or psi_hat on the band handed on from
-    another run (kind "stream", read by initial_state alone)."""
-
-    kind: str = "zero"
-    amplitude: float = 0.0
-    wavenumber: int = 1
-    seed: int = 0
-    decay: float = 3.0
-    path: str = ""
-    fld: SpectralField | None = None
-    psi: np.ndarray | None = None
-
-    @classmethod
-    def zero(cls) -> "InitialSpec":
-        return cls(kind="zero")
-
-    @classmethod
-    def shear(cls, amplitude: float, wavenumber: int = 1) -> "InitialSpec":
-        return cls(kind="shear", amplitude=amplitude, wavenumber=wavenumber)
-
-    @classmethod
-    def random(cls, seed: int, decay: float = 3.0, amplitude: float = 1.0) -> "InitialSpec":
-        return cls(kind="random", seed=seed, decay=decay, amplitude=amplitude)
-
-    @classmethod
-    def from_file(cls, path: str) -> "InitialSpec":
-        return cls(kind="file", path=str(path))
-
-    @classmethod
-    def from_field(cls, fld: SpectralField) -> "InitialSpec":
-        return cls(kind="field", fld=fld)
-
-    @classmethod
-    def from_stream(cls, psi: np.ndarray) -> "InitialSpec":
-        return cls(kind="stream", psi=psi)
-
-    def build(self, grid: SpectralGrid) -> SpectralField:
-        if self.kind == "zero":
-            return sp.zero_field(grid, VELOCITY)
-        if self.kind == "shear":
-            return sp.shear_field(grid, self.amplitude, self.wavenumber)
         if self.kind == "random":
             f = sp.random_field(grid, VELOCITY, seed=self.seed, decay=self.decay)
             return f * self.amplitude
@@ -140,7 +117,11 @@ class InitialSpec:
             return _checked_velocity(grid, f, f"{self.path}: snapshot")
         if self.kind == "field":
             return _checked_velocity(grid, self.fld, "initial field")
-        raise InvalidParameterError(f"unknown initial kind {self.kind!r}")
+        raise InvalidParameterError(f"field kind {self.kind!r} cannot be built")
+
+
+#: the forcing and the initial data are both FieldSpecs, under either name
+ForcingSpec = InitialSpec = FieldSpec
 
 
 def _checked_velocity(grid: SpectralGrid, f: SpectralField, what: str) -> SpectralField:
@@ -176,8 +157,8 @@ class SimConfig:
     grid: SpectralGrid
     dt: float
     t_end: float
-    forcing: ForcingSpec = ForcingSpec.zero()
-    initial: InitialSpec = InitialSpec.zero()
+    forcing: FieldSpec = FieldSpec.zero()
+    initial: FieldSpec = FieldSpec.zero()
     sample_every: int = 10
 
     def __post_init__(self):
@@ -333,14 +314,14 @@ def stream_multipliers(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     return (-cfg.nu * k2 / smoothing).astype(complex), inverse.astype(complex)
 
 
-def stream_scheme(cfg: SimConfig, psi_g: np.ndarray):
+def stream_scheme(cfg: SimConfig):
     """The streamfunction equation under cfg as (rhs, factors) for rk4_step:
 
         dpsi/dt = L psi + (rot g - u.grad w) / (|k|^2 (1+alpha|k|^2)),
         L = -nu |k|^2/(1+alpha|k|^2),
 
-    the curl of the velocity equation, on the band.  psi_g is the forcing's
-    streamfunction, rot g / |k|^2.  At alpha > 0 every multiplier is bounded
+    the curl of the velocity equation, on the band, with rot g / |k|^2 from
+    forcing_stream(cfg).  At alpha > 0 every multiplier is bounded
     by nu/alpha: rhs is the whole right-hand side and factors is None
     (classical RK4).  At alpha = 0 the viscous multiplier is stiff: rhs leaves
     it out and factors carries it exactly (integrating-factor RK4): the
@@ -356,7 +337,7 @@ def stream_scheme(cfg: SimConfig, psi_g: np.ndarray):
     """
     grid = cfg.grid
     linear, inverse = stream_multipliers(cfg)
-    forcing = inverse * grid.band_k2 * psi_g
+    forcing = inverse * grid.band_k2 * forcing_stream(cfg)
     if cfg.alpha == 0:
         half = np.exp(-cfg.nu * grid.band_k2 * (cfg.dt / 2.0)).astype(complex)
         factors = (half, np.exp(-cfg.nu * grid.band_k2 * cfg.dt).astype(complex),
@@ -411,15 +392,15 @@ def advance(cfg: SimConfig, c: np.ndarray, nsteps: int, every: int, visit, stage
     non-finite state raises IntegrationDivergedError with its step and time,
     a finite one goes to visit(step, c), which may update c in place.
     stages, if given, sees each step's four stage states.  scheme is
-    stream_scheme(cfg, forcing_stream(cfg)) when the caller holds it (to
-    share its rhs's workspace); made here when None.  Returns the final
+    stream_scheme(cfg) when the caller holds it (to share its rhs's
+    workspace); made here when None.  Returns the final
     state (c itself when nsteps is 0).
 
     The given c is only read: the states alternate between two arrays of
     this call's own, so what visit and stages see is overwritten two steps
     and one step later, and the array returned is never written again.
     """
-    rhs, factors = stream_scheme(cfg, forcing_stream(cfg)) if scheme is None else scheme
+    rhs, factors = stream_scheme(cfg) if scheme is None else scheme
     states = np.empty((2,) + c.shape, dtype=complex)
     for step in range(1, nsteps + 1):
         c, stage_states = rk4_step(rhs, c, cfg.dt, factors, states[step % 2])
@@ -443,8 +424,9 @@ def integrate(cfg: SimConfig, *, snapshot_every: int = 0,
     defect is reported (a direct order check on the scheme).  Snapshots are
     taken only at sampled steps, at those that are multiples of
     snapshot_every: snapshot_every 5 with sample_every 10 snapshots every 10
-    steps, and 0 takes none.  Snapshots and the final state
-    are velocity fields; the t = 0 snapshot is the initial velocity itself.
+    steps, and 0 takes none.  Snapshots and the final state are velocity
+    fields; the t = 0 snapshot, and the final state of a run of no step, are
+    the initial velocity itself (velocity_of psi_hat for a "stream" start).
 
     Deterministic given cfg.  Raises IntegrationDivergedError on non-finite
     state, warns CflWarning when dt * max|u| * k_max > 1 at a sample point.
@@ -515,8 +497,9 @@ def integrate(cfg: SimConfig, *, snapshot_every: int = 0,
         g_norm=g_norm,
         gamma=cfg.gamma,
     )
-    return SimResult(cfg=cfg, final=SpectralField(grid, VELOCITY, sp.velocity_of(grid, c)),
-                     diagnostics=diag, snapshots=snapshots,
+    final = (u0 if nsteps == 0 and u0 is not None
+             else SpectralField(grid, VELOCITY, sp.velocity_of(grid, c)))
+    return SimResult(cfg=cfg, final=final, diagnostics=diag, snapshots=snapshots,
                      energy_residual=residual, steps=nsteps)
 
 

@@ -281,12 +281,13 @@ def _linf_rhs(cap: int, grad_sum: float) -> float:
             + 4.0 / math.sqrt(cap) * math.sqrt(TORUS_AREA * grad_sum))
 
 
-def spectral_sum_extras(lam_cap: int, spectrum: LatticeSpectrum | None = None) -> dict:
-    """The two inverse-power spectral sums backing the sup-norm bound."""
+def spectral_sum_extras(lam_cap: int, spectrum: LatticeSpectrum) -> dict:
+    """The two inverse-power spectral sums backing the sup-norm bound, read
+    off a spectrum enumerated up to max(16 lam_cap, 64) at least."""
     return {
         "sum_inverse_below": sum_inverse_below(lam_cap, spectrum),
         "sum_inverse_below_bound": 4.0 * math.log(4.0 * math.e * lam_cap),
-        "sum_inverse_square_above": sum_inverse_square_above(lam_cap, spectrum=spectrum),
+        "sum_inverse_square_above": sum_inverse_square_above(lam_cap, spectrum),
         "sum_inverse_square_above_bound": 8.0 / lam_cap,
     }
 
@@ -308,7 +309,8 @@ def verify_rho_linf(fam: SuborthonormalFamily, lam_cap: int) -> InequalityReport
     backing the proof.
     """
     _check_cap(lam_cap)
-    sums = {lam_cap: spectral_sum_extras(int(lam_cap))}
+    spectrum = LatticeSpectrum(max_e=max(16 * lam_cap, 64))
+    sums = {lam_cap: spectral_sum_extras(int(lam_cap), spectrum)}
     return _linf_reports(fam, [lam_cap], sums)[0]
 
 

@@ -206,16 +206,10 @@ def verify_liyau(m_max: int) -> LiYauReport:
 # ----------------------------------------------------------------------------
 # inverse-power spectral sums (used by the sup-norm density bound)
 
-def _reaching(spectrum: LatticeSpectrum | None, max_e: int) -> LatticeSpectrum:
-    """spectrum if it is enumerated up to max_e, else a new one that is."""
-    if spectrum is not None and spectrum.max_e >= max_e:
-        return spectrum
-    return LatticeSpectrum(max_e=max_e)
-
-
-def sum_inverse_below(lam_cap: int, spectrum: LatticeSpectrum | None = None) -> float:
-    """Exact sum of 1/lambda_j over lambda_j <= lam_cap."""
-    return float(_reaching(spectrum, lam_cap).inverse_below[lam_cap])
+def sum_inverse_below(lam_cap: int, spectrum: LatticeSpectrum) -> float:
+    """Exact sum of 1/lambda_j over lambda_j <= lam_cap, read off a spectrum
+    enumerated up to lam_cap at least."""
+    return float(spectrum.inverse_below[lam_cap])
 
 
 def inverse_square_tail_bound(e: float) -> float:
@@ -233,12 +227,14 @@ def inverse_square_tail_bound(e: float) -> float:
     return 2 * math.pi * (1.0 / (2 * r0**2) + a / (3 * r0**3))
 
 
-def sum_inverse_square_above(lam_cap: int, spectrum: LatticeSpectrum | None = None) -> float:
+def sum_inverse_square_above(lam_cap: int, spectrum: LatticeSpectrum) -> float:
     """Upper bound for sum of 1/lambda_j^2 over lambda_j > lam_cap:
-    exact enumeration up to e_max = max(16 lam_cap, 64) plus a rigorous
-    integral tail."""
+    exact enumeration up to e_max = max(16 lam_cap, 64), read off a spectrum
+    enumerated that far at least, plus a rigorous integral tail."""
     e_max = max(16 * lam_cap, 64)
-    mid = _reaching(spectrum, e_max).inverse_square[lam_cap + 1:e_max + 1]
+    if spectrum.max_e < e_max:
+        raise InvalidParameterError(f"the spectrum reaches {spectrum.max_e}, not {e_max}")
+    mid = spectrum.inverse_square[lam_cap + 1:e_max + 1]
     return float(np.sum(mid)) + inverse_square_tail_bound(e_max)
 
 

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import fieldio
 from . import spectral as sp
-from .dynamics import (InitialSpec, InsufficientDurationWarning, SimConfig, advance,
-                       forcing_stream, initial_state, stream_multipliers, stream_scheme)
+from .dynamics import (FieldSpec, InsufficientDurationWarning, SimConfig, advance,
+                       initial_state, stream_multipliers, stream_scheme)
 from .errors import DegenerateFrameError, IntegrationDivergedError, InvalidParameterError
 from .spectral import TORUS_AREA, VELOCITY, AlphaMetric, SpectralField, SpectralGrid
 
@@ -219,17 +219,17 @@ def evolve_tangent_frame(
     gamma = cfg.gamma
     if burn_in is None:
         burn_in = min(5.0 / gamma, 0.5 * t_end)
+    frame = TangentFrame.random(grid, n, cfg.metric, seed=seed)
+    weights, multipliers = frame.weights, stream_multipliers(cfg)
+    state = np.concatenate([spin_up(cfg, warmup)[None], frame.vectors])
+    # warned once spin_up has accepted the warmup
     if t_end - burn_in < 10.0 / gamma:
         warnings.warn(
             f"trace window {t_end - burn_in:.3g} < 10/gamma = {10 / gamma:.3g}",
             InsufficientDurationWarning, stacklevel=2)
-
-    frame = TangentFrame.random(grid, n, cfg.metric, seed=seed)
-    weights, multipliers = frame.weights, stream_multipliers(cfg)
-    state = np.concatenate([spin_up(cfg, warmup)[None], frame.vectors])
     # the trace at an event reuses the steps' kernel planes: a visit runs
     # between two steps, when no stage holds them
-    scheme = stream_scheme(cfg, forcing_stream(cfg))
+    scheme = stream_scheme(cfg)
     kernel = scheme[0].workspace(state.shape).kernel
     times, diag, log_factors = [], [], []
 
@@ -309,7 +309,7 @@ def scan_n_star(cfg: SimConfig, t_end: float, n_max: int = 64, **kwargs) -> NSta
     warmup = kwargs.pop("warmup", 0.0)
     if warmup != 0:
         # every run starts from the same spun-up base (spin_up refuses warmup < 0)
-        cfg = replace(cfg, initial=InitialSpec.from_stream(spin_up(cfg, warmup)))
+        cfg = replace(cfg, initial=FieldSpec.from_stream(spin_up(cfg, warmup)))
     n = 1
     while True:
         series = evolve_tangent_frame(cfg, n, t_end, **kwargs)

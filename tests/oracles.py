@@ -22,8 +22,9 @@ frames drawn on the full layout, band families drawn one vector at a time
 and the rho-l2 sweep drawing each (alpha, seed) family afresh in report
 order, the full layout of a band, modified
 Gram-Schmidt, the complex-form Gram matrix, the per-row trace diagonal, and
-the per-coefficient snapshot writer, and the bounds and inequality reports
-with every bound formula and record field written out. Nothing here is fast; each function is
+the per-coefficient snapshot writer, the bounds and inequality reports
+with every bound formula and record field written out, and the separate
+forcing and initial-data specs with the CLI mapper of each block. Nothing here is fast; each function is
 a direct transcription of its equation.  c7_forcing builds criterion 7's
 forcing for every test and script that runs that flow.
 
@@ -33,6 +34,7 @@ Vorticity form:  dw/dt = -(1-aD)^{-1} (u.grad w) + nu D (1-aD)^{-1} w + (1-aD)^{
 
 import functools
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -1139,3 +1141,128 @@ def bounds_report(inp):
     lines.insert(1, "  ".join("-" * w for w in widths))
     head = [f"{k} = {v:.6g}" for k, v in derived.items()]
     return payload, "\n".join(["; ".join(head)] + lines)
+
+
+# ----------------------------------------------------------------------------
+# the forcing and initial-data specs as two classes, each with its CLI mapper
+
+
+@dataclass(frozen=True)
+class ForcingSpec:
+    """Divergence-free, zero-mean body force.
+
+    kind "modes" carries explicit (wavevector, 2-vector amplitude) pairs
+    (amplitude at +k, conjugate placed at -k); kind "shear" is the
+    single-mode flow amplitude*(sin(m x2), 0); kind "zero" is no forcing.
+    """
+
+    kind: str = "zero"
+    modes: tuple = ()
+    amplitude: float = 0.0
+    wavenumber: int = 1
+
+    @classmethod
+    def zero(cls) -> "ForcingSpec":
+        return cls(kind="zero")
+
+    @classmethod
+    def shear(cls, amplitude: float, wavenumber: int = 1) -> "ForcingSpec":
+        return cls(kind="shear", amplitude=amplitude, wavenumber=wavenumber)
+
+    @classmethod
+    def from_modes(cls, modes) -> "ForcingSpec":
+        frozen = tuple((tuple(k), (complex(a[0]), complex(a[1]))) for k, a in modes)
+        return cls(kind="modes", modes=frozen)
+
+    def build(self, grid) -> SpectralField:
+        if self.kind == "zero":
+            return sp.zero_field(grid, VELOCITY)
+        if self.kind == "shear":
+            return sp.shear_field(grid, self.amplitude, self.wavenumber)
+        if self.kind == "modes":
+            return sp.field_from_modes(grid, VELOCITY, self.modes)
+        raise InvalidParameterError(f"unknown forcing kind {self.kind!r}")
+
+
+@dataclass(frozen=True)
+class InitialSpec:
+    """Initial velocity: an analytic named case, a seeded random field, a
+    snapshot file, or an explicit field; or psi_hat on the band handed on from
+    another run (kind "stream", read by initial_state alone)."""
+
+    kind: str = "zero"
+    amplitude: float = 0.0
+    wavenumber: int = 1
+    seed: int = 0
+    decay: float = 3.0
+    path: str = ""
+    fld: SpectralField | None = None
+    psi: np.ndarray | None = None
+
+    @classmethod
+    def zero(cls) -> "InitialSpec":
+        return cls(kind="zero")
+
+    @classmethod
+    def shear(cls, amplitude: float, wavenumber: int = 1) -> "InitialSpec":
+        return cls(kind="shear", amplitude=amplitude, wavenumber=wavenumber)
+
+    @classmethod
+    def random(cls, seed: int, decay: float = 3.0, amplitude: float = 1.0) -> "InitialSpec":
+        return cls(kind="random", seed=seed, decay=decay, amplitude=amplitude)
+
+    @classmethod
+    def from_file(cls, path: str) -> "InitialSpec":
+        return cls(kind="file", path=str(path))
+
+    @classmethod
+    def from_field(cls, fld: SpectralField) -> "InitialSpec":
+        return cls(kind="field", fld=fld)
+
+    @classmethod
+    def from_stream(cls, psi: np.ndarray) -> "InitialSpec":
+        return cls(kind="stream", psi=psi)
+
+    def build(self, grid) -> SpectralField:
+        if self.kind == "zero":
+            return sp.zero_field(grid, VELOCITY)
+        if self.kind == "shear":
+            return sp.shear_field(grid, self.amplitude, self.wavenumber)
+        if self.kind == "random":
+            f = sp.random_field(grid, VELOCITY, seed=self.seed, decay=self.decay)
+            return f * self.amplitude
+        if self.kind == "file":
+            try:
+                f = fieldio.load_field(self.path)
+            except FileNotFoundError as err:
+                raise InvalidParameterError(f"initial snapshot not found: {self.path}") from err
+            return dyn._checked_velocity(grid, f, f"{self.path}: snapshot")
+        if self.kind == "field":
+            return dyn._checked_velocity(grid, self.fld, "initial field")
+        raise InvalidParameterError(f"unknown initial kind {self.kind!r}")
+
+
+def forcing_from(params: dict) -> ForcingSpec:
+    f = params["forcing"]
+    kind = f.get("kind", "zero")
+    if kind == "zero":
+        return ForcingSpec.zero()
+    if kind == "shear":
+        return ForcingSpec.shear(float(f.get("amplitude", 1.0)), int(f.get("wavenumber", 1)))
+    modes = [((int(m[0]), int(m[1])), (m[2] + 1j * m[3], m[4] + 1j * m[5]))
+             for m in f["modes"]]
+    return ForcingSpec.from_modes(modes)
+
+
+def initial_from(params: dict, seed: int) -> InitialSpec:
+    ic = params["initial"]
+    kind = ic.get("kind", "zero")
+    if kind == "zero":
+        return InitialSpec.zero()
+    if kind == "shear":
+        return InitialSpec.shear(float(ic.get("amplitude", 1.0)), int(ic.get("wavenumber", 1)))
+    if kind == "random":
+        return InitialSpec.random(seed=int(ic.get("seed", seed)),
+                                  decay=float(ic.get("decay", 3.0)),
+                                  amplitude=float(ic.get("amplitude", 1.0)))
+    return InitialSpec.from_file(ic["path"])

@@ -117,10 +117,12 @@ class TestExitCodes:
          None, "snapshot_every must be >= 0, got -5"),
         # g0 is taken at the printed offset 5.74 alone: a config setting it is refused
         (["bounds"], {"g0_offset": -10}, "unknown config key 'g0_offset' for bounds"),
+        # lambda_j <= j/2 is checked from j = 2: refused by the flag's name
+        (["verify", "spectrum", "--jmax", "1"], None, "jmax must be >= 2, got 1"),
     ], ids=["empty-lam-range", "no-alphas", "ill-typed-alphas", "geometry", "n", "kind",
             "nan", "initial-seed-type", "initial-seed-negative", "negative-seed",
             "forcing-unknown-key", "initial-unknown-key", "initial-snapshot-missing",
-            "negative-snapshot-every", "bounds-g0-offset"])
+            "negative-snapshot-every", "bounds-g0-offset", "spectrum-jmax-1"])
     def test_bad_value_is_2_with_manifest(self, tmp_path, capsys, argv, config, problem):
         if config is not None:
             (tmp_path / "c.json").write_text(json.dumps(config))
@@ -287,16 +289,22 @@ class TestExitCodes:
         u = load_field(start)
         assert not np.array_equal(sp.velocity_of(u.grid, sp.stream_of(u.grid, u.coeffs)), u.coeffs)
 
-    @pytest.mark.filterwarnings("ignore:no sample at t")
-    def test_final_snapshot_is_the_final_state_formatted_once(self, tmp_path, monkeypatch):
-        # t_end = 3 is a snapshot time: final_state.field and snapshot_t3.field
-        # hold the same bytes, and only the first is formatted
+    @staticmethod
+    def formatted_names(monkeypatch):
+        """The names of the files cli formats with save_field, in order."""
         formatted = []
 
         def counting(f, path, alpha):
             formatted.append(Path(path).name)
             save_field(f, path, alpha=alpha)
         monkeypatch.setattr(cli, "save_field", counting)
+        return formatted
+
+    @pytest.mark.filterwarnings("ignore:no sample at t")
+    def test_final_snapshot_is_the_final_state_formatted_once(self, tmp_path, monkeypatch):
+        # t_end = 3 is a snapshot time: final_state.field and snapshot_t3.field
+        # hold the same bytes, and only the first is formatted
+        formatted = self.formatted_names(monkeypatch)
         code = cli.main(["simulate", "--n", "32", "--alpha", "0", "--dt", "0.01", "--t-end", "3",
                          "--snapshot-every", "50", "--forcing-kind", "shear",
                          "--initial-kind", "random", "--output-dir", str(tmp_path)])
@@ -310,6 +318,20 @@ class TestExitCodes:
                   json.loads((tmp_path / "manifest.json").read_text())["artifacts"]}
         assert hashes["snapshot_t3.field"] == hashes["final_state.field"]
         assert len(hashes) == 9
+
+    @pytest.mark.filterwarnings("ignore:no sample at t")
+    def test_zero_step_final_state_is_the_initial_velocity(self, tmp_path, monkeypatch):
+        # a run of no step ends at its initial velocity itself, not at its
+        # velocity -> psi -> velocity round trip: the t = 0 snapshot's bytes,
+        # formatted once
+        formatted = self.formatted_names(monkeypatch)
+        code = cli.main(["simulate", "--n", "16", "--t-end", "0", "--dt", "0.01",
+                         "--snapshot-every", "10", "--initial-kind", "random",
+                         "--output-dir", str(tmp_path)])
+        assert code == cli.EXIT_OK
+        assert formatted == ["final_state.field"]
+        assert ((tmp_path / "final_state.field").read_bytes()
+                == (tmp_path / "snapshot_t0.field").read_bytes())
 
     SHORT_SIMULATE = ["simulate", "--n", "16", "--nu", "1", "--alpha", "1",
                       "--dt", "0.01", "--t-end", "0.1",

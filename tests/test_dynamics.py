@@ -495,11 +495,10 @@ class TestWorkspace:
         # one rhs, its workspace keyed by shape, against a fresh rhs per call
         for alpha in (0.3, 0.0):
             cfg = self.frame_cfg(alpha, SMALL)
-            psi_g = dyn.forcing_stream(cfg)
             stack = self.stack(cfg, 4)
-            shared, factors = dyn.stream_scheme(cfg, psi_g)
+            shared, factors = dyn.stream_scheme(cfg)
             for c in (stack[0], stack, 0.5 * stack[0], 2.0 * stack):
-                fresh = dyn.stream_scheme(cfg, psi_g)[0]
+                fresh = dyn.stream_scheme(cfg)[0]
                 np.testing.assert_array_equal(shared(c, np.empty_like(c)),
                                               fresh(c, np.empty_like(c)))
                 got, got_stages = dyn.rk4_step(shared, c, cfg.dt, factors, np.empty_like(c))
@@ -518,7 +517,7 @@ class TestWorkspace:
             assert got.dtype == complex and not np.signbit(got.imag).any()
             np.testing.assert_array_equal(got, ref)
         assert cfg.grid.band_curl_div.dtype == complex
-        factors = dyn.stream_scheme(cfg, dyn.forcing_stream(cfg))[1]
+        factors = dyn.stream_scheme(cfg)[1]
         if alpha > 0:
             assert factors is None
         else:

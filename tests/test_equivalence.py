@@ -31,7 +31,10 @@ each transform takes rounds apart from that pass, to 1e-15 relative.
 The bounds report (as_dict and to_text) and the inequality report records,
 whose fields are now dataclasses.asdict's and whose log branch and alpha = 0
 rule are each stated once, are checked byte for byte against the
-hand-written fields and formulas they replaced.
+hand-written fields and formulas they replaced.  FieldSpec builds every
+kind bitwise as the forcing and initial-data classes it replaced, and the
+one CLI block mapper maps every block the CLI tests' valid tables form as
+the two mappers it replaced.
 """
 
 import itertools
@@ -44,15 +47,18 @@ import numpy as np
 import pytest
 
 from nsvlab import bounds as B
+from nsvlab import cli
 from nsvlab import dynamics as dyn
+from nsvlab import fieldio
 from nsvlab import inequalities as ineq
 from nsvlab import lattice
 from nsvlab import lyapunov as lyp
 from nsvlab import spectral as sp
-from nsvlab.errors import DegenerateFrameError
+from nsvlab.errors import ConfigError, DegenerateFrameError
 from nsvlab.spectral import VELOCITY, VORTICITY, SpectralGrid
 
 import oracles
+from test_cli import CONFIG_VALID, FIELD_FILES, FLOW_VALID
 
 GRID = SpectralGrid(16)
 RTOL = 1e-12
@@ -168,7 +174,7 @@ def test_step_at_n48_matches_the_allocating_step(alpha):
     psi_g = dyn.forcing_stream(cfg)
     base = dyn.initial_state(cfg)[0]
     frame = lyp.TangentFrame.random(cfg.grid, 4, cfg.metric, seed=1)
-    rhs, factors = dyn.stream_scheme(cfg, psi_g)
+    rhs, factors = dyn.stream_scheme(cfg)
     ref_rhs, ref_factors = oracles.allocating_scheme(cfg, psi_g)
     for c in (base, np.concatenate([base[None], frame.vectors])):
         new, stages = dyn.rk4_step(rhs, c, cfg.dt, factors, np.empty_like(c))
@@ -608,7 +614,7 @@ def test_per_cap_spectral_sums_match_the_sorted_enumeration():
         lam = oracles._enumerate_sq_norms(e_max).astype(float)
         below = float(np.sum(1.0 / lam[lam <= cap]))
         above = float(np.sum(1.0 / lam[lam > cap] ** 2)) + lattice.inverse_square_tail_bound(e_max)
-        for spec in (spectrum, None):
+        for spec in (spectrum, lattice.LatticeSpectrum(max_e=e_max)):
             assert abs(lattice.sum_inverse_below(cap, spec) - below) <= 1e-13 * below
             assert abs(lattice.sum_inverse_square_above(cap, spec) - above) <= 1e-13 * above
 
@@ -646,3 +652,84 @@ def test_inequality_reports_are_the_written_out_records(sweep):
     reports = sweep(SpectralGrid(16)).reports
     assert json.dumps([asdict(r) for r in reports]) == json.dumps(
         [oracles.inequality_report_dict(r) for r in reports])
+
+
+# ----------------------------------------------------------------------------
+# one FieldSpec and one CLI block mapper against the two spec classes and the
+# two mappers they replace
+
+def built(spec, grid):
+    """spec built on grid as (role, coefficient bytes), or the refusal it raises."""
+    try:
+        f = spec.build(grid)
+    except (ValueError, TypeError) as err:
+        return type(err), str(err)
+    return f.role, f.coeffs.tobytes()
+
+
+def test_one_spec_class_is_both_specs():
+    assert dyn.ForcingSpec is dyn.InitialSpec is dyn.FieldSpec
+
+
+def test_field_spec_builds_bitwise_as_the_two_spec_classes(tmp_path):
+    good = tmp_path / "good.field"
+    fieldio.save_field(sp.random_field(GRID, VELOCITY, seed=2), good, alpha=0.0)
+    (tmp_path / "bad.field").write_text("not a field\n")
+    field = sp.random_field(GRID, VELOCITY, seed=5)
+    rotational = sp.SpectralField(GRID, VELOCITY, sp.random_field(GRID, VORTICITY, seed=6).coeffs
+                                  * np.ones((2, 1, 1)))
+    modes = [((0, 2), (-2.0j, 0.0)), ((1, 1), (0.4, -0.4))]
+    forcing, initial = (oracles.ForcingSpec,), (oracles.InitialSpec,)
+    both = forcing + initial
+    cases = [("zero", (), both), ("shear", (1.0,), both), ("shear", (2.5, 2), both),
+             ("shear", (0.5, 9), both), ("from_modes", (modes,), forcing),
+             ("random", (4,), initial), ("random", (3, 1.0, 2.0), initial),
+             ("from_file", (good,), initial), ("from_file", (tmp_path / "bad.field",), initial),
+             ("from_file", (tmp_path / "missing.field",), initial),
+             ("from_field", (field,), initial), ("from_field", (rotational,), initial)]
+    for name, args, olds in cases:
+        for grid in (GRID, SpectralGrid(32)):
+            got = built(getattr(dyn.FieldSpec, name)(*args), grid)
+            for cls in olds:
+                assert got == built(getattr(cls, name)(*args), grid), (name, args, cls)
+
+
+def block_values(block):
+    """The values each key of a nested block takes in test_cli's valid tables,
+    as parse_config receives them (a flag typed as the flag parser types it,
+    a config value as JSON holds it), plus an integral float wavenumber and an
+    int amplitude from a config file, and a readable snapshot file."""
+    values = {key: [cli._from_flag(v, cli.FLOW_FLAGS[block][key]) for v in valid]
+              for key, valid in FLOW_VALID[block].items()}
+    for key, valid in CONFIG_VALID[block].items():
+        values.setdefault(key, []).extend(valid)
+    values["wavenumber"].append(2.0)
+    values["amplitude"].append(2)
+    if block == "forcing":
+        values["kind"] += ("modes",)
+    else:
+        values["path"] += ("good.field",)
+    return values
+
+
+@pytest.mark.parametrize("block", ["forcing", "initial"])
+def test_spec_from_maps_every_block_bitwise_as_the_two_mappers(tmp_path, block):
+    for name, text in FIELD_FILES.items():
+        (tmp_path / name).write_text(text)
+    fieldio.save_field(sp.random_field(GRID, VELOCITY, seed=2), tmp_path / "good.field", alpha=0.0)
+    values = block_values(block)
+    keys = sorted(values)
+    seed, mapped = 5, 0
+    for choice in itertools.product(*([None] + list(values[key]) for key in keys)):
+        given = {key: value for key, value in zip(keys, choice) if value is not None}
+        if "path" in given:
+            given["path"] = str(tmp_path / given["path"])
+        try:
+            params = cli.parse_config("simulate", None, {block: given})
+        except ConfigError:
+            continue
+        want = (oracles.forcing_from(params) if block == "forcing"
+                else oracles.initial_from(params, seed))
+        assert built(cli._spec_from(params[block], seed), GRID) == built(want, GRID), given
+        mapped += 1
+    assert mapped > {"forcing": 50, "initial": 1000}[block]

@@ -1,6 +1,7 @@
 """Tangent frames, linearized operators, traces, and exponent estimates."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -392,7 +393,10 @@ class TestSpinUp:
         cfg = cfg_for(initial=dyn.InitialSpec.random(seed=1))
         with pytest.raises(InvalidParameterError, match="warmup must be >= 0, got -1.0"):
             lyp.spin_up(cfg, -1.0)
-        with pytest.raises(InvalidParameterError, match="warmup must be >= 0, got -5"):
+        # refused before the short window is warned of
+        with pytest.raises(InvalidParameterError, match="warmup must be >= 0, got -5"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
             lyp.evolve_tangent_frame(cfg, 2, 0.1, burn_in=0.0, warmup=-5)
         with pytest.raises(InvalidParameterError, match="warmup must be >= 0, got -0.5"):
             lyp.scan_n_star(cfg, 0.1, n_max=2, burn_in=0.0, warmup=-0.5)

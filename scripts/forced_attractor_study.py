@@ -47,8 +47,7 @@ def run_case(cal_g, cfg, window, warmup, seed):
     return {
         "cal_g": cal_g,
         "alpha": cfg.alpha,
-        "n_star": scan.n_star,
-        "q_hats": {str(k): v for k, v in sorted(scan.q_hats.items())},
+        **scan.summary(),
         "bound_quadratic": B.bound_2d_quadratic(inp).value,
         "bound_linear": B.bound_2d_linear(inp).value,
         "bound_log": B.bound_2d_log(inp).value,

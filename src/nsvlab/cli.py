@@ -93,7 +93,7 @@ SCHEMAS = {
         "frame_n": (int, 4),
         "window": (float, 60.0),
         "warmup": (float, 0.0),
-        "burn_in": (float, -1.0),  # -1: default 5/gamma
+        "burn_in": (float, -1.0),  # -1: default min(5/gamma, window/2)
         "reorth_every": (int, 10),
         "scan": (bool, False),
         "n_max": (int, 64),
@@ -240,10 +240,11 @@ def _constraint_problems(subcommand: str, p: dict) -> list[str]:
         else:
             positive("window")
             nonneg("warmup")
-            if p["frame_n"] < 1:
-                problems.append(f"frame_n must be >= 1, got {p['frame_n']}")
-            if p["reorth_every"] < 1:
-                problems.append(f"reorth_every must be >= 1, got {p['reorth_every']}")
+            for key in ("frame_n", "reorth_every", "n_max"):
+                if p[key] < 1:
+                    problems.append(f"{key} must be >= 1, got {p[key]}")
+            if p["burn_in"] < 0 and p["burn_in"] != -1:
+                problems.append(f"burn_in must be >= 0, or -1 for the default, got {p['burn_in']}")
     elif subcommand == "verify":
         if p["target"] not in VERIFY_TARGETS:
             problems.append(f"target must be one of {VERIFY_TARGETS}, got {p['target']!r}")

@@ -200,21 +200,29 @@ class SimConfig:
 
 @dataclass
 class DiagnosticsSeries:
-    """Sampled norms plus running Cesaro means and the run's Grashof numbers."""
+    """Sampled norms, the forcing's norm and nu; derived from them once, the
+    running Cesaro means and the run's Grashof numbers."""
 
     t: np.ndarray
     energy_l2: np.ndarray
     enstrophy: np.ndarray
     energy_alpha: np.ndarray
-    avg_enstrophy: np.ndarray
-    avg_grad_l1: np.ndarray
-    grashof_g: float
-    grashof_cal_g: float
     g_norm: float
-    gamma: float
+    nu: float
+    avg_enstrophy: np.ndarray = field(init=False)
+    avg_grad_l1: np.ndarray = field(init=False)
+    grashof_g: float = field(init=False)
+    grashof_cal_g: float = field(init=False)
 
     CSV_COLUMNS = ("t", "energy_l2", "enstrophy", "energy_alpha",
                    "avg_enstrophy", "avg_grad_l1", "grashof_G", "grashof_calG")
+
+    def __post_init__(self):
+        counts = np.arange(1, self.enstrophy.size + 1)
+        self.avg_enstrophy = np.cumsum(self.enstrophy) / counts
+        self.avg_grad_l1 = np.cumsum(np.sqrt(self.enstrophy)) / counts
+        self.grashof_g = self.g_norm / self.nu**2
+        self.grashof_cal_g = self.g_norm * sp.TORUS_AREA / self.nu**2
 
     def write_csv(self, path):
         columns = (self.t, self.energy_l2, self.enstrophy, self.energy_alpha,
@@ -222,10 +230,6 @@ class DiagnosticsSeries:
         grashof = [f"{self.grashof_g:.12g}", f"{self.grashof_cal_g:.12g}"]
         fieldio.write_csv(path, self.CSV_COLUMNS,
                           ([f"{v:.12g}" for v in row] + grashof for row in zip(*columns)))
-
-
-def _cesaro(values: np.ndarray) -> np.ndarray:
-    return np.cumsum(values) / np.arange(1, values.size + 1)
 
 
 @dataclass
@@ -485,18 +489,7 @@ def integrate(cfg: SimConfig, *, snapshot_every: int = 0,
     # the first and last samples are the initial and final states
     t, e_l2, ens, e_al = (np.asarray(col) for col in zip(*rows))
     residual = float(e_al[-1] - e_al[0] + budget) if track_energy_budget else None
-    diag = DiagnosticsSeries(
-        t=t,
-        energy_l2=e_l2,
-        enstrophy=ens,
-        energy_alpha=e_al,
-        avg_enstrophy=_cesaro(ens),
-        avg_grad_l1=_cesaro(np.sqrt(ens)),
-        grashof_g=g_norm / cfg.nu**2,
-        grashof_cal_g=g_norm * sp.TORUS_AREA / cfg.nu**2,
-        g_norm=g_norm,
-        gamma=cfg.gamma,
-    )
+    diag = DiagnosticsSeries(t, e_l2, ens, e_al, g_norm, cfg.nu)
     final = (u0 if nsteps == 0 and u0 is not None
              else SpectralField(grid, VELOCITY, sp.velocity_of(grid, c)))
     return SimResult(cfg=cfg, final=final, diagnostics=diag, snapshots=snapshots,

@@ -28,7 +28,7 @@ import numpy as np
 from . import spectral as sp
 from .bounds import CONSTANTS
 from .errors import DegenerateFrameError, InvalidParameterError
-from .lattice import sum_inverse_below, sum_inverse_square_above, LatticeSpectrum
+from .lattice import check_cap, sum_inverse_below, sum_inverse_square_above, LatticeSpectrum
 from .lyapunov import alpha_gram_schmidt, gram_deviation, gram_matrix
 from .spectral import TORUS_AREA, VELOCITY, VORTICITY, AlphaMetric, SpectralGrid
 
@@ -292,11 +292,6 @@ def spectral_sum_extras(lam_cap: int, spectrum: LatticeSpectrum) -> dict:
     }
 
 
-def _check_cap(lam_cap):
-    if not isinstance(lam_cap, (int, np.integer)) or lam_cap < 1:
-        raise InvalidParameterError(f"the spectral cap must be an integer >= 1, got {lam_cap!r}")
-
-
 def verify_rho_linf(fam: SuborthonormalFamily, lam_cap: int) -> InequalityReport:
     """sup-norm bound for rho = sum |grad-perp Laplace^{-1} phi_j|^2:
 
@@ -308,7 +303,7 @@ def verify_rho_linf(fam: SuborthonormalFamily, lam_cap: int) -> InequalityReport
     right-hand side over SCAN_CAPS and the two inverse-power spectral sums
     backing the proof.
     """
-    _check_cap(lam_cap)
+    check_cap(lam_cap, math.inf)   # the spectrum is enumerated to fit it
     spectrum = LatticeSpectrum(max_e=max(16 * lam_cap, 64))
     sums = {lam_cap: spectral_sum_extras(int(lam_cap), spectrum)}
     return _linf_reports(fam, [lam_cap], sums)[0]
@@ -436,7 +431,7 @@ def run_rho_linf_sweep(grid: SpectralGrid, seeds, lam_caps, n: int = 8,
                        alpha: float = 1.0) -> SweepReport:
     lam_caps = list(lam_caps)
     for cap in lam_caps:
-        _check_cap(cap)
+        check_cap(cap, math.inf)
     # the spectral sums are family-independent: evaluate them once per cap
     spectrum = LatticeSpectrum(max_e=max(16 * max(lam_caps), 64))
     sums = {cap: spectral_sum_extras(int(cap), spectrum) for cap in lam_caps}

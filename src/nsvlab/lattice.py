@@ -206,9 +206,17 @@ def verify_liyau(m_max: int) -> LiYauReport:
 # ----------------------------------------------------------------------------
 # inverse-power spectral sums (used by the sup-norm density bound)
 
+def check_cap(lam_cap, max_e) -> None:
+    """Refuse a spectral cap that is not an integer in [1, max_e]."""
+    if not isinstance(lam_cap, (int, np.integer)) or not 1 <= lam_cap <= max_e:
+        raise InvalidParameterError(
+            f"the spectral cap must be an integer in [1, {max_e}], got {lam_cap!r}")
+
+
 def sum_inverse_below(lam_cap: int, spectrum: LatticeSpectrum) -> float:
     """Exact sum of 1/lambda_j over lambda_j <= lam_cap, read off a spectrum
     enumerated up to lam_cap at least."""
+    check_cap(lam_cap, spectrum.max_e)
     return float(spectrum.inverse_below[lam_cap])
 
 
@@ -231,6 +239,7 @@ def sum_inverse_square_above(lam_cap: int, spectrum: LatticeSpectrum) -> float:
     """Upper bound for sum of 1/lambda_j^2 over lambda_j > lam_cap:
     exact enumeration up to e_max = max(16 lam_cap, 64), read off a spectrum
     enumerated that far at least, plus a rigorous integral tail."""
+    check_cap(lam_cap, spectrum.max_e)
     e_max = max(16 * lam_cap, 64)
     if spectrum.max_e < e_max:
         raise InvalidParameterError(f"the spectrum reaches {spectrum.max_e}, not {e_max}")

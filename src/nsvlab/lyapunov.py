@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -141,29 +141,65 @@ def spin_up(cfg: SimConfig, warmup: float) -> np.ndarray:
 
 @dataclass
 class TraceSeries:
-    """Trace samples along one co-evolved run.
+    """One co-evolved run's record and the trace averages derived from it.
 
     times are re-orthonormalization events; diag[i, j] is (L theta_j,
-    theta_j)_alpha at event i, and trace_inst its row sum.  trace_avg is the
-    Cesaro mean of the instantaneous trace over events past the burn-in (NaN
-    before).  q_hats[m - 1] is the same mean over the first m vectors, which
-    evolve exactly as an m-frame does; q_hat is q_hat(n).  exponents are
-    per-vector Lyapunov estimates from the log normalization factors over the
-    same window.  With no event at t >= burn_in the verdict is withheld:
-    q_hats and exponents are NaN and window is None.  With no growth interval
-    starting at t >= burn_in the exponents alone are withheld (NaN).
+    theta_j)_alpha and log_factors[i, j] the log of vector j's Gram-Schmidt
+    factor at event i.  Derived on construction: trace_inst is diag's row
+    sum, trace_avg its Cesaro mean over events past the burn-in (NaN before).
+    q_hats[m - 1] is the same mean over the first m vectors, which evolve
+    exactly as an m-frame does; q_hat is q_hat(n).  exponents are per-vector
+    Lyapunov estimates from the log factors over the same window.  With no
+    event at t >= burn_in the verdict is withheld: q_hats and exponents are
+    NaN and window is None.  With no growth interval starting at t >= burn_in
+    the exponents alone are withheld (NaN).  Each withholding warns.
     """
 
-    n: int
     times: np.ndarray
-    diag: np.ndarray
-    trace_inst: np.ndarray
-    trace_avg: np.ndarray
-    exponents: np.ndarray
-    q_hats: np.ndarray
+    diag: np.ndarray              # (events, n)
+    log_factors: np.ndarray       # (events, n)
     burn_in: float
-    window: tuple | None
     base_final: SpectralField
+    trace_inst: np.ndarray = field(init=False)
+    trace_avg: np.ndarray = field(init=False)
+    q_hats: np.ndarray = field(init=False)
+    exponents: np.ndarray = field(init=False)
+    window: tuple | None = field(init=False, default=None)   # None: withheld
+
+    def __post_init__(self):
+        times, logs, burn_in, n = self.times, self.log_factors, self.burn_in, self.n
+        prev_ts = np.concatenate([[0.0], times[:-1]])   # where each growth interval starts
+
+        # prefix[:, m - 1] is the trace over the first m vectors, summed left to
+        # right; its Cesaro mean over events past burn-in is q_hat(m)
+        prefix = np.cumsum(self.diag, axis=1)
+        self.trace_inst = prefix[:, -1].copy()
+        self.trace_avg = np.full_like(self.trace_inst, np.nan)
+        sel = times >= burn_in
+        self.q_hats, self.exponents = np.full(n, np.nan), np.full(n, np.nan)
+        if np.any(sel):
+            means = np.cumsum(prefix[sel], axis=0) / np.arange(1, np.count_nonzero(sel) + 1)[:, None]
+            self.trace_avg[sel] = means[:, -1]
+            self.q_hats = means[-1]
+            self.window = (float(times[sel][0]), float(times[-1]))
+            # exponents: growth intervals fully inside the window
+            exp_sel = prev_ts >= burn_in
+            if np.any(exp_sel):
+                self.exponents = (logs[exp_sel].sum(axis=0)
+                                  / (times[exp_sel][-1] - prev_ts[exp_sel][0]))
+            else:
+                warnings.warn(f"no growth interval starts at t >= burn_in = {burn_in:.3g} (last "
+                              f"starts at t = {prev_ts[-1]:.3g}); exponents withheld",
+                              InsufficientDurationWarning, stacklevel=3)
+        else:
+            warnings.warn(
+                f"no re-orthonormalization at t >= burn_in = {burn_in:.3g} (run ends at "
+                f"t = {times[-1]:.3g}); q_hat and exponents withheld",
+                InsufficientDurationWarning, stacklevel=3)
+
+    @property
+    def n(self) -> int:
+        return self.diag.shape[1]
 
     @property
     def q_hat(self) -> float:
@@ -200,8 +236,8 @@ def evolve_tangent_frame(
     Base and frame advance as one stacked state [psi_u, psi_theta_1, ...]
     through dynamics.advance, so the frame takes the base flow's stages and
     scheme (integrating-factor RK4 at alpha = 0); every reorth_every steps it
-    is re-orthonormalized (alpha Gram-Schmidt), the log factors are
-    accumulated, and the instantaneous trace is sampled.  If
+    is re-orthonormalized (alpha Gram-Schmidt), and the event is recorded:
+    its time, trace diagonal and log factors (see TraceSeries).  If
     orthonormalization fails right after a previous pass, the frame is
     genuinely degenerate and the failure propagates with diagnostics.
 
@@ -215,8 +251,7 @@ def evolve_tangent_frame(
         raise InvalidParameterError(f"reorth_every must be >= 1, got {reorth_every}")
     if t_end < cfg.dt:
         raise InvalidParameterError(f"t_end={t_end:g} is shorter than one step dt={cfg.dt:g}")
-    dt = cfg.dt
-    gamma = cfg.gamma
+    dt, gamma = cfg.dt, cfg.gamma
     if burn_in is None:
         burn_in = min(5.0 / gamma, 0.5 * t_end)
     frame = TangentFrame.random(grid, n, cfg.metric, seed=seed)
@@ -242,50 +277,23 @@ def evolve_tangent_frame(
     state = advance(cfg, state, int(round(t_end / dt)), reorth_every, reorthonormalize,
                     scheme=scheme)
 
-    times = np.asarray(times)
-    diag = np.asarray(diag)                  # (events, n)
-    logs = np.asarray(log_factors)           # (events, n)
-    prev_ts = np.concatenate([[0.0], times[:-1]])   # where each growth interval starts
-
-    # prefix[:, m - 1] is the trace over the first m vectors, summed left to
-    # right; its Cesaro mean over events past burn-in is q_hat(m)
-    prefix = np.cumsum(diag, axis=1)
-    traces = prefix[:, -1].copy()
-    trace_avg = np.full_like(traces, np.nan)
-    sel = times >= burn_in
-    q_hats, exponents = np.full(n, np.nan), np.full(n, np.nan)
-    window = None
-    if np.any(sel):
-        means = np.cumsum(prefix[sel], axis=0) / np.arange(1, np.count_nonzero(sel) + 1)[:, None]
-        trace_avg[sel] = means[:, -1]
-        q_hats = means[-1]
-        window = (float(times[sel][0]), float(times[-1]))
-        # exponents: growth intervals fully inside the window
-        exp_sel = prev_ts >= burn_in
-        if np.any(exp_sel):
-            exponents = logs[exp_sel].sum(axis=0) / (times[exp_sel][-1] - prev_ts[exp_sel][0])
-        else:
-            warnings.warn(f"no growth interval starts at t >= burn_in = {burn_in:.3g} (last "
-                          f"starts at t = {prev_ts[-1]:.3g}); exponents withheld",
-                          InsufficientDurationWarning, stacklevel=2)
-    else:
-        warnings.warn(
-            f"no re-orthonormalization at t >= burn_in = {burn_in:.3g} (run ends at "
-            f"t = {times[-1]:.3g}); q_hat and exponents withheld",
-            InsufficientDurationWarning, stacklevel=2)
-
-    base_final = SpectralField(grid, VELOCITY, sp.velocity_of(grid, state[0]))
-    return TraceSeries(n=n, times=times, diag=diag, trace_inst=traces, trace_avg=trace_avg,
-                       exponents=exponents, q_hats=q_hats, burn_in=burn_in, window=window,
-                       base_final=base_final)
+    return TraceSeries(np.asarray(times), np.asarray(diag), np.asarray(log_factors), burn_in,
+                       SpectralField(grid, VELOCITY, sp.velocity_of(grid, state[0])))
 
 
 @dataclass
 class NStarScan:
-    q_hats: dict                 # m -> q_hat(m), every prefix of the final run (None if withheld)
-    n_star: int | None
-    eventually_decreasing: bool
-    series: TraceSeries          # the final run
+    series: TraceSeries                          # the final run
+    q_hats: dict = field(init=False)             # m -> q_hat(m), every prefix (None if withheld)
+    n_star: int | None = field(init=False)       # the first m with q_hat(m) < 0
+    eventually_decreasing: bool = field(init=False)   # the last three prefixes decrease
+
+    def __post_init__(self):
+        q_hats = self.series.q_hats
+        negative = np.flatnonzero(q_hats < 0)
+        self.q_hats = {m: None if math.isnan(q) else float(q) for m, q in enumerate(q_hats, start=1)}
+        self.n_star = int(negative[0]) + 1 if negative.size else None
+        self.eventually_decreasing = bool(np.all(np.diff(q_hats[-3:]) < 0))
 
     def summary(self) -> dict:
         return {
@@ -312,13 +320,7 @@ def scan_n_star(cfg: SimConfig, t_end: float, n_max: int = 64, **kwargs) -> NSta
         cfg = replace(cfg, initial=FieldSpec.from_stream(spin_up(cfg, warmup)))
     n = 1
     while True:
-        series = evolve_tangent_frame(cfg, n, t_end, **kwargs)
-        negative = np.flatnonzero(series.q_hats < 0)
-        if negative.size or 2 * n > n_max or np.isnan(series.q_hats).all():
-            break
+        scan = NStarScan(evolve_tangent_frame(cfg, n, t_end, **kwargs))
+        if scan.n_star is not None or 2 * n > n_max or np.isnan(scan.series.q_hats).all():
+            return scan
         n *= 2
-    q_hats = {m: None if math.isnan(q) else float(q) for m, q in enumerate(series.q_hats, start=1)}
-    return NStarScan(q_hats=q_hats,
-                     n_star=int(negative[0]) + 1 if negative.size else None,
-                     eventually_decreasing=bool(np.all(np.diff(series.q_hats[-3:]) < 0)),
-                     series=series)

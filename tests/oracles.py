@@ -17,7 +17,9 @@ sides and linearizations of the velocity and vorticity forms, a quadrature
 of the two terms of the trace bound, plain steppers over them (classical
 RK4, Lawson integrating-factor RK4, and a per-vector product-system RK4 for
 tangent frames), explicit loops of that allocating step for `integrate`
-and `evolve_tangent_frame` on the band layout, random fields, families and
+and `evolve_tangent_frame` on the band layout, the averages, exponents, n*
+verdict and Grashof numbers as those functions derived them inline from
+their records, random fields, families and
 frames drawn on the full layout, band families drawn one vector at a time
 and the rho-l2 sweep drawing each (alpha, seed) family afresh in report
 order, the full layout of a band, modified
@@ -34,6 +36,7 @@ Vorticity form:  dw/dt = -(1-aD)^{-1} (u.grad w) + nu D (1-aD)^{-1} w + (1-aD)^{
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -767,6 +770,63 @@ def evolve_frame_band(cfg, n, t_end, burn_in, seed, warmup, reorth_every=10):
     inside = prev_ts >= burn_in
     exponents = logs[inside].sum(axis=0) / (times[inside][-1] - prev_ts[inside][0])
     return times, np.asarray(diag), exponents, sp.velocity_of(grid, state[0])
+
+
+# ----------------------------------------------------------------------------
+# what the run functions derived inline from their records, before TraceSeries,
+# NStarScan and DiagnosticsSeries derived it on construction
+
+
+def trace_series_derived(times, diag, logs, burn_in):
+    """evolve_tangent_frame's derivation after its loop, verbatim: {trace_inst,
+    trace_avg, q_hats, exponents, window}, warning as it did."""
+    n = diag.shape[1]
+    prev_ts = np.concatenate([[0.0], times[:-1]])   # where each growth interval starts
+    prefix = np.cumsum(diag, axis=1)
+    traces = prefix[:, -1].copy()
+    trace_avg = np.full_like(traces, np.nan)
+    sel = times >= burn_in
+    q_hats, exponents = np.full(n, np.nan), np.full(n, np.nan)
+    window = None
+    if np.any(sel):
+        means = np.cumsum(prefix[sel], axis=0) / np.arange(1, np.count_nonzero(sel) + 1)[:, None]
+        trace_avg[sel] = means[:, -1]
+        q_hats = means[-1]
+        window = (float(times[sel][0]), float(times[-1]))
+        exp_sel = prev_ts >= burn_in
+        if np.any(exp_sel):
+            exponents = logs[exp_sel].sum(axis=0) / (times[exp_sel][-1] - prev_ts[exp_sel][0])
+        else:
+            warnings.warn(f"no growth interval starts at t >= burn_in = {burn_in:.3g} (last "
+                          f"starts at t = {prev_ts[-1]:.3g}); exponents withheld",
+                          dyn.InsufficientDurationWarning, stacklevel=2)
+    else:
+        warnings.warn(
+            f"no re-orthonormalization at t >= burn_in = {burn_in:.3g} (run ends at "
+            f"t = {times[-1]:.3g}); q_hat and exponents withheld",
+            dyn.InsufficientDurationWarning, stacklevel=2)
+    return {"trace_inst": traces, "trace_avg": trace_avg, "q_hats": q_hats,
+            "exponents": exponents, "window": window}
+
+
+def n_star_derived(q_hats):
+    """scan_n_star's verdict on its final run's prefixes, verbatim: {q_hats,
+    n_star, eventually_decreasing}."""
+    negative = np.flatnonzero(q_hats < 0)
+    return {"q_hats": {m: None if math.isnan(q) else float(q)
+                       for m, q in enumerate(q_hats, start=1)},
+            "n_star": int(negative[0]) + 1 if negative.size else None,
+            "eventually_decreasing": bool(np.all(np.diff(q_hats[-3:]) < 0))}
+
+
+def _cesaro(values):
+    return np.cumsum(values) / np.arange(1, values.size + 1)
+
+
+def diagnostics_derived(enstrophy, g_norm, nu):
+    """integrate's running means and Grashof numbers, verbatim."""
+    return {"avg_enstrophy": _cesaro(enstrophy), "avg_grad_l1": _cesaro(np.sqrt(enstrophy)),
+            "grashof_g": g_norm / nu**2, "grashof_cal_g": g_norm * TORUS_AREA / nu**2}
 
 
 # ----------------------------------------------------------------------------

@@ -119,10 +119,17 @@ class TestExitCodes:
         (["bounds"], {"g0_offset": -10}, "unknown config key 'g0_offset' for bounds"),
         # lambda_j <= j/2 is checked from j = 2: refused by the flag's name
         (["verify", "spectrum", "--jmax", "1"], None, "jmax must be >= 2, got 1"),
+        # -1 alone stands for the default burn-in; -3 had run with the default
+        (["lyapunov", "--n", "16", "--dt", "0.01", "--window", "1", "--burn-in", "-3"], None,
+         "burn_in must be >= 0, or -1 for the default, got -3.0"),
+        # refused with or without --scan; without it, 0 had run and exited 0
+        (["lyapunov", "--n", "16", "--dt", "0.01", "--window", "1", "--n-max", "0"], None,
+         "n_max must be >= 1, got 0"),
     ], ids=["empty-lam-range", "no-alphas", "ill-typed-alphas", "geometry", "n", "kind",
             "nan", "initial-seed-type", "initial-seed-negative", "negative-seed",
             "forcing-unknown-key", "initial-unknown-key", "initial-snapshot-missing",
-            "negative-snapshot-every", "bounds-g0-offset", "spectrum-jmax-1"])
+            "negative-snapshot-every", "bounds-g0-offset", "spectrum-jmax-1",
+            "lyapunov-burn-in-negative", "lyapunov-n-max-0"])
     def test_bad_value_is_2_with_manifest(self, tmp_path, capsys, argv, config, problem):
         if config is not None:
             (tmp_path / "c.json").write_text(json.dumps(config))

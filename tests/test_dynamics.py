@@ -405,8 +405,7 @@ class TestAprioriChecks:
         ones = np.ones_like(t)
         series = dyn.DiagnosticsSeries(
             t=t, energy_l2=ones, enstrophy=ones, energy_alpha=np.array([4.0, 3, 2, 1.5, 1, 1]),
-            avg_enstrophy=ones, avg_grad_l1=ones, grashof_g=1.0, grashof_cal_g=1.0,
-            g_norm=1.0, gamma=cfg.gamma)
+            g_norm=1.0, nu=cfg.nu)
         transient = 1.5 / (31.0 - 10.02)
         for rep in dyn.check_time_averages(series, cfg):
             assert rep.detail.endswith(f"(transient term {transient:.3g}) window=[10.02, 31]")

@@ -34,7 +34,11 @@ rule are each stated once, are checked byte for byte against the
 hand-written fields and formulas they replaced.  FieldSpec builds every
 kind bitwise as the forcing and initial-data classes it replaced, and the
 one CLI block mapper maps every block the CLI tests' valid tables form as
-the two mappers it replaced.
+the two mappers it replaced.  The averages, exponents, window, n* verdict
+and Grashof numbers that TraceSeries, NStarScan and DiagnosticsSeries derive
+from a run's record are checked bitwise, with the same warnings, against the
+derivations that evolve_tangent_frame, scan_n_star and integrate made inline,
+on runs and on hand-built records.
 """
 
 import itertools
@@ -141,6 +145,73 @@ def test_tangent_frame_is_bitwise_its_explicit_loop(alpha):
         np.testing.assert_array_equal(series.diag, diag)
         np.testing.assert_array_equal(series.exponents, exponents)
         np.testing.assert_array_equal(series.base_final.coeffs, base_final)
+
+
+def derive_recording(build, *args):
+    """build(*args) and the (category, message) of each warning it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        built = build(*args)
+    return built, [(w.category, str(w.message)) for w in caught]
+
+
+def assert_trace_derivations_are_the_inline_ones(series):
+    record = (series.times, series.diag, series.log_factors, series.burn_in)
+    again, warned = derive_recording(lyp.TraceSeries, *record, series.base_final)
+    ref, ref_warned = derive_recording(oracles.trace_series_derived, *record)
+    assert warned == ref_warned
+    for got in (series, again):
+        for name, want in ref.items():
+            if name == "window":
+                assert got.window == want
+            else:
+                np.testing.assert_array_equal(getattr(got, name), want, err_msg=name)
+            assert type(getattr(got, name)) is type(want), name
+    scan, ref_scan = lyp.NStarScan(series), oracles.n_star_derived(series.q_hats)
+    assert (scan.q_hats, scan.n_star, scan.eventually_decreasing) == tuple(ref_scan.values())
+    assert scan.summary() == {**ref_scan,
+                              "q_hats": {str(m): q for m, q in ref_scan["q_hats"].items()}}
+    return warned
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("alpha", [0.3, 0.0])
+def test_records_derive_bitwise_as_the_run_functions_did(alpha, n):
+    # the averages, exponents, window, n* verdict and Grashof numbers that
+    # TraceSeries, NStarScan and DiagnosticsSeries derive from a run's record
+    # are the inline derivations they replaced, bit for bit
+    cfg = forced_cfg(alpha, 1.0, SpectralGrid(n), sample_every=7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", dyn.InsufficientDurationWarning)
+        series = lyp.evolve_tangent_frame(cfg, 3, 1.05, burn_in=0.5, seed=2, warmup=0.3)
+        scan = lyp.scan_n_star(cfg, 1.05, n_max=4, burn_in=0.5, seed=2)
+    assert assert_trace_derivations_are_the_inline_ones(series) == []
+    assert np.isfinite(series.exponents).all() and series.window == (0.5, 1.05)
+    assert_trace_derivations_are_the_inline_ones(scan.series)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", dyn.CflWarning)
+        diag = dyn.integrate(cfg).diagnostics
+    ref = oracles.diagnostics_derived(diag.enstrophy, diag.g_norm, cfg.nu)
+    for name, want in ref.items():
+        np.testing.assert_array_equal(getattr(diag, name), want, err_msg=name)
+        assert type(getattr(diag, name)) is type(want), name
+
+
+@pytest.mark.parametrize("times, burn_in, withheld", [
+    ([0.1, 0.2], 5.0, "no re-orthonormalization at t >= burn_in = 5 (run ends at t = 0.2)"),
+    ([1.0, 2.0], 1.5, "no growth interval starts at t >= burn_in = 1.5 (last starts at t = 1)"),
+    ([0.5, 1.0, 1.5], 0.5, None),
+], ids=["verdict-withheld", "exponents-withheld", "all-derived"])
+def test_synthetic_records_derive_as_the_run_functions_did(times, burn_in, withheld):
+    rng = np.random.default_rng(7)
+    times = np.asarray(times)
+    series, warned = derive_recording(lyp.TraceSeries, times, rng.normal(size=(times.size, 4)),
+                                      rng.normal(size=(times.size, 4)), burn_in, None)
+    assert assert_trace_derivations_are_the_inline_ones(series) == warned
+    assert len(warned) == (withheld is not None)
+    if withheld is not None:
+        assert warned[0][0] is dyn.InsufficientDurationWarning
+        assert warned[0][1].startswith(withheld)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 8, 9])

@@ -188,18 +188,16 @@ class TestCsv:
         diag = dyn.DiagnosticsSeries(
             t=np.array([0.0, 0.5]), energy_l2=np.array([1.0, 0.25]),
             enstrophy=np.array([2.0, 1 / 3]), energy_alpha=np.array([3.0, 1e-20]),
-            avg_enstrophy=np.array([2.0, 7 / 6]), avg_grad_l1=np.array([math.sqrt(2), 1.25]),
-            grashof_g=1 / 7, grashof_cal_g=4 * math.pi**2 / 7, g_norm=1 / 7, gamma=0.5)
+            g_norm=1 / 7, nu=1.0)
         diag.write_csv(tmp_path / "diag.csv")
         assert (tmp_path / "diag.csv").read_bytes() == (
             b"t,energy_l2,enstrophy,energy_alpha,avg_enstrophy,avg_grad_l1,grashof_G,grashof_calG\r\n"
             b"0,1,2,3,2,1.41421356237,0.142857142857,5.63977394348\r\n"
-            b"0.5,0.25,0.333333333333,1e-20,1.16666666667,1.25,0.142857142857,5.63977394348\r\n")
-        trace = lyp.TraceSeries(
-            n=1, times=np.array([0.1, 0.2]), diag=np.array([[-2.0], [-1.5]]),
-            trace_inst=np.array([-2.0, -1.5]), trace_avg=np.array([math.nan, -1.5]),
-            exponents=np.full(1, math.nan), q_hats=np.array([-1.5]), burn_in=0.15,
-            window=(0.2, 0.2), base_final=None)
+            b"0.5,0.25,0.333333333333,1e-20,1.16666666667,0.995781915781,"
+            b"0.142857142857,5.63977394348\r\n")
+        with pytest.warns(dyn.InsufficientDurationWarning, match="exponents withheld"):
+            trace = lyp.TraceSeries(times=np.array([0.1, 0.2]), diag=np.array([[-2.0], [-1.5]]),
+                                    log_factors=np.zeros((2, 1)), burn_in=0.15, base_final=None)
         trace.write_csv(tmp_path / "trace.csv")
         assert (tmp_path / "trace.csv").read_bytes() == (
             b"t,trace_inst,trace_avg\r\n0.1,-2,nan\r\n0.2,-1.5,-1.5\r\n")

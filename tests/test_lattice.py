@@ -138,6 +138,24 @@ class TestSpectralSums:
         assert above < 8.0
         assert above == pytest.approx(2.03, abs=0.2)
 
+    def test_negative_cap_refused(self):
+        # a negative index had wrapped to the whole table: 10.344 at max_e = 10
+        with pytest.raises(InvalidParameterError, match=r"integer in \[1, 10\], got -1"):
+            L.sum_inverse_below(-1, L.LatticeSpectrum(max_e=10))
+
+    def test_zero_cap_refused(self):
+        # cap 0 had summed lambda = 1 into the tail above it: 6.054 at max_e = 64
+        with pytest.raises(InvalidParameterError, match=r"integer in \[1, 64\], got 0"):
+            L.sum_inverse_square_above(0, L.LatticeSpectrum(max_e=64))
+
+    @pytest.mark.parametrize("cap", [11, 2.0])
+    def test_cap_past_the_table_or_not_an_integer_refused(self, cap):
+        # past max_e the table index had raised a bare IndexError
+        for total in (L.sum_inverse_below, L.sum_inverse_square_above):
+            with pytest.raises(InvalidParameterError, match=r"integer in \[1, 10\]"):
+                total(cap, L.LatticeSpectrum(max_e=10))
+        assert L.sum_inverse_below(10, L.LatticeSpectrum(max_e=10)) == pytest.approx(10.3444444)
+
     def test_tail_bound_dominates_true_tail(self):
         # enumerated tail between E and 4E must sit below the bound at E
         spec = L.LatticeSpectrum(max_e=40_000)

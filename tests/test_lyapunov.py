@@ -292,6 +292,64 @@ class TestFrameEvolution:
         np.testing.assert_array_equal(a.exponents, b.exponents)
 
 
+def synthetic_series(diag_row, log_row, h, events, burn_in):
+    """A record of `events` events h apart with the same diagonal and log factors at each."""
+    times = h * np.arange(1, events + 1)
+    return lyp.TraceSeries(times, np.tile(diag_row, (events, 1)),
+                           np.tile(log_row, (events, 1)), burn_in, None)
+
+
+class TestSyntheticRecords:
+    """What TraceSeries and NStarScan derive from hand-built records, with no run."""
+
+    def test_q_hats_of_a_constant_diagonal_are_its_prefix_sums(self):
+        # dyadic entries: every sum and mean is exact
+        d = np.array([0.5, -0.25, -1.0, -2.0])
+        series = synthetic_series(d, np.zeros(4), 0.25, 12, burn_in=1.0)
+        np.testing.assert_array_equal(series.q_hats, np.cumsum(d))
+        assert series.q_hat == -2.75 and series.n == 4
+        np.testing.assert_array_equal(series.trace_inst, np.full(12, -2.75))
+        sel = series.times >= 1.0
+        np.testing.assert_array_equal(series.trace_avg[sel], -2.75)
+        assert np.isnan(series.trace_avg[~sel]).all() and series.window == (1.0, 3.0)
+
+    def test_exponents_are_the_log_factor_per_event_spacing(self):
+        r, h = np.array([0.3, -0.1, -0.7]), 0.2
+        series = synthetic_series(np.zeros(3), r, h, 25, burn_in=1.0)
+        np.testing.assert_allclose(series.exponents, r / h, rtol=1e-13)
+        assert series.summary()["exponents"] == pytest.approx(list(r / h), rel=1e-13)
+
+    def test_no_event_past_the_burn_in_withholds_the_verdict(self):
+        with pytest.warns(dyn.InsufficientDurationWarning,
+                          match=r"no re-orthonormalization at t >= burn_in = 5 \(run ends at t = 1\)"):
+            series = synthetic_series(np.ones(2), np.ones(2), 0.5, 2, burn_in=5.0)
+        assert np.isnan(series.q_hats).all() and np.isnan(series.exponents).all()
+        assert series.window is None and np.isnan(series.trace_avg).all()
+        assert series.summary()["q_hat"] is None and series.summary()["exponents"] is None
+        scan = lyp.NStarScan(series)
+        assert scan.q_hats == {1: None, 2: None}
+        assert scan.n_star is None and not scan.eventually_decreasing
+
+    def test_no_growth_interval_past_the_burn_in_withholds_the_exponents(self):
+        # events at t = 1 and 2: the growth intervals start at 0 and 1, before 1.5
+        with pytest.warns(dyn.InsufficientDurationWarning,
+                          match=r"no growth interval starts at t >= burn_in = 1.5 \(last starts "
+                                r"at t = 1\); exponents withheld"):
+            series = synthetic_series(np.array([-1.0]), np.array([0.5]), 1.0, 2, burn_in=1.5)
+        assert series.q_hats.tolist() == [-1.0] and series.window == (2.0, 2.0)
+        assert np.isnan(series.exponents).all()
+
+    @pytest.mark.parametrize("d, n_star, decreasing", [
+        ([1.0, -0.5, -1.0, -2.0], 3, True),      # q_hats 1, 0.5, -0.5, -2.5
+        ([1.0, 1.0, 0.0], None, False),          # 1, 2, 2: the last two tie
+        ([-1.0, 2.0, -0.5, 0.25], 1, False),     # -1, 1, 0.5, 0.75
+    ])
+    def test_n_star_reads_the_first_negative_prefix(self, d, n_star, decreasing):
+        scan = lyp.NStarScan(synthetic_series(np.array(d), np.zeros(len(d)), 0.5, 4, 0.5))
+        assert scan.n_star == n_star and scan.eventually_decreasing is decreasing
+        assert scan.q_hats == dict(enumerate(np.cumsum(d).tolist(), start=1))
+
+
 class TestNStarScan:
     def test_q_hat_decreasing_in_n_on_zero_attractor(self):
         # q_hat(n) = -sum of the n least-negative multipliers: strictly

@@ -38,7 +38,7 @@ from .errors import (
     RoleMismatchError,
     WrongRegimeError,
 )
-from .fieldio import RunManifest, atomic_write_text, save_field, write_json
+from .fieldio import FieldWriter, RunManifest, atomic_write_text, save_field, write_json
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -290,12 +290,10 @@ def _run_bounds(params: dict, outdir: Path, seed: int, manifest: RunManifest):
         geometry=params["geometry"])
     report = bounds_mod.build_report(inp)
     report_path = outdir / "bounds.json"
-    write_json(report_path, report.as_dict())
-    manifest.add_artifact(report_path)
+    manifest.add_artifact(report_path, write_json(report_path, report.as_dict()))
     table_path = outdir / "bounds.txt"
     table = report.to_text()
-    atomic_write_text(table_path, table + "\n")
-    manifest.add_artifact(table_path)
+    manifest.add_artifact(table_path, atomic_write_text(table_path, table + "\n"))
     print(table)
     return EXIT_OK, {"passed": True, "entries": len(report.entries)}
 
@@ -310,22 +308,27 @@ def _sim_config(params: dict, seed: int) -> dyn.SimConfig:
 
 
 def _run_simulate(params: dict, outdir: Path, seed: int, manifest: RunManifest):
+    """Integrate, with every field file written by one FieldWriter while the
+    loop steps; the writer is joined, and what it wrote listed, before the
+    manifest is written, on every exit path."""
     cfg = _sim_config(params, seed)
-    result = dyn.integrate(cfg, snapshot_every=params["snapshot_every"])
-    csv_path = outdir / "diagnostics.csv"
-    result.diagnostics.write_csv(csv_path)
-    manifest.add_artifact(csv_path)
-    final_path = outdir / "final_state.field"
-    save_field(result.final, final_path, alpha=cfg.alpha)
-    manifest.add_artifact(final_path)
-    final_bits = result.final.coeffs.tobytes()
-    for t, snap in result.snapshots:
-        snap_path = outdir / f"snapshot_t{t:.6g}.field"
-        if snap.coeffs.tobytes() == final_bits:  # the final state, formatted once
-            atomic_write_text(snap_path, final_path.read_text())
+    with FieldWriter(manifest.add_artifact) as writer:
+        last = None                     # the last snapshot handed on: (path, field)
+
+        def snapshot(t, u):
+            nonlocal last
+            last = (outdir / f"snapshot_t{t:.6g}.field", u)
+            writer.save(u, last[0], cfg.alpha)
+
+        result = dyn.integrate(cfg, snapshot_every=params["snapshot_every"], snapshots=snapshot)
+        final_path = outdir / "final_state.field"
+        if last and last[1].coeffs.tobytes() == result.final.coeffs.tobytes():
+            writer.copy(last[0], final_path)       # the final state, formatted once
         else:
-            save_field(snap, snap_path, alpha=cfg.alpha)
-        manifest.add_artifact(snap_path)
+            writer.save(result.final, final_path, cfg.alpha)
+    # listed after the join, so the manifest's order is not that of the replies' arrival
+    csv_path = outdir / "diagnostics.csv"
+    manifest.add_artifact(csv_path, result.diagnostics.write_csv(csv_path))
 
     checks = [dyn.check_dissipative_bound(result.diagnostics, cfg)]
     checks.extend(dyn.check_time_averages(result.diagnostics, cfg))
@@ -351,11 +354,9 @@ def _run_lyapunov(params: dict, outdir: Path, seed: int, manifest: RunManifest):
         series = lyp.evolve_tangent_frame(cfg, params["frame_n"], params["window"], **kwargs)
         summary = series.summary()
     csv_path = outdir / f"trace_n{series.n}.csv"
-    series.write_csv(csv_path)
-    manifest.add_artifact(csv_path)
+    manifest.add_artifact(csv_path, series.write_csv(csv_path))
     summary_path = outdir / "summary.json"
-    write_json(summary_path, summary)
-    manifest.add_artifact(summary_path)
+    manifest.add_artifact(summary_path, write_json(summary_path, summary))
     return EXIT_OK, {"passed": True, **summary}
 
 
@@ -409,13 +410,12 @@ def _run_verify(params: dict, outdir: Path, seed: int, manifest: RunManifest):
         fam = sweep.witness
         for j, coeffs in enumerate(sp.full_layout(sp.half_of(grid, fam.vectors))):
             wpath = outdir / f"witness_seed{fam.seed}_vec{j}.field"
-            save_field(sp.SpectralField(grid, fam.role, coeffs), wpath, alpha=fam.metric.alpha)
-            manifest.add_artifact(wpath)
+            manifest.add_artifact(wpath, save_field(sp.SpectralField(grid, fam.role, coeffs),
+                                                    wpath, alpha=fam.metric.alpha))
         payload["witness_persisted"] = True
 
     report_path = outdir / f"report_{target}.json"
-    write_json(report_path, payload)
-    manifest.add_artifact(report_path)
+    manifest.add_artifact(report_path, write_json(report_path, payload))
     print(json.dumps(payload, indent=2, sort_keys=True, default=str))
     return (EXIT_OK if payload["pass"] else EXIT_VERIFICATION), {"passed": payload["pass"]}
 

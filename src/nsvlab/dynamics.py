@@ -224,11 +224,12 @@ class DiagnosticsSeries:
         self.grashof_g = self.g_norm / self.nu**2
         self.grashof_cal_g = self.g_norm * sp.TORUS_AREA / self.nu**2
 
-    def write_csv(self, path):
+    def write_csv(self, path) -> str:
+        """Write the series as CSV; returns the sha256 hex digest of its bytes."""
         columns = (self.t, self.energy_l2, self.enstrophy, self.energy_alpha,
                    self.avg_enstrophy, self.avg_grad_l1)
         grashof = [f"{self.grashof_g:.12g}", f"{self.grashof_cal_g:.12g}"]
-        fieldio.write_csv(path, self.CSV_COLUMNS,
+        return fieldio.write_csv(path, self.CSV_COLUMNS,
                           ([f"{v:.12g}" for v in row] + grashof for row in zip(*columns)))
 
 
@@ -418,7 +419,7 @@ def advance(cfg: SimConfig, c: np.ndarray, nsteps: int, every: int, visit, stage
 
 
 def integrate(cfg: SimConfig, *, snapshot_every: int = 0,
-              track_energy_budget: bool = False) -> SimResult:
+              track_energy_budget: bool = False, snapshots=None) -> SimResult:
     """Advance the flow to t_end with fixed-step RK4 on its streamfunction
     (integrating-factor RK4 at alpha = 0; see stream_scheme).
 
@@ -431,6 +432,13 @@ def integrate(cfg: SimConfig, *, snapshot_every: int = 0,
     steps, and 0 takes none.  Snapshots and the final state are velocity
     fields; the t = 0 snapshot, and the final state of a run of no step, are
     the initial velocity itself (velocity_of psi_hat for a "stream" start).
+    Each snapshot goes to the sink snapshots(t, field) as it is taken, so a
+    caller can write it while the loop steps on (the CLI's fieldio.FieldWriter
+    formats them in order in one forked writer process (POSIX fork), with
+    the bytes and hashes of an in-process write); by default they are
+    collected in SimResult.snapshots, which a sink leaves empty.  A diverged
+    run returns no SimResult, but keeps in the sink the snapshots taken
+    before the divergence.
 
     Deterministic given cfg.  Raises IntegrationDivergedError on non-finite
     state, warns CflWarning when dt * max|u| * k_max > 1 at a sample point.
@@ -456,7 +464,8 @@ def integrate(cfg: SimConfig, *, snapshot_every: int = 0,
         inp = float(np.sum(w_l2 * (psi_g * np.conj(c)).real))
         return 2.0 * cfg.nu * ens - 2.0 * inp
 
-    rows, snapshots = [], []          # rows: (t, ||u||^2, ||grad u||^2, ||u||_a^2)
+    rows, taken = [], []              # rows: (t, ||u||^2, ||grad u||^2, ||u||_a^2)
+    sink = snapshots if snapshots is not None else (lambda t, f: taken.append((t, f)))
     cfl_warned = False
     budget = 0.0
 
@@ -475,7 +484,7 @@ def integrate(cfg: SimConfig, *, snapshot_every: int = 0,
                 cfl_warned = True
         if snapshot_every and step % snapshot_every == 0:
             u = u0.coeffs.copy() if step == 0 and u0 is not None else sp.velocity_of(grid, c)
-            snapshots.append((t, SpectralField(grid, VELOCITY, u)))
+            sink(t, SpectralField(grid, VELOCITY, u))
 
     def accumulate_budget(s):
         nonlocal budget
@@ -492,7 +501,7 @@ def integrate(cfg: SimConfig, *, snapshot_every: int = 0,
     diag = DiagnosticsSeries(t, e_l2, ens, e_al, g_norm, cfg.nu)
     final = (u0 if nsteps == 0 and u0 is not None
              else SpectralField(grid, VELOCITY, sp.velocity_of(grid, c)))
-    return SimResult(cfg=cfg, final=final, diagnostics=diag, snapshots=snapshots,
+    return SimResult(cfg=cfg, final=final, diagnostics=diag, snapshots=taken,
                      energy_residual=residual, steps=nsteps)
 
 

@@ -13,7 +13,14 @@ every finite or infinite part round-trips bit-exactly, the sign of a -0 part
 included; a NaN part reads back unsigned.  Scalar fields use component 0 only.
 
 All writers go through a temp-then-rename step; on failure the partial file
-is left behind with a .partial suffix.
+is left behind with a .partial suffix.  Each writer hashes the bytes as it
+writes them and returns their sha256, which the run manifest records.
+
+FieldWriter formats a run's snapshots in one forked writer process (POSIX
+fork), in the order they are handed to it, while its caller goes on; the
+bytes, and so the hashes, are those save_field writes in process.  Every
+write handed over before the caller fails is still made and reported, so a
+diverged simulate run keeps the snapshots taken before the divergence.
 """
 
 from __future__ import annotations
@@ -22,7 +29,9 @@ import csv
 import hashlib
 import io
 import json
+import multiprocessing
 import os
+import signal
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
@@ -37,24 +46,39 @@ from .spectral import VELOCITY, VORTICITY, SpectralField, SpectralGrid
 FIELD_MAGIC = "# nsvlab-field v1"
 
 
+class _HashedText:
+    """A text file's write(), hashing the bytes each call writes."""
+
+    def __init__(self, fh):
+        self._fh, self.sha256 = fh, hashlib.sha256()
+
+    def write(self, text: str):
+        self._fh.write(text)
+        self.sha256.update(text.encode(self._fh.encoding))
+
+
 @contextmanager
 def atomic_open(path):
     """A text file written at path.partial and renamed to path when the block
-    ends without an error; on an error the partial file is left behind."""
+    ends without an error; on an error the partial file is left behind.  What
+    it yields has write() alone, and its sha256 hashes the bytes written."""
     path = Path(path)
     partial = path.with_name(path.name + ".partial")
     with open(partial, "w") as fh:
-        yield fh
+        yield _HashedText(fh)
     os.replace(partial, path)
 
 
-def atomic_write_text(path, text: str):
+def atomic_write_text(path, text: str) -> str:
+    """Write text at path; returns the sha256 hex digest of its bytes."""
     with atomic_open(path) as fh:
         fh.write(text)
+    return fh.sha256.hexdigest()
 
 
-def save_field(f: SpectralField, path, alpha: float = 0.0):
+def save_field(f: SpectralField, path, alpha: float = 0.0) -> str:
     """Write a field snapshot; alpha records the metric of the producing run.
+    Returns the sha256 hex digest of the bytes written.
 
     The bytes are those of one "%d %d %d %.17g %.17g" row per stored
     coefficient, but each distinct |part| is formatted once: a full-layout
@@ -90,6 +114,108 @@ def save_field(f: SpectralField, path, alpha: float = 0.0):
             block[:, [2, 4]] = signs[rows]
             block[:, [3, 5]] = digits[which[rows]]
             fh.write("".join(block.ravel().tolist()))
+    return fh.sha256.hexdigest()
+
+
+class FieldWriter:
+    """Field files written by one forked worker process, in the order asked.
+
+    save(f, path, alpha) and copy(source, path) hand a write to the worker
+    and return at once, so the caller goes on while the worker formats the
+    field with save_field (or copies a file written before it), hashing the
+    bytes as it writes them.  The worker replies to each write with its
+    path and sha256, or with the OSError that stopped it, and goes on to
+    the next.  Replies are read by each later write and by close(), which
+    waits for them all and joins the worker: each written file goes to
+    on_written(path, sha256), and the first OSError is raised.  A worker
+    that dies is an OSError too.  As a context manager, the block ends with
+    close(), and an error already raised in the block wins over one of
+    close().  The worker is started with fork (POSIX): it runs the program
+    as loaded, and writes the bytes save_field writes in process.
+    """
+
+    def __init__(self, on_written):
+        context = multiprocessing.get_context("fork")
+        self._conn, worker_end = context.Pipe()
+        self._worker = context.Process(target=_write_fields, args=(worker_end, self._conn),
+                                       name="nsvlab-field-writer", daemon=True)
+        self._worker.start()
+        worker_end.close()
+        self._on_written, self._pending, self._error = on_written, 0, None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        try:
+            self.close()
+        except OSError:
+            if exc is None:
+                raise
+
+    def save(self, f: SpectralField, path, alpha: float):
+        self._request(("save", f, str(path), alpha))
+
+    def copy(self, source, path):
+        self._request(("copy", str(source), str(path), None))
+
+    def close(self):
+        """Wait for every reply and join the worker; raises the first OSError."""
+        if self._worker is None:
+            return
+        try:
+            self._pipe(self._conn.send, None)
+            while self._pending:
+                self._receive()
+        finally:
+            self._conn.close()
+            self._worker.join()
+            self._worker = None
+        if self._error is not None:
+            raise self._error
+
+    def _request(self, request):
+        while self._pending and self._pipe(self._conn.poll):
+            self._receive()
+        if self._error is not None:
+            raise self._error
+        self._pipe(self._conn.send, request)
+        self._pending += 1
+
+    def _receive(self):
+        reply = self._pipe(self._conn.recv)
+        self._pending -= 1
+        if isinstance(reply, OSError):
+            self._error = self._error or reply
+        else:
+            self._on_written(*reply)
+
+    def _pipe(self, op, *args):
+        """op(*args) on the pipe to the worker, whose death is an OSError."""
+        try:
+            return op(*args)
+        except (EOFError, OSError) as err:
+            self._pending = 0
+            self._worker.join()
+            raise OSError(f"the field writer process exited (status {self._worker.exitcode}) "
+                          "with writes unanswered") from err
+
+
+def _write_fields(conn, parent_end):
+    """FieldWriter's worker: one reply per request, until a None request.
+    Interrupts are left to the parent, which ends the worker by close()."""
+    parent_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for kind, source, path, alpha in iter(conn.recv, None):
+        try:
+            if kind == "save":
+                digest = save_field(source, path, alpha)
+            else:
+                digest = atomic_write_text(path, Path(source).read_text())
+        except OSError as err:
+            conn.send(err)
+        else:
+            conn.send((path, digest))
 
 
 def load_snapshot(path) -> tuple[SpectralField, dict]:
@@ -152,25 +278,19 @@ def load_field(path) -> SpectralField:
 # ----------------------------------------------------------------------------
 # reports and manifests
 
-def write_json(path, obj):
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def write_json(path, obj) -> str:
+    """Write obj as indented JSON; returns the sha256 hex digest of its bytes."""
+    return atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def write_csv(path, header, rows):
-    """Write a header and rows of cells as CSV (csv.writer's \\r\\n line ends)."""
+def write_csv(path, header, rows) -> str:
+    """Write a header and rows of cells as CSV (csv.writer's \\r\\n line ends);
+    returns the sha256 hex digest of its bytes."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-    atomic_write_text(path, buf.getvalue())
-
-
-def sha256_of(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    return atomic_write_text(path, buf.getvalue())
 
 
 def config_hash(config: dict) -> str:
@@ -191,8 +311,9 @@ class RunManifest:
     complete: bool = True
     schemas: dict = dc_field(default_factory=lambda: {"csv": "v1", "json": "v1", "field": "v1"})
 
-    def add_artifact(self, path):
-        self.artifacts.append({"path": str(Path(path).name), "sha256": sha256_of(path)})
+    def add_artifact(self, path, sha256: str):
+        """List the file at path, whose bytes hash to sha256 (as its writer returned)."""
+        self.artifacts.append({"path": str(Path(path).name), "sha256": sha256})
 
     def write(self, path):
         payload = {

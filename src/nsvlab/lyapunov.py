@@ -205,8 +205,9 @@ class TraceSeries:
     def q_hat(self) -> float:
         return float(self.q_hats[-1])
 
-    def write_csv(self, path):
-        fieldio.write_csv(path, ("t", "trace_inst", "trace_avg"),
+    def write_csv(self, path) -> str:
+        """Write the trace columns as CSV; returns the sha256 hex digest of its bytes."""
+        return fieldio.write_csv(path, ("t", "trace_inst", "trace_avg"),
                           ([f"{v:.12g}" for v in row]
                            for row in zip(self.times, self.trace_inst, self.trace_avg)))
 
@@ -257,8 +258,10 @@ def evolve_tangent_frame(
     frame = TangentFrame.random(grid, n, cfg.metric, seed=seed)
     weights, multipliers = frame.weights, stream_multipliers(cfg)
     state = np.concatenate([spin_up(cfg, warmup)[None], frame.vectors])
-    # warned once spin_up has accepted the warmup
-    if t_end - burn_in < 10.0 / gamma:
+    nsteps = int(round(t_end / dt))
+    # warned once spin_up has accepted the warmup, and only if the last event
+    # passes the burn-in: otherwise TraceSeries warns that the verdict is withheld
+    if nsteps * dt >= burn_in and t_end - burn_in < 10.0 / gamma:
         warnings.warn(
             f"trace window {t_end - burn_in:.3g} < 10/gamma = {10 / gamma:.3g}",
             InsufficientDurationWarning, stacklevel=2)
@@ -274,8 +277,7 @@ def evolve_tangent_frame(
         diag.append(trace_diagonal(grid, multipliers, state, weights, kernel))
         log_factors.append(np.log(norms))
 
-    state = advance(cfg, state, int(round(t_end / dt)), reorth_every, reorthonormalize,
-                    scheme=scheme)
+    state = advance(cfg, state, nsteps, reorth_every, reorthonormalize, scheme=scheme)
 
     return TraceSeries(np.asarray(times), np.asarray(diag), np.asarray(log_factors), burn_in,
                        SpectralField(grid, VELOCITY, sp.velocity_of(grid, state[0])))

@@ -81,6 +81,10 @@ class SpectralGrid:
         object.__setattr__(self, "band_curl_div",
                            np.stack([bky**2 - bkx**2, 2.0 * bkx * bky]).astype(complex))
 
+    def __reduce__(self):
+        # pickled as its two fields: the band arrays are rebuilt, not sent
+        return SpectralGrid, (self.n, self.dealias_cutoff)
+
     def coeff_shape(self, role: str) -> tuple:
         return (2, self.n, self.n) if role == VELOCITY else (self.n, self.n)
 

@@ -1,6 +1,9 @@
 """CLI harness: config parsing, dispatch, exit codes, determinism."""
 
+import hashlib
 import json
+import multiprocessing
+import os
 import re
 import tempfile
 import warnings
@@ -10,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nsvlab import cli
+from nsvlab import cli, fieldio
 from nsvlab import dynamics as dyn
 from nsvlab import spectral as sp
 from nsvlab.errors import ConfigError
@@ -297,27 +300,47 @@ class TestExitCodes:
         assert not np.array_equal(sp.velocity_of(u.grid, sp.stream_of(u.grid, u.coeffs)), u.coeffs)
 
     @staticmethod
-    def formatted_names(monkeypatch):
-        """The names of the files cli formats with save_field, in order."""
-        formatted = []
+    def writer_replies(monkeypatch):
+        """What cli asks its FieldWriters to write, and their replies, read
+        after the run: (kind, name, sha256) per file, kind "save" (formatted
+        in the writer process) or "copy", in the order asked; the writer
+        replies in that order."""
+        asked, replies = [], []
 
-        def counting(f, path, alpha):
-            formatted.append(Path(path).name)
-            save_field(f, path, alpha=alpha)
-        monkeypatch.setattr(cli, "save_field", counting)
-        return formatted
+        class Recording(fieldio.FieldWriter):
+            def __init__(self, on_written):
+                def record(path, digest):
+                    replies.append((Path(path).name, digest))
+                    on_written(path, digest)
+                super().__init__(record)
+
+            def save(self, f, path, alpha):
+                asked.append(("save", Path(path).name))
+                super().save(f, path, alpha)
+
+            def copy(self, source, path):
+                asked.append(("copy", Path(path).name))
+                super().copy(source, path)
+        monkeypatch.setattr(cli, "FieldWriter", Recording)
+
+        def read():
+            assert [name for _, name in asked] == [name for name, _ in replies]
+            return [(kind, name, digest) for (kind, name), (_, digest) in zip(asked, replies)]
+        return read
 
     @pytest.mark.filterwarnings("ignore:no sample at t")
     def test_final_snapshot_is_the_final_state_formatted_once(self, tmp_path, monkeypatch):
         # t_end = 3 is a snapshot time: final_state.field and snapshot_t3.field
-        # hold the same bytes, and only the first is formatted
-        formatted = self.formatted_names(monkeypatch)
+        # hold the same bytes, and only the snapshot is formatted (by the
+        # writer process, so its replies say what it formatted and copied)
+        replies = self.writer_replies(monkeypatch)
         code = cli.main(["simulate", "--n", "32", "--alpha", "0", "--dt", "0.01", "--t-end", "3",
                          "--snapshot-every", "50", "--forcing-kind", "shear",
                          "--initial-kind", "random", "--output-dir", str(tmp_path)])
         assert code == cli.EXIT_OK
-        assert formatted == ["final_state.field"] + [f"snapshot_t{t:g}.field"
-                                                     for t in (0, 0.5, 1, 1.5, 2, 2.5)]
+        assert [(kind, name) for kind, name, _ in replies()] == [
+            ("save", f"snapshot_t{t:g}.field") for t in (0, 0.5, 1, 1.5, 2, 2.5, 3)] + [
+            ("copy", "final_state.field")]
         final = (tmp_path / "final_state.field").read_bytes()
         assert (tmp_path / "snapshot_t3.field").read_bytes() == final
         assert (tmp_path / "snapshot_t2.5.field").read_bytes() != final
@@ -325,18 +348,21 @@ class TestExitCodes:
                   json.loads((tmp_path / "manifest.json").read_text())["artifacts"]}
         assert hashes["snapshot_t3.field"] == hashes["final_state.field"]
         assert len(hashes) == 9
+        assert {name: digest for _, name, digest in replies()} == {
+            name: digest for name, digest in hashes.items() if name.endswith(".field")}
 
     @pytest.mark.filterwarnings("ignore:no sample at t")
     def test_zero_step_final_state_is_the_initial_velocity(self, tmp_path, monkeypatch):
         # a run of no step ends at its initial velocity itself, not at its
         # velocity -> psi -> velocity round trip: the t = 0 snapshot's bytes,
         # formatted once
-        formatted = self.formatted_names(monkeypatch)
+        replies = self.writer_replies(monkeypatch)
         code = cli.main(["simulate", "--n", "16", "--t-end", "0", "--dt", "0.01",
                          "--snapshot-every", "10", "--initial-kind", "random",
                          "--output-dir", str(tmp_path)])
         assert code == cli.EXIT_OK
-        assert formatted == ["final_state.field"]
+        assert [(kind, name) for kind, name, _ in replies()] == [
+            ("save", "snapshot_t0.field"), ("copy", "final_state.field")]
         assert ((tmp_path / "final_state.field").read_bytes()
                 == (tmp_path / "snapshot_t0.field").read_bytes())
 
@@ -652,7 +678,117 @@ class TestWitnessPersistence:
         np.testing.assert_allclose(gram, np.eye(3), atol=1e-8)
 
 
+def assert_manifest_lists_the_files_present(out):
+    """The manifest lists every file of the run directory but itself and a
+    .partial left by a failed write, each with the sha256 of its bytes; and
+    no writer process is left."""
+    listed = {a["path"]: a["sha256"]
+              for a in json.loads((out / "manifest.json").read_text())["artifacts"]}
+    present = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
+               if p.is_file() and p.name != "manifest.json" and p.suffix != ".partial"}
+    assert listed == present
+    assert multiprocessing.active_children() == []
+    return listed
+
+
+class TestArtifactHashes:
+    @pytest.mark.filterwarnings("ignore::nsvlab.dynamics.InsufficientDurationWarning")
+    def test_simulate_with_snapshots(self, tmp_path):
+        assert cli.main(TestExitCodes.SHORT_SIMULATE + [
+            "--sample-every", "1", "--snapshot-every", "3", "--output-dir", str(tmp_path)]) == 0
+        listed = assert_manifest_lists_the_files_present(tmp_path)
+        assert len(listed) == 2 + 4      # csv, final state, snapshots at t = 0, 0.03, 0.06, 0.09
+
+    def test_lyapunov(self, tmp_path):
+        assert cli.main(["lyapunov", "--n", "16", "--dt", "0.02", "--frame-n", "2",
+                         "--window", "3", "--output-dir", str(tmp_path)]) == 0
+        assert set(assert_manifest_lists_the_files_present(tmp_path)) == {
+            "trace_n2.csv", "summary.json"}
+
+    def test_verify_with_witnesses(self, tmp_path, monkeypatch):
+        from nsvlab import inequalities as ineq
+
+        real_sweep = ineq.run_lt_sweep
+
+        def doctored(*args, **kwargs):
+            sweep = real_sweep(*args, **kwargs)
+            sweep.near_saturation = [sweep.worst_seed]
+            return sweep
+
+        monkeypatch.setattr(ineq, "run_lt_sweep", doctored)
+        assert cli.main(["verify", "lt", "--families", "2", "--family-n", "3",
+                         "--grid-n", "16", "--output-dir", str(tmp_path)]) == 0
+        listed = assert_manifest_lists_the_files_present(tmp_path)
+        assert len([name for name in listed if name.startswith("witness_")]) == 3
+
+
+class TestWriterExitPaths:
+    """simulate's writer process is joined on every exit path, and the
+    manifest lists exactly the field files it wrote."""
+
+    #: SHORT_SIMULATE with snapshots at t = 0, 0.05 and 0.1
+    SNAPSHOTTING = TestExitCodes.SHORT_SIMULATE + ["--sample-every", "1", "--snapshot-every", "5"]
+
+    def test_ok_run(self, tmp_path):
+        with pytest.warns(dyn.InsufficientDurationWarning):
+            code = cli.main(self.SNAPSHOTTING + ["--output-dir", str(tmp_path)])
+        assert code == cli.EXIT_OK
+        assert set(assert_manifest_lists_the_files_present(tmp_path)) == {
+            "diagnostics.csv", "final_state.field", "snapshot_t0.field", "snapshot_t0.05.field",
+            "snapshot_t0.1.field"}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow precedes detection
+    def test_divergence_keeps_the_snapshots_before_it(self, tmp_path, capsys):
+        code = cli.main([
+            "simulate", "--n", "16", "--nu", "1e-8", "--alpha", "0", "--dt", "10",
+            "--t-end", "100", "--sample-every", "1", "--snapshot-every", "1",
+            "--forcing-kind", "shear", "--forcing-amplitude", "1e8",
+            "--initial-kind", "random", "--output-dir", str(tmp_path)])
+        assert code == cli.EXIT_RUNTIME
+        step = int(re.search(r"diverged at step (\d+)", capsys.readouterr().err).group(1))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["complete"] is False and manifest["summary"]["diverged_step"] == step
+        listed = assert_manifest_lists_the_files_present(tmp_path)
+        assert sorted(listed) == sorted(f"snapshot_t{10 * s:g}.field" for s in range(step))
+
+    @pytest.mark.filterwarnings("ignore::nsvlab.dynamics.InsufficientDurationWarning")
+    def test_write_error_in_the_worker_is_3(self, tmp_path, capsys):
+        (tmp_path / "snapshot_t0.05.field").mkdir()       # the worker cannot rename onto it
+        code = cli.main(self.SNAPSHOTTING + ["--output-dir", str(tmp_path)])
+        assert code == cli.EXIT_RUNTIME
+        assert "Is a directory" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["complete"] is False
+        assert "snapshot_t0.05.field" in manifest["summary"]["error"]
+        listed = assert_manifest_lists_the_files_present(tmp_path)
+        assert "snapshot_t0.field" in listed and "snapshot_t0.05.field" not in listed
+
+    @pytest.mark.filterwarnings("ignore::nsvlab.dynamics.InsufficientDurationWarning")
+    def test_dead_worker_is_3(self, tmp_path, capsys, monkeypatch):
+        # the worker runs the program as forked: this save_field ends it at its first write
+        monkeypatch.setattr(fieldio, "save_field", lambda *args, **kwargs: os._exit(1))
+        code = cli.main(self.SNAPSHOTTING + ["--output-dir", str(tmp_path)])
+        assert code == cli.EXIT_RUNTIME
+        assert "field writer process exited (status 1)" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["complete"] is False
+        assert not [name for name in assert_manifest_lists_the_files_present(tmp_path)
+                    if name.endswith(".field")]
+
+
 class TestLyapunovCommand:
+    def test_burn_in_past_the_end_warns_once(self, tmp_path):
+        # no event passes the burn-in: the withheld verdict is the one warning,
+        # with no "trace window -4" before it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["lyapunov", "--n", "16", "--dt", "0.1", "--window", "1",
+                             "--frame-n", "2", "--burn-in", "5", "--output-dir", str(tmp_path)])
+        assert code == cli.EXIT_OK
+        duration = [w for w in caught if issubclass(w.category, dyn.InsufficientDurationWarning)]
+        assert len(duration) == 1
+        assert "no re-orthonormalization at t >= burn_in = 5" in str(duration[0].message)
+
     def test_scan_summary_written(self, tmp_path):
         code = cli.main(["lyapunov", "--n", "16", "--nu", "1", "--alpha", "1",
                          "--dt", "0.02", "--window", "4", "--scan", "--n-max", "4",

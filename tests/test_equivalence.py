@@ -38,9 +38,13 @@ the two mappers it replaced.  The averages, exponents, window, n* verdict
 and Grashof numbers that TraceSeries, NStarScan and DiagnosticsSeries derive
 from a run's record are checked bitwise, with the same warnings, against the
 derivations that evolve_tangent_frame, scan_n_star and integrate made inline,
-on runs and on hand-built records.
+on runs and on hand-built records.  The field files `nsvlab simulate` has
+its forked writer process format are checked byte for byte, and their
+manifest hashes, against the per-coefficient text of the snapshots and final
+state that integrate collects in process.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -804,3 +808,49 @@ def test_spec_from_maps_every_block_bitwise_as_the_two_mappers(tmp_path, block):
         assert built(cli._spec_from(params[block], seed), GRID) == built(want, GRID), given
         mapped += 1
     assert mapped > {"forcing": 50, "initial": 1000}[block]
+
+
+# ----------------------------------------------------------------------------
+# simulate's field files, formatted in the writer process
+
+#: a snapshot file whose conjugate pairs differ in the sign of a zero part:
+#: "-0" at (0, -1), where the conjugate of (0, 1) puts it, and "0" at
+#: (-1, 0), where the conjugate of (1, 0) would put "-0"
+SIGNED_ZERO_FIELD = (f"{fieldio.FIELD_MAGIC}\n"
+                     "# resolution_n=16 dealias_cutoff=5 role=velocity alpha=0\n"
+                     "# columns: component k1 k2 re im\n"
+                     "0 0 1 0.5 0\n0 0 -1 0.5 -0\n1 1 0 0.25 0\n1 -1 0 0.25 0\n")
+
+
+@pytest.mark.filterwarnings("ignore::nsvlab.dynamics.InsufficientDurationWarning")
+@pytest.mark.parametrize("run", [
+    {"alpha": 0.5, "t_end": 0.23, "snapshot_every": 5, "initial": {"kind": "random"}},
+    {"alpha": 0.0, "t_end": 0.15, "snapshot_every": 5, "initial": {"kind": "file"}},
+    {"alpha": 0.1, "t_end": 0.2, "snapshot_every": 10, "initial": {"kind": "random"}},
+    {"alpha": 1.0, "t_end": 0.0, "snapshot_every": 10, "initial": {"kind": "random"}},
+    {"alpha": 0.5, "t_end": 0.1, "snapshot_every": 0, "initial": {"kind": "shear"}},
+], ids=["alpha", "alpha0-file-signed-zero", "t_end-on-a-snapshot", "zero-steps", "no-snapshots"])
+def test_writer_files_are_the_in_process_snapshot_text(tmp_path, run):
+    start = tmp_path / "start.field"
+    start.write_text(SIGNED_ZERO_FIELD)
+    if run["initial"]["kind"] == "file":
+        run = {**run, "initial": {"kind": "file", "path": str(start)}}
+    params = cli.parse_config("simulate", None, {
+        "n": 16, "dt": 0.01, "sample_every": 5,
+        "forcing": {"kind": "shear", "amplitude": 3.0}, **run})
+    out = tmp_path / "out"
+    assert cli.run("simulate", params, 0, out) == cli.EXIT_OK
+    cfg = cli._sim_config(params, 0)
+    result = dyn.integrate(cfg, snapshot_every=params["snapshot_every"])
+    expected = {f"snapshot_t{t:.6g}.field": oracles.save_field_text(f, cfg.alpha)
+                for t, f in result.snapshots}
+    expected["final_state.field"] = oracles.save_field_text(result.final, cfg.alpha)
+    assert {p.name for p in out.glob("*.field")} == set(expected)
+    for name, text in expected.items():
+        assert (out / name).read_bytes() == text.encode(), name
+    hashes = {a["path"]: a["sha256"]
+              for a in json.loads((out / "manifest.json").read_text())["artifacts"]}
+    assert {name: hashes[name] for name in expected} == {
+        name: hashlib.sha256(text.encode()).hexdigest() for name, text in expected.items()}
+    if run["initial"]["kind"] == "file":
+        assert (out / "snapshot_t0.field").read_bytes() == start.read_bytes()

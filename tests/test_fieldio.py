@@ -1,5 +1,6 @@
 """Snapshot format round-trips, atomic writes, and manifests."""
 
+import hashlib
 import json
 import math
 import os
@@ -117,8 +118,17 @@ class TestSnapshots:
         f = make()
         path = tmp_path / "f.field"
         for alpha in (0.0, 0.3, 1 / 3):
-            fieldio.save_field(f, path, alpha=alpha)
+            digest = fieldio.save_field(f, path, alpha=alpha)
             assert path.read_bytes() == oracles.save_field_text(f, alpha=alpha).encode()
+            assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        # the writer process writes the same bytes, and a copy of them, and
+        # replies with their hash
+        written, saved, copied = [], tmp_path / "w.field", tmp_path / "c.field"
+        with fieldio.FieldWriter(lambda *reply: written.append(reply)) as writer:
+            writer.save(f, saved, 1 / 3)
+            writer.copy(saved, copied)
+        assert saved.read_bytes() == copied.read_bytes() == path.read_bytes()
+        assert written == [(str(saved), digest), (str(copied), digest)]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=64))
@@ -212,14 +222,14 @@ class TestManifest:
 
     def test_manifest_lists_artifacts(self, tmp_path):
         art = tmp_path / "report.json"
-        fieldio.write_json(art, {"ok": True})
+        digest = fieldio.write_json(art, {"ok": True})
         manifest = fieldio.RunManifest(config={"subcommand": "bounds", "params": {}, "seed": 0})
-        manifest.add_artifact(art)
+        manifest.add_artifact(art, digest)
         manifest.summary = {"passed": True}
         mpath = tmp_path / "manifest.json"
         manifest.write(mpath)
         payload = json.loads(mpath.read_text())
         assert payload["artifacts"][0]["path"] == "report.json"
-        assert payload["artifacts"][0]["sha256"] == fieldio.sha256_of(art)
+        assert payload["artifacts"][0]["sha256"] == hashlib.sha256(art.read_bytes()).hexdigest()
         assert payload["complete"] is True
         assert payload["config_hash"] == fieldio.config_hash(manifest.config)

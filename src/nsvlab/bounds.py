@@ -262,8 +262,10 @@ def bound_2d_linear(inp: BoundsInput) -> BoundEntry:
 
 
 def log_branch(x: float, coeff: float, offset: float) -> float:
-    """coeff x^{2/3} (ln x + offset)^{1/3}, the log branch of the 2D torus bounds."""
-    return coeff * x ** (2 / 3) * (math.log(x) + offset) ** (1 / 3)
+    """coeff x^{2/3} (ln x + offset)^{1/3}, the log branch of the 2D torus
+    bounds; inf (it bounds nothing) at small x, where ln x + offset < 0."""
+    logged = math.log(x) + offset
+    return coeff * x ** (2 / 3) * logged ** (1 / 3) if logged >= 0 else math.inf
 
 
 def bound_2d_log(inp: BoundsInput) -> BoundEntry:

@@ -151,6 +151,8 @@ def parse_config(subcommand: str, file_path: str | None, overrides: dict) -> dic
                 data = json.load(fh)
         except FileNotFoundError:
             raise ConfigError([f"config file not found: {file_path}"])
+        except (OSError, UnicodeDecodeError) as err:
+            raise ConfigError([f"config file cannot be read: {file_path}: {err}"])
         except json.JSONDecodeError as err:
             raise ConfigError([f"config file is not valid JSON: {err}"])
         if not isinstance(data, dict):
@@ -309,7 +311,7 @@ def _sim_config(params: dict, seed: int) -> dyn.SimConfig:
 
 def _run_simulate(params: dict, outdir: Path, seed: int, manifest: RunManifest):
     """Integrate, with every field file written by one FieldWriter while the
-    loop steps; the writer is joined, and what it wrote listed, before the
+    loop steps; the writer is shut down, and what it wrote listed, before the
     manifest is written, on every exit path."""
     cfg = _sim_config(params, seed)
     with FieldWriter(manifest.add_artifact) as writer:
@@ -326,7 +328,6 @@ def _run_simulate(params: dict, outdir: Path, seed: int, manifest: RunManifest):
             writer.copy(last[0], final_path)       # the final state, formatted once
         else:
             writer.save(result.final, final_path, cfg.alpha)
-    # listed after the join, so the manifest's order is not that of the replies' arrival
     csv_path = outdir / "diagnostics.csv"
     manifest.add_artifact(csv_path, result.diagnostics.write_csv(csv_path))
 

@@ -433,9 +433,7 @@ def integrate(cfg: SimConfig, *, snapshot_every: int = 0,
     fields; the t = 0 snapshot, and the final state of a run of no step, are
     the initial velocity itself (velocity_of psi_hat for a "stream" start).
     Each snapshot goes to the sink snapshots(t, field) as it is taken, so a
-    caller can write it while the loop steps on (the CLI's fieldio.FieldWriter
-    formats them in order in one forked writer process (POSIX fork), with
-    the bytes and hashes of an in-process write); by default they are
+    caller can write it while the loop steps on; by default they are
     collected in SimResult.snapshots, which a sink leaves empty.  A diverged
     run returns no SimResult, but keeps in the sink the snapshots taken
     before the divergence.

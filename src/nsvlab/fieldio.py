@@ -16,11 +16,12 @@ All writers go through a temp-then-rename step; on failure the partial file
 is left behind with a .partial suffix.  Each writer hashes the bytes as it
 writes them and returns their sha256, which the run manifest records.
 
-FieldWriter formats a run's snapshots in one forked writer process (POSIX
-fork), in the order they are handed to it, while its caller goes on; the
-bytes, and so the hashes, are those save_field writes in process.  Every
-write handed over before the caller fails is still made and reported, so a
-diverged simulate run keeps the snapshots taken before the divergence.
+FieldWriter writes a run's field files through a pool of one worker process
+(concurrent.futures, started with POSIX fork), in the order they are handed
+to it, while its caller goes on; the bytes, and so the hashes, are those
+save_field writes in process.  Every write handed over before the caller
+fails is still made and reported, so a diverged simulate run keeps the
+snapshots taken before the divergence.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ import multiprocessing
 import os
 import signal
 import time
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -120,28 +124,25 @@ def save_field(f: SpectralField, path, alpha: float = 0.0) -> str:
 class FieldWriter:
     """Field files written by one forked worker process, in the order asked.
 
-    save(f, path, alpha) and copy(source, path) hand a write to the worker
-    and return at once, so the caller goes on while the worker formats the
-    field with save_field (or copies a file written before it), hashing the
-    bytes as it writes them.  The worker replies to each write with its
-    path and sha256, or with the OSError that stopped it, and goes on to
-    the next.  Replies are read by each later write and by close(), which
-    waits for them all and joins the worker: each written file goes to
-    on_written(path, sha256), and the first OSError is raised.  A worker
-    that dies is an OSError too.  As a context manager, the block ends with
-    close(), and an error already raised in the block wins over one of
-    close().  The worker is started with fork (POSIX): it runs the program
-    as loaded, and writes the bytes save_field writes in process.
+    save(f, path, alpha) and copy(source, path) submit a write to a
+    one-process pool and return at once, so the caller goes on while the
+    worker formats the field with save_field (or copies a file written
+    before it), hashing the bytes as it writes them.  Each later write, and
+    close(), which waits for them all and shuts the pool down, hands the
+    finished writes in the order asked to on_written(path, sha256) and
+    raises the first OSError; a worker that dies is an OSError too.  As a
+    context manager, the block ends with close(), and an error already
+    raised in the block wins over one of close().  The worker is started
+    with fork (POSIX): it runs the program as loaded, and writes the bytes
+    save_field writes in process.  It ignores interrupts, which are left to
+    the caller.
     """
 
     def __init__(self, on_written):
-        context = multiprocessing.get_context("fork")
-        self._conn, worker_end = context.Pipe()
-        self._worker = context.Process(target=_write_fields, args=(worker_end, self._conn),
-                                       name="nsvlab-field-writer", daemon=True)
-        self._worker.start()
-        worker_end.close()
-        self._on_written, self._pending, self._error = on_written, 0, None
+        self._pool = ProcessPoolExecutor(
+            1, mp_context=multiprocessing.get_context("fork"),
+            initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
+        self._on_written, self._writes, self._error = on_written, deque(), None
 
     def __enter__(self):
         return self
@@ -154,75 +155,71 @@ class FieldWriter:
                 raise
 
     def save(self, f: SpectralField, path, alpha: float):
-        self._request(("save", f, str(path), alpha))
+        self._submit(str(path), f, alpha)
 
     def copy(self, source, path):
-        self._request(("copy", str(source), str(path), None))
+        self._submit(str(path), Path(source), None)
 
     def close(self):
-        """Wait for every reply and join the worker; raises the first OSError."""
-        if self._worker is None:
+        """Wait for every write and shut the worker down; raises the first OSError."""
+        if self._pool is None:
             return
         try:
-            self._pipe(self._conn.send, None)
-            while self._pending:
-                self._receive()
+            self._collect(wait=True)
         finally:
-            self._conn.close()
-            self._worker.join()
-            self._worker = None
+            self._pool.shutdown()
+            self._pool = None
         if self._error is not None:
             raise self._error
 
-    def _request(self, request):
-        while self._pending and self._pipe(self._conn.poll):
-            self._receive()
+    def _submit(self, path, source, alpha):
+        self._collect(wait=False)
         if self._error is not None:
             raise self._error
-        self._pipe(self._conn.send, request)
-        self._pending += 1
-
-    def _receive(self):
-        reply = self._pipe(self._conn.recv)
-        self._pending -= 1
-        if isinstance(reply, OSError):
-            self._error = self._error or reply
-        else:
-            self._on_written(*reply)
-
-    def _pipe(self, op, *args):
-        """op(*args) on the pipe to the worker, whose death is an OSError."""
         try:
-            return op(*args)
-        except (EOFError, OSError) as err:
-            self._pending = 0
-            self._worker.join()
-            raise OSError(f"the field writer process exited (status {self._worker.exitcode}) "
-                          "with writes unanswered") from err
+            self._writes.append((path, self._pool.submit(_write_field, path, source, alpha)))
+        except BrokenProcessPool as err:
+            self._error = _worker_died(err)
+            raise self._error from err
 
-
-def _write_fields(conn, parent_end):
-    """FieldWriter's worker: one reply per request, until a None request.
-    Interrupts are left to the parent, which ends the worker by close()."""
-    parent_end.close()
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for kind, source, path, alpha in iter(conn.recv, None):
-        try:
-            if kind == "save":
-                digest = save_field(source, path, alpha)
+    def _collect(self, wait: bool):
+        """Hand on the writes at the head of the queue that are done, or
+        with wait all of them; keeps the first error."""
+        while self._writes and (wait or self._writes[0][1].done()):
+            path, future = self._writes.popleft()
+            try:
+                digest = future.result()
+            except BrokenProcessPool as err:
+                self._error = self._error or _worker_died(err)
+            except OSError as err:
+                self._error = self._error or err
             else:
-                digest = atomic_write_text(path, Path(source).read_text())
-        except OSError as err:
-            conn.send(err)
-        else:
-            conn.send((path, digest))
+                self._on_written(path, digest)
+
+
+def _worker_died(err: BrokenProcessPool) -> OSError:
+    return OSError(f"the field writer process exited with writes unanswered: {err}")
+
+
+def _write_field(path, source, alpha):
+    """FieldWriter's worker: save the field source at path, or copy the file
+    at source there; returns the sha256 of the bytes written.  save_field is
+    looked up here, in the worker, so it is the one the worker runs."""
+    if isinstance(source, Path):
+        return atomic_write_text(path, source.read_text())
+    return save_field(source, path, alpha)
 
 
 def load_snapshot(path) -> tuple[SpectralField, dict]:
     """Read a field snapshot; returns the field and its header metadata.  A
     malformed header or row, or a second row for one coefficient, is refused
-    with InvalidParameterError naming path:line."""
-    with open(path) as fh:
+    with InvalidParameterError naming path:line, and so is a file whose bytes
+    do not decode as text."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as err:
+        raise InvalidParameterError(f"{path}: not a text field snapshot: {err}") from err
+    with io.StringIO(text) as fh:
         magic = fh.readline().rstrip("\n")
         if magic != FIELD_MAGIC:
             raise InvalidParameterError(f"{path}: not a field snapshot (header {magic!r})")

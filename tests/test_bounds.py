@@ -139,6 +139,19 @@ class TestLog2d:
         with pytest.raises(InvalidParameterError):
             B.bound_2d_log(inp(g_norm=0.0))
 
+    def test_log_branch_bounds_nothing_below_its_zero(self):
+        # calG = 4e-4: ln calG + offset < 0, so the log branch is inf (not a
+        # complex cube root) and the linear branch is the min, here and in
+        # the classical bounds
+        calg = 1e-5 * 4 * math.pi**2
+        assert math.log(calg) + B.CONSTANTS.log_branch_offset < 0
+        e = B.bound_2d_log(inp(alpha=0.0, g_norm=1e-5))
+        assert "linear branch" in e.detail
+        assert e.value == pytest.approx(B.CONSTANTS.linear_torus_coeff * calg, rel=1e-12)
+        vals = B.classical_ns_bounds(inp(alpha=0.0, g_norm=1e-5))
+        assert vals["classical_torus_log"] == math.inf
+        assert vals["min"] == vals["classical_torus_linear"]
+
 
 class TestClassicalBounds:
     def test_constants(self):

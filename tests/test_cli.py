@@ -166,6 +166,40 @@ class TestExitCodes:
         assert (tmp_path / "bounds.json").exists()
         assert (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.parametrize("extra", [[], ["--alpha", "0.1"], ["--geometry", "domain"]],
+                             ids=["torus", "alpha", "domain"])
+    def test_bounds_at_small_forcing_is_0(self, tmp_path, extra):
+        # below cal-G ~ 3.2e-3 the log branch bounds nothing and the linear branch is the min
+        code = cli.main(["bounds", "--gnorm", "1e-5"] + extra + ["--output-dir", str(tmp_path)])
+        assert code == cli.EXIT_OK
+        assert (tmp_path / "bounds.json").exists()
+        assert json.loads((tmp_path / "manifest.json").read_text())["complete"] is True
+
+    #: bytes that do not decode as text: 0x80 cannot start a UTF-8 character
+    UNDECODABLE = bytes(range(128, 256)) * 3
+
+    @pytest.mark.parametrize("argv, directory", [
+        (["simulate", "--config"], True),
+        (["simulate", "--config"], False),
+        (["simulate", "--n", "16", "--dt", "0.01", "--t-end", "0.1",
+          "--initial-kind", "file", "--initial-path"], False),
+        (["lyapunov", "--n", "16", "--dt", "0.01", "--window", "0.1",
+          "--initial-kind", "file", "--initial-path"], False),
+    ], ids=["config-directory", "config-undecodable", "simulate-initial-undecodable",
+            "lyapunov-initial-undecodable"])
+    def test_unreadable_input_is_2_with_manifest(self, tmp_path, capsys, argv, directory):
+        bad = tmp_path / "bad"
+        if directory:
+            bad.mkdir()
+        else:
+            bad.write_bytes(self.UNDECODABLE)
+        out = tmp_path / "out"
+        assert cli.main(argv + [str(bad), "--output-dir", str(out)]) == cli.EXIT_CONFIG
+        assert str(bad) in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["complete"] is False
+        assert str(bad) in manifest["summary"]["error"]
+
     def test_verify_pass_is_0(self, tmp_path, capsys):
         code = cli.main(["verify", "liyau", "--mmax", "200", "--output-dir", str(tmp_path)])
         assert code == cli.EXIT_OK
@@ -769,7 +803,8 @@ class TestWriterExitPaths:
         monkeypatch.setattr(fieldio, "save_field", lambda *args, **kwargs: os._exit(1))
         code = cli.main(self.SNAPSHOTTING + ["--output-dir", str(tmp_path)])
         assert code == cli.EXIT_RUNTIME
-        assert "field writer process exited (status 1)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "field writer process exited" in err and "terminated abruptly" in err
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["complete"] is False
         assert not [name for name in assert_manifest_lists_the_files_present(tmp_path)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -63,58 +64,64 @@ FLOW_CONFIG_KEYS = {"forcing": {"modes": list},
 # ----------------------------------------------------------------------------
 # configuration
 
-#: subcommand -> {param: (type, default)}
+#: the rows simulate and lyapunov share
+FLOW_ROWS = {
+    "n": (int, 64, None),
+    "nu": (float, 1.0, (">", 0)),
+    "alpha": (float, 1.0, (">=", 0)),
+    "forcing": (dict, {"kind": "zero"}, None),
+    "initial": (dict, {"kind": "zero"}, None),
+}
+
+#: subcommand -> {param: (type, default, range)}: a range (op, bound) holds
+#: each value to value op bound; the rules no one row states are in
+#: _constraint_problems
 SCHEMAS = {
     "bounds": {
-        "d": (int, 2),
-        "nu": (float, 1.0),
-        "alpha": (float, 0.0),
-        "gnorm": (float, 1.0),
-        "lambda1": (float, 1.0),
-        "measure": (float, 4 * np.pi**2),
-        "geometry": (str, "torus"),
+        "d": (int, 2, None),
+        "nu": (float, 1.0, (">", 0)),
+        "alpha": (float, 0.0, (">=", 0)),
+        "gnorm": (float, 1.0, (">=", 0)),
+        "lambda1": (float, 1.0, (">", 0)),
+        "measure": (float, 4 * np.pi**2, (">", 0)),
+        "geometry": (str, "torus", None),
     },
     "simulate": {
-        "n": (int, 64),
-        "nu": (float, 1.0),
-        "alpha": (float, 1.0),
-        "dt": (float, 1e-3),
-        "t_end": (float, 1.0),
-        "sample_every": (int, 10),
-        "snapshot_every": (int, 0),
-        "forcing": (dict, {"kind": "zero"}),
-        "initial": (dict, {"kind": "zero"}),
+        **FLOW_ROWS,
+        "dt": (float, 1e-3, (">", 0)),
+        "t_end": (float, 1.0, (">=", 0)),
+        "sample_every": (int, 10, (">=", 1)),
+        "snapshot_every": (int, 0, (">=", 0)),
     },
     "lyapunov": {
-        "n": (int, 64),
-        "nu": (float, 1.0),
-        "alpha": (float, 1.0),
-        "dt": (float, 1e-2),
-        "frame_n": (int, 4),
-        "window": (float, 60.0),
-        "warmup": (float, 0.0),
-        "burn_in": (float, -1.0),  # -1: default min(5/gamma, window/2)
-        "reorth_every": (int, 10),
-        "scan": (bool, False),
-        "n_max": (int, 64),
-        "forcing": (dict, {"kind": "zero"}),
-        "initial": (dict, {"kind": "zero"}),
+        **FLOW_ROWS,
+        "dt": (float, 1e-2, (">", 0)),
+        "frame_n": (int, 4, (">=", 1)),
+        "window": (float, 60.0, (">", 0)),
+        "warmup": (float, 0.0, (">=", 0)),
+        "burn_in": (float, -1.0, None),  # -1: default min(5/gamma, window/2)
+        "reorth_every": (int, 10, (">=", 1)),
+        "scan": (bool, False, None),
+        "n_max": (int, 64, (">=", 1)),
     },
     "verify": {
-        "target": (str, ""),
-        "jmax": (int, 100_000),
-        "mmax": (int, 10_000),
-        "families": (int, 100),
-        "family_n": (int, 16),
-        "grid_n": (int, 64),
-        "alpha": (float, 1.0),
-        "alphas": (list, [0.01, 0.1, 1.0]),
-        "kind": (str, ineq.ALPHA_ORTHONORMAL),
-        "lam_min": (int, 1),
-        "lam_max": (int, 64),
-        "sums_lam_max": (int, 10_000),
+        "target": (str, "", None),
+        "jmax": (int, 100_000, (">=", 2)),   # lambda_j <= j/2 is checked from j = 2
+        "mmax": (int, 10_000, (">=", 1)),
+        "families": (int, 100, (">=", 1)),
+        "family_n": (int, 16, (">=", 1)),
+        "grid_n": (int, 64, None),
+        "alpha": (float, 1.0, (">=", 0)),
+        "alphas": (list, [0.01, 0.1, 1.0], None),
+        "kind": (str, ineq.ALPHA_ORTHONORMAL, None),
+        "lam_min": (int, 1, (">=", 1)),
+        "lam_max": (int, 64, (">=", 1)),
+        "sums_lam_max": (int, 10_000, (">=", 1)),
     },
 }
+
+#: a range's op as a test of value op bound
+RANGE_OPS = {">": operator.gt, ">=": operator.ge}
 
 
 def _coerce(name, value, typ, problems):
@@ -138,12 +145,12 @@ def _coerce(name, value, typ, problems):
 def parse_config(subcommand: str, file_path: str | None, overrides: dict) -> dict:
     """Merge defaults <- config file <- explicit flags, validating everything.
 
-    All problems (unknown keys, type mismatches, constraint violations) are
-    aggregated into one ConfigError.
+    All problems (unknown keys, type mismatches, each row's range, then the
+    rules of _constraint_problems) are aggregated into one ConfigError.
     """
     schema = SCHEMAS[subcommand]
     problems: list[str] = []
-    params = {k: default for k, (_, default) in schema.items()}
+    params = {k: default for k, (_, default, _) in schema.items()}
 
     if file_path:
         try:
@@ -172,6 +179,9 @@ def parse_config(subcommand: str, file_path: str | None, overrides: dict) -> dic
         if coerced is not None:
             params[key] = coerced
 
+    problems.extend(f"{key} must be {rng[0]} {rng[1]}, got {params[key]}"
+                    for key, (_, _, rng) in schema.items()
+                    if rng and not RANGE_OPS[rng[0]](params[key], rng[1]))
     problems.extend(_constraint_problems(subcommand, params))
     if problems:
         raise ConfigError(problems)
@@ -185,30 +195,15 @@ def _is_mode_row(row) -> bool:
 
 
 def _constraint_problems(subcommand: str, p: dict) -> list[str]:
+    """The rules no single SCHEMAS row states: choices, evenness, the nested
+    blocks, burn_in's -1, lam_min <= lam_max and the alphas list."""
     problems = []
-
-    def positive(name):
-        if p.get(name) is not None and p[name] <= 0:
-            problems.append(f"{name} must be > 0, got {p[name]}")
-
-    def nonneg(name):
-        if p.get(name) is not None and p[name] < 0:
-            problems.append(f"{name} must be >= 0, got {p[name]}")
-
     if subcommand == "bounds":
         if p["d"] not in (2, 3):
             problems.append(f"d must be 2 or 3, got {p['d']}")
-        positive("nu")
-        nonneg("alpha")
-        nonneg("gnorm")
-        positive("lambda1")
-        positive("measure")
         if p["geometry"] not in ("torus", "domain"):
             problems.append(f"geometry must be torus|domain, got {p['geometry']!r}")
     elif subcommand in ("simulate", "lyapunov"):
-        positive("nu")
-        nonneg("alpha")
-        positive("dt")
         if p["n"] < 8 or p["n"] % 2:
             problems.append(f"n must be even and >= 8, got {p['n']}")
         for spec_key in ("forcing", "initial"):
@@ -234,27 +229,11 @@ def _constraint_problems(subcommand: str, p: dict) -> list[str]:
         ic_seed = p["initial"].get("seed")
         if isinstance(ic_seed, (int, float)) and ic_seed < 0:
             problems.append(f"initial.seed must be >= 0, got {ic_seed}")
-        if subcommand == "simulate":
-            nonneg("t_end")
-            nonneg("snapshot_every")
-            if p["sample_every"] < 1:
-                problems.append(f"sample_every must be >= 1, got {p['sample_every']}")
-        else:
-            positive("window")
-            nonneg("warmup")
-            for key in ("frame_n", "reorth_every", "n_max"):
-                if p[key] < 1:
-                    problems.append(f"{key} must be >= 1, got {p[key]}")
-            if p["burn_in"] < 0 and p["burn_in"] != -1:
-                problems.append(f"burn_in must be >= 0, or -1 for the default, got {p['burn_in']}")
+        if subcommand == "lyapunov" and p["burn_in"] < 0 and p["burn_in"] != -1:
+            problems.append(f"burn_in must be >= 0, or -1 for the default, got {p['burn_in']}")
     elif subcommand == "verify":
         if p["target"] not in VERIFY_TARGETS:
             problems.append(f"target must be one of {VERIFY_TARGETS}, got {p['target']!r}")
-        for key in ("jmax", "mmax", "families", "family_n", "lam_min", "lam_max", "sums_lam_max"):
-            least = 2 if key == "jmax" else 1   # lambda_j <= j/2 is checked from j = 2
-            if p[key] < least:
-                problems.append(f"{key} must be >= {least}, got {p[key]}")
-        nonneg("alpha")
         if p["grid_n"] < 8 or p["grid_n"] % 2:
             problems.append(f"grid_n must be even and >= 8, got {p['grid_n']}")
         kinds = (ineq.ALPHA_ORTHONORMAL, ineq.GRAM_SCALED)
@@ -442,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", default="0", help="base random seed")
         p.add_argument("--output-dir", help="artifact directory "
                        "(default $NSVLAB_OUTPUT_DIR or ./nsvlab_runs/<subcommand>)")
-        for key, (typ, _) in schema.items():
+        for key, (typ, *_) in schema.items():
             flag = f"--{key.replace('_', '-')}"
             if key == "target":
                 p.add_argument(key, nargs="?", help=f"one of {', '.join(VERIFY_TARGETS)}")
@@ -465,18 +444,9 @@ def _from_flag(text, typ):
         return text
 
 
-def _recordable(value):
-    """value with each non-finite float as its repr: a refused flag leaves strict JSON."""
-    if isinstance(value, dict):
-        return {key: _recordable(v) for key, v in value.items()}
-    if isinstance(value, list):
-        return list(map(_recordable, value))
-    return repr(value) if isinstance(value, float) and not math.isfinite(value) else value
-
-
 def _collect_overrides(args: argparse.Namespace, subcommand: str) -> dict:
     overrides = {}
-    for key, (typ, default) in SCHEMAS[subcommand].items():
+    for key, (typ, default, _) in SCHEMAS[subcommand].items():
         if typ is dict:
             # flat forcing/initial flags fold into their nested dicts
             given = {sub_key: _from_flag(getattr(args, f"{key}_{sub_key}"), sub_typ)
@@ -564,7 +534,7 @@ def main(argv=None) -> int:
         params = parse_config(subcommand, args.config, overrides)
     except (ConfigError, InvalidParameterError) as err:
         manifest = RunManifest(config={"subcommand": subcommand, "config_file": args.config,
-                                       "overrides": _recordable(overrides), "seed": seed})
+                                       "overrides": overrides, "seed": seed})
         code = _record_failure(manifest, err)
         _write_manifest(manifest, outdir)
         return code

@@ -112,8 +112,11 @@ class FieldSpec:
             try:
                 f = fieldio.load_field(self.path)
             except FileNotFoundError as err:
-                # the configuration names the file: a missing one is refused like a missing config
+                # the configuration names the file: one it cannot read is refused like a config
                 raise InvalidParameterError(f"initial snapshot not found: {self.path}") from err
+            except OSError as err:
+                raise InvalidParameterError(
+                    f"initial snapshot cannot be read: {self.path}: {err}") from err
             return _checked_velocity(grid, f, f"{self.path}: snapshot")
         if self.kind == "field":
             return _checked_velocity(grid, self.fld, "initial field")

@@ -30,6 +30,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -275,9 +276,20 @@ def load_field(path) -> SpectralField:
 # ----------------------------------------------------------------------------
 # reports and manifests
 
+def _recordable(value):
+    """value with each non-finite float in it as its repr: "inf", "-inf" or "nan"."""
+    if isinstance(value, dict):
+        return {key: _recordable(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return list(map(_recordable, value))
+    return repr(float(value)) if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_json(path, obj) -> str:
-    """Write obj as indented JSON; returns the sha256 hex digest of its bytes."""
-    return atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write obj as indented strict JSON, each non-finite float as its repr
+    string; returns the sha256 hex digest of its bytes."""
+    text = json.dumps(_recordable(obj), indent=2, sort_keys=True, allow_nan=False)
+    return atomic_write_text(path, text + "\n")
 
 
 def write_csv(path, header, rows) -> str:
@@ -291,7 +303,9 @@ def write_csv(path, header, rows) -> str:
 
 
 def config_hash(config: dict) -> str:
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    """The sha256 of config's values as write_json records them."""
+    canonical = json.dumps(_recordable(config), sort_keys=True, separators=(",", ":"),
+                           allow_nan=False)
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 

@@ -26,7 +26,8 @@ order, the full layout of a band, modified
 Gram-Schmidt, the complex-form Gram matrix, the per-row trace diagonal, and
 the per-coefficient snapshot writer, the bounds and inequality reports
 with every bound formula and record field written out, and the separate
-forcing and initial-data specs with the CLI mapper of each block. Nothing here is fast; each function is
+forcing and initial-data specs with the CLI mapper of each block, and the
+CLI validator that wrote each single-key range rule out by hand. Nothing here is fast; each function is
 a direct transcription of its equation.  c7_forcing builds criterion 7's
 forcing for every test and script that runs that flow.
 
@@ -43,6 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from nsvlab import bounds as B
+from nsvlab import cli
 from nsvlab import dynamics as dyn
 from nsvlab import fieldio
 from nsvlab import inequalities as ineq
@@ -1326,3 +1328,92 @@ def initial_from(params: dict, seed: int) -> InitialSpec:
                                   decay=float(ic.get("decay", 3.0)),
                                   amplitude=float(ic.get("amplitude", 1.0)))
     return InitialSpec.from_file(ic["path"])
+
+
+# ----------------------------------------------------------------------------
+# the CLI validator with every single-key range rule written out, as
+# cli._constraint_problems checked them before SCHEMAS rows held the ranges
+
+
+def constraint_problems(subcommand: str, p: dict) -> list[str]:
+    problems = []
+
+    def positive(name):
+        if p.get(name) is not None and p[name] <= 0:
+            problems.append(f"{name} must be > 0, got {p[name]}")
+
+    def nonneg(name):
+        if p.get(name) is not None and p[name] < 0:
+            problems.append(f"{name} must be >= 0, got {p[name]}")
+
+    if subcommand == "bounds":
+        if p["d"] not in (2, 3):
+            problems.append(f"d must be 2 or 3, got {p['d']}")
+        positive("nu")
+        nonneg("alpha")
+        nonneg("gnorm")
+        positive("lambda1")
+        positive("measure")
+        if p["geometry"] not in ("torus", "domain"):
+            problems.append(f"geometry must be torus|domain, got {p['geometry']!r}")
+    elif subcommand in ("simulate", "lyapunov"):
+        positive("nu")
+        nonneg("alpha")
+        positive("dt")
+        if p["n"] < 8 or p["n"] % 2:
+            problems.append(f"n must be even and >= 8, got {p['n']}")
+        for spec_key in ("forcing", "initial"):
+            kind = p[spec_key].get("kind")
+            allowed = {"forcing": ("zero", "shear", "modes"),
+                       "initial": ("zero", "shear", "random", "file")}[spec_key]
+            if kind not in allowed:
+                problems.append(f"{spec_key}.kind must be one of {allowed}, got {kind!r}")
+        rows = p["forcing"].get("modes")
+        if p["forcing"].get("kind") == "modes" and not (
+                isinstance(rows, list) and all(map(cli._is_mode_row, rows))):
+            problems.append("forcing.modes must be a list of 6-number rows [k1, k2, re0, im0, "
+                            f"re1, im1], finite, k1 and k2 integral, got {rows!r}")
+        path = p["initial"].get("path")
+        if p["initial"].get("kind") == "file" and not isinstance(path, str):
+            problems.append(f"initial.path must be a string, got {path!r}")
+        for block, flag_keys in cli.FLOW_FLAGS.items():
+            keys = {**flag_keys, **cli.FLOW_CONFIG_KEYS[block]}
+            problems.extend(f"unknown config key '{block}.{key}' for {subcommand}"
+                            for key in sorted(p[block].keys() - keys.keys()))
+            for key in sorted(keys.keys() & p[block].keys() - {"kind", "path", "modes"}):
+                cli._coerce(f"{block}.{key}", p[block][key], keys[key], problems)
+        ic_seed = p["initial"].get("seed")
+        if isinstance(ic_seed, (int, float)) and ic_seed < 0:
+            problems.append(f"initial.seed must be >= 0, got {ic_seed}")
+        if subcommand == "simulate":
+            nonneg("t_end")
+            nonneg("snapshot_every")
+            if p["sample_every"] < 1:
+                problems.append(f"sample_every must be >= 1, got {p['sample_every']}")
+        else:
+            positive("window")
+            nonneg("warmup")
+            for key in ("frame_n", "reorth_every", "n_max"):
+                if p[key] < 1:
+                    problems.append(f"{key} must be >= 1, got {p[key]}")
+            if p["burn_in"] < 0 and p["burn_in"] != -1:
+                problems.append(f"burn_in must be >= 0, or -1 for the default, got {p['burn_in']}")
+    elif subcommand == "verify":
+        if p["target"] not in cli.VERIFY_TARGETS:
+            problems.append(f"target must be one of {cli.VERIFY_TARGETS}, got {p['target']!r}")
+        for key in ("jmax", "mmax", "families", "family_n", "lam_min", "lam_max", "sums_lam_max"):
+            least = 2 if key == "jmax" else 1
+            if p[key] < least:
+                problems.append(f"{key} must be >= {least}, got {p[key]}")
+        nonneg("alpha")
+        if p["grid_n"] < 8 or p["grid_n"] % 2:
+            problems.append(f"grid_n must be even and >= 8, got {p['grid_n']}")
+        kinds = (ineq.ALPHA_ORTHONORMAL, ineq.GRAM_SCALED)
+        if p["kind"] not in kinds:
+            problems.append(f"kind must be one of {kinds}, got {p['kind']!r}")
+        if p["lam_min"] > p["lam_max"]:
+            problems.append(f"lam_min must be <= lam_max, got {p['lam_min']} > {p['lam_max']}")
+        if not p["alphas"] or not all(isinstance(a, (int, float)) and not isinstance(a, bool)
+                                      and 0 < a < math.inf for a in p["alphas"]):
+            problems.append(f"alphas must be non-empty, each finite and > 0, got {p['alphas']!r}")
+    return problems

@@ -22,6 +22,78 @@ from nsvlab.fieldio import load_field, save_field
 import oracles
 
 
+#: (argv, config file or None, problem) for a value refused with exit status 2, by id
+REFUSALS = {
+    "empty-lam-range": (["verify", "rho-linf", "--lam-min", "5", "--lam-max", "3"], None,
+                        "lam_min must be <= lam_max, got 5 > 3"),
+    "no-alphas": (["verify", "rho-l2"], {"alphas": []},
+                  "alphas must be non-empty, each finite and > 0"),
+    "ill-typed-alphas": (["verify", "rho-l2"], {"alphas": ["x"]},
+                         "alphas must be non-empty, each finite and > 0"),
+    "geometry": (["bounds", "--geometry", "foo"], None,
+                 "geometry must be torus|domain, got 'foo'"),
+    "n": (["simulate", "--n", "abc"], None, "n: expected int, got str 'abc'"),
+    "kind": (["verify", "lt", "--kind", "nope"], None, "kind must be one of"),
+    "nan": (["simulate", "--dt", "nan"], None, "dt: expected a finite float, got nan"),
+    "initial-seed-type": (["simulate", "--n", "16", "--dt", "0.01", "--t-end", "0.1"],
+                          {"initial": {"kind": "random", "seed": "x"}},
+                          "initial.seed: expected int, got str 'x'"),
+    "initial-seed-negative": (["simulate", "--n", "16", "--dt", "0.01", "--t-end", "0.1"],
+                              {"initial": {"kind": "random", "seed": -1}},
+                              "initial.seed must be >= 0, got -1"),
+    "negative-seed": (["verify", "lt", "--grid-n", "16", "--seed=-1"], None,
+                      "seed: expected an int >= 0, got -1"),
+    "forcing-unknown-key": (["simulate", "--n", "16", "--dt", "0.01", "--t-end", "0.1"],
+                            {"forcing": {"kind": "shear", "amplitud": 9}},
+                            "unknown config key 'forcing.amplitud' for simulate"),
+    "initial-unknown-key": (["lyapunov", "--n", "16", "--dt", "0.01", "--window", "0.1"],
+                            {"initial": {"kind": "random", "sed": 3}},
+                            "unknown config key 'initial.sed' for lyapunov"),
+    "initial-snapshot-missing": (["simulate", "--n", "16", "--dt", "0.01", "--t-end", "0.1"],
+                                 {"initial": {"kind": "file", "path": "missing.field"}},
+                                 "initial snapshot not found: missing.field"),
+    # a path that names a directory had exited 3 (IsADirectoryError)
+    "initial-snapshot-directory": (["simulate", "--n", "16", "--dt", "0.01", "--t-end", "0.1"],
+                                   {"initial": {"kind": "file", "path": "."}},
+                                   "initial snapshot cannot be read: .: "),
+    # g0 is taken at the printed offset 5.74 alone: a config setting it is refused
+    "bounds-g0-offset": (["bounds"], {"g0_offset": -10},
+                         "unknown config key 'g0_offset' for bounds"),
+    # -1 alone stands for the default burn-in; -3 had run with the default
+    "lyapunov-burn-in-negative": (
+        ["lyapunov", "--n", "16", "--dt", "0.01", "--window", "1", "--burn-in", "-3"], None,
+        "burn_in must be >= 0, or -1 for the default, got -3.0"),
+}
+
+
+def range_refusals() -> dict:
+    """Rows as REFUSALS holds them, one per SCHEMAS range, each range broken
+    alone by a flag at the bound of a ">" range or one below that of a ">="
+    range.  Among them, a verify --jmax of 1 (lambda_j <= j/2 is checked from
+    j = 2) and a lyapunov --n-max of 0, which without --scan had run and
+    exited 0."""
+    rows = {}
+    for subcommand, schema in cli.SCHEMAS.items():
+        head = [subcommand] + (["spectrum"] if subcommand == "verify" else [])
+        for key, (typ, _, rng) in schema.items():
+            if rng:
+                op, bound = rng
+                value, flag = bound - (op == ">="), key.replace("_", "-")
+                problem = f"{key} must be {op} {bound}, got {typ(value)}"
+                rows[f"{subcommand}-{flag}-{value}"] = (head + [f"--{flag}={value}"], None, problem)
+    return rows
+
+
+RANGE_REFUSALS = range_refusals()
+
+
+def strict_json(path):
+    """The JSON file at path, refusing the NaN and Infinity tokens strict JSON lacks."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
 class TestParseConfig:
     def test_minimal_bounds_config(self):
         params = cli.parse_config("bounds", None, {"d": 2, "nu": 1.0, "alpha": 0.0,
@@ -93,46 +165,9 @@ class TestExitCodes:
         assert manifest["complete"] is False
         assert problem in manifest["summary"]["error"]
 
-    @pytest.mark.parametrize("argv, config, problem", [
-        (["verify", "rho-linf", "--lam-min", "5", "--lam-max", "3"], None,
-         "lam_min must be <= lam_max, got 5 > 3"),
-        (["verify", "rho-l2"], {"alphas": []}, "alphas must be non-empty, each finite and > 0"),
-        (["verify", "rho-l2"], {"alphas": ["x"]}, "alphas must be non-empty, each finite and > 0"),
-        (["bounds", "--geometry", "foo"], None, "geometry must be torus|domain, got 'foo'"),
-        (["simulate", "--n", "abc"], None, "n: expected int, got str 'abc'"),
-        (["verify", "lt", "--kind", "nope"], None, "kind must be one of"),
-        (["simulate", "--dt", "nan"], None, "dt: expected a finite float, got nan"),
-        (["simulate", "--n", "16", "--dt", "0.01", "--t-end", "0.1"],
-         {"initial": {"kind": "random", "seed": "x"}}, "initial.seed: expected int, got str 'x'"),
-        (["simulate", "--n", "16", "--dt", "0.01", "--t-end", "0.1"],
-         {"initial": {"kind": "random", "seed": -1}}, "initial.seed must be >= 0, got -1"),
-        (["verify", "lt", "--grid-n", "16", "--seed=-1"], None,
-         "seed: expected an int >= 0, got -1"),
-        (["simulate", "--n", "16", "--dt", "0.01", "--t-end", "0.1"],
-         {"forcing": {"kind": "shear", "amplitud": 9}},
-         "unknown config key 'forcing.amplitud' for simulate"),
-        (["lyapunov", "--n", "16", "--dt", "0.01", "--window", "0.1"],
-         {"initial": {"kind": "random", "sed": 3}}, "unknown config key 'initial.sed' for lyapunov"),
-        (["simulate", "--n", "16", "--dt", "0.01", "--t-end", "0.1"],
-         {"initial": {"kind": "file", "path": "missing.field"}},
-         "initial snapshot not found: missing.field"),
-        (["simulate", "--n", "16", "--dt", "0.01", "--t-end", "0.1", "--snapshot-every", "-5"],
-         None, "snapshot_every must be >= 0, got -5"),
-        # g0 is taken at the printed offset 5.74 alone: a config setting it is refused
-        (["bounds"], {"g0_offset": -10}, "unknown config key 'g0_offset' for bounds"),
-        # lambda_j <= j/2 is checked from j = 2: refused by the flag's name
-        (["verify", "spectrum", "--jmax", "1"], None, "jmax must be >= 2, got 1"),
-        # -1 alone stands for the default burn-in; -3 had run with the default
-        (["lyapunov", "--n", "16", "--dt", "0.01", "--window", "1", "--burn-in", "-3"], None,
-         "burn_in must be >= 0, or -1 for the default, got -3.0"),
-        # refused with or without --scan; without it, 0 had run and exited 0
-        (["lyapunov", "--n", "16", "--dt", "0.01", "--window", "1", "--n-max", "0"], None,
-         "n_max must be >= 1, got 0"),
-    ], ids=["empty-lam-range", "no-alphas", "ill-typed-alphas", "geometry", "n", "kind",
-            "nan", "initial-seed-type", "initial-seed-negative", "negative-seed",
-            "forcing-unknown-key", "initial-unknown-key", "initial-snapshot-missing",
-            "negative-snapshot-every", "bounds-g0-offset", "spectrum-jmax-1",
-            "lyapunov-burn-in-negative", "lyapunov-n-max-0"])
+    @pytest.mark.parametrize("argv, config, problem", [*REFUSALS.values(),
+                                                       *RANGE_REFUSALS.values()],
+                             ids=[*REFUSALS, *RANGE_REFUSALS])
     def test_bad_value_is_2_with_manifest(self, tmp_path, capsys, argv, config, problem):
         if config is not None:
             (tmp_path / "c.json").write_text(json.dumps(config))
@@ -152,12 +187,16 @@ class TestExitCodes:
     def test_refusal_manifest_is_strict_json(self, tmp_path, capsys, argv, recorded):
         # a non-finite flag is recorded as a string: no NaN or Infinity token
         assert cli.main(argv + ["--output-dir", str(tmp_path)]) == cli.EXIT_CONFIG
-
-        def refuse(token):
-            raise ValueError(f"non-standard JSON constant {token}")
-        manifest = json.loads((tmp_path / "manifest.json").read_text(), parse_constant=refuse)
+        manifest = strict_json(tmp_path / "manifest.json")
         assert manifest["complete"] is False
         assert manifest["config"]["overrides"] == recorded
+
+    def test_default_bounds_run_is_strict_json(self, tmp_path, capsys):
+        # at alpha = 0 the basic trace bound diverges: it had been written as Infinity
+        assert cli.main(["bounds", "--output-dir", str(tmp_path)]) == cli.EXIT_OK
+        report = strict_json(tmp_path / "bounds.json")
+        assert {b["name"]: b["value"] for b in report["bounds"]}["basic trace bound"] == "inf"
+        assert strict_json(tmp_path / "manifest.json")["complete"] is True
 
     def test_bounds_ok_is_0(self, tmp_path, capsys):
         code = cli.main(["bounds", "--d", "2", "--nu", "1", "--alpha", "0.5",
@@ -544,7 +583,7 @@ def argument_vectors(draw):
                                  "modes": config_value(CONFIG_VALID["forcing"]["modes"])}
 
     argv = [subcommand]
-    for key, (typ, _) in cli.SCHEMAS[subcommand].items():
+    for key, (typ, *_) in cli.SCHEMAS[subcommand].items():
         flag = "--" + key.replace("_", "-")
         if key == "target":
             argv.insert(1, draw(st.sampled_from(VALID["verify"]["target"] + ("nope",))))
@@ -569,7 +608,7 @@ def argument_vectors(draw):
 class TestExitContract:
     def test_every_flag_has_small_values(self):
         for subcommand, schema in cli.SCHEMAS.items():
-            scalars = {k for k, (typ, _) in schema.items() if typ not in (bool, list, dict)}
+            scalars = {k for k, (typ, *_) in schema.items() if typ not in (bool, list, dict)}
             assert scalars == set(VALID[subcommand]), subcommand
         for block, keys in cli.FLOW_FLAGS.items():
             assert set(keys) == set(FLOW_VALID[block]), block

@@ -41,7 +41,10 @@ derivations that evolve_tangent_frame, scan_n_star and integrate made inline,
 on runs and on hand-built records.  The field files `nsvlab simulate` has
 its forked writer process format are checked byte for byte, and their
 manifest hashes, against the per-coefficient text of the snapshots and final
-state that integrate collects in process.
+state that integrate collects in process.  The CLI's range pass over the
+SCHEMAS rows, with the rules left in _constraint_problems, refuses every
+refusal-table row and every numeric key at its bounds with the problems of
+the validator that wrote each range rule out by hand.
 """
 
 import hashlib
@@ -66,7 +69,7 @@ from nsvlab.errors import ConfigError, DegenerateFrameError
 from nsvlab.spectral import VELOCITY, VORTICITY, SpectralGrid
 
 import oracles
-from test_cli import CONFIG_VALID, FIELD_FILES, FLOW_VALID
+from test_cli import CONFIG_VALID, FIELD_FILES, FLOW_VALID, RANGE_REFUSALS, REFUSALS
 
 GRID = SpectralGrid(16)
 RTOL = 1e-12
@@ -808,6 +811,53 @@ def test_spec_from_maps_every_block_bitwise_as_the_two_mappers(tmp_path, block):
         assert built(cli._spec_from(params[block], seed), GRID) == built(want, GRID), given
         mapped += 1
     assert mapped > {"forcing": 50, "initial": 1000}[block]
+
+
+def refused(subcommand, config_path, overrides) -> set:
+    """The problems parse_config finds, as a set."""
+    try:
+        cli.parse_config(subcommand, config_path, overrides)
+    except ConfigError as err:
+        return set(err.problems)
+    return set()
+
+
+def test_range_rows_refuse_as_the_written_out_validator(tmp_path, monkeypatch):
+    # every refusal-table row; each numeric key alone at -1, 0 and 1, which breaks
+    # every range rule, row or no row, at its bound; two such keys at -1 at once; and
+    # all of a subcommand's at once, alone and beside the rules no row states
+    parser, cases = cli.build_parser(), []
+    for argv, config, _ in [*REFUSALS.values(), *RANGE_REFUSALS.values()]:
+        path = None
+        if config is not None:
+            path = tmp_path / f"c{len(cases)}.json"
+            path.write_text(json.dumps(config))
+        cases.append((argv[0], path, cli._collect_overrides(parser.parse_args(argv), argv[0])))
+    others = {"bounds": {"geometry": "foo"},
+              "simulate": {"initial": {"kind": "random", "seed": -1, "sed": 2}},
+              "lyapunov": {"burn_in": -3.0, "forcing": {"kind": "modes"}},
+              "verify": {"target": "nope", "kind": "x", "lam_min": 9, "alphas": []}}
+    several = []
+    for subcommand, schema in cli.SCHEMAS.items():
+        base = {"target": "spectrum"} if subcommand == "verify" else {}
+        numeric = [key for key, (typ, *_) in schema.items() if typ in (int, float)]
+        cases.extend((subcommand, None, {**base, key: value})
+                     for key in numeric for value in (-1, 0, 1))
+        several.extend((subcommand, None, {**base, a: -1, b: -1})
+                       for a, b in itertools.combinations(numeric, 2))
+        every = {key: -1 for key in numeric}
+        several += [(subcommand, None, {**base, **every}),
+                    (subcommand, None, {**every, **others[subcommand]})]
+    cases += several
+    new = [refused(*case) for case in cases]
+    monkeypatch.setattr(cli, "SCHEMAS", {
+        subcommand: {key: (typ, default, None) for key, (typ, default, _) in schema.items()}
+        for subcommand, schema in cli.SCHEMAS.items()})
+    monkeypatch.setattr(cli, "_constraint_problems", oracles.constraint_problems)
+    old = [refused(*case) for case in cases]
+    for case, got, want in zip(cases, new, old):
+        assert got == want, case
+    assert all(new[-len(several):])
 
 
 # ----------------------------------------------------------------------------

@@ -233,3 +233,16 @@ class TestManifest:
         assert payload["artifacts"][0]["sha256"] == hashlib.sha256(art.read_bytes()).hexdigest()
         assert payload["complete"] is True
         assert payload["config_hash"] == fieldio.config_hash(manifest.config)
+
+    def test_non_finite_floats_are_written_as_strings(self, tmp_path):
+        # inside dicts, lists and tuples, a numpy float among them; finite values keep
+        # the bytes json.dumps gives them, and the hash is that of the recorded values
+        obj = {"a": [1.5, math.inf, (-math.inf, np.float64("nan"))],
+               "b": {"c": np.float64(-np.inf)}, "d": 0.1, "e": "inf", "f": 3}
+        recorded = {"a": [1.5, "inf", ["-inf", "nan"]], "b": {"c": "-inf"}, "d": 0.1, "e": "inf",
+                    "f": 3}
+        digest = fieldio.write_json(tmp_path / "r.json", obj)
+        text = json.dumps(recorded, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "r.json").read_text() == text
+        assert digest == hashlib.sha256(text.encode()).hexdigest()
+        assert fieldio.config_hash(obj) == fieldio.config_hash(recorded)

@@ -20,21 +20,24 @@ tangent-frame step per vector at n = 32 with 8 vectors on the forced flow and
 with 4 vectors on the zero base, alpha Gram-Schmidt (CGS2) of an 8-vector
 frame at n = 32 and of 16-vector velocity and scalar families on the n = 64
 band, one whole sample_suborthonormal of a 16-vector family at n = 64, one
-stacked random_band draw of 16 velocity fields at n = 64, one
-run_rho_l2_sweep (4 seeds x 3 alphas, 16 vectors, grid 64), and
+stacked random_band draw of 16 velocity fields at n = 64, the three
+sweeps on 16-vector families at grid 64 and 4 seeds (run_lt_sweep,
+run_rho_l2_sweep with 3 alphas, run_rho_linf_sweep with caps 1..64), and
 the trace diagonal of an 8-vector frame at n = 32 on the forced flow and of
 a 4-vector frame on the zero base.  The transform pair, the nonlinear term,
-the family Gram-Schmidt and draw, the stacked draw, the rho-l2 sweep and the
-trace diagonal are timed next to the full complex FFTs, the velocity-form
-B(u,v) (at n = 64) and the advective-form and allocating band kernels (on
-the stacks), the full-layout draw with modified Gram-Schmidt, 16 per-vector
-draws, the sweep drawing every (alpha, seed) family afresh and the per-row
-trace of tests/oracles.py.
-The machine, CPU count and numpy version are recorded with the timings,
-and the tracemalloc peak of one call beside the time of the x2 density
-grid, of the two lattice verifiers and of the two snapshot writers.  Rows
-from different runs compare only in alternated repeat runs: the host's speed
-drifts between runs.
+the family Gram-Schmidt and draw, the stacked draw, the sweeps, the x2 band
+density and the trace diagonal are timed next to the full complex FFTs, the
+velocity-form B(u,v) (at n = 64) and the advective-form and allocating band
+kernels (on the stacks), the full-layout draw with modified Gram-Schmidt, 16 per-vector
+draws, the sweep drawing every (alpha, seed) family afresh, each sweep
+checking one family after another on one thread, the density of the whole
+stack at once and the per-row trace of tests/oracles.py.
+The machine, CPU count and numpy version are recorded with the timings.
+Beside the best-of wall time of each sweep and density row is the process
+CPU time per call in that try, every thread's (getrusage(RUSAGE_SELF)), and
+beside the x2 density grids, the two lattice verifiers and the two snapshot
+writers the tracemalloc peak of one call.  Rows from different runs compare
+only in alternated repeat runs: the host's speed drifts between runs.
 
 With --rows fresh (or all), three `nsvlab` commands are also timed, each in
 a process of its own, which is where the cost of memory handed back to the
@@ -82,16 +85,23 @@ import oracles  # noqa: E402  (the reference kernels live with the tests)
 REPEATS = 15
 
 
+def process_cpu_s():
+    """The CPU time this process has used, every thread's, user and system."""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
+
+
 def best_of(fn, inner):
-    """Smallest mean time of `inner` back-to-back calls, over REPEATS tries."""
+    """Smallest mean time of `inner` back-to-back calls over REPEATS tries, and
+    the process CPU time per call in that try."""
     fn()
-    times = []
+    tries = []
     for _ in range(REPEATS):
-        start = time.perf_counter()
+        cpu, start = process_cpu_s(), time.perf_counter()
         for _ in range(inner):
             fn()
-        times.append((time.perf_counter() - start) / inner)
-    return min(times)
+        tries.append(((time.perf_counter() - start) / inner, (process_cpu_s() - cpu) / inner))
+    return min(tries)
 
 
 def forced_cfg(n, cal_g=1000.0, dt=0.01):
@@ -160,11 +170,15 @@ def traced_peak_mb(fn):
 
 
 def layers():
-    """(best-of times in s, traced peaks in MB) by layer name."""
-    out, peaks = {}, {}
+    """(best-of times in s, their process CPU times in s, traced peaks in MB)
+    by layer name."""
+    out, cpu_s, peaks = {}, {}, {}
 
-    def record(name, fn, inner=10, per=1, peak=False):
-        out[name] = best_of(fn, inner) / per
+    def record(name, fn, inner=10, per=1, peak=False, cpu=False):
+        wall, cpu_time = best_of(fn, inner)
+        out[name] = wall / per
+        if cpu:
+            cpu_s[name] = cpu_time / per
         if peak:
             peaks[name] = traced_peak_mb(fn)
 
@@ -181,11 +195,14 @@ def layers():
     band = sp.band_of(grid, vectors)
     for tag, given in (("", vectors), (".band", band)):
         record(f"rho_profile.family16.n64.exact{tag}", lambda: ineq.rho_profile(given, grid),
-               inner=2)
+               inner=2, cpu=True)
         record(f"rho_profile.family16.n64.q2{tag}",
-               lambda: ineq.rho_profile(given, grid, quad_factor=2), inner=2, peak=True)
+               lambda: ineq.rho_profile(given, grid, quad_factor=2), inner=2, peak=True, cpu=True)
         record(f"rho_profile.family16.n64.q4{tag}",
-               lambda: ineq.rho_profile(given, grid, quad_factor=4), inner=2)
+               lambda: ineq.rho_profile(given, grid, quad_factor=4), inner=2, cpu=True)
+    record("rho_profile.family16.n64.q2.band.whole_stack_oracle",
+           lambda: oracles.whole_stack_rho_profile(band, grid, quad_factor=2), inner=2, peak=True,
+           cpu=True)
     record("lattice.enumerate", lambda: lattice.LatticeSpectrum(max_e=1024), inner=10)
     record("lattice.verify_spectral_sums.L10000",
            lambda: lattice.verify_spectral_sums(10_000), inner=2, peak=True)
@@ -215,9 +232,19 @@ def layers():
            inner=3)
     sweep_args = (grid, range(4), (0.01, 0.1, 1.0), 16)
     record("run_rho_l2_sweep.seeds4.alphas3.family16.n64",
-           lambda: ineq.run_rho_l2_sweep(*sweep_args), inner=1)
+           lambda: ineq.run_rho_l2_sweep(*sweep_args), inner=1, cpu=True)
     record("run_rho_l2_sweep.seeds4.alphas3.family16.n64.alpha_major_oracle",
-           lambda: oracles.alpha_major_rho_l2_sweep(*sweep_args), inner=1)
+           lambda: oracles.alpha_major_rho_l2_sweep(*sweep_args), inner=1, cpu=True)
+    record("run_rho_l2_sweep.seeds4.alphas3.family16.n64.sequential_oracle",
+           lambda: oracles.sequential_rho_l2_sweep(*sweep_args), inner=1, cpu=True)
+    for sweep, sequential, tag, args in (
+            (ineq.run_lt_sweep, oracles.sequential_lt_sweep, "run_lt_sweep.seeds4", ()),
+            (ineq.run_rho_linf_sweep, oracles.sequential_rho_linf_sweep,
+             "run_rho_linf_sweep.seeds4.caps64", (range(1, 65),))):
+        record(f"{tag}.family16.n64", lambda: sweep(grid, range(4), *args, n=16), inner=1,
+               cpu=True)
+        record(f"{tag}.family16.n64.sequential_oracle",
+               lambda: sequential(grid, range(4), *args, n=16), inner=1, cpu=True)
 
     psi = sp.stream_of(grid, u.coeffs)
     record("bilinear.n64.vorticity_form", lambda: sp.bilinear_coeffs(grid, psi))
@@ -283,7 +310,7 @@ def layers():
            lambda: lyp.trace_diagonal(cfg.grid, multipliers, state, frame.weights), inner=100)
     record("trace_diagonal.zero_base.n32.m4.per_row_oracle",
            lambda: oracles.trace_diagonal(cfg, state, frame.weights), inner=100)
-    return out, peaks
+    return out, cpu_s, peaks
 
 
 def main():
@@ -299,11 +326,12 @@ def main():
                     "numpy": np.__version__},
     }
     if args.rows in ("layers", "all"):
-        timings, peaks = layers()
+        timings, cpu_s, peaks = layers()
         report.update({
             "method": f"best of {REPEATS} tries; each try is the mean of back-to-back calls",
             "unit": "s",
             "layers": timings,
+            "process_cpu_s": cpu_s,
             "traced_peak_mb": peaks,
         })
     if args.rows in ("fresh", "all"):

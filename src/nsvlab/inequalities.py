@@ -16,11 +16,18 @@ Only a family the two do not decide is read again at N = 4n.
 A family's noise is drawn as one stack (spectral.random_band), and the rho-l2
 sweep draws each seed once and orthonormalizes that draw for every alpha,
 listing its reports alpha-major as if each family had been drawn afresh.
+A sweep checks its seeds' families concurrently, on the calling thread and
+one worker thread for each further usable CPU; the families are independent
+and numpy's transforms release the interpreter lock, and the reports,
+verdict and witness are those of checking one family at a time.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,17 +210,24 @@ def rho_profile(vectors: np.ndarray, grid: SpectralGrid,
                 quad_factor: int | None = None) -> RhoProfile:
     """Evaluate the family density on a grid quad_factor times finer than the
     field's, or by default on the _exact_quad_n grid, where the integrals of rho
-    and rho^2 are exact.  The family is given on the band (..., 2K+1, K+1), as
-    the verifiers hold it, or in the full layout (..., n, n), which must lie on
-    the 2/3 band |k_i| <= K.  The band is the sampling grid's half spectrum
-    (..., nq, K+1) on the band's rows."""
+    and rho^2 are exact.  The family, its vectors along the first axis, is given
+    on the band (m, ..., 2K+1, K+1), as the verifiers hold it, or in the full
+    layout (m, ..., n, n), which must lie on the 2/3 band |k_i| <= K.  The band
+    is the sampling grid's half spectrum (..., nq, K+1) on the band's rows, and
+    one vector at a time is sampled."""
     if vectors.shape[-2:] != grid.band_shape:
         sp.require_band(grid, vectors, "family")
         vectors = sp.band_of(grid, vectors)
     nq = _exact_quad_n(grid) if quad_factor is None else quad_factor * grid.n
-    phys = sp.to_physical(sp.half_of(grid, vectors, nq))  # (n, 2, nq, nq) or (n, nq, nq)
-    np.square(phys, out=phys)
-    return RhoProfile(values=np.sum(phys, axis=tuple(range(phys.ndim - 2))), quad_n=nq)
+    # one vector's planes at a time, added in the order of a sum over the
+    # leading axes of the whole stack's squared samples
+    rho = np.zeros((nq, nq))
+    for vector in vectors:
+        phys = sp.to_physical(sp.half_of(grid, vector, nq))  # (2, nq, nq) or (nq, nq)
+        np.square(phys, out=phys)
+        for plane in phys.reshape(-1, nq, nq):
+            rho += plane
+    return RhoProfile(values=rho, quad_n=nq)
 
 
 # ----------------------------------------------------------------------------
@@ -372,20 +386,54 @@ class SweepReport:
         }
 
 
-def _sweep(target: str, checked) -> SweepReport:
-    """The sweep of checked, triples (position, family, its reports) in any
-    order: the reports listed by position, and the family behind the first
-    of them with the largest ratio kept and no other."""
+def _in_turns(check, seeds) -> list:
+    """[check(seed) for seed in seeds], the seeds taken in turn by the calling
+    thread and one worker thread for each further usable CPU, never more
+    threads than seeds.  A failing seed (or an interrupt) stops the turns; its
+    error, or that of an earlier seed still being checked, is raised once they
+    are done, as checking one seed after another would raise the first."""
+    seeds = list(seeds)
+    results, errors = [None] * len(seeds), {}
+    turns, lock = iter(range(len(seeds))), threading.Lock()
+
+    def take_turns():
+        while True:
+            with lock:
+                j = None if errors else next(turns, None)
+            if j is None:
+                return
+            try:
+                results[j] = check(seeds[j])
+            except BaseException as err:
+                errors[j] = err
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cpus or 1, len(seeds)) - 1
+    with ThreadPoolExecutor(max(workers, 1)) as pool:
+        for _ in range(workers):
+            pool.submit(take_turns)
+        take_turns()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def _sweep(target: str, check, seeds) -> SweepReport:
+    """The sweep of check(seed) for each seed (_in_turns), a list of pairs
+    (family, its reports): the reports listed by pair index, then seed, and
+    the family behind the first of them with the largest ratio kept and no
+    other."""
     placed, worst, witness = [], None, None
-    for position, fam, reps in checked:
-        for k, rep in enumerate(reps):
-            key = (-rep.ratio, position, k)
-            placed.append((position, k, rep))
-            if worst is None or key < worst[0]:
-                worst, witness = (key, rep), fam
+    for j, checked in enumerate(_in_turns(check, seeds)):
+        for i, (fam, reps) in enumerate(checked):
+            for k, rep in enumerate(reps):
+                key = (-rep.ratio, i, j, k)
+                placed.append((key[1:], rep))
+                if worst is None or key < worst[0]:
+                    worst, witness = (key, rep), fam
     if worst is None:
         raise InvalidParameterError(f"the {target} sweep needs at least one family")
-    reports = [rep for *_, rep in sorted(placed, key=lambda p: p[:2])]
+    reports = [rep for _, rep in sorted(placed, key=lambda p: p[0])]
     return SweepReport(
         target=target,
         count=len(reports),
@@ -401,9 +449,12 @@ def _sweep(target: str, checked) -> SweepReport:
 def run_lt_sweep(grid: SpectralGrid, seeds, n: int = 8, kind: str = ALPHA_ORTHONORMAL,
                  alpha: float = 1.0) -> SweepReport:
     metric = AlphaMetric(alpha)
-    families = (sample_suborthonormal(grid, n, kind, seed, VELOCITY, metric)
-                for seed in seeds)
-    return _sweep("lt", ((j, fam, [verify_lieb_thirring(fam)]) for j, fam in enumerate(families)))
+
+    def check(seed):
+        fam = sample_suborthonormal(grid, n, kind, seed, VELOCITY, metric)
+        return [(fam, [verify_lieb_thirring(fam)])]
+
+    return _sweep("lt", check, seeds)
 
 
 def run_rho_l2_sweep(grid: SpectralGrid, seeds, alphas, n: int = 8) -> SweepReport:
@@ -415,16 +466,16 @@ def run_rho_l2_sweep(grid: SpectralGrid, seeds, alphas, n: int = 8) -> SweepRepo
             f"alphas must be non-empty, each finite and > 0, got {alphas!r}")
     metrics = [AlphaMetric(alpha) for alpha in alphas]
 
-    def checked():
-        for j, seed in enumerate(seeds):
-            draw = _draw(grid, n, seed, VELOCITY)
-            for i, metric in enumerate(metrics):
-                fam = _family(grid, n, ALPHA_ORTHONORMAL, seed, VELOCITY, metric, draw)
-                rep = verify_rho_l2(fam)
-                rep.extras["alpha"] = metric.alpha
-                yield (i, j), fam, [rep]
+    def check(seed):
+        draw, checked = _draw(grid, n, seed, VELOCITY), []
+        for metric in metrics:
+            fam = _family(grid, n, ALPHA_ORTHONORMAL, seed, VELOCITY, metric, draw)
+            rep = verify_rho_l2(fam)
+            rep.extras["alpha"] = metric.alpha
+            checked.append((fam, [rep]))
+        return checked
 
-    return _sweep("rho-l2", checked())
+    return _sweep("rho-l2", check, seeds)
 
 
 def run_rho_linf_sweep(grid: SpectralGrid, seeds, lam_caps, n: int = 8,
@@ -436,7 +487,9 @@ def run_rho_linf_sweep(grid: SpectralGrid, seeds, lam_caps, n: int = 8,
     spectrum = LatticeSpectrum(max_e=max(16 * max(lam_caps), 64))
     sums = {cap: spectral_sum_extras(int(cap), spectrum) for cap in lam_caps}
     metric = AlphaMetric(alpha)
-    families = (sample_suborthonormal(grid, n, ALPHA_ORTHONORMAL, seed, VORTICITY, metric)
-                for seed in seeds)
-    return _sweep("rho-linf", ((j, fam, _linf_reports(fam, lam_caps, sums))
-                               for j, fam in enumerate(families)))
+
+    def check(seed):
+        fam = sample_suborthonormal(grid, n, ALPHA_ORTHONORMAL, seed, VORTICITY, metric)
+        return [(fam, _linf_reports(fam, lam_caps, sums))]
+
+    return _sweep("rho-linf", check, seeds)

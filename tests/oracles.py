@@ -22,7 +22,8 @@ verdict and Grashof numbers as those functions derived them inline from
 their records, random fields, families and
 frames drawn on the full layout, band families drawn one vector at a time
 and the rho-l2 sweep drawing each (alpha, seed) family afresh in report
-order, the full layout of a band, modified
+order, the family density sampled as one stack, the three sweeps checking
+one family after another on one thread, the full layout of a band, modified
 Gram-Schmidt, the complex-form Gram matrix, the per-row trace diagonal, and
 the per-coefficient snapshot writer, the bounds and inequality reports
 with every bound formula and record field written out, and the separate
@@ -968,6 +969,76 @@ def alpha_major_rho_l2_sweep(grid, seeds, alphas, n=8, decay=2.0):
         per_vector_family(grid, n, "alpha-orthonormal", seed, VELOCITY, sp.AlphaMetric(alpha),
                           decay)
         for alpha in alphas for seed in seeds), check)
+
+
+def whole_stack_rho_profile(vectors, grid, quad_factor=None):
+    """inequalities.rho_profile sampling the whole family as one stack and
+    summing its squared samples over the leading axes."""
+    if vectors.shape[-2:] != grid.band_shape:
+        sp.require_band(grid, vectors, "family")
+        vectors = sp.band_of(grid, vectors)
+    nq = ineq._exact_quad_n(grid) if quad_factor is None else quad_factor * grid.n
+    phys = sp.to_physical(sp.half_of(grid, vectors, nq))
+    np.square(phys, out=phys)
+    return ineq.RhoProfile(values=np.sum(phys, axis=tuple(range(phys.ndim - 2))), quad_n=nq)
+
+
+def positioned_sweep(target, checked):
+    """inequalities' sweep of checked, triples (position, family, its reports)
+    in any order: the reports listed by position, and the family behind the
+    first of them with the largest ratio kept."""
+    placed, worst, witness = [], None, None
+    for position, fam, reps in checked:
+        for k, rep in enumerate(reps):
+            key = (-rep.ratio, position, k)
+            placed.append((position, k, rep))
+            if worst is None or key < worst[0]:
+                worst, witness = (key, rep), fam
+    if worst is None:
+        raise InvalidParameterError(f"the {target} sweep needs at least one family")
+    reports = [rep for *_, rep in sorted(placed, key=lambda p: p[:2])]
+    return ineq.SweepReport(
+        target=target, count=len(reports), worst_ratio=worst[1].ratio, worst_seed=worst[1].seed,
+        all_passed=all(r.passed for r in reports),
+        near_saturation=[r.seed for r in reports if r.extras.get("near_saturation")],
+        reports=reports, witness=witness)
+
+
+def sequential_lt_sweep(grid, seeds, n=8, kind="alpha-orthonormal", alpha=1.0):
+    """inequalities.run_lt_sweep checking one family after another."""
+    metric = sp.AlphaMetric(alpha)
+    families = (ineq.sample_suborthonormal(grid, n, kind, seed, VELOCITY, metric)
+                for seed in seeds)
+    return positioned_sweep("lt", ((j, fam, [ineq.verify_lieb_thirring(fam)])
+                              for j, fam in enumerate(families)))
+
+
+def sequential_rho_l2_sweep(grid, seeds, alphas, n=8):
+    """inequalities.run_rho_l2_sweep checking one seed's draw after another."""
+    metrics = [sp.AlphaMetric(alpha) for alpha in alphas]
+
+    def checked():
+        for j, seed in enumerate(seeds):
+            draw = ineq._draw(grid, n, seed, VELOCITY)
+            for i, metric in enumerate(metrics):
+                fam = ineq._family(grid, n, "alpha-orthonormal", seed, VELOCITY, metric, draw)
+                rep = ineq.verify_rho_l2(fam)
+                rep.extras["alpha"] = metric.alpha
+                yield (i, j), fam, [rep]
+
+    return positioned_sweep("rho-l2", checked())
+
+
+def sequential_rho_linf_sweep(grid, seeds, lam_caps, n=8, alpha=1.0):
+    """inequalities.run_rho_linf_sweep checking one family after another."""
+    lam_caps = list(lam_caps)
+    spectrum = ineq.LatticeSpectrum(max_e=max(16 * max(lam_caps), 64))
+    sums = {cap: ineq.spectral_sum_extras(int(cap), spectrum) for cap in lam_caps}
+    metric = sp.AlphaMetric(alpha)
+    families = (ineq.sample_suborthonormal(grid, n, "alpha-orthonormal", seed, VORTICITY, metric)
+                for seed in seeds)
+    return positioned_sweep("rho-linf", ((j, fam, ineq._linf_reports(fam, lam_caps, sums))
+                                         for j, fam in enumerate(families)))
 
 
 def frame_random(grid, n, metric, seed):

@@ -16,6 +16,12 @@ trace they replaced; the draw bitwise, the rest to round-off.  A stacked
 draw, the families drawn as one stack, and the rho-l2 sweep that draws each
 seed once for all its alphas are checked bitwise against per-vector draws
 and the sweep that draws every (alpha, seed) family afresh in report order.
+The density summed one vector at a time is checked bitwise against the
+whole stack summed at once, and each sweep, its seeds checked on the usable
+CPUs (1, 2 or 3 of them), byte for byte against the same sweep checking one
+family after another on one thread with the whole-stack density: reports,
+verdict and witness, the error a degenerate seed raises, and the threads
+left running after it.
 dynamics.integrate and lyapunov.evolve_tangent_frame step the band
 streamfunction through one shared RK4 / integrating-factor RK4 function;
 the oracles step the SpectralField right-hand sides with
@@ -51,6 +57,8 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import threading
 import warnings
 from dataclasses import asdict
 
@@ -65,7 +73,7 @@ from nsvlab import inequalities as ineq
 from nsvlab import lattice
 from nsvlab import lyapunov as lyp
 from nsvlab import spectral as sp
-from nsvlab.errors import ConfigError, DegenerateFrameError
+from nsvlab.errors import ConfigError, DegenerateFrameError, InvalidParameterError
 from nsvlab.spectral import VELOCITY, VORTICITY, SpectralGrid
 
 import oracles
@@ -630,6 +638,103 @@ def test_rho_l2_sweep_retries_only_the_degenerate_family(monkeypatch):
     assert len(failed) == 2
     assert [r.seed for r in got.reports] == [0, 1, 2, 3, 0, 1, 1002, 3, 0, 1, 2, 3]
     assert sweep_record(got) == sweep_record(ref)
+
+
+@pytest.mark.parametrize("q", [None, 2, 4])
+@pytest.mark.parametrize("n", [16, 32, 48, 64])
+def test_rho_profile_is_bitwise_the_whole_stack_density(n, q):
+    # velocity, scalar and stream-velocity families, on the band and in the
+    # full layout, summed one vector at a time against the stack summed whole
+    grid = SpectralGrid(n)
+    velocity = ineq.sample_suborthonormal(grid, 5, seed=n).vectors
+    scalar = ineq.sample_suborthonormal(grid, 4, seed=n + 1, role=VORTICITY).vectors
+    stream = grid.band_u * (scalar / grid.band_k[2])[..., None, :, :]
+    for band in (velocity, scalar, stream):
+        for given in (band, oracles.full_of_band(grid, band)):
+            got = ineq.rho_profile(given, grid, quad_factor=q)
+            ref = oracles.whole_stack_rho_profile(given, grid, quad_factor=q)
+            assert got.quad_n == ref.quad_n
+            assert got.values.tobytes() == ref.values.tobytes()
+
+
+#: each sweep (production, then its one-family-at-a-time oracle) on 4-vector families
+SWEEPS = {
+    "lt": (lambda grid, seeds: ineq.run_lt_sweep(grid, seeds, n=4),
+           lambda grid, seeds: oracles.sequential_lt_sweep(grid, seeds, n=4)),
+    "rho-l2": (lambda grid, seeds: ineq.run_rho_l2_sweep(grid, seeds, (0.05, 1.0, 0.3), n=4),
+               lambda grid, seeds: oracles.sequential_rho_l2_sweep(grid, seeds,
+                                                                   (0.05, 1.0, 0.3), n=4)),
+    "rho-linf": (lambda grid, seeds: ineq.run_rho_linf_sweep(grid, seeds, range(1, 9), n=4),
+                 lambda grid, seeds: oracles.sequential_rho_linf_sweep(grid, seeds,
+                                                                       range(1, 9), n=4)),
+}
+
+
+def usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def parent_sweep(monkeypatch, target, grid, seeds):
+    """The oracle sweep with the whole-stack density, as one thread checked it."""
+    with monkeypatch.context() as m:
+        m.setattr(ineq, "rho_profile", oracles.whole_stack_rho_profile)
+        return SWEEPS[target][1](grid, seeds)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("n, seeds", [
+    (16, [7]), (16, range(5)), (32, range(3, 5)), (32, [9, 2, 40, 5]), (64, range(3)),
+])
+@pytest.mark.parametrize("target", sorted(SWEEPS))
+def test_sweep_is_bitwise_the_one_thread_sweep(monkeypatch, target, n, seeds, cpus):
+    usable_cpus(monkeypatch, cpus)
+    grid, threads = SpectralGrid(n), threading.active_count()
+    got = SWEEPS[target][0](grid, seeds)
+    assert threading.active_count() == threads
+    assert sweep_record(got) == sweep_record(parent_sweep(monkeypatch, target, grid, seeds))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("bad", [{0}, {2}, {2, 4}])
+@pytest.mark.parametrize("target", sorted(SWEEPS))
+def test_degenerate_seed_raises_the_one_thread_error(monkeypatch, target, bad, cpus):
+    # the bad seeds draw zeros at every sub-seed: the first of them in seed
+    # order is raised, after every family before it is checked
+    usable_cpus(monkeypatch, cpus)
+    real_draw, checked = ineq._draw, []
+
+    def draw(grid, n, seed, role):
+        bands = real_draw(grid, n, seed, role)
+        return np.zeros_like(bands) if seed % 1000 in bad else bands
+    def counted(verify):
+        def verify_counted(fam, *args):
+            checked.append(fam.seed)
+            return verify(fam, *args)
+        return verify_counted
+    monkeypatch.setattr(ineq, "_draw", draw)
+    for name in ("verify_lieb_thirring", "verify_rho_l2", "_linf_reports"):
+        monkeypatch.setattr(ineq, name, counted(getattr(ineq, name)))
+    grid, seeds, threads = SpectralGrid(16), range(5), threading.active_count()
+    with pytest.raises(DegenerateFrameError) as got:
+        SWEEPS[target][0](grid, seeds)
+    assert threading.active_count() == threads
+    got_checked, checked[:] = set(checked), []
+    with pytest.raises(DegenerateFrameError) as ref:
+        parent_sweep(monkeypatch, target, grid, seeds)
+    assert str(got.value) == str(ref.value) == \
+        f"no independent family after {ineq.MAX_DRAWS} draws (seed {min(bad)})"
+    assert got.value.index == ref.value.index
+    assert set(checked) == set(range(min(bad))) <= got_checked
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("target", sorted(SWEEPS))
+def test_empty_sweep_is_refused_on_any_cpu_count(monkeypatch, target, cpus):
+    usable_cpus(monkeypatch, cpus)
+    threads = threading.active_count()
+    with pytest.raises(InvalidParameterError, match=f"the {target} sweep needs at least one"):
+        SWEEPS[target][0](SpectralGrid(16), [])
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("forced", [True, False])

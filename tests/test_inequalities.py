@@ -1,6 +1,8 @@
 """Suborthonormal families, density profiles, and the inequality verifiers."""
 
 import math
+import os
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -374,6 +376,22 @@ class TestSweepReports:
     def test_empty_sweep_refused(self):
         with pytest.raises(InvalidParameterError, match="needs at least one family"):
             ineq.run_lt_sweep(GRID, seeds=range(0), n=3)
+
+    def test_interrupt_stops_the_turns(self, monkeypatch):
+        # on two CPUs, an interrupt while seed 1 is checked is raised once the
+        # seed the other thread holds is done, not after every seed
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        checked = []
+
+        def check(seed):
+            time.sleep(0.01)
+            if seed == 1:
+                raise KeyboardInterrupt
+            checked.append(seed)
+
+        with pytest.raises(KeyboardInterrupt):
+            ineq._in_turns(check, range(40))
+        assert len(checked) <= 3
 
     def test_as_dict_schema(self):
         sweep = ineq.run_lt_sweep(GRID, seeds=range(2), n=3)

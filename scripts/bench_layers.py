@@ -24,7 +24,9 @@ stacked random_band draw of 16 velocity fields at n = 64, the three
 sweeps on 16-vector families at grid 64 and 4 seeds (run_lt_sweep,
 run_rho_l2_sweep with 3 alphas, run_rho_linf_sweep with caps 1..64), and
 the trace diagonal of an 8-vector frame at n = 32 on the forced flow and of
-a 4-vector frame on the zero base.  The transform pair, the nonlinear term,
+a 4-vector frame on the zero base, and the snapshot hand-over: the
+benchmark's forced-sim alpha leg (`simulate` at n = 64, 1520 steps, a
+snapshot every 50) run in process.  The transform pair, the nonlinear term,
 the family Gram-Schmidt and draw, the stacked draw, the sweeps, the x2 band
 density and the trace diagonal are timed next to the full complex FFTs, the
 velocity-form B(u,v) (at n = 64) and the advective-form and allocating band
@@ -34,10 +36,16 @@ checking one family after another on one thread, the density of the whole
 stack at once and the per-row trace of tests/oracles.py.
 The machine, CPU count and numpy version are recorded with the timings.
 Beside the best-of wall time of each sweep and density row is the process
-CPU time per call in that try, every thread's (getrusage(RUSAGE_SELF)), and
-beside the x2 density grids, the two lattice verifiers and the two snapshot
-writers the tracemalloc peak of one call.  Rows from different runs compare
-only in alternated repeat runs: the host's speed drifts between runs.
+CPU time per call in that try, every thread's (getrusage(RUSAGE_SELF)),
+beside each sweep row every CPU's user ticks over its tries (/proc/stat,
+the whole machine's), and beside the x2 density grids, the two lattice
+verifiers and the two snapshot writers the tracemalloc peak of one call.
+The hand-over row is a list of runs after one untimed run, each with its
+wall time, the time its caller spent in FieldWriter.save and copy and
+their count, the calling thread's voluntary and involuntary context
+switches (getrusage(RUSAGE_THREAD)) and every CPU's user ticks over it.
+Rows from different runs compare only in alternated repeat runs: the
+host's speed drifts between runs.
 
 With --rows fresh (or all), three `nsvlab` commands are also timed, each in
 a process of its own, which is where the cost of memory handed back to the
@@ -70,6 +78,7 @@ from pathlib import Path
 
 import numpy as np
 
+from nsvlab import cli
 from nsvlab import dynamics as dyn
 from nsvlab import fieldio
 from nsvlab import inequalities as ineq
@@ -102,6 +111,20 @@ def best_of(fn, inner):
             fn()
         tries.append(((time.perf_counter() - start) / inner, (process_cpu_s() - cpu) / inner))
     return min(tries)
+
+
+def cpu_user_ticks():
+    """Each CPU's user ticks so far (/proc/stat), by CPU name; {} where unreadable."""
+    try:
+        rows = [line.split() for line in Path("/proc/stat").read_text().splitlines()]
+    except OSError:
+        return {}
+    return {row[0]: int(row[1]) for row in rows if row[0].startswith("cpu") and row[0] != "cpu"}
+
+
+def ticks_since(before):
+    """Each CPU's user ticks since the cpu_user_ticks() reading before."""
+    return {cpu: ticks - before.get(cpu, 0) for cpu, ticks in cpu_user_ticks().items()}
 
 
 def forced_cfg(n, cal_g=1000.0, dt=0.01):
@@ -138,6 +161,55 @@ FRESH = {
 }
 
 
+def simulate_params():
+    """The benchmark's forced-sim alpha leg as `nsvlab simulate` parameters."""
+    cfg = forced_cfg(64)
+    modes = [[k1, k2, a.real, a.imag, b.real, b.imag] for (k1, k2), (a, b) in cfg.forcing.modes]
+    return cli.parse_config("simulate", None, {
+        "n": 64, "nu": cfg.nu, "alpha": cfg.alpha, "dt": cfg.dt, "t_end": 15.2,
+        "sample_every": 10, "snapshot_every": 50, "forcing": {"kind": "modes", "modes": modes},
+        "initial": {"kind": "random", "seed": 42, "decay": 3.0, "amplitude": 2.0}})
+
+
+def handover(runs=5):
+    """The forced-sim alpha leg in process, runs times after one untimed run:
+    each run's wall time, the caller's time in FieldWriter.save and copy and
+    their count, the calling thread's context switches and every CPU's user
+    ticks."""
+    params, handed = simulate_params(), {}
+    real = fieldio.FieldWriter.save, fieldio.FieldWriter.copy
+
+    def timed(method):
+        def hand_over(*args):
+            start = time.perf_counter()
+            try:
+                return method(*args)
+            finally:
+                handed["s"] += time.perf_counter() - start
+                handed["calls"] += 1
+        return hand_over
+
+    fieldio.FieldWriter.save, fieldio.FieldWriter.copy = map(timed, real)
+    rows = []
+    try:
+        for _ in range(runs + 1):
+            with tempfile.TemporaryDirectory() as out:
+                handed.update(s=0.0, calls=0)
+                ticks = cpu_user_ticks()
+                usage, start = resource.getrusage(resource.RUSAGE_THREAD), time.perf_counter()
+                code = cli.run("simulate", params, 1, Path(out))
+                wall = time.perf_counter() - start
+                after = resource.getrusage(resource.RUSAGE_THREAD)
+            rows.append({"exit": code, "wall_s": wall, "handover_s": handed["s"],
+                         "handovers": handed["calls"],
+                         "voluntary_switches": after.ru_nvcsw - usage.ru_nvcsw,
+                         "involuntary_switches": after.ru_nivcsw - usage.ru_nivcsw,
+                         "cpu_user_ticks": ticks_since(ticks)})
+    finally:
+        fieldio.FieldWriter.save, fieldio.FieldWriter.copy = real
+    return rows[1:]
+
+
 def fresh_process():
     """name -> {wall_s, user_s, sys_s, minor_faults} of each FRESH run, each
     `python -m nsvlab.cli` in a process of its own."""
@@ -170,12 +242,15 @@ def traced_peak_mb(fn):
 
 
 def layers():
-    """(best-of times in s, their process CPU times in s, traced peaks in MB)
-    by layer name."""
-    out, cpu_s, peaks = {}, {}, {}
+    """(best-of times in s, their process CPU times in s, traced peaks in MB,
+    every CPU's user ticks over the tries) by layer name."""
+    out, cpu_s, peaks, ticks = {}, {}, {}, {}
 
-    def record(name, fn, inner=10, per=1, peak=False, cpu=False):
+    def record(name, fn, inner=10, per=1, peak=False, cpu=False, cpu_ticks=False):
+        before = cpu_user_ticks()
         wall, cpu_time = best_of(fn, inner)
+        if cpu_ticks:
+            ticks[name] = ticks_since(before)
         out[name] = wall / per
         if cpu:
             cpu_s[name] = cpu_time / per
@@ -231,20 +306,20 @@ def layers():
            lambda: oracles.per_vector_bands(grid, VELOCITY, 2.0, np.random.default_rng(0), 16),
            inner=3)
     sweep_args = (grid, range(4), (0.01, 0.1, 1.0), 16)
+    sweep_row = {"inner": 1, "cpu": True, "cpu_ticks": True}
     record("run_rho_l2_sweep.seeds4.alphas3.family16.n64",
-           lambda: ineq.run_rho_l2_sweep(*sweep_args), inner=1, cpu=True)
+           lambda: ineq.run_rho_l2_sweep(*sweep_args), **sweep_row)
     record("run_rho_l2_sweep.seeds4.alphas3.family16.n64.alpha_major_oracle",
-           lambda: oracles.alpha_major_rho_l2_sweep(*sweep_args), inner=1, cpu=True)
+           lambda: oracles.alpha_major_rho_l2_sweep(*sweep_args), **sweep_row)
     record("run_rho_l2_sweep.seeds4.alphas3.family16.n64.sequential_oracle",
-           lambda: oracles.sequential_rho_l2_sweep(*sweep_args), inner=1, cpu=True)
+           lambda: oracles.sequential_rho_l2_sweep(*sweep_args), **sweep_row)
     for sweep, sequential, tag, args in (
             (ineq.run_lt_sweep, oracles.sequential_lt_sweep, "run_lt_sweep.seeds4", ()),
             (ineq.run_rho_linf_sweep, oracles.sequential_rho_linf_sweep,
              "run_rho_linf_sweep.seeds4.caps64", (range(1, 65),))):
-        record(f"{tag}.family16.n64", lambda: sweep(grid, range(4), *args, n=16), inner=1,
-               cpu=True)
+        record(f"{tag}.family16.n64", lambda: sweep(grid, range(4), *args, n=16), **sweep_row)
         record(f"{tag}.family16.n64.sequential_oracle",
-               lambda: sequential(grid, range(4), *args, n=16), inner=1, cpu=True)
+               lambda: sequential(grid, range(4), *args, n=16), **sweep_row)
 
     psi = sp.stream_of(grid, u.coeffs)
     record("bilinear.n64.vorticity_form", lambda: sp.bilinear_coeffs(grid, psi))
@@ -310,7 +385,7 @@ def layers():
            lambda: lyp.trace_diagonal(cfg.grid, multipliers, state, frame.weights), inner=100)
     record("trace_diagonal.zero_base.n32.m4.per_row_oracle",
            lambda: oracles.trace_diagonal(cfg, state, frame.weights), inner=100)
-    return out, cpu_s, peaks
+    return out, cpu_s, peaks, ticks
 
 
 def main():
@@ -326,13 +401,15 @@ def main():
                     "numpy": np.__version__},
     }
     if args.rows in ("layers", "all"):
-        timings, cpu_s, peaks = layers()
+        timings, cpu_s, peaks, ticks = layers()
         report.update({
             "method": f"best of {REPEATS} tries; each try is the mean of back-to-back calls",
             "unit": "s",
             "layers": timings,
             "process_cpu_s": cpu_s,
             "traced_peak_mb": peaks,
+            "cpu_user_ticks": ticks,
+            "handover": handover(),
         })
     if args.rows in ("fresh", "all"):
         report["fresh_process"] = fresh_process()

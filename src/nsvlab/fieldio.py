@@ -19,9 +19,11 @@ writes them and returns their sha256, which the run manifest records.
 FieldWriter writes a run's field files through a pool of one worker process
 (concurrent.futures, started with POSIX fork), in the order they are handed
 to it, while its caller goes on; the bytes, and so the hashes, are those
-save_field writes in process.  Every write handed over before the caller
-fails is still made and reported, so a diverged simulate run keeps the
-snapshots taken before the divergence.
+save_field writes in process.  The worker binds itself to a usable CPU other
+than the caller's (placement.spare_cpus), so each hand-over wakes it beside
+the caller rather than on the caller's CPU.  Every write handed over before
+the caller fails is still made and reported, so a diverged simulate run
+keeps the snapshots taken before the divergence.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, placement
 from .errors import InvalidParameterError
 from .spectral import VELOCITY, VORTICITY, SpectralField, SpectralGrid
 
@@ -136,13 +138,15 @@ class FieldWriter:
     raised in the block wins over one of close().  The worker is started
     with fork (POSIX): it runs the program as loaded, and writes the bytes
     save_field writes in process.  It ignores interrupts, which are left to
-    the caller.
+    the caller, and binds itself to the first of the caller's spare CPUs as
+    the writer is made (placement), or to none where there is none.
     """
 
     def __init__(self, on_written):
+        cpu = next(iter(placement.spare_cpus()), None)
         self._pool = ProcessPoolExecutor(
             1, mp_context=multiprocessing.get_context("fork"),
-            initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
+            initializer=_start_worker, initargs=(cpu,))
         self._on_written, self._writes, self._error = on_written, deque(), None
 
     def __enter__(self):
@@ -196,6 +200,13 @@ class FieldWriter:
                 self._error = self._error or err
             else:
                 self._on_written(path, digest)
+
+
+def _start_worker(cpu):
+    """FieldWriter's worker, as it starts: interrupts are left to the caller,
+    and it binds itself to cpu (placement.bind)."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    placement.bind(cpu)
 
 
 def _worker_died(err: BrokenProcessPool) -> OSError:

@@ -17,7 +17,8 @@ A family's noise is drawn as one stack (spectral.random_band), and the rho-l2
 sweep draws each seed once and orthonormalizes that draw for every alpha,
 listing its reports alpha-major as if each family had been drawn afresh.
 A sweep checks its seeds' families concurrently, on the calling thread and
-one worker thread for each further usable CPU; the families are independent
+one worker thread for each further usable CPU, each worker bound to a CPU
+other than the caller's (placement.spare_cpus); the families are independent
 and numpy's transforms release the interpreter lock, and the reports,
 verdict and witness are those of checking one family at a time.
 """
@@ -25,14 +26,13 @@ verdict and witness are those of checking one family at a time.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import spectral as sp
+from . import placement, spectral as sp
 from .bounds import CONSTANTS
 from .errors import DegenerateFrameError, InvalidParameterError
 from .lattice import check_cap, sum_inverse_below, sum_inverse_square_above, LatticeSpectrum
@@ -388,10 +388,12 @@ class SweepReport:
 
 def _in_turns(check, seeds) -> list:
     """[check(seed) for seed in seeds], the seeds taken in turn by the calling
-    thread and one worker thread for each further usable CPU, never more
-    threads than seeds.  A failing seed (or an interrupt) stops the turns; its
-    error, or that of an earlier seed still being checked, is raised once they
-    are done, as checking one seed after another would raise the first."""
+    thread and one worker thread for each of its spare CPUs (placement), never
+    more threads than seeds; each worker binds itself to its CPU first.  A
+    failing seed (or an interrupt) stops the turns; its error, or that of an
+    earlier seed still being checked, is raised once they are done, as
+    checking one seed after another would raise the first.  An error a worker
+    raises outside a seed's check is raised once the caller's turns are done."""
     seeds = list(seeds)
     results, errors = [None] * len(seeds), {}
     turns, lock = iter(range(len(seeds))), threading.Lock()
@@ -407,12 +409,16 @@ def _in_turns(check, seeds) -> list:
             except BaseException as err:
                 errors[j] = err
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cpus or 1, len(seeds)) - 1
-    with ThreadPoolExecutor(max(workers, 1)) as pool:
-        for _ in range(workers):
-            pool.submit(take_turns)
+    def work(cpu):
+        placement.bind(cpu)
         take_turns()
+
+    cpus = placement.spare_cpus()[:max(len(seeds) - 1, 0)]
+    with ThreadPoolExecutor(max(len(cpus), 1)) as pool:
+        workers = [pool.submit(work, cpu) for cpu in cpus]
+        take_turns()
+        for worker in workers:
+            worker.result()
     if errors:
         raise errors[min(errors)]
     return results
